@@ -2,9 +2,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
-#include <thread>
 
 #include "common/parse.h"
 #include "graph/canonical.h"
@@ -125,104 +122,14 @@ void ApplyFastPathFlags(const Flags& flags) {
 }
 
 PoolSizing PoolSizingFromFlags(const Flags& flags, int default_frames) {
-  PoolSizing sizing = DefaultPoolSizing();
+  PoolSizing sizing;
   sizing.frames = flags.GetInt("pool-frames", default_frames);
-  sizing.partitions = flags.GetInt("pool-partitions", sizing.partitions);
-  sizing.writer_threads =
-      flags.GetInt("writer-threads", sizing.writer_threads);
-  sizing.writeback_queue =
-      flags.GetInt("writeback-queue", sizing.writeback_queue);
-  if (sizing.frames < 1 || sizing.partitions < 1 ||
-      sizing.partitions > sizing.frames || sizing.writer_threads < 0 ||
-      sizing.writeback_queue < 1) {
-    std::fprintf(stderr,
-                 "error: pool sizing out of range (frames=%d partitions=%d "
-                 "writer-threads=%d writeback-queue=%d)\n",
-                 sizing.frames, sizing.partitions, sizing.writer_threads,
-                 sizing.writeback_queue);
-    std::exit(2);
-  }
-  const std::string engine =
-      flags.GetString("storage-engine", StorageEngineName(sizing.engine));
-  if (!ParseStorageEngine(engine, &sizing.engine)) {
-    std::fprintf(stderr,
-                 "error: --storage-engine=%s is not one of swizzle|classic\n",
-                 engine.c_str());
+  if (sizing.frames < 1) {
+    std::fprintf(stderr, "error: --pool-frames must be at least 1 (got %d)\n",
+                 sizing.frames);
     std::exit(2);
   }
   return sizing;
-}
-
-namespace {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
-std::string JsonNumber(double value) {
-  std::ostringstream os;
-  os << value;
-  return os.str();
-}
-
-}  // namespace
-
-BenchRecord::BenchRecord(const std::string& id, int threads) {
-  Note("id", id);
-  Metric("cores",
-         static_cast<double>(std::thread::hardware_concurrency()));
-  Metric("threads", static_cast<double>(threads));
-}
-
-void BenchRecord::Note(const std::string& key, const std::string& value) {
-  fields_.emplace_back(key, "\"" + JsonEscape(value) + "\"");
-}
-
-void BenchRecord::Metric(const std::string& key, double value) {
-  fields_.emplace_back(key, JsonNumber(value));
-}
-
-void BenchRecord::Ms(const std::string& block, const std::string& key,
-                     double ms) {
-  const std::string name = block + "_ms";
-  for (auto& [existing, entries] : blocks_) {
-    if (existing == name) {
-      entries.emplace_back(key, ms);
-      return;
-    }
-  }
-  blocks_.push_back({name, {{key, ms}}});
-}
-
-bool BenchRecord::WriteFile(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << "{\n";
-  bool first = true;
-  for (const auto& [key, rendered] : fields_) {
-    if (!first) out << ",\n";
-    first = false;
-    out << "  \"" << JsonEscape(key) << "\": " << rendered;
-  }
-  for (const auto& [block, entries] : blocks_) {
-    if (!first) out << ",\n";
-    first = false;
-    out << "  \"" << JsonEscape(block) << "\": {\n";
-    for (size_t i = 0; i < entries.size(); ++i) {
-      out << "    \"" << JsonEscape(entries[i].first)
-          << "\": " << JsonNumber(entries[i].second);
-      if (i + 1 < entries.size()) out << ",";
-      out << "\n";
-    }
-    out << "  }";
-  }
-  out << "\n}\n";
-  return static_cast<bool>(out);
 }
 
 void MaybeWriteMetrics(const Flags& flags, const std::string& figure) {

@@ -4,12 +4,10 @@
 #include <map>
 #include <set>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "datagen/generator.h"
 #include "graph/graph.h"
-#include "storage/pool_config.h"
+#include "storage/buffer_pool.h"
 
 namespace partminer {
 namespace bench {
@@ -87,37 +85,10 @@ void PrintHeader(const std::string& figure, const std::string& description,
 /// bit-identical either way; the flags measure what the fast path buys.
 void ApplyFastPathFlags(const Flags& flags);
 
-/// Buffer-pool sizing for the disk-backed ADI runs, one spelling across the
-/// harnesses and the tools: --pool-frames (default `default_frames`),
-/// --pool-partitions, --writer-threads, --writeback-queue, and
-/// --storage-engine=swizzle|classic. Refuses to run (exit 2) on garbage,
+/// Buffer-pool sizing for the disk-backed ADI runs: --pool-frames (default
+/// `default_frames`). Refuses to run (exit 2) on garbage or a value below 1,
 /// like the numeric Get* accessors.
 PoolSizing PoolSizingFromFlags(const Flags& flags, int default_frames);
-
-/// Minimal writer for BENCH_*.json records. Every record carries the
-/// honest-hardware stamp — `cores` (hardware concurrency) and `threads`
-/// (the harness's worker-thread count) — so a number can never be quoted
-/// without the machine it came from (ROADMAP item 5). Blocks named `*_ms`
-/// are what tools/bench_compare.py diffs.
-class BenchRecord {
- public:
-  /// `threads` is the harness's worker-thread count (1 = single-threaded).
-  BenchRecord(const std::string& id, int threads);
-
-  /// Top-level string / numeric fields (insertion order preserved).
-  void Note(const std::string& key, const std::string& value);
-  void Metric(const std::string& key, double value);
-
-  /// Adds `key: ms` to the `<block>_ms` object, created on first use.
-  void Ms(const std::string& block, const std::string& key, double ms);
-
-  bool WriteFile(const std::string& path) const;
-
- private:
-  std::vector<std::pair<std::string, std::string>> fields_;  // pre-rendered
-  std::vector<std::pair<std::string, std::vector<std::pair<std::string, double>>>>
-      blocks_;
-};
 
 /// Per-phase metrics export: with --metrics[=path] on the harness command
 /// line, dumps the process metrics registry (counters for extensions,

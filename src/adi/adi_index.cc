@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <set>
-#include <type_traits>
 
 #include "common/logging.h"
 
@@ -11,60 +10,12 @@ namespace partminer {
 
 namespace {
 
-/// The serialization stream below is generic over the storage engine via
-/// these two adapters. Both expose: allocate a writable page / close it
-/// dirty, open a page for reading / close it. The classic adapter pairs
-/// Fetch/Unpin by hand; the swizzle adapter holds RAII guards, so an early
-/// error return can never leak a pin.
-
-struct ClassicIo {
-  BufferPool* pool;
-
-  Status AllocateWritable(PageId* id, char** data) {
-    return pool->Allocate(id, data);
-  }
-  void CloseWritable(PageId id) { pool->Unpin(id, /*dirty=*/true); }
-
-  Status OpenReadable(PageId id, const char** data) {
-    char* raw = nullptr;
-    PARTMINER_RETURN_IF_ERROR(pool->Fetch(id, &raw));
-    *data = raw;
-    return Status::Ok();
-  }
-  void CloseReadable(PageId id) { pool->Unpin(id, /*dirty=*/false); }
-
-  Status Flush() { return pool->FlushAll(); }
-};
-
-struct SwizzleIo {
-  SwizzlePool* pool;
-  PageMutGuard write_guard;
-  PageGuard read_guard;
-
-  Status AllocateWritable(PageId* id, char** data) {
-    PARTMINER_RETURN_IF_ERROR(pool->Allocate(id, &write_guard));
-    *data = write_guard.data();
-    return Status::Ok();
-  }
-  void CloseWritable(PageId) { write_guard.Release(); }
-
-  Status OpenReadable(PageId id, const char** data) {
-    PARTMINER_RETURN_IF_ERROR(pool->Fetch(id, &read_guard));
-    *data = read_guard.data();
-    return Status::Ok();
-  }
-  void CloseReadable(PageId) { read_guard.Release(); }
-
-  Status Flush() { return pool->FlushAll(); }
-};
-
-/// Append-only int32 stream over consecutive pages of either engine.
-template <typename Io>
+/// Append-only int32 stream over consecutive pages.
 class PageStreamWriter {
  public:
-  explicit PageStreamWriter(Io* io) : io_(io) {}
+  explicit PageStreamWriter(BufferPool* pool) : pool_(pool) {}
 
-  ~PageStreamWriter() { CloseCurrent(); }
+  ~PageStreamWriter() { Close(); }
 
   /// Position (page, offset) the next Put will write to; opens the first
   /// page lazily and pre-advances when the current page cannot hold another
@@ -89,24 +40,25 @@ class PageStreamWriter {
 
   int64_t pages_written() const { return pages_written_; }
 
+  /// Unpins the current page as dirty, so a following FlushAll writes it.
+  void Close() {
+    if (current_ != nullptr) {
+      pool_->Unpin(page_id_, /*dirty=*/true);
+      current_ = nullptr;
+    }
+  }
+
  private:
   Status NextPage() {
-    CloseCurrent();
-    PARTMINER_RETURN_IF_ERROR_CTX(io_->AllocateWritable(&page_id_, &current_),
+    Close();
+    PARTMINER_RETURN_IF_ERROR_CTX(pool_->Allocate(&page_id_, &current_),
                                   "graph stream writer");
     offset_ = 0;
     ++pages_written_;
     return Status::Ok();
   }
 
-  void CloseCurrent() {
-    if (current_ != nullptr) {
-      io_->CloseWritable(page_id_);
-      current_ = nullptr;
-    }
-  }
-
-  Io* io_;
+  BufferPool* pool_;
   char* current_ = nullptr;
   PageId page_id_ = kInvalidPageId;
   int32_t offset_ = 0;
@@ -115,29 +67,27 @@ class PageStreamWriter {
 
 /// Sequential int32 reader starting at (page, offset); follows consecutive
 /// page ids, which is how the writer lays streams out.
-template <typename Io>
 class PageStreamReader {
  public:
-  PageStreamReader(Io* io, PageId page, int32_t offset)
-      : io_(io), page_id_(page), offset_(offset) {}
+  PageStreamReader(BufferPool* pool, PageId page, int32_t offset)
+      : pool_(pool), page_id_(page), offset_(offset) {}
 
   ~PageStreamReader() {
-    if (current_ != nullptr) io_->CloseReadable(page_id_);
+    if (current_ != nullptr) pool_->Unpin(page_id_, /*dirty=*/false);
   }
 
   Status Get(int32_t* value) {
     if (current_ == nullptr) {
-      PARTMINER_RETURN_IF_ERROR_CTX(io_->OpenReadable(page_id_, &current_),
+      PARTMINER_RETURN_IF_ERROR_CTX(pool_->Fetch(page_id_, &current_),
                                     "graph stream reader");
     }
     if (offset_ + 4 > kPageSize) {
-      io_->CloseReadable(page_id_);
+      pool_->Unpin(page_id_, /*dirty=*/false);
       ++page_id_;
       offset_ = 0;
-      // OpenReadable nulls current_ on failure, so the destructor cannot
-      // re-close the page we just released.
-      current_ = nullptr;
-      PARTMINER_RETURN_IF_ERROR_CTX(io_->OpenReadable(page_id_, &current_),
+      // Fetch nulls current_ on failure, so the destructor cannot unpin
+      // the page we just released.
+      PARTMINER_RETURN_IF_ERROR_CTX(pool_->Fetch(page_id_, &current_),
                                     "graph stream reader");
     }
     std::memcpy(value, current_ + offset_, 4);
@@ -146,10 +96,10 @@ class PageStreamReader {
   }
 
  private:
-  Io* io_;
+  BufferPool* pool_;
   PageId page_id_;
   int32_t offset_;
-  const char* current_ = nullptr;
+  char* current_ = nullptr;
 };
 
 }  // namespace
@@ -159,52 +109,37 @@ Status AdiIndex::Build(const GraphDatabase& db) {
   edge_table_.clear();
   pages_used_ = 0;
 
-  auto build = [&](auto* io) -> Status {
-    PageStreamWriter<std::remove_pointer_t<decltype(io)>> writer(io);
-    for (int i = 0; i < db.size(); ++i) {
-      const Graph& g = db.graph(i);
-      DirectoryEntry entry;
-      PARTMINER_RETURN_IF_ERROR_CTX(
-          writer.Position(&entry.first_page, &entry.byte_offset),
-          "serializing graph " + std::to_string(i));
-      directory_.push_back(entry);
+  PageStreamWriter writer(pool_);
+  for (int i = 0; i < db.size(); ++i) {
+    const Graph& g = db.graph(i);
+    DirectoryEntry entry;
+    PARTMINER_RETURN_IF_ERROR_CTX(
+        writer.Position(&entry.first_page, &entry.byte_offset),
+        "serializing graph " + std::to_string(i));
+    directory_.push_back(entry);
 
-      PARTMINER_RETURN_IF_ERROR(writer.Put(g.VertexCount()));
-      for (VertexId v = 0; v < g.VertexCount(); ++v) {
-        PARTMINER_RETURN_IF_ERROR(writer.Put(g.vertex_label(v)));
-      }
-      const std::vector<EdgeEntry> edges = g.UndirectedEdges();
-      PARTMINER_RETURN_IF_ERROR(
-          writer.Put(static_cast<int32_t>(edges.size())));
-      std::set<std::tuple<Label, Label, Label>> triples;
-      for (const EdgeEntry& e : edges) {
-        PARTMINER_RETURN_IF_ERROR(writer.Put(e.from));
-        PARTMINER_RETURN_IF_ERROR(writer.Put(e.to));
-        PARTMINER_RETURN_IF_ERROR(writer.Put(e.label));
-        Label a = g.vertex_label(e.from);
-        Label b = g.vertex_label(e.to);
-        if (a > b) std::swap(a, b);
-        triples.insert({a, e.label, b});
-      }
-      for (const auto& t : triples) edge_table_[t].push_back(i);
+    PARTMINER_RETURN_IF_ERROR(writer.Put(g.VertexCount()));
+    for (VertexId v = 0; v < g.VertexCount(); ++v) {
+      PARTMINER_RETURN_IF_ERROR(writer.Put(g.vertex_label(v)));
     }
-    pages_used_ = writer.pages_written();
-    return Status::Ok();
-  };
-
-  Status built;
-  if (swizzle_ != nullptr) {
-    SwizzleIo io;
-    io.pool = swizzle_;
-    built = build(&io);
-    PARTMINER_RETURN_IF_ERROR(built);
-    PARTMINER_RETURN_IF_ERROR_CTX(io.Flush(), "flushing index pages");
-  } else {
-    ClassicIo io{classic_};
-    built = build(&io);
-    PARTMINER_RETURN_IF_ERROR(built);
-    PARTMINER_RETURN_IF_ERROR_CTX(io.Flush(), "flushing index pages");
+    const std::vector<EdgeEntry> edges = g.UndirectedEdges();
+    PARTMINER_RETURN_IF_ERROR(
+        writer.Put(static_cast<int32_t>(edges.size())));
+    std::set<std::tuple<Label, Label, Label>> triples;
+    for (const EdgeEntry& e : edges) {
+      PARTMINER_RETURN_IF_ERROR(writer.Put(e.from));
+      PARTMINER_RETURN_IF_ERROR(writer.Put(e.to));
+      PARTMINER_RETURN_IF_ERROR(writer.Put(e.label));
+      Label a = g.vertex_label(e.from);
+      Label b = g.vertex_label(e.to);
+      if (a > b) std::swap(a, b);
+      triples.insert({a, e.label, b});
+    }
+    for (const auto& t : triples) edge_table_[t].push_back(i);
   }
+  pages_used_ = writer.pages_written();
+  writer.Close();
+  PARTMINER_RETURN_IF_ERROR_CTX(pool_->FlushAll(), "flushing index pages");
   return Status::Ok();
 }
 
@@ -214,41 +149,30 @@ Status AdiIndex::LoadGraph(int index, Graph* out) const {
   const DirectoryEntry& entry = directory_[index];
   const std::string context = "loading graph " + std::to_string(index);
 
-  auto load = [&](auto* io) -> Status {
-    PageStreamReader<std::remove_pointer_t<decltype(io)>> reader(
-        io, entry.first_page, entry.byte_offset);
-    int32_t vertex_count = 0;
-    PARTMINER_RETURN_IF_ERROR_CTX(reader.Get(&vertex_count), context);
-    if (vertex_count < 0) return Status::Corruption("negative vertex count");
-    *out = Graph();
-    for (int32_t v = 0; v < vertex_count; ++v) {
-      int32_t label = 0;
-      PARTMINER_RETURN_IF_ERROR_CTX(reader.Get(&label), context);
-      out->AddVertex(label);
-    }
-    int32_t edge_count = 0;
-    PARTMINER_RETURN_IF_ERROR_CTX(reader.Get(&edge_count), context);
-    if (edge_count < 0) return Status::Corruption("negative edge count");
-    for (int32_t e = 0; e < edge_count; ++e) {
-      int32_t from = 0, to = 0, label = 0;
-      PARTMINER_RETURN_IF_ERROR_CTX(reader.Get(&from), context);
-      PARTMINER_RETURN_IF_ERROR_CTX(reader.Get(&to), context);
-      PARTMINER_RETURN_IF_ERROR_CTX(reader.Get(&label), context);
-      if (from < 0 || to < 0 || from >= vertex_count || to >= vertex_count) {
-        return Status::Corruption("edge endpoint out of range");
-      }
-      out->AddEdge(from, to, label);
-    }
-    return Status::Ok();
-  };
-
-  if (swizzle_ != nullptr) {
-    SwizzleIo io;
-    io.pool = swizzle_;
-    return load(&io);
+  PageStreamReader reader(pool_, entry.first_page, entry.byte_offset);
+  int32_t vertex_count = 0;
+  PARTMINER_RETURN_IF_ERROR_CTX(reader.Get(&vertex_count), context);
+  if (vertex_count < 0) return Status::Corruption("negative vertex count");
+  *out = Graph();
+  for (int32_t v = 0; v < vertex_count; ++v) {
+    int32_t label = 0;
+    PARTMINER_RETURN_IF_ERROR_CTX(reader.Get(&label), context);
+    out->AddVertex(label);
   }
-  ClassicIo io{classic_};
-  return load(&io);
+  int32_t edge_count = 0;
+  PARTMINER_RETURN_IF_ERROR_CTX(reader.Get(&edge_count), context);
+  if (edge_count < 0) return Status::Corruption("negative edge count");
+  for (int32_t e = 0; e < edge_count; ++e) {
+    int32_t from = 0, to = 0, label = 0;
+    PARTMINER_RETURN_IF_ERROR_CTX(reader.Get(&from), context);
+    PARTMINER_RETURN_IF_ERROR_CTX(reader.Get(&to), context);
+    PARTMINER_RETURN_IF_ERROR_CTX(reader.Get(&label), context);
+    if (from < 0 || to < 0 || from >= vertex_count || to >= vertex_count) {
+      return Status::Corruption("edge endpoint out of range");
+    }
+    out->AddEdge(from, to, label);
+  }
+  return Status::Ok();
 }
 
 std::vector<int> AdiIndex::GraphsWithFrequentEdges(int min_support) const {

@@ -8,7 +8,6 @@
 #include "common/status.h"
 #include "graph/graph.h"
 #include "storage/buffer_pool.h"
-#include "storage/swizzle_pool.h"
 
 namespace partminer {
 
@@ -18,19 +17,13 @@ namespace partminer {
 /// distinct labeled edge (l_u, l_e, l_v), l_u <= l_v, to the list of graphs
 /// containing it.
 ///
-/// The index runs over either storage engine: the classic sharded-LRU
-/// BufferPool (the reference implementation) or the LeanStore-style
-/// SwizzlePool, whose page guards it threads through the serialization
-/// stream. Page layout and mining output are bit-identical across engines.
-///
 /// The property the paper's evaluation leans on is structural: the index
 /// supports efficient mining scans, but any change to the database requires
 /// rebuilding it from scratch ("the ADI structure has to be rebuilt each
 /// time the graph database is being updated", Section 2).
 class AdiIndex {
  public:
-  explicit AdiIndex(BufferPool* pool) : classic_(pool) {}
-  explicit AdiIndex(SwizzlePool* pool) : swizzle_(pool) {}
+  explicit AdiIndex(BufferPool* pool) : pool_(pool) {}
 
   /// Serializes `db` into the page file and builds the edge table. Discards
   /// any previous contents.
@@ -59,8 +52,7 @@ class AdiIndex {
     int32_t byte_offset = 0;  // Offset of the graph record in first_page.
   };
 
-  BufferPool* classic_ = nullptr;
-  SwizzlePool* swizzle_ = nullptr;
+  BufferPool* pool_;
   std::vector<DirectoryEntry> directory_;
   std::map<std::tuple<Label, Label, Label>, std::vector<int>> edge_table_;
   int64_t pages_used_ = 0;

@@ -24,22 +24,12 @@ std::string UniqueTempPath() {
 }  // namespace
 
 AdiMine::AdiMine(const AdiMineOptions& options)
-    : engine_(options.pool.engine) {
+    : pool_(&disk_, options.pool.frames), index_(&pool_) {
   const std::string path =
       options.file_path.empty() ? UniqueTempPath() : options.file_path;
   PM_CHECK(disk_.Open(path).ok()) << "cannot open ADI page file " << path;
   disk_.set_simulated_latency_us(options.io_delay_us);
-  if (engine_ == StorageEngine::kSwizzle) {
-    swizzle_pool_ = std::make_unique<SwizzlePool>(&disk_, options.pool);
-    index_ = std::make_unique<AdiIndex>(swizzle_pool_.get());
-  } else {
-    classic_pool_ = std::make_unique<BufferPool>(&disk_, options.pool.frames,
-                                                 options.pool.partitions);
-    index_ = std::make_unique<AdiIndex>(classic_pool_.get());
-  }
 }
-
-AdiMine::~AdiMine() = default;
 
 Status AdiMine::BuildIndex(const GraphDatabase& db) {
   PM_TRACE_SPAN("adi.build_index", {{"graphs", db.size()}});
@@ -47,13 +37,9 @@ Status AdiMine::BuildIndex(const GraphDatabase& db) {
   // A failed build leaves a partially written index; refuse to mine it
   // until a later rebuild succeeds.
   built_ = false;
-  if (swizzle_pool_ != nullptr) {
-    swizzle_pool_->Clear();
-  } else {
-    classic_pool_->Clear();
-  }
+  pool_.Clear();
   PARTMINER_RETURN_IF_ERROR_CTX(disk_.Reset(), "resetting page file");
-  PARTMINER_RETURN_IF_ERROR_CTX(index_->Build(db), "building ADI index");
+  PARTMINER_RETURN_IF_ERROR_CTX(index_.Build(db), "building ADI index");
   built_ = true;
   PM_METRIC_HISTOGRAM("adi.phase.build_index_ms")
       ->Observe(watch.ElapsedSeconds() * 1e3);
@@ -72,16 +58,16 @@ Status AdiMine::Mine(const MinerOptions& options, PatternSet* out) {
   // edge; only those are decoded from their pages.
   Stopwatch scan_watch;
   const std::vector<int> relevant =
-      index_->GraphsWithFrequentEdges(options.min_support);
+      index_.GraphsWithFrequentEdges(options.min_support);
   // Keep database indices aligned with the original ids so pattern TID
   // lists are comparable with the other miners: graphs without frequent
   // edges become empty placeholders.
   GraphDatabase decoded;
   size_t next_relevant = 0;
-  for (int i = 0; i < index_->graph_count(); ++i) {
+  for (int i = 0; i < index_.graph_count(); ++i) {
     if (next_relevant < relevant.size() && relevant[next_relevant] == i) {
       Graph g;
-      PARTMINER_RETURN_IF_ERROR_CTX(index_->LoadGraph(i, &g),
+      PARTMINER_RETURN_IF_ERROR_CTX(index_.LoadGraph(i, &g),
                                     "ADI index scan");
       decoded.Add(std::move(g), i);
       ++next_relevant;
@@ -90,7 +76,6 @@ Status AdiMine::Mine(const MinerOptions& options, PatternSet* out) {
     }
   }
   last_scan_seconds_ = scan_watch.ElapsedSeconds();
-  if (swizzle_pool_ != nullptr) swizzle_pool_->PublishMetrics();
 
   GSpanMiner miner;
   *out = miner.Mine(decoded, options);
@@ -102,11 +87,6 @@ PatternSet AdiMine::Mine(const MinerOptions& options) {
   const Status status = Mine(options, &out);
   PM_CHECK(status.ok()) << status.ToString();
   return out;
-}
-
-const IoStats& AdiMine::io_stats() {
-  if (swizzle_pool_ != nullptr) return swizzle_pool_->stats();
-  return disk_.stats();
 }
 
 }  // namespace partminer

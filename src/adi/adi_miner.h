@@ -1,7 +1,6 @@
 #ifndef PARTMINER_ADI_ADI_MINER_H_
 #define PARTMINER_ADI_ADI_MINER_H_
 
-#include <memory>
 #include <string>
 
 #include "adi/adi_index.h"
@@ -9,17 +8,13 @@
 #include "miner/miner.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
-#include "storage/pool_config.h"
-#include "storage/swizzle_pool.h"
 
 namespace partminer {
 
 struct AdiMineOptions {
-  /// Buffer-pool sizing and engine selection. Defaults to the process-wide
-  /// DefaultPoolSizing(), which tools set from --pool-frames /
-  /// --pool-partitions / --writer-threads / --storage-engine. Small pools
-  /// force re-reads during scans, modeling a database larger than memory.
-  PoolSizing pool = DefaultPoolSizing();
+  /// Buffer-pool sizing; tools set it from --pool-frames. Small pools force
+  /// re-reads during scans, modeling a database larger than memory.
+  PoolSizing pool;
   /// Backing file; empty picks a unique temp path.
   std::string file_path;
   /// Simulated per-page access latency (microseconds); models the 2006-era
@@ -34,10 +29,6 @@ struct AdiMineOptions {
 /// gSpan-style in-memory search, which mirrors ADI's "index makes static
 /// mining fast" profile.
 ///
-/// The buffer pool behind the index is selected by options.pool.engine:
-/// the swizzle engine (default) or the classic pool. Mining output is
-/// bit-identical across engines — the fuzz matrix and adi_test enforce it.
-///
 /// The decisive behavior for the paper's dynamic experiments is faithfully
 /// reproduced: AdiMine cannot update its index incrementally — any database
 /// change requires RebuildIndex() followed by a full Mine(), while
@@ -45,7 +36,6 @@ struct AdiMineOptions {
 class AdiMine {
  public:
   explicit AdiMine(const AdiMineOptions& options = AdiMineOptions());
-  ~AdiMine();
 
   AdiMine(const AdiMine&) = delete;
   AdiMine& operator=(const AdiMine&) = delete;
@@ -73,22 +63,20 @@ class AdiMine {
     disk_.set_fault_injector(injector);
   }
 
-  const AdiIndex& index() const { return *index_; }
-  StorageEngine engine() const { return engine_; }
+  const AdiIndex& index() const { return index_; }
 
-  /// I/O counters; with the swizzle engine, pool_hits is synced from the
-  /// per-frame hit counters on each call.
-  const IoStats& io_stats();
+  /// I/O counters of the page file and its buffer pool.
+  const IoStats& io_stats() const { return disk_.stats(); }
 
   /// Seconds spent decoding pages during the last Mine().
   double last_scan_seconds() const { return last_scan_seconds_; }
 
  private:
+  // Declaration order is construction order: pool_ points at disk_, and
+  // index_ at pool_.
   DiskManager disk_;
-  StorageEngine engine_ = StorageEngine::kSwizzle;
-  std::unique_ptr<BufferPool> classic_pool_;
-  std::unique_ptr<SwizzlePool> swizzle_pool_;
-  std::unique_ptr<AdiIndex> index_;
+  BufferPool pool_;
+  AdiIndex index_;
   bool built_ = false;
   double last_scan_seconds_ = 0;
 };

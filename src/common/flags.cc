@@ -79,45 +79,5 @@ bool DoubleFlag(const FlagMap& flags, const std::string& key, double fallback,
   return true;
 }
 
-bool PoolSizingFlags(const FlagMap& flags, PoolSizing* out,
-                     const char* legacy_frames_key) {
-  PoolSizing sizing = DefaultPoolSizing();
-  if (legacy_frames_key != nullptr &&
-      !IntFlag(flags, legacy_frames_key, sizing.frames, &sizing.frames)) {
-    return false;
-  }
-  if (!IntFlag(flags, "pool-frames", sizing.frames, &sizing.frames) ||
-      !IntFlag(flags, "pool-partitions", sizing.partitions,
-               &sizing.partitions) ||
-      !IntFlag(flags, "writer-threads", sizing.writer_threads,
-               &sizing.writer_threads) ||
-      !IntFlag(flags, "writeback-queue", sizing.writeback_queue,
-               &sizing.writeback_queue)) {
-    return false;
-  }
-  if (sizing.frames < 1 || sizing.partitions < 1 ||
-      sizing.partitions > sizing.frames || sizing.writer_threads < 0 ||
-      sizing.writeback_queue < 1) {
-    std::fprintf(stderr,
-                 "error: pool sizing out of range (frames=%d partitions=%d "
-                 "writer-threads=%d writeback-queue=%d); need frames >= "
-                 "partitions >= 1, writer-threads >= 0, writeback-queue >= "
-                 "1\n",
-                 sizing.frames, sizing.partitions, sizing.writer_threads,
-                 sizing.writeback_queue);
-    return false;
-  }
-  const std::string engine =
-      Get(flags, "storage-engine", StorageEngineName(sizing.engine));
-  if (!ParseStorageEngine(engine, &sizing.engine)) {
-    std::fprintf(stderr,
-                 "error: --storage-engine=%s is not one of swizzle|classic\n",
-                 engine.c_str());
-    return false;
-  }
-  *out = sizing;
-  return true;
-}
-
 }  // namespace flags
 }  // namespace partminer

@@ -5,8 +5,6 @@
 #include <map>
 #include <string>
 
-#include "storage/pool_config.h"
-
 namespace partminer {
 namespace flags {
 
@@ -36,24 +34,6 @@ bool IntFlag(const FlagMap& flags, const std::string& key, int fallback,
              int* out);
 bool DoubleFlag(const FlagMap& flags, const std::string& key, double fallback,
                 double* out);
-
-/// Shared buffer-pool sizing flags, one spelling across every binary that
-/// owns an ADI pool (partminer mine --algo=adi, partminerd, the fig
-/// benches):
-///
-///   --pool-frames=N        page frames in the pool (default 256)
-///   --pool-partitions=N    independent eviction partitions (default 1)
-///   --writer-threads=N     async write-back threads; 0 = synchronous
-///   --writeback-queue=N    async write-back queue capacity (default 64)
-///   --storage-engine=swizzle|classic
-///
-/// Fills `*out` starting from DefaultPoolSizing(). Returns false (after a
-/// stderr diagnostic) on an unparsable or out-of-range value. When
-/// `legacy_frames_key` is non-null that older spelling (the CLI's --frames)
-/// is also accepted for the frame count; --pool-frames wins if both are
-/// given.
-bool PoolSizingFlags(const FlagMap& flags, PoolSizing* out,
-                     const char* legacy_frames_key = nullptr);
 
 }  // namespace flags
 }  // namespace partminer

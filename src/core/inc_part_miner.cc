@@ -10,7 +10,6 @@
 #include "common/timing.h"
 #include "core/merge_join.h"
 #include "core/verify.h"
-#include "graph/isomorphism.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -35,22 +34,6 @@ double IncPartMinerResult::AggregateSeconds() const {
 double IncPartMinerResult::ParallelSeconds() const {
   return route_seconds + UnitSecondsMax() + merge_seconds + verify_seconds;
 }
-
-namespace {
-
-/// True when `pattern` is a supergraph of any prune-set member.
-bool SupergraphOfAny(const Graph& pattern,
-                     const std::vector<Graph>& prune_graphs) {
-  for (const Graph& pruned : prune_graphs) {
-    if (pattern.EdgeCount() >= pruned.EdgeCount() &&
-        ContainsSubgraph(pattern, pruned)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace
 
 IncPartMinerResult IncPartMiner::Update(PartMiner* state,
                                         const GraphDatabase& new_db,
@@ -193,7 +176,6 @@ IncPartMinerResult IncPartMiner::Update(PartMiner* state,
   // frequent status. With the exact delta recount below the prune set is
   // advisory; it is reported through prune_set_size (and kept here because
   // the unit-level diff is also what dirties the merge path).
-  (void)SupergraphOfAny;
 
   // Incremental merge (IncMergeJoin, Figure 12 lines 11-12). Because every
   // node's cache is exact and IncMergeJoin recovers a node from its *own*

@@ -1,6 +1,5 @@
 #include "storage/buffer_pool.h"
 
-#include <algorithm>
 #include <cstring>
 
 #include "common/logging.h"
@@ -8,33 +7,23 @@
 
 namespace partminer {
 
-BufferPool::BufferPool(DiskManager* disk, int frames, int shards)
-    : disk_(disk), total_frames_(frames) {
+BufferPool::BufferPool(DiskManager* disk, int frames) : disk_(disk) {
   PM_CHECK_GT(frames, 0);
-  PM_CHECK_GT(shards, 0);
-  PM_CHECK_GE(frames, shards) << "every shard needs at least one frame";
-  shards_.reserve(shards);
-  for (int s = 0; s < shards; ++s) {
-    auto shard = std::make_unique<Shard>();
-    // Spread frames round-robin: shard s gets ceil or floor of frames/shards.
-    const int count = frames / shards + (s < frames % shards ? 1 : 0);
-    shard->frames.resize(count);
-    shard->free.reserve(count);
-    for (int i = count - 1; i >= 0; --i) shard->free.push_back(i);
-    shards_.push_back(std::move(shard));
-  }
+  frames_.resize(frames);
+  free_.reserve(frames);
+  for (int i = frames - 1; i >= 0; --i) free_.push_back(i);
 }
 
-Status BufferPool::GetVictim(Shard* shard, int* frame) {
+Status BufferPool::GetVictim(int* frame) {
   *frame = -1;
-  if (!shard->free.empty()) {
-    *frame = shard->free.back();
-    shard->free.pop_back();
-    shard->frames[*frame].data.resize(kPageSize);
+  if (!free_.empty()) {
+    *frame = free_.back();
+    free_.pop_back();
+    frames_[*frame].data.resize(kPageSize);
     return Status::Ok();
   }
-  for (auto it = shard->lru.begin(); it != shard->lru.end(); ++it) {
-    Frame& f = shard->frames[*it];
+  for (auto it = lru_.begin(); it != lru_.end(); ++it) {
+    Frame& f = frames_[*it];
     if (f.pin_count == 0) {
       if (f.dirty) {
         // Write back before detaching anything: on failure the page stays
@@ -45,26 +34,25 @@ Status BufferPool::GetVictim(Shard* shard, int* frame) {
         f.dirty = false;
       }
       *frame = *it;
-      shard->lru.erase(it);
-      shard->table.erase(f.page_id);
+      lru_.erase(it);
+      table_.erase(f.page_id);
       ++disk_->mutable_stats()->evictions;
       PM_METRIC_COUNTER("storage.pool_evictions")->Increment();
       return Status::Ok();
     }
   }
-  return Status::ResourceExhausted("buffer pool shard exhausted: all " +
-                                   std::to_string(shard->frames.size()) +
+  return Status::ResourceExhausted("buffer pool exhausted: all " +
+                                   std::to_string(frames_.size()) +
                                    " frames pinned");
 }
 
 Status BufferPool::Fetch(PageId id, char** frame) {
   *frame = nullptr;
-  Shard& shard = ShardOf(id);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.table.find(id);
-  if (it != shard.table.end()) {
-    Frame& f = shard.frames[it->second];
-    if (f.pin_count == 0) shard.lru.remove(it->second);
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = table_.find(id);
+  if (it != table_.end()) {
+    Frame& f = frames_[it->second];
+    if (f.pin_count == 0) lru_.remove(it->second);
     ++f.pin_count;
     ++disk_->mutable_stats()->pool_hits;
     PM_METRIC_COUNTER("storage.pool_hits")->Increment();
@@ -74,20 +62,20 @@ Status BufferPool::Fetch(PageId id, char** frame) {
   ++disk_->mutable_stats()->pool_misses;
   PM_METRIC_COUNTER("storage.pool_misses")->Increment();
   int victim = -1;
-  PARTMINER_RETURN_IF_ERROR_CTX(GetVictim(&shard, &victim),
+  PARTMINER_RETURN_IF_ERROR_CTX(GetVictim(&victim),
                                 "fetching page " + std::to_string(id));
-  Frame& f = shard.frames[victim];
+  Frame& f = frames_[victim];
   // Read into the detached frame before installing it, so a failed read
   // returns the frame to the free list instead of caching garbage.
   const Status read = disk_->ReadPage(id, f.data.data());
   if (!read.ok()) {
-    shard.free.push_back(victim);
+    free_.push_back(victim);
     return read.WithContext("fetching page " + std::to_string(id));
   }
   f.page_id = id;
   f.pin_count = 1;
   f.dirty = false;
-  shard.table[id] = victim;
+  table_[id] = victim;
   *frame = f.data.data();
   return Status::Ok();
 }
@@ -95,63 +83,56 @@ Status BufferPool::Fetch(PageId id, char** frame) {
 Status BufferPool::Allocate(PageId* id, char** frame) {
   *frame = nullptr;
   PARTMINER_RETURN_IF_ERROR_CTX(disk_->Allocate(id), "allocating page");
-  Shard& shard = ShardOf(*id);
-  std::lock_guard<std::mutex> lock(shard.mu);
+  std::lock_guard<std::mutex> lock(mu_);
   int victim = -1;
   PARTMINER_RETURN_IF_ERROR_CTX(
-      GetVictim(&shard, &victim),
-      "allocating page " + std::to_string(*id));
-  Frame& f = shard.frames[victim];
+      GetVictim(&victim), "allocating page " + std::to_string(*id));
+  Frame& f = frames_[victim];
   f.page_id = *id;
   f.pin_count = 1;
   f.dirty = true;  // New pages must reach disk even if never re-written.
   std::memset(f.data.data(), 0, kPageSize);
-  shard.table[*id] = victim;
+  table_[*id] = victim;
   *frame = f.data.data();
   return Status::Ok();
 }
 
 void BufferPool::Unpin(PageId id, bool dirty) {
-  Shard& shard = ShardOf(id);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.table.find(id);
-  PM_CHECK(it != shard.table.end()) << "unpin of uncached page " << id;
-  Frame& f = shard.frames[it->second];
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = table_.find(id);
+  PM_CHECK(it != table_.end()) << "unpin of uncached page " << id;
+  Frame& f = frames_[it->second];
   PM_CHECK_GT(f.pin_count, 0);
   f.dirty = f.dirty || dirty;
-  if (--f.pin_count == 0) shard.lru.push_back(it->second);
+  if (--f.pin_count == 0) lru_.push_back(it->second);
 }
 
 Status BufferPool::FlushAll() {
-  for (std::unique_ptr<Shard>& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    for (auto& [page_id, frame] : shard->table) {
-      Frame& f = shard->frames[frame];
-      if (f.dirty) {
-        PARTMINER_RETURN_IF_ERROR_CTX(
-            disk_->WritePage(page_id, f.data.data()),
-            "flushing page " + std::to_string(page_id));
-        f.dirty = false;
-      }
+  std::lock_guard<std::mutex> lock(mu_);
+  for (auto& [page_id, frame] : table_) {
+    Frame& f = frames_[frame];
+    if (f.dirty) {
+      PARTMINER_RETURN_IF_ERROR_CTX(
+          disk_->WritePage(page_id, f.data.data()),
+          "flushing page " + std::to_string(page_id));
+      f.dirty = false;
     }
   }
   return Status::Ok();
 }
 
 void BufferPool::Clear() {
-  for (std::unique_ptr<Shard>& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    for (const auto& [page_id, frame] : shard->table) {
-      PM_CHECK_EQ(shard->frames[frame].pin_count, 0)
-          << "Clear with pinned page " << page_id;
-    }
-    shard->table.clear();
-    shard->lru.clear();
-    shard->free.clear();
-    for (int i = static_cast<int>(shard->frames.size()) - 1; i >= 0; --i) {
-      shard->frames[i] = Frame();
-      shard->free.push_back(i);
-    }
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& [page_id, frame] : table_) {
+    PM_CHECK_EQ(frames_[frame].pin_count, 0)
+        << "Clear with pinned page " << page_id;
+  }
+  table_.clear();
+  lru_.clear();
+  free_.clear();
+  for (int i = static_cast<int>(frames_.size()) - 1; i >= 0; --i) {
+    frames_[i] = Frame();
+    free_.push_back(i);
   }
 }
 

@@ -2,7 +2,6 @@
 #define PARTMINER_STORAGE_BUFFER_POOL_H_
 
 #include <list>
-#include <memory>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
@@ -12,6 +11,14 @@
 
 namespace partminer {
 
+/// Buffer-pool sizing for a disk-resident index (AdiMineOptions::pool), set
+/// from --pool-frames by the CLI and the fig benches.
+struct PoolSizing {
+  /// Pool capacity in pages. Small pools force re-reads during scans,
+  /// modeling a database larger than memory.
+  int frames = 256;
+};
+
 /// Fixed-capacity page cache with LRU replacement over a DiskManager. This
 /// is what makes the ADI-style baseline "disk-based": its index lives in
 /// pages, and scans that exceed the pool capacity pay real reads.
@@ -19,26 +26,22 @@ namespace partminer {
 /// Pages are pinned while a caller holds them; unpinned pages are eligible
 /// for eviction. Dirty pages are written back on eviction and on FlushAll.
 ///
-/// Concurrency: the pool is split into `shards` independent sub-pools (page
-/// id modulo shard count), each with its own frames, hash table, LRU list
-/// and mutex, so concurrent mining workers contend per shard instead of on
-/// one global lock. Each shard evicts within its own frame budget; IoStats
-/// counters are atomic, so totals stay exact under concurrency. The default
-/// of one shard preserves the exact global-LRU behavior of the serial pool.
+/// Concurrency: one mutex guards the frames, hash table and LRU list, so
+/// concurrent callers are safe; IoStats counters are atomic, so totals stay
+/// exact under concurrency.
 class BufferPool {
  public:
-  /// `frames` is the pool capacity in pages, distributed evenly over
-  /// `shards` (>= 1) sub-pools; `frames` must be at least `shards`.
-  BufferPool(DiskManager* disk, int frames, int shards = 1);
+  /// `frames` (>= 1) is the pool capacity in pages.
+  BufferPool(DiskManager* disk, int frames);
 
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
 
   /// Pins page `id` and sets `*frame` to its data (kPageSize bytes). Call
-  /// Unpin when done. Fails with ResourceExhausted when every frame of the
-  /// page's shard is pinned, and propagates disk errors from the eviction
-  /// write-back and the page read; `*frame` is nullptr on failure and the
-  /// pool state is unchanged (no pin leaks, no cached garbage).
+  /// Unpin when done. Fails with ResourceExhausted when every frame is
+  /// pinned, and propagates disk errors from the eviction write-back and
+  /// the page read; `*frame` is nullptr on failure and the pool state is
+  /// unchanged (no pin leaks, no cached garbage).
   Status Fetch(PageId id, char** frame);
 
   /// Allocates a new page, pinned and zeroed. Sets `*id` and `*frame`.
@@ -55,8 +58,7 @@ class BufferPool {
   /// Drops the cache (pages must be unpinned); used around index rebuilds.
   void Clear();
 
-  int frames() const { return total_frames_; }
-  int shards() const { return static_cast<int>(shards_.size()); }
+  int frames() const { return static_cast<int>(frames_.size()); }
   const IoStats& stats() const { return disk_->stats(); }
 
  private:
@@ -67,30 +69,20 @@ class BufferPool {
     std::vector<char> data;
   };
 
-  /// One independent sub-pool. All members are guarded by `mu`.
-  struct Shard {
-    std::mutex mu;
-    std::vector<Frame> frames;
-    std::unordered_map<PageId, int> table;  // page id -> frame index.
-    std::list<int> lru;                     // Unpinned frames, LRU first.
-    std::vector<int> free;                  // Never-used frames.
-  };
-
-  Shard& ShardOf(PageId id) {
-    return *shards_[static_cast<size_t>(id) % shards_.size()];
-  }
-
-  /// Finds a free frame index in `shard` (set in `*frame`), evicting its
-  /// LRU unpinned page if needed. ResourceExhausted when everything is
-  /// pinned; a failed dirty write-back propagates and leaves the victim
-  /// cached and dirty (nothing is lost — a later flush retries). The
-  /// returned frame is detached from every shard structure; the caller must
-  /// install or release it. Caller holds shard.mu.
-  Status GetVictim(Shard* shard, int* frame);
+  /// Finds a free frame index (set in `*frame`), evicting the LRU unpinned
+  /// page if needed. ResourceExhausted when everything is pinned; a failed
+  /// dirty write-back propagates and leaves the victim cached and dirty
+  /// (nothing is lost — a later flush retries). The returned frame is
+  /// detached from every pool structure; the caller must install or
+  /// release it. Caller holds mu_.
+  Status GetVictim(int* frame);
 
   DiskManager* disk_;
-  int total_frames_ = 0;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::mutex mu_;  // Guards every member below; frames_ is never resized.
+  std::vector<Frame> frames_;
+  std::unordered_map<PageId, int> table_;  // page id -> frame index.
+  std::list<int> lru_;                     // Unpinned frames, LRU first.
+  std::vector<int> free_;                  // Never-used frames.
 };
 
 }  // namespace partminer

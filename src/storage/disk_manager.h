@@ -82,7 +82,7 @@ class DiskManager {
 
   int fd_ = -1;
   std::string path_;
-  /// Atomic: Allocate may be called from concurrent buffer-pool shards.
+  /// Atomic: BufferPool::Allocate calls Allocate outside the pool mutex.
   /// Reads/writes to distinct pages go through pread/pwrite, which are
   /// thread-safe on a shared descriptor.
   std::atomic<int> page_count_{0};

@@ -24,8 +24,8 @@ namespace partminer {
 ///    kind; FailN(op, n, count) fails `count` consecutive operations
 ///    starting there. Scripted faults fire regardless of the probability.
 ///
-/// Thread safety: ShouldFail is serialized by a mutex so the sharded buffer
-/// pool can drive one injector from many workers. Under concurrency the
+/// Thread safety: ShouldFail is serialized by a mutex so concurrent
+/// DiskManager callers can share one injector. Under concurrency the
 /// per-seed fault *points* depend on the interleaving of operations, but
 /// every decision is still drawn from the same deterministic stream.
 class FaultInjector {

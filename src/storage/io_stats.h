@@ -10,7 +10,7 @@ namespace partminer {
 /// profile (index build, rebuild on update, page churn during scans) is
 /// reported through these.
 ///
-/// Counters are atomic so the sharded BufferPool and concurrent DiskManager
+/// Counters are atomic so the BufferPool and concurrent DiskManager
 /// callers can bump them without a lock while keeping the totals exact;
 /// reads convert implicitly, so `stats().page_reads` keeps working.
 struct IoStats {

@@ -204,37 +204,23 @@ DifferentialResult RunAllChecks(const GraphDatabase& db,
     ClearMinimalityCache();
   }
 
-  // Disk-resident AdiMine on a deliberately tiny pool (constant eviction),
-  // once per storage engine plus the async write-back path — all three must
-  // match the in-memory oracle bit for bit.
-  for (const char* engine_label :
-       {"classic", "swizzle", "swizzle+writers"}) {
-    if (!result.ok()) break;
+  // Disk-resident AdiMine on a deliberately tiny pool (constant eviction)
+  // must match the in-memory oracle bit for bit.
+  if (result.ok()) {
     AdiMineOptions adi_options;
     adi_options.pool.frames = 2;
-    if (std::string(engine_label) == "classic") {
-      adi_options.pool.engine = StorageEngine::kClassic;
-    } else {
-      adi_options.pool.engine = StorageEngine::kSwizzle;
-      if (std::string(engine_label) == "swizzle+writers") {
-        adi_options.pool.writer_threads = 2;
-        adi_options.pool.writeback_queue = 8;
-      }
-    }
     AdiMine adi(adi_options);
     const Status built = adi.BuildIndex(db);
     if (!built.ok()) {
-      result.divergence = std::string("adi BuildIndex failed (") +
-                          engine_label + "): " + built.ToString();
+      result.divergence = "adi BuildIndex failed: " + built.ToString();
     } else {
       PatternSet patterns;
       const Status mined = adi.Mine(options, &patterns);
       if (!mined.ok()) {
-        result.divergence = std::string("adi Mine failed (") + engine_label +
-                            "): " + mined.ToString();
+        result.divergence = "adi Mine failed: " + mined.ToString();
         ++result.configurations;
       } else {
-        check(patterns, std::string("adi(frames=2,") + engine_label + ")");
+        check(patterns, "adi(frames=2)");
       }
     }
   }

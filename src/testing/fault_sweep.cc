@@ -55,12 +55,11 @@ std::string DiffExact(const PatternSet& expected, const PatternSet& actual) {
 /// contract violation (wrong result under OK status, or failure to recover
 /// once the injector is detached) is appended to `violations`.
 void RunInjectedAdiRound(const GraphDatabase& db, const PatternSet& expected,
-                         const MinerOptions& options, const PoolSizing& pool,
-                         FaultInjector* injector, const std::string& label,
-                         FaultSweepOutcome* out) {
+                         const MinerOptions& options, FaultInjector* injector,
+                         const std::string& label, FaultSweepOutcome* out) {
   ++out->runs;
   AdiMineOptions adi_options;
-  adi_options.pool = pool;
+  adi_options.pool.frames = 4;  // Tiny pool: every fault point is hot.
   AdiMine miner(adi_options);
   miner.set_fault_injector(injector);
 
@@ -108,18 +107,7 @@ void RunInjectedAdiRound(const GraphDatabase& db, const PatternSet& expected,
 
 }  // namespace
 
-PoolSizing AdiSweepPoolSizing(StorageEngine engine) {
-  PoolSizing pool;
-  pool.frames = 4;  // Tiny pool: every fault point is hot.
-  pool.engine = engine;
-  return pool;
-}
-
 FaultSweepOutcome RunAdiFaultSweep(uint64_t seed) {
-  return RunAdiFaultSweep(seed, AdiSweepPoolSizing(StorageEngine::kSwizzle));
-}
-
-FaultSweepOutcome RunAdiFaultSweep(uint64_t seed, const PoolSizing& pool) {
   FaultSweepOutcome out;
   const GraphDatabase db = GenerateDatabase(SweepDatabaseParams(seed));
 
@@ -143,8 +131,8 @@ FaultSweepOutcome RunAdiFaultSweep(uint64_t seed, const PoolSizing& pool) {
         std::ostringstream label;
         label << "p=" << p << " op=" << FaultInjector::OpName(op)
               << " round=" << round;
-        RunInjectedAdiRound(db, expected, options, pool, &injector,
-                            label.str(), &out);
+        RunInjectedAdiRound(db, expected, options, &injector, label.str(),
+                            &out);
       }
     }
   }
@@ -157,8 +145,8 @@ FaultSweepOutcome RunAdiFaultSweep(uint64_t seed, const PoolSizing& pool) {
       injector.FailOnce(op, n);
       std::ostringstream label;
       label << "fail-once op=" << FaultInjector::OpName(op) << " n=" << n;
-      RunInjectedAdiRound(db, expected, options, pool, &injector,
-                          label.str(), &out);
+      RunInjectedAdiRound(db, expected, options, &injector, label.str(),
+                          &out);
     }
   }
   return out;

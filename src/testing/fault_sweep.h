@@ -5,8 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "storage/pool_config.h"
-
 namespace partminer {
 namespace testing {
 
@@ -24,22 +22,14 @@ struct FaultSweepOutcome {
   bool ok() const { return violations.empty(); }
 };
 
-/// Pool sizing the ADI fault sweep uses by default: a 4-frame pool (every
-/// fault point hot) on the given engine with synchronous write-back.
-PoolSizing AdiSweepPoolSizing(StorageEngine engine);
-
-/// Sweeps the disk-backed ADI miner: probabilistic faults at
+/// Sweeps the disk-backed ADI miner through a 4-frame buffer pool (every
+/// fault point hot): probabilistic faults at
 /// p in {0.001, 0.01, 0.1} for each operation kind (read, write, alloc),
 /// plus a scripted fail-once schedule over the first operations of each
 /// kind. Every injected run must end correct-or-clean-error, and after the
 /// injector is detached a rebuild + re-mine must recover the exact
 /// fault-free result (no poisoned state).
-///
-/// The one-argument form sweeps the swizzle engine with synchronous
-/// write-back; pass an explicit `pool` to sweep the classic engine or the
-/// asynchronous write-back path (writer_threads > 0).
 FaultSweepOutcome RunAdiFaultSweep(uint64_t seed);
-FaultSweepOutcome RunAdiFaultSweep(uint64_t seed, const PoolSizing& pool);
 
 /// Sweeps miner-state persistence: saves a mined PartMiner, then attempts
 /// loads from truncated and bit-flipped images. Any load that does not

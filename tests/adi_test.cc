@@ -104,75 +104,47 @@ TEST(AdiMineTest, RebuildReflectsUpdates) {
   (void)before;
 }
 
-// The acceptance bar for the swizzle engine: on a database whose page file
-// is far larger than the configured pool (constant eviction + cooling
-// churn), mining output must be bit-identical — codes, supports, and TID
-// sets — across the classic pool, the swizzle pool with synchronous
-// write-back, and the swizzle pool with async writer threads.
-TEST(AdiMineTest, EnginesBitIdenticalOnDatabaseLargerThanPool) {
+// On a database whose page file is far larger than the pool (constant
+// eviction), mining output must still match gSpan bit for bit: codes,
+// supports, and TID sets.
+TEST(AdiMineTest, MatchesGSpanOnDatabaseLargerThanPool) {
   Rng rng(47);
   const GraphDatabase db = testutil::RandomDatabase(&rng, 400, 14, 6, 4, 3);
   MinerOptions options;
   options.min_support = 25;
   options.max_edges = 3;
 
-  auto mine_with = [&](const PoolSizing& pool, const std::string& what) {
-    AdiMineOptions adi_options;
-    adi_options.pool = pool;
-    AdiMine adi(adi_options);
-    EXPECT_TRUE(adi.BuildIndex(db).ok()) << what;
-    // The index must not fit: every scan pays evictions.
-    EXPECT_GT(adi.index().pages_used(), pool.frames) << what;
-    PatternSet patterns;
-    EXPECT_TRUE(adi.Mine(options, &patterns).ok()) << what;
-    EXPECT_GT(adi.io_stats().evictions, 0) << what;
-    return patterns;
-  };
+  AdiMineOptions adi_options;
+  adi_options.pool.frames = 8;
+  AdiMine adi(adi_options);
+  ASSERT_TRUE(adi.BuildIndex(db).ok());
+  // The index must not fit: every scan pays evictions.
+  EXPECT_GT(adi.index().pages_used(), adi_options.pool.frames);
+  PatternSet patterns;
+  ASSERT_TRUE(adi.Mine(options, &patterns).ok());
+  EXPECT_GT(adi.io_stats().evictions, 0);
 
   GSpanMiner gspan;
-  const PatternSet expected = gspan.Mine(db, options);
-
-  PoolSizing classic;
-  classic.engine = StorageEngine::kClassic;
-  classic.frames = 8;
-  ExpectSameResults(expected, mine_with(classic, "classic"), "classic");
-
-  PoolSizing swizzle;
-  swizzle.engine = StorageEngine::kSwizzle;
-  swizzle.frames = 8;
-  ExpectSameResults(expected, mine_with(swizzle, "swizzle"), "swizzle");
-
-  PoolSizing multi = swizzle;
-  multi.partitions = 4;
-  ExpectSameResults(expected, mine_with(multi, "swizzle partitions=4"),
-                    "swizzle partitions=4");
-
-  PoolSizing async = swizzle;
-  async.writer_threads = 2;
-  async.writeback_queue = 8;
-  ExpectSameResults(expected, mine_with(async, "swizzle async"),
-                    "swizzle async");
+  ExpectSameResults(gspan.Mine(db, options), patterns, "8 frames");
 }
 
-// Both engines must also agree when the database fits (pure hot-path reads
-// after the build) — this pins the swizzled fast path itself.
-TEST(AdiMineTest, EnginesBitIdenticalOnResidentDatabase) {
+// When the database fits, the scan reads only pool-resident pages after the
+// build; output must match gSpan there too.
+TEST(AdiMineTest, MatchesGSpanOnResidentDatabase) {
   Rng rng(53);
   const GraphDatabase db = testutil::RandomDatabase(&rng, 40, 10, 4, 3, 2);
   MinerOptions options;
   options.min_support = 4;
 
-  for (const StorageEngine engine :
-       {StorageEngine::kClassic, StorageEngine::kSwizzle}) {
-    AdiMineOptions adi_options;
-    adi_options.pool.engine = engine;
-    adi_options.pool.frames = 512;
-    AdiMine adi(adi_options);
-    ASSERT_TRUE(adi.BuildIndex(db).ok());
-    GSpanMiner gspan;
-    ExpectSameResults(gspan.Mine(db, options), adi.Mine(options),
-                      StorageEngineName(engine));
-  }
+  AdiMineOptions adi_options;
+  adi_options.pool.frames = 512;
+  AdiMine adi(adi_options);
+  ASSERT_TRUE(adi.BuildIndex(db).ok());
+  EXPECT_LE(adi.index().pages_used(), adi_options.pool.frames);
+  GSpanMiner gspan;
+  ExpectSameResults(gspan.Mine(db, options), adi.Mine(options), "resident");
+  EXPECT_EQ(adi.io_stats().evictions, 0);
+  EXPECT_EQ(adi.io_stats().page_reads, 0);
 }
 
 TEST(AdiMineTest, ScanSkipsGraphsWithoutFrequentEdges) {

@@ -20,31 +20,13 @@ TEST(FuzzSlowTest, DifferentialSeedSweep) {
 }
 
 TEST(FuzzSlowTest, AdiFaultSweepHoldsContract) {
-  // The full grid, once per storage engine: classic pool, swizzle pool with
-  // synchronous write-back, and swizzle with async writer threads (whose
-  // failed-write retention path is distinct).
-  PoolSizing async = testing::AdiSweepPoolSizing(StorageEngine::kSwizzle);
-  async.writer_threads = 2;
-  async.writeback_queue = 4;
-  const struct {
-    const char* label;
-    PoolSizing pool;
-  } engines[] = {
-      {"classic", testing::AdiSweepPoolSizing(StorageEngine::kClassic)},
-      {"swizzle", testing::AdiSweepPoolSizing(StorageEngine::kSwizzle)},
-      {"swizzle+writers", async}};
-  for (const auto& engine : engines) {
-    const testing::FaultSweepOutcome outcome =
-        testing::RunAdiFaultSweep(1, engine.pool);
-    EXPECT_GT(outcome.runs, 100) << engine.label;
-    // The grid must actually exercise both outcomes: injected faults that
-    // surface as clean errors, and low-p runs that complete correctly.
-    EXPECT_GT(outcome.clean_failures, 0) << engine.label;
-    EXPECT_GT(outcome.successes, 0) << engine.label;
-    for (const std::string& v : outcome.violations) {
-      ADD_FAILURE() << engine.label << ": " << v;
-    }
-  }
+  const testing::FaultSweepOutcome outcome = testing::RunAdiFaultSweep(1);
+  EXPECT_GT(outcome.runs, 100);
+  // The grid must actually exercise both outcomes: injected faults that
+  // surface as clean errors, and low-p runs that complete correctly.
+  EXPECT_GT(outcome.clean_failures, 0);
+  EXPECT_GT(outcome.successes, 0);
+  for (const std::string& v : outcome.violations) ADD_FAILURE() << v;
 }
 
 TEST(FuzzSlowTest, StateIoFaultSweepHoldsContract) {

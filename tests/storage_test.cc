@@ -191,7 +191,7 @@ TEST(BufferPoolTest, AllPinnedIsResourceExhausted) {
   MustAllocate(&pool, &c);  // LRU frame reclaimed.
 }
 
-TEST(BufferPoolTest, EvictionWriteBackFaultLosesNothing) {
+TEST(BufferPoolTest, EvictionWriteFaultLosesNothing) {
   DiskManager disk;
   ASSERT_TRUE(disk.Open(TempPath("evfault")).ok());
   FaultInjector injector;
@@ -274,57 +274,13 @@ TEST(BufferPoolTest, PinnedPagesSurviveEvictionPressure) {
   pool.Unpin(pinned, true);
 }
 
-TEST(BufferPoolTest, ShardedPoolKeepsPagesIntact) {
-  DiskManager disk;
-  ASSERT_TRUE(disk.Open(TempPath("shard")).ok());
-  // 8 frames over 4 shards: shard s caches pages with id % 4 == s.
-  BufferPool pool(&disk, 8, /*shards=*/4);
-  EXPECT_EQ(pool.frames(), 8);
-  EXPECT_EQ(pool.shards(), 4);
-
-  PageId ids[8];
-  for (int i = 0; i < 8; ++i) {
-    char* data = MustAllocate(&pool, &ids[i]);
-    data[0] = static_cast<char>(i + 1);
-    pool.Unpin(ids[i], true);
-  }
-  for (int i = 0; i < 8; ++i) {
-    char* data = MustFetch(&pool, ids[i]);
-    EXPECT_EQ(data[0], static_cast<char>(i + 1));
-    pool.Unpin(ids[i], false);
-  }
-  // Every page fits in its shard (2 frames each), so no eviction happened
-  // and every Fetch above was a hit.
-  EXPECT_EQ(disk.stats().evictions, 0);
-  EXPECT_EQ(disk.stats().pool_hits, 8);
-}
-
-TEST(BufferPoolTest, ShardedEvictionWritesBack) {
-  DiskManager disk;
-  ASSERT_TRUE(disk.Open(TempPath("shardevict")).ok());
-  // 2 shards, 1 frame each: allocating 4 pages evicts within each shard.
-  BufferPool pool(&disk, 2, /*shards=*/2);
-  PageId ids[4];
-  for (int i = 0; i < 4; ++i) {
-    char* data = MustAllocate(&pool, &ids[i]);
-    data[0] = static_cast<char>(0x10 + i);
-    pool.Unpin(ids[i], true);
-  }
-  EXPECT_GT(disk.stats().evictions, 0);
-  for (int i = 0; i < 4; ++i) {
-    char* data = MustFetch(&pool, ids[i]);
-    EXPECT_EQ(data[0], static_cast<char>(0x10 + i));
-    pool.Unpin(ids[i], false);
-  }
-}
-
 TEST(BufferPoolTest, ConcurrentFetchesKeepStatsExact) {
   DiskManager disk;
   ASSERT_TRUE(disk.Open(TempPath("conc")).ok());
   constexpr int kPages = 16;
   constexpr int kThreads = 4;
   constexpr int kRounds = 200;
-  BufferPool pool(&disk, kPages, /*shards=*/4);
+  BufferPool pool(&disk, kPages);
 
   PageId ids[kPages];
   for (int i = 0; i < kPages; ++i) {
@@ -367,7 +323,7 @@ TEST(BufferPoolTest, ConcurrentFetchesUnderInjectedFaultsStayConsistent) {
   constexpr int kPages = 32;
   constexpr int kThreads = 8;
   constexpr int kRounds = 150;
-  BufferPool pool(&disk, 4, /*shards=*/2);  // Tiny pool: constant eviction.
+  BufferPool pool(&disk, 4);  // Tiny pool: constant eviction.
 
   PageId ids[kPages];
   for (int i = 0; i < kPages; ++i) {

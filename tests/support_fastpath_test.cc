@@ -7,6 +7,7 @@
 // every miner in the repo, at several thread counts.
 
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -124,6 +125,12 @@ struct FastPathCase {
   std::string miner;
   int threads;  // PartMiner unit-mining threads; batch miners ignore it.
 };
+
+// Without this, gtest prints the case as raw object bytes, which include the
+// string's heap pointer and so change the listed test name on every run.
+void PrintTo(const FastPathCase& c, std::ostream* os) {
+  *os << c.miner << " threads=" << c.threads;
+}
 
 class FastPathEquivalence : public ::testing::TestWithParam<FastPathCase> {};
 

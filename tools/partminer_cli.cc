@@ -3,8 +3,6 @@
 //   partminer mine   --input=db.lg --support=0.05 [--k=4] [--algo=partminer|
 //                    gspan|gaston|adi] [--criteria=combined|mincut|isolation|
 //                    metis] [--threads=N] [--max-edges=N] [--pool-frames=N]
-//                    [--pool-partitions=N] [--writer-threads=N]
-//                    [--writeback-queue=N] [--storage-engine=swizzle|classic]
 //                    [--closed | --maximal] [--output=patterns.lg]
 //                    [--trace=trace.json] [--metrics=metrics.json]
 //   partminer gen    --output=db.lg [--d=500 --t=20 --n=20 --l=50 --i=5
@@ -31,7 +29,6 @@
 
 #include "adi/adi_index.h"
 #include "adi/adi_miner.h"
-#include "common/flags.h"
 #include "common/parse.h"
 #include "common/thread_pool.h"
 #include "common/timing.h"
@@ -123,34 +120,22 @@ void WarnUnknownFlags(const std::map<std::string, std::string>& flags,
 /// footprint (storage.db_pages gauge), so a --metrics run reports storage
 /// I/O figures even for the memory-based miners: the build writes every
 /// page, the read-back sweep replays them through a small buffer pool.
-void StorageFootprintProbe(const GraphDatabase& db, PoolSizing sizing) {
+void StorageFootprintProbe(const GraphDatabase& db) {
   PM_TRACE_SPAN("storage_probe", {{"graphs", db.size()}});
   DiskManager disk;
   std::ostringstream path;
   path << "/tmp/partminer_probe_" << ::getpid() << ".pages";
   if (!disk.Open(path.str()).ok()) return;
   // Two frames: the sweep must evict and re-read, so the probe exercises the
-  // whole write/evict/read path rather than staying pool-resident. The
-  // engine (and writer-thread count) still follow the configured flags.
-  sizing.frames = 2;
-  sizing.partitions = 1;
-  auto probe = [&](AdiIndex* index) {
-    if (!index->Build(db).ok()) return;
-    Graph g;
-    for (int i = 0; i < index->graph_count(); ++i) {
-      if (!index->LoadGraph(i, &g).ok()) return;
-    }
-    PM_METRIC_GAUGE("storage.db_pages")->Set(index->pages_used());
-  };
-  if (sizing.engine == StorageEngine::kClassic) {
-    BufferPool pool(&disk, sizing.frames);
-    AdiIndex index(&pool);
-    probe(&index);
-  } else {
-    SwizzlePool pool(&disk, sizing);
-    AdiIndex index(&pool);
-    probe(&index);
+  // whole write/evict/read path rather than staying pool-resident.
+  BufferPool pool(&disk, 2);
+  AdiIndex index(&pool);
+  if (!index.Build(db).ok()) return;
+  Graph g;
+  for (int i = 0; i < index.graph_count(); ++i) {
+    if (!index.LoadGraph(i, &g).ok()) return;
   }
+  PM_METRIC_GAUGE("storage.db_pages")->Set(index.pages_used());
 }
 
 int Usage() {
@@ -159,9 +144,7 @@ int Usage() {
                "  partminer mine  --input=db.lg --support=0.05 [--k=4] "
                "[--algo=partminer|gspan|gaston|adi] [--criteria=combined|"
                "mincut|isolation|metis] [--threads=N] [--max-edges=N] "
-               "[--pool-frames=N] [--pool-partitions=N] [--writer-threads=N] "
-               "[--writeback-queue=N] [--storage-engine=swizzle|classic] "
-               "[--closed|--maximal] [--no-prune-index] "
+               "[--pool-frames=N] [--closed|--maximal] [--no-prune-index] "
                "[--no-canon-cache] [--output=out.lg] "
                "[--trace=trace.json] [--metrics=metrics.json]\n"
                "  partminer gen   --output=db.lg [--d --t --n --l --i "
@@ -197,9 +180,7 @@ Status WritePatterns(const PatternSet& patterns, std::ostream& out) {
 
 int Mine(const std::map<std::string, std::string>& flags) {
   WarnUnknownFlags(flags, {"input", "support", "k", "algo", "criteria",
-                           "threads", "max-edges", "frames", "pool-frames",
-                           "pool-partitions", "writer-threads",
-                           "writeback-queue", "storage-engine", "closed",
+                           "threads", "max-edges", "pool-frames", "closed",
                            "maximal", "no-prune-index", "no-canon-cache",
                            "output", "trace", "metrics"});
   GraphDatabase db;
@@ -239,10 +220,14 @@ int Mine(const std::map<std::string, std::string>& flags) {
   const std::string metrics_path = Get(flags, "metrics", "");
   if (!trace_path.empty()) obs::Tracer::Global().Start();
 
-  // Buffer-pool sizing (used by --algo=adi and the storage probe). --frames
-  // is the legacy spelling of --pool-frames and keeps working.
+  // Buffer-pool capacity for --algo=adi.
   PoolSizing pool_sizing;
-  if (!flags::PoolSizingFlags(flags, &pool_sizing, "frames")) return Usage();
+  pool_sizing.frames = IntFlag(flags, "pool-frames", pool_sizing.frames);
+  if (pool_sizing.frames < 1) {
+    std::fprintf(stderr, "error: --pool-frames must be at least 1 (got %d)\n",
+                 pool_sizing.frames);
+    return Usage();
+  }
 
   Stopwatch watch;
   PatternSet patterns;
@@ -309,7 +294,7 @@ int Mine(const std::map<std::string, std::string>& flags) {
   if (flags.count("maximal")) patterns = MaximalPatterns(patterns);
 
   if (!metrics_path.empty() && algo != "adi") {
-    StorageFootprintProbe(db, pool_sizing);
+    StorageFootprintProbe(db);
   }
   if (!trace_path.empty()) {
     obs::Tracer::Global().Stop();

@@ -98,34 +98,15 @@ int Run(int argc, char** argv) {
 
   int fault_violations = 0;
   if (faults) {
-    // The ADI grid runs once per storage engine: the classic pool, the
-    // swizzle pool with synchronous write-back, and the swizzle pool with
-    // async writer threads (the write-back failure paths differ).
-    PoolSizing classic = testing::AdiSweepPoolSizing(StorageEngine::kClassic);
-    PoolSizing swizzle = testing::AdiSweepPoolSizing(StorageEngine::kSwizzle);
-    PoolSizing async = swizzle;
-    async.writer_threads = 2;
-    async.writeback_queue = 4;
-    const struct {
-      const char* label;
-      const PoolSizing* pool;
-    } adi_engines[] = {{"classic", &classic},
-                       {"swizzle", &swizzle},
-                       {"swizzle+writers", &async}};
-    for (const auto& engine : adi_engines) {
-      const FaultSweepOutcome adi =
-          testing::RunAdiFaultSweep(start + 1, *engine.pool);
-      std::printf(
-          "adi fault sweep [%s]: %d runs, %d clean failures, %d correct, "
-          "%zu violations\n",
-          engine.label, adi.runs, adi.clean_failures, adi.successes,
-          adi.violations.size());
-      for (const std::string& v : adi.violations) {
-        std::fprintf(stderr, "VIOLATION (adi %s): %s\n", engine.label,
-                     v.c_str());
-      }
-      fault_violations += static_cast<int>(adi.violations.size());
+    const FaultSweepOutcome adi = testing::RunAdiFaultSweep(start + 1);
+    std::printf(
+        "adi fault sweep: %d runs, %d clean failures, %d correct, "
+        "%zu violations\n",
+        adi.runs, adi.clean_failures, adi.successes, adi.violations.size());
+    for (const std::string& v : adi.violations) {
+      std::fprintf(stderr, "VIOLATION (adi): %s\n", v.c_str());
     }
+    fault_violations += static_cast<int>(adi.violations.size());
     const FaultSweepOutcome state = testing::RunStateIoFaultSweep(start + 2);
     std::printf(
         "state_io fault sweep: %d runs, %d clean failures, %d correct, "

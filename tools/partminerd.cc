@@ -4,8 +4,6 @@
 //              (--socket=/path/daemon.sock | --stdio)
 //              [--queue-cap=4096] [--batch-max=256]
 //              [--snapshot-prefix=/path/snap] [--num-labels=20]
-//              [--pool-frames=N] [--pool-partitions=N] [--writer-threads=N]
-//              [--writeback-queue=N] [--storage-engine=swizzle|classic]
 //              [--metrics=metrics.json] [--trace=trace.json]
 //              [--slow-ms=MS] [--flight-dump=flight.json]
 //              [--fault-read=SPEC] [--fault-write=SPEC] [--fault-alloc=SPEC]
@@ -91,8 +89,6 @@ int Usage() {
       "(--socket=path | --stdio) [--support=0.05] [--k=2] [--threads=N] "
       "[--queue-cap=4096] [--batch-max=256] [--snapshot-prefix=path] "
       "[--num-labels=20] [--metrics=out.json] [--trace=out.json] "
-      "[--pool-frames=N] [--pool-partitions=N] [--writer-threads=N] "
-      "[--writeback-queue=N] [--storage-engine=swizzle|classic] "
       "[--slow-ms=MS] [--flight-dump=out.json] "
       "[--fault-read|--fault-write|--fault-alloc=once:N|n:S:C|p:P] "
       "[--fault-seed=S]\n");
@@ -142,15 +138,7 @@ int Main(int argc, char** argv) {
                       "threads", "queue-cap", "batch-max", "snapshot-prefix",
                       "num-labels", "metrics", "trace", "slow-ms",
                       "flight-dump", "fault-read", "fault-write",
-                      "fault-alloc", "fault-seed", "pool-frames",
-                      "pool-partitions", "writer-threads", "writeback-queue",
-                      "storage-engine"});
-
-  // Pool sizing for every disk-backed pool the service constructs from
-  // here on (ADI paths, storage probes) — set once, process-wide.
-  if (!flags::PoolSizingFlags(flag_map, &MutableDefaultPoolSizing())) {
-    return Usage();
-  }
+                      "fault-alloc", "fault-seed"});
 
   const std::string input = flags::Get(flag_map, "input", "");
   const std::string restore = flags::Get(flag_map, "restore", "");

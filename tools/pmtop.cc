@@ -167,37 +167,6 @@ void Render(const Frame& frame, const Frame& previous, double interval_s,
   PrintHitRate("buffer pool", Counter(frame, "storage.pool_hits"),
                Counter(frame, "storage.pool_misses"));
 
-  // Swizzle buffer manager (pool.* series, exported by the engine's
-  // PublishMetrics): hit rate, eviction/promotion churn, and the async
-  // write-back pipeline. Hidden until an index has produced pool traffic.
-  const int64_t pool_hits = Gauge(frame, "pool.hits");
-  const int64_t pool_misses = Counter(frame, "pool.misses");
-  if (pool_hits + pool_misses > 0) {
-    std::printf("swizzle pool (%lld frames, %lld cooling):\n",
-                static_cast<long long>(Gauge(frame, "pool.frames")),
-                static_cast<long long>(Gauge(frame, "pool.cooling_frames")));
-    PrintHitRate("swip hot path", pool_hits, pool_misses);
-    const int64_t evictions = Counter(frame, "pool.evictions");
-    double evictions_per_s = 0;
-    if (have_previous && interval_s > 0) {
-      evictions_per_s =
-          static_cast<double>(evictions -
-                              Counter(previous, "pool.evictions")) /
-          interval_s;
-    }
-    std::printf(
-        "  evictions=%lld (%.0f/s)  cooling promotions=%lld\n",
-        static_cast<long long>(evictions), evictions_per_s,
-        static_cast<long long>(Counter(frame, "pool.cooling_promotions")));
-    std::printf(
-        "  write-back: queue=%lld  pages=%lld (+%lld coalesced)  "
-        "failures=%lld  unflushed=%lld\n",
-        static_cast<long long>(Gauge(frame, "pool.writeback_queue_depth")),
-        static_cast<long long>(Counter(frame, "pool.writeback_pages")),
-        static_cast<long long>(Counter(frame, "pool.writeback_coalesced")),
-        static_cast<long long>(Counter(frame, "pool.writeback_failures")),
-        static_cast<long long>(Gauge(frame, "pool.writeback_failed_pages")));
-  }
   std::fflush(stdout);
 }
 

@@ -1,7 +1,7 @@
 #!/bin/sh
 # ThreadSanitizer sweep of the concurrent paths: work-stealing pool,
 # parallel gSpan/Gaston subtree mining, PartMiner/IncPartMiner unit
-# scheduling, and the sharded buffer pool. Builds into build-tsan/ (kept
+# scheduling, and the buffer pool. Builds into build-tsan/ (kept
 # separate from the regular build; TSan is ABI-incompatible with it) and
 # runs the full ctest suite under TSAN_OPTIONS that fail on any report.
 #
