@@ -92,7 +92,7 @@ PoolSizing PoolSizingFromFlags(const Flags& flags, int default_frames);
 
 /// Per-phase metrics export: with --metrics[=path] on the harness command
 /// line, dumps the process metrics registry (counters for extensions,
-/// isomorphism tests, page I/O, merge/verify work, and the phase-latency
+/// isomorphism tests, page I/O, merge work, and the phase-latency
 /// histograms) as JSON after the runs. A bare --metrics writes
 /// <figure>_metrics.json next to the CSV output.
 void MaybeWriteMetrics(const Flags& flags, const std::string& figure);

@@ -67,10 +67,9 @@ void RunSweep(const char* figure, const WorkloadSpec& spec, double sup,
     PrintRow(figure, "IncPartMiner", fraction * 100,
              result.AggregateSeconds());
     std::printf(
-        "# %s updates=%.0f%%: remined %d/%d units, prune set %d, cached "
-        "%lld, counted %lld, skipped-known %lld, UF %d FI %d IF %d\n",
+        "# %s updates=%.0f%%: remined %d/%d units, cached %lld, counted "
+        "%lld, skipped-known %lld, UF %d FI %d IF %d\n",
         figure, fraction * 100, result.remined_units.Count(), k,
-        result.prune_set_size,
         static_cast<long long>(result.merge_stats.cached_patterns),
         static_cast<long long>(result.merge_stats.candidates_counted),
         static_cast<long long>(result.merge_stats.candidates_skipped_known),

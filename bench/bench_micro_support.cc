@@ -1,7 +1,7 @@
 // Micro benchmarks for the support-counting fast path: the label inverted
 // index (candidate pruning before the backtracking isomorphism test) and the
 // min-DFS-code memo cache. Each benchmark runs with the fast path off
-// (Arg 0) and on (Arg 1) over identical inputs; mined/verified output is
+// (Arg 0) and on (Arg 1) over identical inputs; mined output is
 // bit-identical in both configurations (support_fastpath_test), so the pair
 // measures pure counting cost. The memo cache is cleared whenever a
 // configuration is (re)entered, so an "on" run never inherits verdicts from
@@ -13,11 +13,10 @@
 #include <cmath>
 
 #include "core/part_miner.h"
-#include "core/verify.h"
 #include "datagen/generator.h"
-#include "datagen/update_generator.h"
 #include "graph/canonical.h"
 #include "graph/label_index.h"
+#include "miner/apriori.h"
 #include "miner/gspan.h"
 
 namespace partminer {
@@ -41,80 +40,29 @@ void SetFastPath(bool enabled) {
   ClearMinimalityCache();
 }
 
-/// Candidates that force a real recount: same codes/supports, exactness bit
-/// cleared, TID lists dropped (verify must re-derive them).
-PatternSet AsUnverifiedCandidates(const PatternSet& mined) {
-  PatternSet out;
-  for (const PatternInfo& p : mined.patterns()) {
-    PatternInfo q;
-    q.code = p.code;
-    q.support = p.support;
-    q.exact_tids = false;
-    out.Upsert(std::move(q));
-  }
-  return out;
-}
-
-// The candidate-support hot path in isolation: VerifyExact re-counts every
-// mined pattern level by level. With the index on, 1-edge scans shrink to
-// the label candidates and k-edge parent-TID scans are intersected with the
-// index candidates before any isomorphism test runs.
-void BM_VerifyExactCandidates(benchmark::State& state) {
-  const GraphDatabase db = Workload(400);
-  const int sup = std::max(1, static_cast<int>(0.04 * db.size()));
-  GSpanMiner miner;
+// The label index's one user: Apriori counts every candidate by
+// subgraph isomorphism inside its parent's TID list, and with the index on
+// that list is first intersected with the graphs whose labels can host the
+// candidate. A fresh database copy per iteration pays the lazy index build;
+// only the index is toggled (the memo cache stays on).
+void BM_AprioriLabelIndex(benchmark::State& state) {
+  const GraphDatabase base = Workload(250);
   MinerOptions options;
-  options.min_support = sup;
-  const PatternSet candidates = AsUnverifiedCandidates(miner.Mine(db, options));
+  options.min_support = std::max(1, static_cast<int>(0.04 * base.size()));
 
-  SetFastPath(state.range(0) != 0);
-  int64_t examined = 0;
-  int kept = 0;
+  SetFastPath(true);
+  SetLabelIndexEnabled(state.range(0) != 0);
+  int patterns = 0;
   for (auto _ : state) {
-    VerifyStats stats;
-    kept = VerifyExact(db, candidates, sup, &stats).size();
-    examined = stats.graphs_examined;
+    const GraphDatabase db = base;
+    AprioriMiner miner;
+    patterns = miner.Mine(db, options).size();
+    benchmark::DoNotOptimize(patterns);
   }
-  state.counters["patterns"] = kept;
-  state.counters["graphs_examined"] = static_cast<double>(examined);
+  state.counters["patterns"] = patterns;
   SetFastPath(true);
 }
-BENCHMARK(BM_VerifyExactCandidates)->Arg(0)->Arg(1)
-    ->Unit(benchmark::kMillisecond);
-
-// The merge-join/VerifyDelta workload of an incremental round: old patterns
-// are exact on the pre-update database, so each is re-counted only on the
-// updated graphs — a scan the index prunes further to the graphs whose
-// labels can still host the pattern.
-void BM_VerifyDeltaRecount(benchmark::State& state) {
-  GraphDatabase db = Workload(400);
-  const int sup = std::max(1, static_cast<int>(0.04 * db.size()));
-  GSpanMiner miner;
-  MinerOptions options;
-  options.min_support = sup;
-  const PatternSet old_verified = miner.Mine(db, options);
-
-  UpdateOptions upd;
-  upd.fraction_graphs = 0.25;
-  upd.seed = 9;
-  const UpdateLog log = ApplyUpdates(&db, 20, upd);
-  const PatternSet candidates = AsUnverifiedCandidates(old_verified);
-
-  SetFastPath(state.range(0) != 0);
-  int64_t examined = 0;
-  int kept = 0;
-  for (auto _ : state) {
-    VerifyStats stats;
-    kept = VerifyDelta(db, candidates, old_verified, log.updated_graphs, sup,
-                       &stats)
-               .size();
-    examined = stats.graphs_examined;
-  }
-  state.counters["patterns"] = kept;
-  state.counters["graphs_examined"] = static_cast<double>(examined);
-  SetFastPath(true);
-}
-BENCHMARK(BM_VerifyDeltaRecount)->Arg(0)->Arg(1)
+BENCHMARK(BM_AprioriLabelIndex)->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
 // The memo cache in isolation: re-check the minimality of every mined code
@@ -145,10 +93,10 @@ void BM_MinimalityMemo(benchmark::State& state) {
 }
 BENCHMARK(BM_MinimalityMemo)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-// End to end: a full PartMiner run (unit merge-join mining + root exact
-// verification). Both accelerators are live here — the index inside the
-// verify counting paths, the memo cache under every minimality check of the
-// unit miners. Repeated iterations keep the cache warm, matching the
+// End to end: a full PartMiner run (unit mining + root merge). Only the
+// memo cache is live here, under every minimality check of the unit miners
+// and the root sweep; PartMiner counts no support by isomorphism, so the
+// index is idle. Repeated iterations keep the cache warm, matching the
 // repeated-round usage the cache exists for.
 void BM_PartMinerFastPath(benchmark::State& state) {
   const GraphDatabase db = Workload(400);

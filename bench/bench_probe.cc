@@ -73,10 +73,9 @@ int main(int argc, char** argv) {
     const PartMinerResult r = miner.Mine(db);
     std::printf(
         "PartMiner: %7.2fs  %6d patterns (partition %.2fs, units sum %.2fs "
-        "max %.2fs, merge %.2fs, verify %.2fs)\n",
+        "max %.2fs, merge %.2fs)\n",
         watch.ElapsedSeconds(), r.patterns.size(), r.partition_seconds,
-        r.UnitSecondsSum(), r.UnitSecondsMax(), r.merge_seconds,
-        r.verify_seconds);
+        r.UnitSecondsSum(), r.UnitSecondsMax(), r.merge_seconds);
     std::printf(
         "  merge stats: inherited %lld, counted %lld, cross-partition %lld\n",
         static_cast<long long>(r.merge_stats.inherited_patterns),
@@ -103,12 +102,11 @@ int main(int argc, char** argv) {
     IncPartMiner inc;
     const IncPartMinerResult r = inc.Update(&miner, dyn, log);
     std::printf(
-        "IncPart:   %7.2fs  %6d patterns (route %.2fs, units sum %.3fs, "
-        "merge %.3fs, verify %.3fs; %d/%d units remined, %zu graphs "
-        "updated)\n",
+        "IncPart:   %7.2fs  %6d patterns (route %.2fs, merge %.3fs; %d/%d "
+        "units touched, %zu graphs updated)\n",
         watch.ElapsedSeconds(), r.patterns.size(), r.route_seconds,
-        r.UnitSecondsSum(), r.merge_seconds, r.verify_seconds,
-        r.remined_units.Count(), k, log.updated_graphs.size());
+        r.merge_seconds, r.remined_units.Count(), k,
+        log.updated_graphs.size());
     std::printf(
         "  inc merge stats: cached %lld, delta %lld, generated %lld, "
         "counted %lld, new %lld\n",

@@ -50,7 +50,7 @@ int main() {
               static_cast<long long>(gaston.stats().frequent_cyclic));
 
   // 3. PartMiner: partition into 4 units, mine the units at reduced support,
-  //    merge-join, verify — same result (Theorems 1-3).
+  //    merge-join at the root — same result (Theorems 1-3).
   PartMinerOptions pm_options;
   pm_options.min_support_count = options.min_support;
   pm_options.partition.k = 4;

@@ -1,8 +1,6 @@
 #ifndef PARTMINER_CORE_INC_PART_MINER_H_
 #define PARTMINER_CORE_INC_PART_MINER_H_
 
-#include <vector>
-
 #include "common/setword.h"
 #include "core/part_miner.h"
 #include "datagen/update_generator.h"
@@ -21,41 +19,39 @@ struct IncPartMinerResult {
   PatternSet fi;
   PatternSet if_;
 
+  /// Units holding an updated vertex (the setword of Figure 12), from
+  /// routing alone: no unit is re-mined.
   SetWord remined_units;
-  int prune_set_size = 0;
 
-  double route_seconds = 0;        // Assignment extension + touched units.
-  std::vector<double> unit_mining_seconds;  // Only re-mined units nonzero.
-  double merge_seconds = 0;
-  double verify_seconds = 0;
+  double route_seconds = 0;   // Assignment extension + touched units.
+  double merge_seconds = 0;   // Root IncMergeJoin.
+  double verify_seconds = 0;  // UF/FI/IF classification.
 
   MergeJoinStats merge_stats;
-  VerifyStats verify_stats;
+  VerifyStats verify_stats;  // Nothing is re-counted: always 0.
 
-  double UnitSecondsSum() const;
-  double UnitSecondsMax() const;
+  /// Update mines no unit, so the unit share of a round is 0.
+  double UnitSecondsSum() const { return 0; }
+  /// route + merge + classification.
   double AggregateSeconds() const;
-  double ParallelSeconds() const;
 };
 
 /// IncPartMiner (Figure 12): updates a mined PartMiner in place.
 ///
-/// Only units containing updated vertices (the setword computed from the
-/// update log) are re-mined; merge-joins re-run only on their merge-tree
-/// ancestors, with candidates found in the pruned pre-update result adopted
-/// without re-counting (IncMergeJoin); and the final verification is a
-/// delta recount that touches only the updated graphs for patterns known
-/// before the update.
+/// A round is route → root IncMergeJoin → classify. Routing extends the
+/// partition to new vertices and computes the setword of units the update
+/// touched (reported, and what keeps the partition current for later
+/// rounds). The root's IncMergeJoin then recovers the exact pattern set of
+/// the updated database from the root's own cached set and frontier,
+/// touching work proportional to the update. No interior node or unit is
+/// re-merged: only the root's set is ever read, and each incremental merge
+/// reads only its own node's cache.
 ///
-/// The prune set P follows the paper: patterns that disappeared from a
-/// re-mined unit and appear in no other unit are potential frequent->
-/// infrequent transitions; pre-update patterns that are supergraphs of a
-/// prune-set member lose their "known frequent" status before IncMergeJoin.
-///
-/// Unlike the paper's pseudocode — which trusts the unit-level heuristic and
-/// can in principle misclassify borderline patterns — the final delta
-/// verification here makes UF/FI/IF exact. Tests compare every field
-/// against a from-scratch re-mining.
+/// The paper's prune set (unit patterns that vanished from a re-mined unit)
+/// only marks candidates for its final check; with the root merge exact,
+/// the classification is a plain set difference between the old and new
+/// root sets, with no isomorphism test. Tests compare every field against
+/// a from-scratch re-mining.
 class IncPartMiner {
  public:
   IncPartMiner() = default;
@@ -63,8 +59,8 @@ class IncPartMiner {
   /// Applies one update round. `state` must have completed Mine();
   /// `new_db` is the updated database (same graph count, vertices only
   /// added, per the paper's update model); `log` is the update log from
-  /// ApplyUpdates. The state's partition assignments, node pattern sets and
-  /// verified result are updated so further rounds can follow.
+  /// ApplyUpdates. The state's partition assignments, root pattern set and
+  /// root frontier are updated so further rounds can follow.
   IncPartMinerResult Update(PartMiner* state, const GraphDatabase& new_db,
                             const UpdateLog& log);
 };

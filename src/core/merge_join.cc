@@ -1,16 +1,10 @@
 #include "core/merge_join.h"
 
-#include "miner/extensions.h"
-
 #include <algorithm>
 #include <deque>
-#include <map>
-#include <unordered_set>
 #include <utility>
 
-#include "common/logging.h"
 #include "graph/canonical.h"
-#include "graph/isomorphism.h"
 #include "miner/engine.h"
 #include "miner/gspan.h"
 #include "obs/metrics.h"
@@ -38,19 +32,19 @@ void MergeJoinStats::PublishToRegistry() const {
   PM_METRIC_COUNTER("merge.spanning_found")->Add(spanning_found);
 }
 
-PatternSet MergeJoin(const GraphDatabase& node_db, const PatternSet& left,
-                     const PatternSet& right, const MergeJoinOptions& options,
-                     MergeJoinStats* stats, NodeFrontier* frontier_out) {
+PatternSet MergeJoin(const GraphDatabase& db,
+                     const std::vector<PatternSet>& units,
+                     const MergeJoinOptions& options, MergeJoinStats* stats,
+                     NodeFrontier* frontier_out) {
   // Per-call deltas accumulate locally, reach the registry once at the end,
   // and fold into the caller's struct (keeping the existing struct API).
   MergeJoinStats local_stats;
   MergeJoinStats* s = &local_stats;
-  s->inherited_patterns += left.size() + right.size();
+  for (const PatternSet& unit : units) s->inherited_patterns += unit.size();
 
-  // Exact node-level recovery: DFS-code sweep of the recombined database at
-  // the node threshold (see the header comment for why this is the recovery
-  // operator once every node is kept exact), capturing the frontier for the
-  // incremental path.
+  // Exact root recovery: DFS-code sweep of the database at the root
+  // threshold (see the header comment for why this is the recovery
+  // operator), capturing the frontier for the incremental path.
   GSpanMiner miner;
   MinerOptions mo;
   mo.min_support = options.min_support;
@@ -60,13 +54,15 @@ PatternSet MergeJoin(const GraphDatabase& node_db, const PatternSet& left,
     frontier_out->valid = true;
     mo.capture_frontier = &frontier_out->map;
   }
-  PatternSet out = miner.Mine(node_db, mo);
+  PatternSet out = miner.Mine(db, mo);
 
   s->candidates_counted += out.size();
   for (const PatternInfo& p : out.patterns()) {
-    if (!left.Contains(p.code) && !right.Contains(p.code)) {
-      ++s->spanning_found;  // Genuinely cross-partition discovery.
-    }
+    const bool in_a_unit =
+        std::any_of(units.begin(), units.end(), [&](const PatternSet& unit) {
+          return unit.Contains(p.code);
+        });
+    if (!in_a_unit) ++s->spanning_found;  // Genuinely cross-partition.
   }
   local_stats.PublishToRegistry();
   if (stats != nullptr) stats->Accumulate(local_stats);
@@ -94,7 +90,7 @@ bool ExtendsPrefix(const DfsCode& code, const DfsCode& prefix) {
 class DeltaSweep {
  public:
   DeltaSweep(const GraphDatabase& node_db, const GraphDatabase& upd_db,
-             const PatternSet& cached, FrontierMap* frontier,
+             const PatternSet& cached, FrontierMap& frontier,
              TidSet updated_set, const MergeJoinOptions& options,
              PatternSet* out, MergeJoinStats* stats)
       : node_db_(node_db),
@@ -112,11 +108,9 @@ class DeltaSweep {
     // and the sweep re-adds post-update hits for the entries it reaches.
     // Entries it does not reach have no post-update occurrence in the
     // updated graphs, so the stripped value is already exact.
-    if (frontier_ != nullptr) {
-      for (auto& [code, tids] : *frontier_) {
-        (void)code;
-        tids -= updated_set_;
-      }
+    for (auto& [code, tids] : frontier_) {
+      (void)code;
+      tids -= updated_set_;
     }
     engine::ExtensionMap roots = engine::CollectRootExtensions(upd_db_);
     DfsCode code;
@@ -140,9 +134,9 @@ class DeltaSweep {
     if (info != nullptr) {
       tids = info->tids;
       tids -= updated_set_;
-    } else if (frontier_ != nullptr) {
-      const auto it = frontier_->find(code);
-      if (it != frontier_->end()) tids = it->second;  // Already stripped.
+    } else {
+      const auto it = frontier_.find(code);
+      if (it != frontier_.end()) tids = it->second;  // Already stripped.
     }
     tids |= upd_hits;
     return tids;
@@ -157,14 +151,14 @@ class DeltaSweep {
     const bool was_cached = cached_.Contains(*code);
 
     if (support < options_.min_support) {
-      if (frontier_ != nullptr) (*frontier_)[*code] = std::move(tids);
+      frontier_[*code] = std::move(tids);
       if (was_cached) CutSubtree(*code);  // FI: prune the stale subtree.
       return;  // Apriori: nothing frequent extends an infrequent pattern.
     }
     if (!IsMinimalDfsCode(*code)) {
       // Frequent under a non-minimal code: keep the TIDs for future rounds;
       // the minimal twin carries the pattern.
-      if (frontier_ != nullptr) (*frontier_)[*code] = std::move(tids);
+      frontier_[*code] = std::move(tids);
       return;
     }
     if (!was_cached) {
@@ -173,14 +167,15 @@ class DeltaSweep {
       // (exact TIDs are in hand).
       ++stats_->spanning_found;
       ++stats_->candidates_counted;
-      if (frontier_ != nullptr) frontier_->erase(*code);  // Promoted.
       FullGrow(code, tids.ToVector());
       return;
     }
 
     // Still-frequent cached pattern: exact info by arithmetic; keep sweeping
-    // its extensions inside the updated graphs.
+    // its extensions inside the updated graphs. Pass 1 may have parked it in
+    // the frontier (its stripped support fell short); it is frequent again.
     ++stats_->candidates_skipped_known;
+    frontier_.erase(*code);
     PatternInfo info;
     info.code = *code;
     info.support = support;
@@ -208,6 +203,7 @@ class DeltaSweep {
   }
 
   void GrowFrom(DfsCode* code, const engine::Projected& projected) {
+    frontier_.erase(*code);  // Frequent now: the output carries it.
     PatternInfo info;
     info.code = *code;
     info.support = engine::SupportOf(projected);
@@ -219,14 +215,11 @@ class DeltaSweep {
         node_db_, *code, projected, /*enable_order_pruning=*/true);
     for (const auto& [tuple, child_projected] : extensions) {
       code->Append(tuple);
-      if (engine::SupportOf(child_projected) < options_.min_support) {
-        if (frontier_ != nullptr) {
-          (*frontier_)[*code] = engine::TidSetOf(child_projected);
-        }
-      } else if (IsMinimalDfsCode(*code)) {
+      if (engine::SupportOf(child_projected) < options_.min_support ||
+          !IsMinimalDfsCode(*code)) {
+        frontier_[*code] = engine::TidSetOf(child_projected);
+      } else {
         GrowFrom(code, child_projected);
-      } else if (frontier_ != nullptr) {
-        (*frontier_)[*code] = engine::TidSetOf(child_projected);
       }
       code->PopBack();
     }
@@ -237,10 +230,9 @@ class DeltaSweep {
   /// vanished; they are re-derived if the region becomes frequent again.
   /// FI transitions are rare, so a linear scan is acceptable.
   void CutSubtree(const DfsCode& cut) {
-    if (frontier_ == nullptr) return;
-    for (auto it = frontier_->begin(); it != frontier_->end();) {
+    for (auto it = frontier_.begin(); it != frontier_.end();) {
       if (ExtendsPrefix(it->first, cut)) {
-        it = frontier_->erase(it);
+        it = frontier_.erase(it);
       } else {
         ++it;
       }
@@ -250,7 +242,7 @@ class DeltaSweep {
   const GraphDatabase& node_db_;
   const GraphDatabase& upd_db_;
   const PatternSet& cached_;
-  FrontierMap* frontier_;
+  FrontierMap& frontier_;
   const TidSet updated_set_;
   const MergeJoinOptions& options_;
   PatternSet* out_;
@@ -317,7 +309,10 @@ PatternSet IncMergeJoin(const GraphDatabase& node_db, const PatternSet& cached,
   // Pass 1 — pure set arithmetic for every cached pattern: containment in
   // non-updated graphs is unchanged, so (old tids \ updated) is a certified
   // lower bound; patterns the sweep reaches below are overwritten with their
-  // full post-update info (which can only add updated-graph hits).
+  // full post-update info (which can only add updated-graph hits). A pattern
+  // whose stripped support falls short is parked in the frontier: the sweep
+  // never reaches it if it lost every occurrence in the updated graphs (only
+  // a relabel can do that), and a later round must still find its TIDs.
   const TidSet updated_set = TidSet::FromVector(updated);
   PatternSet out;
   for (const PatternInfo& p : cached.patterns()) {
@@ -328,26 +323,28 @@ PatternSet IncMergeJoin(const GraphDatabase& node_db, const PatternSet& cached,
     q.tids = p.tids;
     q.tids -= updated_set;
     q.support = q.tids.Count();
-    if (q.support >= options.min_support) out.Upsert(std::move(q));
+    if (q.support >= options.min_support) {
+      out.Upsert(std::move(q));
+    } else {
+      frontier->map[q.code] = std::move(q.tids);
+    }
   }
 
   // Pass 2 — the frontier-backed delta sweep over the updated graphs. The
   // frontier map is mutated in place (stripped, refreshed, pruned).
-  if (!updated.empty()) {
-    GraphDatabase upd_db;
-    size_t u = 0;
-    for (int i = 0; i < node_db.size(); ++i) {
-      if (u < updated.size() && updated[u] == i) {
-        upd_db.Add(node_db.graph(i), node_db.gid(i));
-        ++u;
-      } else {
-        upd_db.Add(Graph(), node_db.gid(i));
-      }
+  GraphDatabase upd_db;
+  size_t u = 0;
+  for (int i = 0; i < node_db.size(); ++i) {
+    if (u < updated.size() && updated[u] == i) {
+      upd_db.Add(node_db.graph(i), node_db.gid(i));
+      ++u;
+    } else {
+      upd_db.Add(Graph(), node_db.gid(i));
     }
-    DeltaSweep sweep(node_db, upd_db, cached, &frontier->map, updated_set,
-                     options, &out, s);
-    sweep.Run();
   }
+  DeltaSweep sweep(node_db, upd_db, cached, frontier->map, updated_set,
+                   options, &out, s);
+  sweep.Run();
   return out;
 }
 

@@ -13,9 +13,7 @@
 namespace partminer {
 
 struct MergeJoinOptions {
-  /// Absolute minimum support at this merge node. Children are expected to
-  /// be complete at ceil(min_support / 2) — the paper's reduced-support rule
-  /// (Section 4.4) that makes the recovery lossless.
+  /// Absolute minimum support at the merged database (the root threshold).
   int min_support = 1;
   int max_edges = INT_MAX;
 
@@ -28,7 +26,7 @@ struct MergeJoinOptions {
 
 /// Work counters for the merge operators.
 struct MergeJoinStats {
-  int64_t inherited_patterns = 0;   // Child patterns fed into the node.
+  int64_t inherited_patterns = 0;   // Unit patterns fed into the root.
   int64_t cached_patterns = 0;      // IncMergeJoin: cached patterns reused.
   int64_t delta_recounts = 0;       // IncMergeJoin: cached patterns delta-verified.
   int64_t candidates_generated = 0; // Extension candidates examined.
@@ -43,26 +41,28 @@ struct MergeJoinStats {
   void PublishToRegistry() const;
 };
 
-/// The merge-join of Section 4.3, specialized to this implementation's
-/// exact-at-every-node invariant (see DESIGN.md): recovers the *exact*
-/// frequent pattern set of a merge-tree node's recombined database.
+/// The merge-join of Section 4.3 at the root of the merge tree: recovers
+/// the *exact* frequent pattern set of `db` (the recombination of every
+/// unit) at `options.min_support`.
 ///
-/// With exactness required at each node, the recovery operator for the
-/// static path is equivalent to a full DFS-code sweep of the node database
-/// seeded at its frequent 1-edge patterns (every frequent pattern is
-/// reachable through its minimal-code prefix chain, whose members are
-/// frequent by the Apriori property — Theorems 1-3 in the paper). `left`
-/// and `right` are consulted for statistics; the candidate-reuse machinery
-/// the paper describes pays off in the *incremental* operator below, which
-/// is where the paper's evaluation exercises it.
+/// With exactness required at the root, the recovery operator is a full
+/// DFS-code sweep of the database seeded at its frequent 1-edge patterns
+/// (every frequent pattern is reachable through its minimal-code prefix
+/// chain, whose members are frequent by the Apriori property — Theorems
+/// 1-3 in the paper). Only the root's set is ever read, so no interior
+/// node is swept. `units` (the Phase 2 unit results) feed only the
+/// `inherited_patterns` and `spanning_found` counters; the candidate-reuse
+/// machinery the paper describes pays off in the *incremental* operator
+/// below, which is where the paper's evaluation exercises it.
 ///
 /// Every pattern in the result carries exact support and TID lists for
-/// `node_db` (exact_tids set).
-/// `frontier_out`, when non-null, receives the node's mining frontier (see
+/// `db` (exact_tids set).
+/// `frontier_out`, when non-null, receives the root's mining frontier (see
 /// FrontierMap) for consumption by later IncMergeJoin calls.
-PatternSet MergeJoin(const GraphDatabase& node_db, const PatternSet& left,
-                     const PatternSet& right, const MergeJoinOptions& options,
-                     MergeJoinStats* stats, NodeFrontier* frontier_out);
+PatternSet MergeJoin(const GraphDatabase& db,
+                     const std::vector<PatternSet>& units,
+                     const MergeJoinOptions& options, MergeJoinStats* stats,
+                     NodeFrontier* frontier_out);
 
 /// The incremental merge (IncMergeJoin, Figure 12): recovers the exact
 /// frequent pattern set of a node's *updated* database from the node's
@@ -70,7 +70,8 @@ PatternSet MergeJoin(const GraphDatabase& node_db, const PatternSet& left,
 ///
 ///  1. Every cached pattern is delta-recounted — only `updated_graphs` are
 ///     re-examined; containment elsewhere cannot have changed. Patterns
-///     falling below threshold drop out (the paper's FI direction).
+///     falling below threshold drop out (the paper's FI direction) and
+///     move to the frontier.
 ///  2. New patterns are discovered by sweeping rightmost extensions of
 ///     verified patterns *projected onto the updated graphs only*: a
 ///     pattern that became frequent must have gained an occurrence, so it
@@ -84,9 +85,12 @@ PatternSet MergeJoin(const GraphDatabase& node_db, const PatternSet& left,
 /// re-generated or re-counted outside the updated graphs.
 /// `frontier` is the node's cached frontier (in/out): candidates looked up
 /// there are re-counted by set arithmetic alone, and the map is replaced by
-/// the post-update frontier. May be null (candidates absent from the cache
-/// then count as having had no pre-update occurrence, which is only correct
-/// when the frontier was captured — pass the map PartMiner recorded).
+/// the post-update frontier. Its invariant: every code the sweep can reach
+/// (all DFS-code prefixes frequent and minimal) that is not in `cached`
+/// either has an entry with its exact TIDs or has no occurrence at all.
+/// A cached pattern that falls below threshold is therefore written to the
+/// frontier even when the sweep never reaches it. With a null or invalid
+/// frontier the call takes the exact re-sweep path.
 PatternSet IncMergeJoin(const GraphDatabase& node_db, const PatternSet& cached,
                         const std::vector<int>& updated_graphs,
                         const MergeJoinOptions& options,

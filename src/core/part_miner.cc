@@ -28,11 +28,11 @@ double PartMinerResult::UnitSecondsMax() const {
 }
 
 double PartMinerResult::AggregateSeconds() const {
-  return partition_seconds + UnitSecondsSum() + merge_seconds + verify_seconds;
+  return partition_seconds + UnitSecondsSum() + merge_seconds;
 }
 
 double PartMinerResult::ParallelSeconds() const {
-  return partition_seconds + UnitSecondsMax() + merge_seconds + verify_seconds;
+  return partition_seconds + UnitSecondsMax() + merge_seconds;
 }
 
 PartMiner::PartMiner(const PartMinerOptions& options) : options_(options) {}
@@ -86,14 +86,16 @@ PartMinerResult PartMiner::Mine(const GraphDatabase& db) {
       ->Observe(result.partition_seconds * 1e3);
 
   const std::vector<MergeTreeNode>& tree = partitioned_.tree();
-  node_patterns_.assign(tree.size(), PatternSet());
-  node_frontiers_.assign(tree.size(), NodeFrontier());
+  const int root = partitioned_.root();
+  std::vector<PatternSet> unit_patterns(partitioned_.k());
+  root_frontier_ = NodeFrontier();
   result.unit_mining_seconds.assign(partitioned_.k(), 0.0);
 
   // Phase 2a: mine every unit with the memory-based miner at its reduced
   // support (Figure 11 lines 4-5). Units are independent, so with
   // unit_mining_threads > 0 they run concurrently, each worker with its own
-  // miner instance and output slot.
+  // miner instance and output slot. With k=1 the single unit is the root,
+  // so its pass captures the root frontier.
   std::vector<int> leaf_nodes;
   for (size_t node = 0; node < tree.size(); ++node) {
     if (tree[node].left == -1) leaf_nodes.push_back(static_cast<int>(node));
@@ -107,11 +109,13 @@ PartMinerResult PartMiner::Mine(const GraphDatabase& db) {
     MinerOptions miner_options;
     miner_options.min_support = NodeSupport(node);
     miner_options.max_edges = options_.max_edges;
-    miner_options.capture_frontier = &node_frontiers_[node].map;
     miner_options.pool = pool;
-    node_frontiers_[node].valid = true;
+    if (node == root) {
+      miner_options.capture_frontier = &root_frontier_.map;
+      root_frontier_.valid = true;
+    }
     std::unique_ptr<FrequentSubgraphMiner> unit_miner = MakeUnitMiner();
-    node_patterns_[node] = unit_miner->Mine(unit_db, miner_options);
+    unit_patterns[unit_index] = unit_miner->Mine(unit_db, miner_options);
     result.unit_mining_seconds[unit_index] = watch.ElapsedSeconds();
     PM_METRIC_HISTOGRAM("partminer.phase.unit_mine_ms")
         ->Observe(result.unit_mining_seconds[unit_index] * 1e3);
@@ -151,45 +155,28 @@ PartMinerResult PartMiner::Mine(const GraphDatabase& db) {
     }
   }
 
-  // Phase 2b: merge-join bottom-up (Figure 11 lines 9-17). Nodes are stored
-  // preorder, so iterating in reverse index order visits children first.
-  Stopwatch merge_watch;
-  {
-    PM_TRACE_SPAN("merge");
-    for (int node = static_cast<int>(tree.size()) - 1; node >= 0; --node) {
-      if (tree[node].left == -1) continue;  // Leaf.
-      PM_TRACE_SPAN("merge_node",
-                    {{"node", node}, {"depth", tree[node].depth}});
-      const GraphDatabase node_db =
-          partitioned_.Materialize(db, tree[node].lo, tree[node].hi);
+  // Phase 2b: one merge-join at the root (Figure 11 lines 9-17). The root's
+  // recombined database is the database itself (the merge tree covers every
+  // unit), so no materialization is needed. The unit sets only feed the
+  // merge counters and are dropped when Mine returns.
+  if (tree[root].left == -1) {  // k=1: the unit pass mined the root.
+    patterns_ = std::move(unit_patterns[tree[root].lo]);
+  } else {
+    Stopwatch merge_watch;
+    {
+      PM_TRACE_SPAN("merge_node", {{"node", root}, {"depth", 0}});
       MergeJoinOptions mj;
-      mj.min_support = NodeSupport(node);
+      mj.min_support = root_support_;
       mj.max_edges = options_.max_edges;
-      node_patterns_[node] =
-          MergeJoin(node_db, node_patterns_[tree[node].left],
-                    node_patterns_[tree[node].right], mj, &result.merge_stats,
-                    &node_frontiers_[node]);
+      patterns_ = MergeJoin(db, unit_patterns, mj, &result.merge_stats,
+                            &root_frontier_);
     }
+    result.merge_seconds = merge_watch.ElapsedSeconds();
+    PM_METRIC_HISTOGRAM("partminer.phase.merge_ms")
+        ->Observe(result.merge_seconds * 1e3);
   }
-  result.merge_seconds = merge_watch.ElapsedSeconds();
-  PM_METRIC_HISTOGRAM("partminer.phase.merge_ms")
-      ->Observe(result.merge_seconds * 1e3);
 
-  // Exact verification at the root: inherited patterns carry child-level
-  // supports; this recount makes the output exact at the requested support.
-  Stopwatch verify_watch;
-  {
-    PM_TRACE_SPAN("verify",
-                  {{"candidates", node_patterns_[partitioned_.root()].size()},
-                   {"support", root_support_}});
-    verified_ = VerifyExact(db, node_patterns_[partitioned_.root()],
-                            root_support_, &result.verify_stats);
-  }
-  result.verify_seconds = verify_watch.ElapsedSeconds();
-  PM_METRIC_HISTOGRAM("partminer.phase.verify_ms")
-      ->Observe(result.verify_seconds * 1e3);
-
-  result.patterns = verified_;
+  result.patterns = patterns_;
   mined_ = true;
   return result;
 }

@@ -2,12 +2,13 @@
 #define PARTMINER_CORE_PART_MINER_H_
 
 #include <climits>
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "core/merge_join.h"
-#include "core/verify.h"
 #include "graph/graph.h"
 #include "miner/miner.h"
 #include "miner/pattern_set.h"
@@ -44,6 +45,12 @@ struct PartMinerOptions {
   int unit_mining_threads = 0;
 };
 
+/// Verification work. The root merge is exact, so nothing is re-counted
+/// after it and the count stays 0; reports keep the column.
+struct VerifyStats {
+  int64_t graphs_examined = 0;
+};
+
 /// Outcome of one PartMiner run, including the timing decomposition the
 /// paper reports: aggregate (serial) time sums all unit mining times,
 /// parallel time takes their maximum — "in the parallel mode (with 1 CPU),
@@ -55,7 +62,7 @@ struct PartMinerResult {
   double partition_seconds = 0;
   std::vector<double> unit_mining_seconds;  // Per unit.
   double merge_seconds = 0;
-  double verify_seconds = 0;
+  double verify_seconds = 0;  // No verify pass runs: always 0.
 
   MergeJoinStats merge_stats;
   VerifyStats verify_stats;
@@ -63,17 +70,18 @@ struct PartMinerResult {
 
   double UnitSecondsSum() const;
   double UnitSecondsMax() const;
-  /// partition + sum(units) + merge + verify.
+  /// partition + sum(units) + merge.
   double AggregateSeconds() const;
-  /// partition + max(units) + merge + verify.
+  /// partition + max(units) + merge.
   double ParallelSeconds() const;
 };
 
 /// The PartMiner algorithm (Figure 11). Phase 1 divides the database into k
 /// units via recursive bi-partitioning (DBPartition, Figure 6); Phase 2
 /// mines each unit with the memory-based miner at reduced support and
-/// recombines the unit results bottom-up with merge-joins, finishing with an
-/// exact verification at the root.
+/// recombines the unit results with one merge-join at the root, whose
+/// output is exact. Only the root's set is ever read, so no interior node
+/// of the merge tree is swept.
 ///
 /// Support thresholds: the root uses the requested support; each merge-tree
 /// node at depth d uses ceil(sup / 2^d); a leaf unit is mined at its node
@@ -81,8 +89,9 @@ struct PartMinerResult {
 /// for other k it is the strict-halving generalization that Theorem 3's
 /// pigeonhole argument actually requires (see DESIGN.md).
 ///
-/// After Mine() the object retains the partition, the per-node pattern sets
-/// and the verified result — the state IncPartMiner updates incrementally.
+/// After Mine() the object retains the partition, the root pattern set (the
+/// result) and the root frontier — the state IncPartMiner updates
+/// incrementally. The unit sets are dropped after the root merge.
 class PartMiner {
  public:
   explicit PartMiner(const PartMinerOptions& options);
@@ -97,22 +106,18 @@ class PartMiner {
   bool mined() const { return mined_; }
   const PartitionedDatabase& partitioned() const { return partitioned_; }
   PartitionedDatabase& mutable_partitioned() { return partitioned_; }
-  /// Pattern set per merge-tree node (indexed like partitioned().tree()).
-  const std::vector<PatternSet>& node_patterns() const {
-    return node_patterns_;
+  /// The exact result of the last Mine()/incremental update: the root's
+  /// pattern set at the root support.
+  const PatternSet& patterns() const { return patterns_; }
+  PatternSet& mutable_patterns() { return patterns_; }
+  /// The root's mining frontier (see FrontierMap) — the cache that makes
+  /// IncMergeJoin isomorphism-free.
+  const NodeFrontier& root_frontier() const { return root_frontier_; }
+  NodeFrontier& mutable_root_frontier() { return root_frontier_; }
+  /// Every frontier the miner keeps: only the root captures one.
+  std::span<const NodeFrontier> node_frontiers() const {
+    return {&root_frontier_, 1};
   }
-  std::vector<PatternSet>& mutable_node_patterns() { return node_patterns_; }
-  /// Mining frontier per merge-tree node (see FrontierMap) — the cache that
-  /// makes IncMergeJoin isomorphism-free.
-  const std::vector<NodeFrontier>& node_frontiers() const {
-    return node_frontiers_;
-  }
-  std::vector<NodeFrontier>& mutable_node_frontiers() {
-    return node_frontiers_;
-  }
-  /// The exact verified result of the last Mine()/incremental update.
-  const PatternSet& verified() const { return verified_; }
-  void set_verified(PatternSet p) { verified_ = std::move(p); }
   /// Support threshold for tree node `index`.
   int NodeSupport(int index) const;
   /// Resolved absolute root support for a database of `db_size` graphs.
@@ -122,8 +127,9 @@ class PartMiner {
   std::unique_ptr<FrequentSubgraphMiner> MakeUnitMiner() const;
 
   /// State-restoration hook for LoadMinerState: marks the miner as mined
-  /// with the given resolved root support. The partition, node caches and
-  /// verified set must have been installed through the mutable accessors.
+  /// with the given resolved root support. The partition, root pattern set
+  /// and root frontier must have been installed through the mutable
+  /// accessors.
   void RestoreMinedState(int root_support) {
     mined_ = true;
     root_support_ = root_support;
@@ -135,9 +141,8 @@ class PartMiner {
   bool mined_ = false;
   int root_support_ = 0;
   PartitionedDatabase partitioned_;
-  std::vector<PatternSet> node_patterns_;
-  std::vector<NodeFrontier> node_frontiers_;
-  PatternSet verified_;
+  PatternSet patterns_;
+  NodeFrontier root_frontier_;
 };
 
 }  // namespace partminer

@@ -14,10 +14,12 @@ namespace partminer {
 namespace {
 
 constexpr const char* kMagic = "partminer-state";
-// Version 2 appends an integrity footer (`footer <payload_bytes>
+// Version 2 appended an integrity footer (`footer <payload_bytes>
 // <fnv1a_hex>`) so truncation and bit flips are detected before any of the
-// payload is trusted. Version 1 files (no footer) are rejected.
-constexpr int kVersion = 2;
+// payload is trusted. Version 3 keeps the footer and holds only what
+// IncPartMiner reads: the partition, the root pattern set and the root
+// frontier. Earlier versions are rejected.
+constexpr int kVersion = 3;
 constexpr const char* kFooterTag = "footer";
 
 /// FNV-1a 64-bit over the serialized payload. Not cryptographic — it only
@@ -154,13 +156,8 @@ Status SaveMinerStatePayload(const PartMiner& miner, std::ostream& out) {
     out << '\n';
   }
 
-  out << "nodes " << miner.node_patterns().size() << '\n';
-  for (size_t node = 0; node < miner.node_patterns().size(); ++node) {
-    WritePatternSet(miner.node_patterns()[node], out);
-    WriteFrontier(miner.node_frontiers()[node], out);
-  }
-  out << "verified\n";
-  WritePatternSet(miner.verified(), out);
+  WritePatternSet(miner.patterns(), out);
+  WriteFrontier(miner.root_frontier(), out);
   if (!out) return Status::IoError("write failed");
   return Status::Ok();
 }
@@ -275,34 +272,17 @@ Status LoadMinerStatePayload(std::istream& in, PartMiner* miner) {
     }
   }
 
-  size_t nodes = 0;
-  if (!(in >> tag >> nodes) || tag != "nodes") {
-    return Status::Corruption("expected nodes");
-  }
-  std::vector<PatternSet> node_patterns(nodes);
-  std::vector<NodeFrontier> node_frontiers(nodes);
-  for (size_t node = 0; node < nodes; ++node) {
-    PARTMINER_RETURN_IF_ERROR(ReadPatternSet(in, &node_patterns[node]));
-    PARTMINER_RETURN_IF_ERROR(ReadFrontier(in, &node_frontiers[node]));
-  }
-
-  if (!(in >> tag) || tag != "verified") {
-    return Status::Corruption("expected verified");
-  }
-  PatternSet verified;
-  PARTMINER_RETURN_IF_ERROR(ReadPatternSet(in, &verified));
+  PatternSet patterns;
+  PARTMINER_RETURN_IF_ERROR(ReadPatternSet(in, &patterns));
+  NodeFrontier frontier;
+  PARTMINER_RETURN_IF_ERROR(ReadFrontier(in, &frontier));
 
   // Install (only after everything parsed and validated, so a failed load
   // leaves the miner untouched).
-  PartitionedDatabase part =
+  miner->mutable_partitioned() =
       PartitionedDatabase::Restore(k, std::move(assignments));
-  if (part.tree().size() != nodes) {
-    return Status::Corruption("node count does not match the merge tree");
-  }
-  miner->mutable_partitioned() = std::move(part);
-  miner->mutable_node_patterns() = std::move(node_patterns);
-  miner->mutable_node_frontiers() = std::move(node_frontiers);
-  miner->set_verified(std::move(verified));
+  miner->mutable_patterns() = std::move(patterns);
+  miner->mutable_root_frontier() = std::move(frontier);
   miner->RestoreMinedState(root_support);
   return Status::Ok();
 }

@@ -12,9 +12,9 @@ namespace partminer {
 /// Persistence for the incremental-mining state. The paper's setting is a
 /// long-lived evolving database; a maintenance process must survive
 /// restarts without re-mining from scratch. SaveMinerState captures
-/// everything IncPartMiner needs — the partition assignments and merge
-/// tree, every node's exact pattern cache, the frontier caches, and the
-/// verified result — in a versioned line-oriented text format. The file
+/// everything IncPartMiner reads — the partition assignments, the root's
+/// exact pattern set (the result) and the root frontier — in a versioned
+/// line-oriented text format (v3; older versions are refused). The file
 /// ends with an integrity footer (`footer <payload_bytes> <fnv1a_hex>`);
 /// Load validates the footer before trusting any of the payload, so a
 /// truncated or bit-flipped file fails with a descriptive Corruption

@@ -30,8 +30,8 @@ std::vector<DfsCode> RightmostExtensions(const DfsCode& base,
                                          const PatternSet& frequent_edges);
 
 /// Invokes `fn` on the canonical code of every connected (k-1)-edge
-/// subpattern obtained by deleting one edge of `pattern` (k edges). Used by
-/// the verification layer's downward-closure reasoning.
+/// subpattern obtained by deleting one edge of `pattern` (k edges) — the
+/// downward-closure neighbourhood of a pattern.
 void ForEachMaximalSubpattern(const Graph& pattern,
                               const std::function<void(const DfsCode&)>& fn);
 

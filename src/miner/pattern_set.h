@@ -22,9 +22,9 @@ struct PatternInfo {
   int support = 0;
   TidSet tids;
   /// True when support/tids were counted exactly against the database the
-  /// holding set describes. Patterns adopted from a pre-update result inside
-  /// IncMergeJoin carry stale info and have this cleared; the verification
-  /// layer re-counts them (and never uses them to TID-restrict counting).
+  /// holding set describes. Every miner and merge emits exact patterns; the
+  /// flag is round-tripped by state_io and honored by the differential
+  /// harness's TID comparison.
   bool exact_tids = true;
 };
 

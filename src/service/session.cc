@@ -66,10 +66,10 @@ Status MinerSession::CheckReadyLocked() const {
 }
 
 void MinerSession::RecordEpochLocked() {
-  digest_ = PatternSetDigest(miner_->verified());
+  digest_ = PatternSetDigest(miner_->patterns());
   epoch_digests_[epoch_] = digest_;
   PM_METRIC_GAUGE("service.epoch")->Set(static_cast<int64_t>(epoch_));
-  PM_METRIC_GAUGE("service.patterns")->Set(miner_->verified().size());
+  PM_METRIC_GAUGE("service.patterns")->Set(miner_->patterns().size());
 }
 
 Status MinerSession::Init(GraphDatabase db) {
@@ -141,8 +141,8 @@ Status MinerSession::ApplyBatch(const std::vector<EditOp>& edits,
   PM_METRIC_COUNTER("service.edits_applied")->Add(outcome.applied);
   PM_METRIC_COUNTER("service.edits_rejected")->Add(outcome.rejected);
 
-  // Phase A: the incremental re-mine round (routing, unit re-mines, merge,
-  // verify) plus the epoch digest that publishes it.
+  // Phase A: the incremental re-mine round (routing, root merge,
+  // classification) plus the epoch digest that publishes it.
   phase_watch.Restart();
   if (outcome.applied > 0) {
     PM_TRACE_SPAN("phase_a_remine", {{"applied", outcome.applied}});
@@ -153,7 +153,7 @@ Status MinerSession::ApplyBatch(const std::vector<EditOp>& edits,
   }
   result->phase_a_seconds = phase_watch.ElapsedSeconds();
   result->epoch = epoch_;
-  result->patterns = miner_->verified().size();
+  result->patterns = miner_->patterns().size();
   result->apply_seconds = watch.ElapsedSeconds();
   PM_METRIC_COUNTER("service.batches_applied")->Increment();
   obs::MetricRegistry::Global()
@@ -183,7 +183,7 @@ Status MinerSession::Query(const QueryRequest& request, QueryReply* reply) {
   reply->digest = digest_;
   reply->support = support;
 
-  const PatternSet& verified = miner_->verified();
+  const PatternSet& verified = miner_->patterns();
   std::vector<const PatternInfo*> frequent;
   for (const PatternInfo& p : verified.patterns()) {
     if (p.support >= support) frequent.push_back(&p);
@@ -300,12 +300,12 @@ int MinerSession::graph_count() const {
 
 int MinerSession::pattern_count() const {
   std::shared_lock lock(mu_);
-  return ready_ ? miner_->verified().size() : 0;
+  return ready_ ? miner_->patterns().size() : 0;
 }
 
 PatternSet MinerSession::VerifiedPatterns() const {
   std::shared_lock lock(mu_);
-  return ready_ ? miner_->verified() : PatternSet();
+  return ready_ ? miner_->patterns() : PatternSet();
 }
 
 }  // namespace service

@@ -42,7 +42,7 @@ struct BatchResult {
   double apply_seconds = 0;
   /// Lifecycle breakdown (DESIGN.md section 13): phase B is applying the
   /// edits to the resident database; phase A is the incremental re-mine
-  /// round (routing, unit re-mines, merge, verify, digest). Together they
+  /// round (routing, root merge, classification, digest). Together they
   /// tile apply_seconds.
   double phase_a_seconds = 0;
   double phase_b_seconds = 0;

@@ -84,15 +84,21 @@ std::string DiffAgainstOracle(const PatternSet& oracle,
   return head.str();
 }
 
+/// Chained incremental rounds per case: enough for state carried across
+/// rounds (the root set and frontier) to be read back by later rounds.
+constexpr int kIncrementalRounds = 4;
+
 /// Seeded update round shared by RunAllChecks and corpus replay: the update
-/// stream is a pure function of the case seed, so minimized repros keep
-/// exercising the same incremental path.
-UpdateOptions MakeUpdateOptions(const FuzzCaseParams& params) {
+/// stream is a pure function of the case seed and the round, so minimized
+/// repros keep exercising the same incremental path. Odd rounds relabel
+/// only — the one update kind that can remove a pattern's occurrences.
+UpdateOptions MakeUpdateOptions(const FuzzCaseParams& params, int round) {
   UpdateOptions upd;
-  Rng rng(params.seed * 0x9e3779b97f4a7c15ull + 3);
+  Rng rng(params.seed * 0x9e3779b97f4a7c15ull + 3 + round);
   upd.fraction_graphs = 0.2 + 0.15 * static_cast<double>(rng.Uniform(4));
   upd.updates_per_graph = 1 + static_cast<int>(rng.Uniform(3));
-  upd.seed = params.seed + 101;
+  if (round % 2 == 1) upd.kinds = {UpdateKind::kRelabel};
+  upd.seed = params.seed + 101 + round;
   return upd;
 }
 
@@ -164,7 +170,7 @@ DifferentialResult RunAllChecks(const GraphDatabase& db,
   }
 
   // PartMiner across unit miners and thread counts; Theorems 1-3 say the
-  // partition-mine-merge-verify pipeline is lossless.
+  // partition-mine-merge pipeline is lossless.
   for (const UnitMinerKind kind : {UnitMinerKind::kGaston,
                                    UnitMinerKind::kGSpan}) {
     for (const int threads : {0, 2, 8}) {
@@ -225,8 +231,11 @@ DifferentialResult RunAllChecks(const GraphDatabase& db,
     }
   }
 
-  // Incremental round: mine, apply seeded updates, update incrementally,
-  // and compare against a from-scratch re-mining of the updated database.
+  // Chained incremental rounds from one Mine: apply seeded updates, update
+  // incrementally, and compare every round against a from-scratch re-mining
+  // of the updated database. Updates of at most half the graphs take the
+  // frontier-backed delta path; larger ones take the exact re-sweep, which
+  // drops the frontier until a smaller round re-captures it.
   if (result.ok()) {
     GraphDatabase updated = db;
     AssignUpdateHotspots(&updated, 0.3, params.seed + 11);
@@ -236,27 +245,29 @@ DifferentialResult RunAllChecks(const GraphDatabase& db,
     popt.max_edges = params.max_edges;
     popt.partition.k = params.k;
     popt.partition.seed = params.seed + 7;
+    popt.inc_delta_sweep_max_fraction = 0.5;
     PartMiner miner(popt);
     miner.Mine(updated);
 
-    const UpdateLog log =
-        ApplyUpdates(&updated, params.gen.num_labels, MakeUpdateOptions(params));
-    IncPartMiner inc;
-    const IncPartMinerResult inc_result = inc.Update(&miner, updated, log);
-
-    GSpanMiner gspan;
-    const PatternSet remined = gspan.Mine(updated, options);
     ++result.configurations;
-    // The incremental result is diffed against a fresh serial mining of the
-    // updated database (itself already validated against the oracle above
-    // on the pre-update database).
-    result.divergence =
-        DiffAgainstOracle(remined, inc_result.patterns, "incpartminer");
-    if (!result.divergence.empty()) {
+    IncPartMiner inc;
+    for (int round = 0; round < kIncrementalRounds && result.ok(); ++round) {
+      const UpdateLog log = ApplyUpdates(&updated, params.gen.num_labels,
+                                         MakeUpdateOptions(params, round));
+      const IncPartMinerResult inc_result = inc.Update(&miner, updated, log);
+
+      // Diffed against a fresh serial mining of the updated database (gSpan
+      // is itself validated against the oracle above).
+      GSpanMiner gspan;
+      const PatternSet remined = gspan.Mine(updated, options);
       result.divergence =
-          "after seeded updates to " +
-          std::to_string(log.updated_graphs.size()) +
-          " graphs: " + result.divergence;
+          DiffAgainstOracle(remined, inc_result.patterns, "incpartminer");
+      if (!result.divergence.empty()) {
+        result.divergence = "round " + std::to_string(round) +
+                            " of chained updates (" +
+                            std::to_string(log.updated_graphs.size()) +
+                            " graphs): " + result.divergence;
+      }
     }
   }
 
@@ -297,7 +308,8 @@ Status WriteReproFile(const std::string& path, const GraphDatabase& db,
   if (!out) return Status::IoError("cannot open " + path + " for writing");
   out << "# partminer-fuzz repro seed=" << params.seed
       << " support=" << params.min_support
-      << " max_edges=" << params.max_edges << " k=" << params.k << "\n";
+      << " max_edges=" << params.max_edges << " k=" << params.k
+      << " labels=" << params.gen.num_labels << "\n";
   // First line of the divergence, as a comment, for humans browsing the
   // corpus; replay re-derives the ground truth itself.
   const size_t eol = divergence.find('\n');
@@ -334,6 +346,8 @@ Status ReplayReproFile(const std::string& path, DifferentialResult* result) {
       params.max_edges = static_cast<int>(value);
     } else if (key == "k") {
       params.k = static_cast<int>(value);
+    } else if (key == "labels") {  // Draws the update stream's relabels.
+      params.gen.num_labels = static_cast<int>(value);
     }
   }
   if (params.min_support < 1 || params.max_edges < 1 || params.k < 2) {

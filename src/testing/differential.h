@@ -43,11 +43,12 @@ struct DifferentialResult {
 /// gSpan (serial, and on work-stealing pools of 2 and 8 threads), Gaston,
 /// PartMiner (both unit miners, unit-mining threads 0/2/8), PartMiner with
 /// the label-index and minimality-cache fast paths disabled, the
-/// disk-resident AdiMine on a deliberately tiny buffer pool, and an
-/// IncPartMiner round (seeded updates, incremental result vs from-scratch
-/// re-mining) — and diffs every result (codes, supports, exact TID sets)
-/// against the oracle. Theorems 1–3 of the paper say all of these must be
-/// identical; any difference is a bug in one of them.
+/// disk-resident AdiMine on a deliberately tiny buffer pool, and chained
+/// IncPartMiner rounds from one Mine (seeded updates with relabels, each
+/// round's result vs from-scratch re-mining) — and diffs every result
+/// (codes, supports, exact TID sets) against the oracle. Theorems 1–3 of
+/// the paper say all of these must be identical; any difference is a bug
+/// in one of them.
 DifferentialResult RunAllChecks(const GraphDatabase& db,
                                 const FuzzCaseParams& params);
 

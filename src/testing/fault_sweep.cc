@@ -185,7 +185,7 @@ FaultSweepOutcome RunStateIoFaultSweep(uint64_t seed) {
     }
     // A load that succeeds despite tampering must have restored exactly
     // the saved result (only possible for no-op corruptions).
-    const std::string diff = DiffExact(miner.verified(), restored.verified());
+    const std::string diff = DiffExact(miner.patterns(), restored.patterns());
     if (diff.empty()) {
       ++out.successes;
     } else {
@@ -335,7 +335,7 @@ FaultSweepOutcome RunDaemonFaultSweep(uint64_t seed) {
   const auto oracle_digest = [&](const GraphDatabase& db) {
     PartMiner oracle(session_options.miner);
     oracle.Mine(db);
-    return service::PatternSetDigest(oracle.verified());
+    return service::PatternSetDigest(oracle.patterns());
   };
 
   const auto run_round = [&](FaultInjector* injector,

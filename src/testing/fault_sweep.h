@@ -33,7 +33,7 @@ FaultSweepOutcome RunAdiFaultSweep(uint64_t seed);
 
 /// Sweeps miner-state persistence: saves a mined PartMiner, then attempts
 /// loads from truncated and bit-flipped images. Any load that does not
-/// fail cleanly must restore exactly the saved verified result.
+/// fail cleanly must restore exactly the saved pattern set.
 FaultSweepOutcome RunStateIoFaultSweep(uint64_t seed);
 
 /// Sweeps the resident mining service: a daemon (session + protocol

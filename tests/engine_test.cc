@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+
 #include "common/random.h"
 #include "graph/canonical.h"
 #include "tests/test_util.h"
@@ -116,6 +118,52 @@ TEST(EngineTest, OrderPruningOnlyDropsNonMinimalExtensions) {
       }
     }
   }
+}
+
+TEST(ProjectCodeTest, EnumeratesAllEmbeddings) {
+  // Triangle with uniform labels: 6 automorphic embeddings of its own code.
+  Graph triangle;
+  triangle.AddVertex(0);
+  triangle.AddVertex(0);
+  triangle.AddVertex(0);
+  triangle.AddEdge(0, 1, 0);
+  triangle.AddEdge(1, 2, 0);
+  triangle.AddEdge(2, 0, 0);
+  GraphDatabase db;
+  db.Add(triangle);
+
+  DfsCode code;
+  code.Append({0, 1, 0, 0, 0});
+  code.Append({1, 2, 0, 0, 0});
+  code.Append({2, 0, 0, 0, 0});
+  std::deque<engine::Embedding> arena;
+  const engine::Projected projected =
+      engine::ProjectCode(code, db, {0}, &arena);
+  EXPECT_EQ(projected.size(), 6u);
+  EXPECT_EQ(engine::SupportOf(projected), 1);
+
+  // A single-edge code in the triangle: 6 oriented embeddings.
+  DfsCode edge;
+  edge.Append({0, 1, 0, 0, 0});
+  std::deque<engine::Embedding> arena2;
+  EXPECT_EQ(engine::ProjectCode(edge, db, {0}, &arena2).size(), 6u);
+}
+
+TEST(ProjectCodeTest, RespectsGraphRestriction) {
+  GraphDatabase db;
+  for (int i = 0; i < 3; ++i) {
+    Graph g;
+    g.AddVertex(0);
+    g.AddVertex(1);
+    g.AddEdge(0, 1, 0);
+    db.Add(g);
+  }
+  DfsCode edge;
+  edge.Append({0, 1, 0, 0, 1});
+  std::deque<engine::Embedding> arena;
+  const engine::Projected projected =
+      engine::ProjectCode(edge, db, {0, 2}, &arena);
+  EXPECT_EQ(engine::TidsOf(projected), (std::vector<int>{0, 2}));
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include "datagen/generator.h"
 #include "datagen/update_generator.h"
 #include "miner/gspan.h"
+#include "obs/metrics.h"
 #include "tests/test_util.h"
 
 namespace partminer {
@@ -189,13 +190,9 @@ TEST(IncPartMinerTest, UntouchedUnitsAreNotRemined) {
 
   IncPartMiner inc;
   const IncPartMinerResult result = inc.Update(&miner, db, log);
+  EXPECT_GT(result.remined_units.Count(), 0);
   EXPECT_LT(result.remined_units.Count(), 4)
       << "expected at least one unit untouched";
-  for (int j = 0; j < 4; ++j) {
-    if (!result.remined_units.Test(j)) {
-      EXPECT_EQ(result.unit_mining_seconds[j], 0.0);
-    }
-  }
 }
 
 TEST(IncPartMinerTest, IncrementalWorkIsBoundedByUpdates) {
@@ -212,6 +209,9 @@ TEST(IncPartMinerTest, IncrementalWorkIsBoundedByUpdates) {
   const UpdateLog log = ApplyUpdates(&db, 5, upd);
 
   IncPartMiner inc;
+  obs::Counter* iso_tests =
+      obs::MetricRegistry::Global().GetCounter("iso.subgraph_tests");
+  const int64_t iso_before = iso_tests->value();
   const IncPartMinerResult result = inc.Update(&miner, db, log);
   // The incremental merge delta-recounts the cached patterns (touching only
   // updated graphs) and counts far fewer fresh candidates than the initial
@@ -219,11 +219,53 @@ TEST(IncPartMinerTest, IncrementalWorkIsBoundedByUpdates) {
   EXPECT_GT(result.merge_stats.delta_recounts, 0);
   EXPECT_LT(result.merge_stats.candidates_counted,
             before.merge_stats.candidates_counted);
-  // The final verification trusts the exact merge output: at most the stale
-  // pre-update patterns (FI candidates) are re-examined.
-  EXPECT_LE(result.verify_stats.graphs_examined,
-            static_cast<int64_t>(log.updated_graphs.size()) *
-                (before.patterns.size() + 1));
+  // Supports come from set arithmetic and embedding projection alone: the
+  // round runs no subgraph-isomorphism test.
+  EXPECT_EQ(iso_tests->value(), iso_before);
+}
+
+/// Chained relabel rounds carried from one Mine, each compared with gSpan.
+/// A relabel can strip every occurrence of a cached pattern from the
+/// updated graphs, so the delta sweep never reaches it; dropped without a
+/// frontier entry, a later round that reaches it again would count it from
+/// zero and miss it.
+TEST(IncPartMinerTest, ChainedRelabelRoundsStayExact) {
+  for (const int k : {1, 2, 4}) {
+    for (const uint64_t seed : {0, 1, 5}) {
+      GeneratorParams params;
+      params.num_graphs = 40;
+      params.avg_edges = 10;
+      params.num_labels = 5;
+      params.num_kernels = 20;
+      params.avg_kernel_edges = 3;
+      params.seed = seed;
+      GraphDatabase db = GenerateDatabase(params);
+      AssignUpdateHotspots(&db, 0.2, seed + 1);
+
+      PartMinerOptions options;
+      options.min_support_count = 4;
+      options.partition.k = k;
+      PartMiner miner(options);
+      miner.Mine(db);
+
+      GSpanMiner gspan;
+      MinerOptions full;
+      full.min_support = 4;
+      IncPartMiner inc;
+      for (int round = 0; round < 12; ++round) {
+        UpdateOptions upd;
+        upd.fraction_graphs = 0.1;
+        upd.kinds = {UpdateKind::kRelabel};
+        upd.seed = seed * 1000 + round;
+        const UpdateLog log = ApplyUpdates(&db, params.num_labels, upd);
+        const IncPartMinerResult result = inc.Update(&miner, db, log);
+        ExpectSameResults(gspan.Mine(db, full), result.patterns,
+                          "k=" + std::to_string(k) + " seed " +
+                              std::to_string(seed) + " round " +
+                              std::to_string(round));
+      }
+    }
+  }
 }
 
 TEST(IncPartMinerTest, RequiresMinedState) {

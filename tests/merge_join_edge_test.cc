@@ -42,7 +42,7 @@ TEST(MergeJoinEdgeTest, EmptyNodeDatabaseYieldsEmptyResult) {
   options.min_support = 1;
   MergeJoinStats stats;
   const PatternSet result =
-      MergeJoin(empty, PatternSet(), PatternSet(), options, &stats, nullptr);
+      MergeJoin(empty, {}, options, &stats, nullptr);
   EXPECT_EQ(result.size(), 0);
 }
 
@@ -60,7 +60,7 @@ TEST(MergeJoinEdgeTest, EmptyChildrenStillRecoverExactly) {
   options.min_support = 4;
   MergeJoinStats stats;
   const PatternSet result =
-      MergeJoin(db, PatternSet(), PatternSet(), options, &stats, nullptr);
+      MergeJoin(db, {}, options, &stats, nullptr);
 
   GSpanMiner gspan;
   MinerOptions full;
@@ -75,7 +75,7 @@ TEST(MergeJoinEdgeTest, SupportAboveDatabaseSizeIsEmpty) {
   options.min_support = 2;  // k larger than the database at this node.
   MergeJoinStats stats;
   const PatternSet result =
-      MergeJoin(db, PatternSet(), PatternSet(), options, &stats, nullptr);
+      MergeJoin(db, {}, options, &stats, nullptr);
   EXPECT_EQ(result.size(), 0);
 }
 

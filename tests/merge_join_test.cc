@@ -136,7 +136,7 @@ TEST(MergeJoinTest, LosslessRecoveryAgainstGSpan) {
     mj.min_support = sup;
     MergeJoinStats stats;
     const PatternSet merged =
-        MergeJoin(db, left, right, mj, &stats, /*frontier_out=*/nullptr);
+        MergeJoin(db, {left, right}, mj, &stats, /*frontier_out=*/nullptr);
 
     MinerOptions full;
     full.min_support = sup;

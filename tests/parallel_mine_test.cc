@@ -157,7 +157,6 @@ TEST(ParallelMineTest, IncPartMinerIdenticalAcrossThreadCounts) {
     ExpectBitIdentical(expected.uf, got.uf, what + " uf");
     ExpectBitIdentical(expected.if_, got.if_, what + " if");
     ExpectBitIdentical(expected.fi, got.fi, what + " fi");
-    EXPECT_EQ(expected.prune_set_size, got.prune_set_size) << what;
     EXPECT_EQ(expected.remined_units.bits(), got.remined_units.bits()) << what;
   }
 }

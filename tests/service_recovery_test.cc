@@ -126,9 +126,9 @@ TEST_F(ServiceRecoveryTest, RestoredSessionMatchesUninterruptedRun) {
   }
   PartMiner oracle(MakeOptions().miner);
   oracle.Mine(replayed);
-  ExpectSamePatterns(oracle.verified(), restored.VerifiedPatterns(),
+  ExpectSamePatterns(oracle.patterns(), restored.VerifiedPatterns(),
                      "restored vs from-scratch oracle");
-  EXPECT_EQ(PatternSetDigest(oracle.verified()), expected_digest);
+  EXPECT_EQ(PatternSetDigest(oracle.patterns()), expected_digest);
   RemoveSnapshot(prefix);
 }
 

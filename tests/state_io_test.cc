@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/inc_part_miner.h"
 #include "datagen/generator.h"
@@ -50,7 +53,7 @@ TEST(StateIoTest, RoundTripPreservesVerifiedResult) {
   ASSERT_TRUE(LoadMinerState(buffer, &restored).ok());
   EXPECT_TRUE(restored.mined());
   EXPECT_EQ(restored.root_support(), 4);
-  ExpectSameResults(original.patterns, restored.verified(), "round trip");
+  ExpectSameResults(original.patterns, restored.patterns(), "round trip");
   EXPECT_EQ(miner.partitioned().assignments(),
             restored.partitioned().assignments());
 }
@@ -98,7 +101,7 @@ TEST(StateIoTest, FileRoundTrip) {
   ASSERT_TRUE(SaveMinerStateFile(miner, path).ok());
   PartMiner restored(options);
   ASSERT_TRUE(LoadMinerStateFile(path, &restored).ok());
-  ExpectSameResults(miner.verified(), restored.verified(), "file round trip");
+  ExpectSameResults(miner.patterns(), restored.patterns(), "file round trip");
   ::unlink(path.c_str());
 }
 
@@ -200,6 +203,67 @@ TEST(StateIoTest, ChecksumFailureNamesTheProblem) {
   EXPECT_EQ(status.code(), Status::Code::kCorruption);
   EXPECT_NE(status.message().find("checksum mismatch"), std::string::npos)
       << status.ToString();
+}
+
+TEST(StateIoTest, StateHoldsOnlyPartitionRootSetAndRootFrontier) {
+  GraphDatabase db = MakeDatabase(19);
+  PartMinerOptions options;
+  options.min_support_count = 4;
+  options.partition.k = 4;
+  PartMiner miner(options);
+  miner.Mine(db);
+  ASSERT_TRUE(miner.root_frontier().valid);
+
+  std::stringstream buffer;
+  ASSERT_TRUE(SaveMinerState(miner, buffer).ok());
+  std::vector<std::string> sections;
+  std::string line;
+  while (std::getline(buffer, line)) {
+    const std::string tag = line.substr(0, line.find(' '));
+    if (!tag.empty() && !std::isdigit(static_cast<unsigned char>(tag[0]))) {
+      sections.push_back(tag);
+    }
+  }
+  EXPECT_EQ(sections,
+            (std::vector<std::string>{"partminer-state", "root_support", "k",
+                                      "graphs", "patterns", "frontier",
+                                      "footer"}));
+  buffer.clear();
+  buffer.seekg(0);
+  EXPECT_EQ(buffer.str().rfind("partminer-state 3\n", 0), 0u);
+
+  PartMiner restored(options);
+  ASSERT_TRUE(LoadMinerState(buffer, &restored).ok());
+  ExpectSameResults(miner.patterns(), restored.patterns(), "root set");
+  EXPECT_EQ(miner.root_frontier().valid, restored.root_frontier().valid);
+  EXPECT_TRUE(miner.root_frontier().map == restored.root_frontier().map);
+  EXPECT_EQ(miner.partitioned().assignments(),
+            restored.partitioned().assignments());
+}
+
+TEST(StateIoTest, VersionTwoFileIsRefusedAndMinerLeftUntouched) {
+  GraphDatabase db = MakeDatabase(23);
+  PartMinerOptions options;
+  options.min_support_count = 4;
+  options.partition.k = 2;
+  PartMiner miner(options);
+  miner.Mine(db);
+  const PatternSet patterns = miner.patterns();
+  const NodeFrontier frontier = miner.root_frontier();
+  const auto assignments = miner.partitioned().assignments();
+
+  const Status status = LoadMinerStateFile(
+      std::string(PARTMINER_SOURCE_DIR) + "/data/corpus/state_v2.state",
+      &miner);
+  EXPECT_EQ(status.code(), Status::Code::kInvalidArgument)
+      << status.ToString();
+  EXPECT_NE(status.message().find("version 2"), std::string::npos)
+      << status.ToString();
+  EXPECT_TRUE(miner.mined());
+  EXPECT_EQ(miner.root_support(), 4);
+  ExpectSameResults(patterns, miner.patterns(), "after refused load");
+  EXPECT_TRUE(frontier.map == miner.root_frontier().map);
+  EXPECT_EQ(assignments, miner.partitioned().assignments());
 }
 
 TEST(StateIoTest, LegacyV1FileWithoutFooterIsRejected) {

@@ -104,5 +104,56 @@ TEST(StressSlowTest, VertexChainsRouteThroughNewVertices) {
   }
 }
 
+/// Relabel soak: chained relabel rounds from one Mine on D200T20N20L50I5
+/// at 4%, each round compared with gSpan — 20 seeds at k=2 (2% of graphs
+/// per round, 60 rounds) and at k=4 (10%, 40 rounds). This is the sweep
+/// that exposed the relabel drift of the delta sweep (a cached pattern
+/// dropped without a frontier entry, then counted from zero rounds later).
+TEST(StressSlowTest, ChainedRelabelSoakMatchesGSpan) {
+  struct Setup {
+    int k;
+    double fraction;
+    int rounds;
+  };
+  for (const Setup& setup : {Setup{2, 0.02, 60}, Setup{4, 0.10, 40}}) {
+    for (uint64_t seed = 0; seed < 20; ++seed) {
+      GeneratorParams params;
+      params.num_graphs = 200;
+      params.avg_edges = 20;
+      params.num_labels = 20;
+      params.num_kernels = 50;
+      params.avg_kernel_edges = 5;
+      params.seed = seed;
+      GraphDatabase db = GenerateDatabase(params);
+      AssignUpdateHotspots(&db, 0.2, seed + 1);
+
+      PartMinerOptions options;
+      options.min_support_fraction = 0.04;
+      options.partition.k = setup.k;
+      PartMiner miner(options);
+      miner.Mine(db);
+      GSpanMiner gspan;
+      MinerOptions full;
+      full.min_support = miner.root_support();
+
+      IncPartMiner inc;
+      for (int round = 0; round < setup.rounds; ++round) {
+        UpdateOptions upd;
+        upd.fraction_graphs = setup.fraction;
+        upd.kinds = {UpdateKind::kRelabel};
+        upd.seed = seed * 1000 + round;
+        const UpdateLog log = ApplyUpdates(&db, params.num_labels, upd);
+        const PatternSet got = inc.Update(&miner, db, log).patterns;
+        const PatternSet expected = gspan.Mine(db, full);
+        const std::string what = "k=" + std::to_string(setup.k) + " seed " +
+                                 std::to_string(seed) + " round " +
+                                 std::to_string(round);
+        ExpectSamePatterns(expected, got, what);
+        if (expected.SortedCodeStrings() != got.SortedCodeStrings()) break;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace partminer

@@ -182,9 +182,9 @@ INSTANTIATE_TEST_SUITE_P(
 
 class FastPathIncremental : public ::testing::TestWithParam<int> {};
 
-/// The incremental path exercises the delta arithmetic (VerifyDelta,
-/// IncMergeJoin) where the index prunes the updated-graph rescans; both
-/// configurations must produce the same classification and TID lists.
+/// The incremental path exercises the delta arithmetic of IncMergeJoin
+/// under the minimality memo; both configurations must produce the same
+/// classification and TID lists.
 TEST_P(FastPathIncremental, UpdateBitIdentical) {
   const int threads = GetParam();
   FastPathGuard guard;
