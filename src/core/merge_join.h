@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "graph/graph.h"
-#include "miner/extensions.h"
 #include "miner/pattern_set.h"
 
 namespace partminer {

@@ -155,24 +155,4 @@ std::vector<DfsCode> RightmostExtensions(const DfsCode& base,
   return out;
 }
 
-
-void ForEachMaximalSubpattern(
-    const Graph& pattern, const std::function<void(const DfsCode&)>& fn) {
-  const std::vector<EdgeEntry> edges = pattern.UndirectedEdges();
-  if (edges.size() <= 1) return;
-  for (size_t skip = 0; skip < edges.size(); ++skip) {
-    Graph sub;
-    std::vector<VertexId> remap(pattern.VertexCount(), -1);
-    auto ensure = [&](VertexId v) {
-      if (remap[v] == -1) remap[v] = sub.AddVertex(pattern.vertex_label(v));
-      return remap[v];
-    };
-    for (size_t i = 0; i < edges.size(); ++i) {
-      if (i == skip) continue;
-      sub.AddEdge(ensure(edges[i].from), ensure(edges[i].to), edges[i].label);
-    }
-    if (sub.IsConnected()) fn(MinimumDfsCode(sub));
-  }
-}
-
 }  // namespace partminer

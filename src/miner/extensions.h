@@ -1,7 +1,6 @@
 #ifndef PARTMINER_MINER_EXTENSIONS_H_
 #define PARTMINER_MINER_EXTENSIONS_H_
 
-#include <functional>
 #include <vector>
 
 #include "graph/dfs_code.h"
@@ -28,12 +27,6 @@ std::vector<DfsCode> GenerateExtensions(const Graph& pattern,
 /// generator behind the Apriori-style miner and the property tests.
 std::vector<DfsCode> RightmostExtensions(const DfsCode& base,
                                          const PatternSet& frequent_edges);
-
-/// Invokes `fn` on the canonical code of every connected (k-1)-edge
-/// subpattern obtained by deleting one edge of `pattern` (k edges) — the
-/// downward-closure neighbourhood of a pattern.
-void ForEachMaximalSubpattern(const Graph& pattern,
-                              const std::function<void(const DfsCode&)>& fn);
 
 }  // namespace partminer
 

@@ -350,15 +350,14 @@ std::string Daemon::HandleLine(const std::string& line, bool* shutdown) {
 
   std::string response;
   if (command == "ping") {
+    const std::shared_ptr<const Published> pub = session_->Current();
     Json result = Json::Object();
-    result.Set("epoch",
-               Json::Number(static_cast<int64_t>(session_->epoch())));
-    result.Set("graphs",
-               Json::Number(static_cast<int64_t>(session_->graph_count())));
+    result.Set("epoch", Json::Number(static_cast<int64_t>(pub->epoch)));
+    result.Set("graphs", Json::Number(static_cast<int64_t>(pub->graph_count)));
     result.Set("patterns",
-               Json::Number(static_cast<int64_t>(session_->pattern_count())));
-    result.Set("support", Json::Number(
-                              static_cast<int64_t>(session_->resident_support())));
+               Json::Number(static_cast<int64_t>(pub->by_code.size())));
+    result.Set("support",
+               Json::Number(static_cast<int64_t>(pub->resident_support)));
     result.Set("queue_depth",
                Json::Number(static_cast<int64_t>(queue_depth_edits())));
     response = RenderResponse(id, std::move(result));
@@ -413,22 +412,22 @@ std::string Daemon::HandleLine(const std::string& line, bool* shutdown) {
     } else {
       result.Set("registry", Json::Null());
     }
+    const std::shared_ptr<const Published> pub = session_->Current();
     result.Set("queue_depth",
                Json::Number(static_cast<int64_t>(queue_depth_edits())));
-    result.Set("epoch",
-               Json::Number(static_cast<int64_t>(session_->epoch())));
+    result.Set("epoch", Json::Number(static_cast<int64_t>(pub->epoch)));
     const int64_t uptime_ms =
         std::chrono::duration_cast<std::chrono::milliseconds>(
             std::chrono::steady_clock::now() - started_)
             .count();
     result.Set("uptime_ms", Json::Number(uptime_ms));
-    result.Set("state", Json::Str(HealthState()));
+    result.Set("state", Json::Str(HealthState(*pub)));
     response = RenderResponse(id, std::move(result));
   } else if (command == "health") {
+    const std::shared_ptr<const Published> pub = session_->Current();
     Json result = Json::Object();
-    result.Set("state", Json::Str(HealthState()));
-    result.Set("epoch",
-               Json::Number(static_cast<int64_t>(session_->epoch())));
+    result.Set("state", Json::Str(HealthState(*pub)));
+    result.Set("epoch", Json::Number(static_cast<int64_t>(pub->epoch)));
     result.Set("queue_depth",
                Json::Number(static_cast<int64_t>(queue_depth_edits())));
     response = RenderResponse(id, std::move(result));
@@ -446,10 +445,10 @@ std::string Daemon::HandleLine(const std::string& line, bool* shutdown) {
     }
   } else if (command == "sync") {
     WaitQueueDrained();
+    const std::shared_ptr<const Published> pub = session_->Current();
     Json result = Json::Object();
-    result.Set("epoch",
-               Json::Number(static_cast<int64_t>(session_->epoch())));
-    result.Set("digest", Json::Str(std::to_string(session_->digest())));
+    result.Set("epoch", Json::Number(static_cast<int64_t>(pub->epoch)));
+    result.Set("digest", Json::Str(std::to_string(pub->digest)));
     response = RenderResponse(id, std::move(result));
   } else if (command == "shutdown") {
     *shutdown = true;
@@ -482,8 +481,8 @@ std::string Daemon::HandleLine(const std::string& line, bool* shutdown) {
   return response;
 }
 
-std::string Daemon::HealthState() {
-  if (!session_->ready()) return "starting";
+std::string Daemon::HealthState(const Published& pub) {
+  if (!pub.ready) return "starting";
   const int depth = queue_depth_edits();
   if (depth * 5 >= options_.queue_cap_edits * 4) return "overloaded";
   if (degraded_.load(std::memory_order_relaxed)) return "degraded";

@@ -51,10 +51,12 @@ struct DaemonOptions {
 /// also what makes the protocol table-testable in-process.
 ///
 /// Threading: any number of threads may call HandleLine concurrently (one
-/// per client connection). Queries run on the calling thread under the
-/// session's shared lock; updates are enqueued into the bounded queue and
-/// applied by the single internal batcher thread, which coalesces adjacent
-/// batches up to batch_max_edits per IncPartMiner round.
+/// per client connection). Queries and the operator verbs (ping, sync,
+/// health, metrics) run on the calling thread against one published epoch
+/// of the session, loaded once per request and never waiting on a batch
+/// apply; updates are enqueued into the bounded queue and applied by the
+/// single internal batcher thread, which coalesces adjacent batches up to
+/// batch_max_edits per IncPartMiner round.
 class Daemon {
  public:
   Daemon(MinerSession* session, const DaemonOptions& options);
@@ -110,8 +112,9 @@ class Daemon {
   std::string HandleQuery(const Json& request, const Json* id);
   /// Operator health summary: "starting" until the session is ready,
   /// "overloaded" at >= 80% queue occupancy, "degraded" (sticky) after a
-  /// dropped batch or failed snapshot write, else "serving".
-  std::string HealthState();
+  /// dropped batch or failed snapshot write, else "serving". `pub` is the
+  /// request's published epoch.
+  std::string HealthState(const Published& pub);
 
   MinerSession* session_;
   DaemonOptions options_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <mutex>
+#include <numeric>
 #include <sstream>
 
 #include "common/timing.h"
@@ -38,50 +39,98 @@ Status RecordInjectedFault(FaultInjector::Op op, const std::string& context) {
   return FaultInjector::InjectedFault(op, context);
 }
 
-}  // namespace
-
-MinerSession::MinerSession(const SessionOptions& options)
-    : options_(options) {}
-
-MinerSession::~MinerSession() = default;
-
-uint64_t PatternSetDigest(const PatternSet& patterns) {
-  std::vector<std::pair<std::string, int>> entries;
-  entries.reserve(patterns.size());
-  for (const PatternInfo& p : patterns.patterns()) {
-    entries.emplace_back(p.code.ToString(), p.support);
+/// The (code string, support) pairs of `patterns` sorted by code string —
+/// each code stringified once — and in `order` the pattern index of each.
+std::vector<std::pair<std::string, int>> SortByCode(
+    const std::vector<PatternInfo>& patterns, std::vector<int>* order) {
+  std::vector<std::string> codes(patterns.size());
+  for (size_t i = 0; i < patterns.size(); ++i) {
+    codes[i] = patterns[i].code.ToString();
   }
-  std::sort(entries.begin(), entries.end());
+  order->resize(patterns.size());
+  std::iota(order->begin(), order->end(), 0);
+  std::sort(order->begin(), order->end(),
+            [&](int a, int b) { return codes[a] < codes[b]; });
+  std::vector<std::pair<std::string, int>> sorted;
+  sorted.reserve(patterns.size());
+  for (const int i : *order) {
+    sorted.emplace_back(std::move(codes[i]), patterns[i].support);
+  }
+  return sorted;
+}
+
+/// FNV-1a over (code, support) pairs already sorted by code string.
+uint64_t DigestSorted(const std::vector<std::pair<std::string, int>>& sorted) {
   uint64_t h = kFnvOffset;
-  for (const auto& [code, support] : entries) {
+  for (const auto& [code, support] : sorted) {
     FnvMix(&h, code.data(), code.size());
     FnvMix(&h, &support, sizeof(support));
   }
   return h;
 }
 
-Status MinerSession::CheckReadyLocked() const {
-  if (!ready_) return Status::InvalidArgument("session not initialized");
-  return Status::Ok();
+Status NotInitialized() {
+  return Status::InvalidArgument("session not initialized");
 }
 
-void MinerSession::RecordEpochLocked() {
-  digest_ = PatternSetDigest(miner_->patterns());
-  epoch_digests_[epoch_] = digest_;
+}  // namespace
+
+MinerSession::MinerSession(const SessionOptions& options)
+    : options_(options),
+      published_(std::make_shared<const Published>()),
+      epoch_digests_(kDigestWindow) {}
+
+MinerSession::~MinerSession() = default;
+
+uint64_t PatternSetDigest(const PatternSet& patterns) {
+  std::vector<int> order;
+  return DigestSorted(SortByCode(patterns.patterns(), &order));
+}
+
+void MinerSession::PublishLocked() {
+  // Sort once by code string (the digest's order, and the containment
+  // table), then order only an index array for replies.
+  const std::vector<PatternInfo>& patterns = miner_->patterns().patterns();
+  const int n = static_cast<int>(patterns.size());
+  std::vector<int> order;
+  auto next = std::make_shared<Published>();
+  next->ready = true;
+  next->epoch = epoch_;
+  next->resident_support = miner_->root_support();
+  next->graph_count = db_.size();
+  next->by_code = SortByCode(patterns, &order);
+  next->digest = DigestSorted(next->by_code);
+  next->by_support.resize(n);
+  std::iota(next->by_support.begin(), next->by_support.end(), 0);
+  std::sort(next->by_support.begin(), next->by_support.end(),
+            [&](int a, int b) {
+              const PatternInfo& pa = patterns[order[a]];
+              const PatternInfo& pb = patterns[order[b]];
+              if (pa.support != pb.support) return pa.support > pb.support;
+              return pa.code.Compare(pb.code) < 0;
+            });
+
+  epoch_digests_[epoch_ % kDigestWindow] = {epoch_, next->digest};
   PM_METRIC_GAUGE("service.epoch")->Set(static_cast<int64_t>(epoch_));
-  PM_METRIC_GAUGE("service.patterns")->Set(miner_->patterns().size());
+  PM_METRIC_GAUGE("service.patterns")->Set(n);
+  std::shared_ptr<const Published> previous = std::move(next);
+  {
+    std::lock_guard<std::mutex> lock(published_mu_);
+    published_.swap(previous);
+  }
+  // The previous epoch is freed here, outside the pointer lock, unless a
+  // reader still holds it.
 }
 
 Status MinerSession::Init(GraphDatabase db) {
+  if (db.empty()) return Status::InvalidArgument("empty database");
   std::unique_lock lock(mu_);
   db_ = std::move(db);
-  if (db_.empty()) return Status::InvalidArgument("empty database");
   miner_ = std::make_unique<PartMiner>(options_.miner);
   miner_->Mine(db_);
   epoch_ = 0;
-  ready_ = true;
-  epoch_digests_.clear();
-  RecordEpochLocked();
+  epoch_digests_.assign(kDigestWindow, {});
+  PublishLocked();
   return Status::Ok();
 }
 
@@ -105,9 +154,8 @@ Status MinerSession::InitFromSnapshot(const std::string& db_path,
   db_ = std::move(db);
   miner_ = std::move(miner);
   epoch_ = 0;
-  ready_ = true;
-  epoch_digests_.clear();
-  RecordEpochLocked();
+  epoch_digests_.assign(kDigestWindow, {});
+  PublishLocked();
   return Status::Ok();
 }
 
@@ -115,7 +163,7 @@ Status MinerSession::ApplyBatch(const std::vector<EditOp>& edits,
                                 BatchResult* result) {
   Stopwatch watch;
   std::unique_lock lock(mu_);
-  PARTMINER_RETURN_IF_ERROR(CheckReadyLocked());
+  if (miner_ == nullptr) return NotInitialized();
   if (edits.empty()) return Status::InvalidArgument("empty edit batch");
   // Admission: an injected alloc fault models the arena/queue memory the
   // batch would pin during re-mining. Nothing has mutated yet, so failing
@@ -142,14 +190,14 @@ Status MinerSession::ApplyBatch(const std::vector<EditOp>& edits,
   PM_METRIC_COUNTER("service.edits_rejected")->Add(outcome.rejected);
 
   // Phase A: the incremental re-mine round (routing, root merge,
-  // classification) plus the epoch digest that publishes it.
+  // classification) plus publishing the new epoch.
   phase_watch.Restart();
   if (outcome.applied > 0) {
     PM_TRACE_SPAN("phase_a_remine", {{"applied", outcome.applied}});
     const IncPartMinerResult inc = inc_.Update(miner_.get(), db_, log);
     result->remined_units = inc.remined_units.Count();
     ++epoch_;
-    RecordEpochLocked();
+    PublishLocked();
   }
   result->phase_a_seconds = phase_watch.ElapsedSeconds();
   result->epoch = epoch_;
@@ -169,9 +217,9 @@ Status MinerSession::ApplyBatch(const std::vector<EditOp>& edits,
 }
 
 Status MinerSession::Query(const QueryRequest& request, QueryReply* reply) {
-  std::shared_lock lock(mu_);
-  PARTMINER_RETURN_IF_ERROR(CheckReadyLocked());
-  const int resident = miner_->root_support();
+  const std::shared_ptr<const Published> pub = Current();
+  if (!pub->ready) return NotInitialized();
+  const int resident = pub->resident_support;
   const int support = request.support == 0 ? resident : request.support;
   if (support < resident) {
     return Status::OutOfRange(
@@ -179,31 +227,21 @@ Status MinerSession::Query(const QueryRequest& request, QueryReply* reply) {
         " below the resident threshold " + std::to_string(resident) +
         " (the resident state only knows patterns at or above it)");
   }
-  reply->epoch = epoch_;
-  reply->digest = digest_;
+  reply->epoch = pub->epoch;
+  reply->digest = pub->digest;
   reply->support = support;
 
-  const PatternSet& verified = miner_->patterns();
-  std::vector<const PatternInfo*> frequent;
-  for (const PatternInfo& p : verified.patterns()) {
-    if (p.support >= support) frequent.push_back(&p);
-  }
-  reply->count = static_cast<int>(frequent.size());
-
+  const auto& by_code = pub->by_code;
+  const auto frequent_end = std::partition_point(
+      pub->by_support.begin(), pub->by_support.end(),
+      [&](int i) { return by_code[i].second >= support; });
+  reply->count = static_cast<int>(frequent_end - pub->by_support.begin());
   if (request.limit != 0) {
-    std::sort(frequent.begin(), frequent.end(),
-              [](const PatternInfo* a, const PatternInfo* b) {
-                if (a->support != b->support) return a->support > b->support;
-                return a->code.Compare(b->code) < 0;
-              });
-    const size_t take = request.limit < 0
-                            ? frequent.size()
-                            : std::min(frequent.size(),
-                                       static_cast<size_t>(request.limit));
+    const int take = request.limit < 0 ? reply->count
+                                       : std::min(reply->count, request.limit);
     reply->patterns.reserve(take);
-    for (size_t i = 0; i < take; ++i) {
-      reply->patterns.emplace_back(frequent[i]->code.ToString(),
-                                   frequent[i]->support);
+    for (int r = 0; r < take; ++r) {
+      reply->patterns.push_back(by_code[pub->by_support[r]]);
     }
   }
 
@@ -223,12 +261,17 @@ Status MinerSession::Query(const QueryRequest& request, QueryReply* reply) {
       return Status::InvalidArgument(
           "containment pattern must be connected with at least one edge");
     }
-    const DfsCode code = MinimumDfsCode(pattern);
-    const PatternInfo* found = verified.Find(code);
-    // Absent from the verified set means support < resident <= `support`,
+    const std::string code = MinimumDfsCode(pattern).ToString();
+    const auto it = std::lower_bound(
+        by_code.begin(), by_code.end(), code,
+        [](const std::pair<std::string, int>& entry, const std::string& key) {
+          return entry.first < key;
+        });
+    const bool found = it != by_code.end() && it->first == code;
+    // Absent from the resident set means support < resident <= `support`,
     // so "not frequent at the queried support" is exact either way.
-    reply->contained = found != nullptr && found->support >= support;
-    reply->pattern_support = found != nullptr ? found->support : 0;
+    reply->contained = found && it->second >= support;
+    reply->pattern_support = found ? it->second : 0;
   }
   PM_METRIC_COUNTER("service.queries")->Increment();
   return Status::Ok();
@@ -237,7 +280,7 @@ Status MinerSession::Query(const QueryRequest& request, QueryReply* reply) {
 Status MinerSession::Snapshot(const std::string& prefix,
                               SnapshotResult* result) {
   std::shared_lock lock(mu_);
-  PARTMINER_RETURN_IF_ERROR(CheckReadyLocked());
+  if (miner_ == nullptr) return NotInitialized();
   if (prefix.empty()) return Status::InvalidArgument("empty snapshot prefix");
   result->epoch = epoch_;
   result->db_path = prefix + ".db.lg";
@@ -267,45 +310,15 @@ Status MinerSession::Snapshot(const std::string& prefix,
   return Status::Ok();
 }
 
-bool MinerSession::ready() const {
-  std::shared_lock lock(mu_);
-  return ready_;
-}
-
-uint64_t MinerSession::epoch() const {
-  std::shared_lock lock(mu_);
-  return epoch_;
-}
-
-uint64_t MinerSession::digest() const {
-  std::shared_lock lock(mu_);
-  return digest_;
-}
-
 uint64_t MinerSession::DigestAt(uint64_t epoch) const {
   std::shared_lock lock(mu_);
-  const auto it = epoch_digests_.find(epoch);
-  return it == epoch_digests_.end() ? 0 : it->second;
-}
-
-int MinerSession::resident_support() const {
-  std::shared_lock lock(mu_);
-  return ready_ ? miner_->root_support() : 0;
-}
-
-int MinerSession::graph_count() const {
-  std::shared_lock lock(mu_);
-  return db_.size();
-}
-
-int MinerSession::pattern_count() const {
-  std::shared_lock lock(mu_);
-  return ready_ ? miner_->patterns().size() : 0;
+  const auto& [slot_epoch, digest] = epoch_digests_[epoch % kDigestWindow];
+  return slot_epoch == epoch ? digest : 0;
 }
 
 PatternSet MinerSession::VerifiedPatterns() const {
   std::shared_lock lock(mu_);
-  return ready_ ? miner_->patterns() : PatternSet();
+  return miner_ != nullptr ? miner_->patterns() : PatternSet();
 }
 
 }  // namespace service

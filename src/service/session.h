@@ -3,9 +3,10 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <shared_mutex>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -80,20 +81,38 @@ struct SnapshotResult {
   std::string state_path;
 };
 
+/// One published epoch: everything the read verbs answer from, built once by
+/// the writer and never mutated afterwards, so readers need no lock.
+struct Published {
+  bool ready = false;  // False only for the empty state before Init.
+  uint64_t epoch = 0;
+  uint64_t digest = 0;  // PatternSetDigest of the pattern set below.
+  int resident_support = 0;
+  int graph_count = 0;
+  /// (canonical code string, support), sorted by code string: the digest's
+  /// input, and the binary-search table for containment probes.
+  std::vector<std::pair<std::string, int>> by_code;
+  /// Indices into by_code ordered by (support desc, DfsCode::Compare): the
+  /// reply order of `limit` queries.
+  std::vector<int> by_support;
+};
+
 /// The daemon's resident mining state: one database + PartMiner partition
 /// kept in memory across requests, updated in place by IncPartMiner so the
 /// incremental machinery finally serves more than one request per process.
 ///
-/// Concurrency contract (enforced with one reader/writer lock):
-///  - ApplyBatch takes the lock exclusively; there is exactly one writer
-///    (the daemon's batcher thread), so batches serialize into a linear
-///    epoch history 1, 2, 3, ...
-///  - Query and Snapshot take it shared: any number of concurrent readers
-///    observe a consistent epoch — never a half-applied batch.
-///  - Every epoch's pattern-set digest (FNV-1a over sorted code/support
-///    pairs) is retained; DigestAt lets tests prove that a concurrent
-///    query's (epoch, digest) pair matches the state the batcher actually
-///    produced at that epoch.
+/// Concurrency contract:
+///  - Writers (Init*, ApplyBatch) take the session lock exclusively; the one
+///    writer is the daemon's batcher, so epochs form a linear history 1, 2,
+///    3, ... Each write ends by publishing an immutable Published, whose
+///    pointer is swapped under a mutex held only for the swap.
+///  - Query, Current, ready, epoch, digest, resident_support, graph_count
+///    and pattern_count copy that pointer and never take the session lock:
+///    a reply reflects one published epoch and never waits on an apply.
+///  - Snapshot, VerifiedPatterns and DigestAt read the resident state under
+///    the session lock, shared (a snapshot holds off the next apply).
+///  - DigestAt keeps the last kDigestWindow epochs, so tests can check a
+///    reply's (epoch, digest) against what the batcher produced.
 ///
 /// Degrade-don't-die: every failure path (invalid edits, injected storage
 /// faults on snapshot I/O, admission failure) returns a Status that the
@@ -119,21 +138,36 @@ class MinerSession {
   /// Applies one edit batch and incrementally re-mines. Exclusive.
   Status ApplyBatch(const std::vector<EditOp>& edits, BatchResult* result);
 
-  /// Frequent-pattern retrieval / containment at a given support. Shared.
+  /// Frequent-pattern retrieval / containment at a given support, answered
+  /// from the current published epoch; never takes the session lock.
   Status Query(const QueryRequest& request, QueryReply* reply);
 
-  /// Writes `<prefix>.db.lg` + `<prefix>.state` (state_io v2, checksummed).
-  /// Shared — snapshots run concurrently with queries.
+  /// Writes `<prefix>.db.lg` + `<prefix>.state` (state_io v3, checksummed).
+  /// Shared lock: holds off the next batch apply, never a query.
   Status Snapshot(const std::string& prefix, SnapshotResult* result);
 
-  bool ready() const;
-  uint64_t epoch() const;
-  uint64_t digest() const;
-  /// Digest recorded when `epoch` was produced, or 0 when unknown.
+  /// The current published epoch (an empty, unready one until the first
+  /// Init succeeds). A caller that reads several fields holds one pointer
+  /// for all of them.
+  std::shared_ptr<const Published> Current() const {
+    std::lock_guard<std::mutex> lock(published_mu_);
+    return published_;
+  }
+
+  bool ready() const { return Current()->ready; }
+  uint64_t epoch() const { return Current()->epoch; }
+  uint64_t digest() const { return Current()->digest; }
+  int resident_support() const { return Current()->resident_support; }
+  int graph_count() const { return Current()->graph_count; }
+  int pattern_count() const {
+    return static_cast<int>(Current()->by_code.size());
+  }
+
+  /// Epochs whose digest DigestAt still knows: the most recent ones.
+  static constexpr uint64_t kDigestWindow = 4096;
+  /// Digest recorded when `epoch` was produced, or 0 when unknown (never
+  /// produced, or older than the last kDigestWindow epochs).
   uint64_t DigestAt(uint64_t epoch) const;
-  int resident_support() const;
-  int graph_count() const;
-  int pattern_count() const;
   const SessionOptions& options() const { return options_; }
 
   /// Testing/fuzzing hook: storage faults for the *resident* paths. The
@@ -147,20 +181,25 @@ class MinerSession {
   PatternSet VerifiedPatterns() const;
 
  private:
-  Status CheckReadyLocked() const;
-  void RecordEpochLocked();
+  /// Builds and swaps in the Published for the current resident state and
+  /// records its digest for DigestAt. Caller holds mu_ exclusively.
+  void PublishLocked();
 
   SessionOptions options_;
   FaultInjector* injector_ = nullptr;
 
+  /// Held only to copy or swap the pointer. Not std::atomic<shared_ptr>:
+  /// ThreadSanitizer cannot see libstdc++'s lock-bit implementation of it.
+  mutable std::mutex published_mu_;
+  std::shared_ptr<const Published> published_;
+
   mutable std::shared_mutex mu_;
-  bool ready_ = false;
   uint64_t epoch_ = 0;
-  uint64_t digest_ = 0;
   GraphDatabase db_;
-  std::unique_ptr<PartMiner> miner_;
+  std::unique_ptr<PartMiner> miner_;  // Null until initialized.
   IncPartMiner inc_;
-  std::unordered_map<uint64_t, uint64_t> epoch_digests_;
+  /// (epoch, digest) of recent epochs, slot epoch % kDigestWindow.
+  std::vector<std::pair<uint64_t, uint64_t>> epoch_digests_;
 };
 
 }  // namespace service

@@ -6,6 +6,7 @@
 
 #include "common/random.h"
 #include "graph/canonical.h"
+#include "miner/extensions.h"
 #include "miner/gspan.h"
 #include "partition/db_partition.h"
 #include "tests/test_util.h"
@@ -78,37 +79,6 @@ TEST(GenerateExtensionsTest, ClosesTriangles) {
     if (c.VertexCount() == 3 && c.size() == 3) has_cycle = true;
   }
   EXPECT_TRUE(has_cycle);
-}
-
-TEST(ForEachMaximalSubpatternTest, TriangleYieldsOnePath) {
-  Graph triangle;
-  triangle.AddVertex(0);
-  triangle.AddVertex(0);
-  triangle.AddVertex(0);
-  triangle.AddEdge(0, 1, 0);
-  triangle.AddEdge(1, 2, 0);
-  triangle.AddEdge(2, 0, 0);
-  std::set<std::string> subs;
-  int calls = 0;
-  ForEachMaximalSubpattern(triangle, [&](const DfsCode& c) {
-    subs.insert(c.ToString());
-    ++calls;
-  });
-  EXPECT_EQ(calls, 3);            // One per removable edge.
-  EXPECT_EQ(subs.size(), 1u);     // All three removals are isomorphic.
-}
-
-TEST(ForEachMaximalSubpatternTest, DisconnectingRemovalsSkipped) {
-  // Path of 4 vertices: removing a middle edge disconnects -> only the two
-  // leaf-edge removals fire.
-  Graph path;
-  for (int i = 0; i < 4; ++i) path.AddVertex(i);
-  path.AddEdge(0, 1, 0);
-  path.AddEdge(1, 2, 0);
-  path.AddEdge(2, 3, 0);
-  int calls = 0;
-  ForEachMaximalSubpattern(path, [&](const DfsCode&) { ++calls; });
-  EXPECT_EQ(calls, 2);
 }
 
 /// Property behind Theorem 1/3: the merge at a node recovers exactly the

@@ -4,9 +4,18 @@
 // digest the batcher recorded when it produced that epoch, never a torn
 // intermediate — epochs are monotone per connection, and queue-bound
 // rejections surface as structured `overloaded` errors, not dropped work.
-// The test is TSan-clean: all daemon/session state is lock-protected.
+// The read plane is checked directly too: queries keep answering from the
+// previous published epoch while a long batch apply runs, ping/sync replies
+// come from one epoch, and DigestAt keeps a bounded window of epochs.
+// The tests are TSan-clean: resident state is guarded by the session lock
+// and the queue mutex, and readers share only immutable published epochs,
+// whose pointer is copied and swapped under its own mutex.
 
+#include <algorithm>
 #include <atomic>
+#include <map>
+#include <mutex>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -14,6 +23,8 @@
 #include "common/parse.h"
 #include "common/random.h"
 #include "datagen/edit_stream.h"
+#include "datagen/generator.h"
+#include "graph/graph_io.h"
 #include "gtest/gtest.h"
 #include "service/daemon.h"
 #include "service/json.h"
@@ -226,6 +237,262 @@ TEST(ServiceBackpressureTest, QueueBoundIsEnforced) {
   EXPECT_EQ(acked + overloaded, static_cast<int>(items.size()));
   daemon.WaitQueueDrained();
   EXPECT_EQ(daemon.queue_depth_edits(), 0);
+}
+
+/// Parses `response`; true when it is a success carrying a result object.
+bool ResultOf(const std::string& response, Json* parsed, const Json** result) {
+  if (!Json::Parse(response, parsed).ok()) return false;
+  const Json* ok = parsed->Get("ok");
+  *result = parsed->Get("result");
+  return ok != nullptr && ok->is_bool() && ok->AsBool() && *result != nullptr;
+}
+
+std::string UpdateLine(const std::vector<EditOp>& edits) {
+  std::string line = "{\"cmd\":\"update\",\"wait\":true,\"edits\":[";
+  for (size_t j = 0; j < edits.size(); ++j) {
+    if (j > 0) line.push_back(',');
+    line += EditToJson(edits[j]).Dump();
+  }
+  return line + "]}";
+}
+
+// Writers send waited updates, so every applied epoch comes back in some
+// ack with its pattern count; readers meanwhile send ping and sync. Each
+// reply must describe one epoch: sync's (epoch, digest) is DigestAt(epoch)
+// and ping's (epoch, patterns) is the count acked for that epoch.
+TEST(ServiceConcurrencyTest, PingAndSyncRepliesAreUntorn) {
+  Rng rng(4711);
+  GraphDatabase db = testutil::RandomDatabase(&rng, 20, 7, 2, 3, 3);
+  const GraphDatabase view = db;
+  MinerSession session(MakeOptions());
+  ASSERT_TRUE(session.Init(std::move(db)).ok());
+  Daemon daemon(&session, DaemonOptions());
+
+  EditStreamOptions stream;
+  stream.seed = 77;
+  stream.requests = 80;
+  stream.update_fraction = 1.0;
+  stream.edits_per_update = 2;
+  stream.num_labels = 3;
+  const std::vector<StreamItem> items = GenerateEditStream(view, stream);
+
+  std::mutex acked_mu;
+  std::map<uint64_t, int64_t> patterns_at;  // epoch -> acked pattern count
+  patterns_at[0] = session.pattern_count();
+  std::atomic<int> writers_left{2};
+  std::vector<std::thread> threads;
+  std::atomic<int> failures{0};
+  for (int w = 0; w < 2; ++w) {
+    threads.emplace_back([&, w] {
+      for (size_t i = w; i < items.size(); i += 2) {
+        bool shutdown = false;
+        Json parsed;
+        const Json* result = nullptr;
+        const std::string response =
+            daemon.HandleLine(UpdateLine(items[i].edits), &shutdown);
+        if (!ResultOf(response, &parsed, &result)) {
+          ADD_FAILURE() << response;
+          ++failures;
+          continue;
+        }
+        std::lock_guard<std::mutex> lock(acked_mu);
+        patterns_at[result->Get("epoch")->AsInt()] =
+            result->Get("patterns")->AsInt();
+      }
+      --writers_left;
+    });
+  }
+  std::vector<std::pair<uint64_t, int64_t>> pings;
+  std::vector<std::pair<uint64_t, uint64_t>> syncs;
+  threads.emplace_back([&] {
+    while (writers_left.load() > 0) {
+      bool shutdown = false;
+      Json parsed;
+      const Json* result = nullptr;
+      std::string response = daemon.HandleLine(R"({"cmd":"ping"})", &shutdown);
+      ASSERT_TRUE(ResultOf(response, &parsed, &result)) << response;
+      pings.emplace_back(result->Get("epoch")->AsInt(),
+                         result->Get("patterns")->AsInt());
+      response = daemon.HandleLine(R"({"cmd":"sync"})", &shutdown);
+      ASSERT_TRUE(ResultOf(response, &parsed, &result)) << response;
+      uint64_t digest = 0;
+      ASSERT_TRUE(ParseUint64(result->Get("digest")->AsString(), &digest));
+      syncs.emplace_back(result->Get("epoch")->AsInt(), digest);
+    }
+  });
+  for (std::thread& t : threads) t.join();
+  ASSERT_EQ(failures.load(), 0);
+
+  EXPECT_FALSE(pings.empty());
+  for (const auto& [epoch, patterns] : pings) {
+    ASSERT_TRUE(patterns_at.count(epoch)) << "ping saw unacked epoch " << epoch;
+    EXPECT_EQ(patterns_at[epoch], patterns) << "ping at epoch " << epoch;
+  }
+  for (const auto& [epoch, digest] : syncs) {
+    EXPECT_EQ(session.DigestAt(epoch), digest) << "sync at epoch " << epoch;
+  }
+}
+
+// One batch relabelling half of a generated database re-mines for tens of
+// milliseconds. A query issued after the batch is inside ApplyBatch (the
+// admission check, seen through the fault injector's operation count, runs
+// under the writer's lock) must still answer at once from the previous
+// epoch; a read path that waited on the apply would answer only afterwards,
+// with the new epoch.
+TEST(ServiceReadPlaneTest, QueriesAnswerFromPreviousEpochDuringApply) {
+  GeneratorParams params;
+  params.num_graphs = 400;
+  params.seed = 3;
+  GraphDatabase db = GenerateDatabase(params);
+  std::vector<EditOp> edits;
+  for (int g = 0; g < db.size(); g += 2) {
+    EditOp op;
+    op.graph = g;
+    op.label = (db.graph(g).vertex_label(0) + 1) % params.num_labels;
+    edits.push_back(op);
+  }
+  SessionOptions options;
+  options.miner.partition.k = 2;
+  MinerSession session(options);
+  ASSERT_TRUE(session.Init(std::move(db)).ok());
+  FaultInjector admission;  // Never fails; counts ApplyBatch admissions.
+  session.set_fault_injector(&admission);
+  const uint64_t before = session.epoch();
+  const uint64_t before_digest = session.digest();
+
+  std::atomic<bool> applied{false};
+  BatchResult batch;
+  Status apply_status;
+  std::thread writer([&] {
+    apply_status = session.ApplyBatch(edits, &batch);
+    applied.store(true);
+  });
+  while (admission.operations(FaultInjector::Op::kAlloc) == 0 &&
+         !applied.load()) {
+    std::this_thread::yield();
+  }
+  int old_epoch_replies = 0, new_epoch_replies = 0;
+  QueryRequest request;
+  request.limit = 10;
+  while (!applied.load()) {
+    QueryReply reply;
+    if (!session.Query(request, &reply).ok()) {
+      ADD_FAILURE() << "query failed during the apply";
+      break;
+    }
+    if (reply.epoch == before) {
+      ++old_epoch_replies;
+      EXPECT_EQ(reply.digest, before_digest);
+    } else {
+      ++new_epoch_replies;
+    }
+  }
+  writer.join();
+  ASSERT_TRUE(apply_status.ok()) << apply_status.ToString();
+  EXPECT_EQ(batch.epoch, before + 1);
+  EXPECT_GE(old_epoch_replies, 20)
+      << "apply took " << batch.apply_seconds * 1e3 << " ms; "
+      << new_epoch_replies << " replies waited for the new epoch";
+  ::testing::Test::RecordProperty("old_epoch_replies", old_epoch_replies);
+}
+
+// The published digest, folded into the publish step, is the digest of the
+// resident pattern set at every epoch, and the published reply order and
+// containment table agree with the resident set.
+TEST(ServiceReadPlaneTest, PublishedEpochMatchesResidentSetEveryEpoch) {
+  Rng rng(2718);
+  GraphDatabase db = testutil::RandomDatabase(&rng, 24, 7, 2, 3, 3);
+  const GraphDatabase view = db;
+  MinerSession session(MakeOptions());
+  ASSERT_TRUE(session.Init(std::move(db)).ok());
+
+  EditStreamOptions stream;
+  stream.seed = 31;
+  stream.requests = 12;
+  stream.update_fraction = 1.0;
+  stream.edits_per_update = 3;
+  stream.num_labels = 3;
+  const std::vector<StreamItem> items = GenerateEditStream(view, stream);
+  for (size_t round = 0; round <= items.size(); ++round) {
+    if (round > 0) {
+      BatchResult result;
+      ASSERT_TRUE(session.ApplyBatch(items[round - 1].edits, &result).ok());
+    }
+    const PatternSet resident = session.VerifiedPatterns();
+    const uint64_t epoch = session.epoch();
+    EXPECT_EQ(session.digest(), PatternSetDigest(resident)) << epoch;
+    EXPECT_EQ(session.DigestAt(epoch), session.digest()) << epoch;
+    EXPECT_EQ(session.pattern_count(), resident.size());
+
+    std::vector<const PatternInfo*> expected;
+    for (const PatternInfo& p : resident.patterns()) expected.push_back(&p);
+    std::sort(expected.begin(), expected.end(),
+              [](const PatternInfo* a, const PatternInfo* b) {
+                if (a->support != b->support) return a->support > b->support;
+                return a->code.Compare(b->code) < 0;
+              });
+    const int support = session.resident_support() + 1;
+    QueryRequest all;
+    all.limit = -1;
+    all.support = support;
+    QueryReply reply;
+    ASSERT_TRUE(session.Query(all, &reply).ok());
+    int frequent = 0;
+    for (const PatternInfo* p : expected) frequent += p->support >= support;
+    ASSERT_EQ(reply.count, frequent) << epoch;
+    ASSERT_EQ(static_cast<int>(reply.patterns.size()), frequent);
+    for (int i = 0; i < frequent; ++i) {
+      EXPECT_EQ(reply.patterns[i].first, expected[i]->code.ToString());
+      EXPECT_EQ(reply.patterns[i].second, expected[i]->support);
+    }
+
+    for (const PatternInfo* p : expected) {
+      GraphDatabase probe;
+      probe.Add(p->code.ToGraph());
+      std::ostringstream text;
+      ASSERT_TRUE(WriteGraphDatabase(probe, text).ok());
+      QueryRequest contain;
+      contain.pattern_text = text.str();
+      QueryReply hit;
+      ASSERT_TRUE(session.Query(contain, &hit).ok());
+      EXPECT_TRUE(hit.contained) << p->code.ToString();
+      EXPECT_EQ(hit.pattern_support, p->support);
+    }
+  }
+}
+
+// DigestAt keeps the last kDigestWindow epochs: after more batches than
+// that, the oldest epochs read 0 ("unknown") and every epoch inside the
+// window still reads the digest published when it was produced.
+TEST(ServiceReadPlaneTest, DigestAtKeepsABoundedWindow) {
+  Rng rng(5);
+  GraphDatabase db = testutil::RandomDatabase(&rng, 4, 4, 1, 2, 2);
+  const Label first = db.graph(0).vertex_label(0);
+  SessionOptions options;
+  options.miner.min_support_count = 2;
+  options.miner.partition.k = 1;
+  MinerSession session(options);
+  ASSERT_TRUE(session.Init(std::move(db)).ok());
+
+  const uint64_t window = MinerSession::kDigestWindow;
+  const uint64_t last = window + 100;
+  std::vector<uint64_t> published = {session.digest()};
+  for (uint64_t e = 1; e <= last; ++e) {
+    EditOp op;
+    op.label = e % 2 == 0 ? first : first + 1;  // Toggle one vertex label.
+    BatchResult result;
+    ASSERT_TRUE(session.ApplyBatch({op}, &result).ok());
+    ASSERT_EQ(result.epoch, e);
+    published.push_back(session.digest());
+  }
+  for (uint64_t e = 0; e <= last; ++e) {
+    if (e + window <= last) {
+      EXPECT_EQ(session.DigestAt(e), 0u) << "epoch " << e;
+    } else {
+      EXPECT_EQ(session.DigestAt(e), published[e]) << "epoch " << e;
+    }
+  }
+  EXPECT_EQ(session.DigestAt(last + 1), 0u);
 }
 
 }  // namespace
