@@ -5,7 +5,6 @@
 
 #include "common/parse.h"
 #include "graph/canonical.h"
-#include "graph/label_index.h"
 #include "obs/metrics.h"
 
 namespace partminer {
@@ -115,7 +114,6 @@ void PrintHeader(const std::string& figure, const std::string& description,
 }
 
 void ApplyFastPathFlags(const Flags& flags) {
-  SetLabelIndexEnabled(!flags.Has("no-prune-index"));
   const bool cache = !flags.Has("no-canon-cache");
   SetMinimalityCacheEnabled(cache);
   if (!cache) ClearMinimalityCache();

@@ -78,11 +78,10 @@ void PrintRow(const std::string& figure, const std::string& series,
 void PrintHeader(const std::string& figure, const std::string& description,
                  const std::string& workload_tag);
 
-/// Applies the support-counting fast-path escape hatches shared by every
-/// harness: --no-prune-index disables the per-database label index,
+/// Applies the fast-path escape hatch shared by every harness:
 /// --no-canon-cache disables the minimality memo cache (and any stale cached
 /// verdicts are dropped so a disabled run never reads them). Mined output is
-/// bit-identical either way; the flags measure what the fast path buys.
+/// bit-identical either way; the flag measures what the cache buys.
 void ApplyFastPathFlags(const Flags& flags);
 
 /// Buffer-pool sizing for the disk-backed ADI runs: --pool-frames (default

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <deque>
+#include <functional>
 #include <utility>
 
 #include "graph/canonical.h"
 #include "miner/engine.h"
-#include "miner/gspan.h"
 #include "obs/metrics.h"
 
 namespace partminer {
@@ -32,6 +32,35 @@ void MergeJoinStats::PublishToRegistry() const {
   PM_METRIC_COUNTER("merge.spanning_found")->Add(spanning_found);
 }
 
+namespace {
+
+/// The exact sweep both operators fall back on: a gSpan run over `db` at
+/// the merge threshold. With `frontier`, its map is replaced and marked
+/// valid iff `capture`, in which case the sweep captures into it. Every
+/// emitted pattern counts as a counted candidate; those `known` does not
+/// hold count as spanning (newly found) patterns.
+PatternSet ExactSweep(const GraphDatabase& db, const MergeJoinOptions& options,
+                      NodeFrontier* frontier, bool capture,
+                      const std::function<bool(const DfsCode&)>& known,
+                      MergeJoinStats* s) {
+  MinerOptions mo;
+  mo.min_support = options.min_support;
+  mo.max_edges = options.max_edges;
+  if (frontier != nullptr) {
+    frontier->map.clear();
+    frontier->valid = capture;
+    if (capture) mo.capture_frontier = &frontier->map;
+  }
+  PatternSet out = engine::GrowFromRoots(db, mo);
+  s->candidates_counted += out.size();
+  for (const PatternInfo& p : out.patterns()) {
+    if (!known(p.code)) ++s->spanning_found;
+  }
+  return out;
+}
+
+}  // namespace
+
 PatternSet MergeJoin(const GraphDatabase& db,
                      const std::vector<PatternSet>& units,
                      const MergeJoinOptions& options, MergeJoinStats* stats,
@@ -39,31 +68,21 @@ PatternSet MergeJoin(const GraphDatabase& db,
   // Per-call deltas accumulate locally, reach the registry once at the end,
   // and fold into the caller's struct (keeping the existing struct API).
   MergeJoinStats local_stats;
-  MergeJoinStats* s = &local_stats;
-  for (const PatternSet& unit : units) s->inherited_patterns += unit.size();
-
-  // Exact root recovery: DFS-code sweep of the database at the root
-  // threshold (see the header comment for why this is the recovery
-  // operator), capturing the frontier for the incremental path.
-  GSpanMiner miner;
-  MinerOptions mo;
-  mo.min_support = options.min_support;
-  mo.max_edges = options.max_edges;
-  if (frontier_out != nullptr) {
-    frontier_out->map.clear();
-    frontier_out->valid = true;
-    mo.capture_frontier = &frontier_out->map;
+  for (const PatternSet& unit : units) {
+    local_stats.inherited_patterns += unit.size();
   }
-  PatternSet out = miner.Mine(db, mo);
 
-  s->candidates_counted += out.size();
-  for (const PatternInfo& p : out.patterns()) {
-    const bool in_a_unit =
-        std::any_of(units.begin(), units.end(), [&](const PatternSet& unit) {
-          return unit.Contains(p.code);
-        });
-    if (!in_a_unit) ++s->spanning_found;  // Genuinely cross-partition.
-  }
+  // Exact root recovery (see the header comment for why this is the
+  // recovery operator), capturing the frontier for the incremental path.
+  // A pattern in no unit is genuinely cross-partition.
+  PatternSet out = ExactSweep(
+      db, options, frontier_out, /*capture=*/true,
+      [&units](const DfsCode& code) {
+        return std::any_of(
+            units.begin(), units.end(),
+            [&code](const PatternSet& unit) { return unit.Contains(code); });
+      },
+      &local_stats);
   local_stats.PublishToRegistry();
   if (stats != nullptr) stats->Accumulate(local_stats);
   return out;
@@ -199,30 +218,11 @@ class DeltaSweep {
     std::deque<engine::Embedding> arena;
     const engine::Projected projected =
         engine::ProjectCode(*code, node_db_, tids, &arena);
-    GrowFrom(code, projected);
-  }
-
-  void GrowFrom(DfsCode* code, const engine::Projected& projected) {
-    frontier_.erase(*code);  // Frequent now: the output carries it.
-    PatternInfo info;
-    info.code = *code;
-    info.support = engine::SupportOf(projected);
-    info.tids = engine::TidSetOf(projected);
-    out_->Upsert(std::move(info));
-
-    if (static_cast<int>(code->size()) >= options_.max_edges) return;
-    engine::ExtensionMap extensions = engine::CollectExtensions(
-        node_db_, *code, projected, /*enable_order_pruning=*/true);
-    for (const auto& [tuple, child_projected] : extensions) {
-      code->Append(tuple);
-      if (engine::SupportOf(child_projected) < options_.min_support ||
-          !IsMinimalDfsCode(*code)) {
-        frontier_[*code] = engine::TidSetOf(child_projected);
-      } else {
-        GrowFrom(code, child_projected);
-      }
-      code->PopBack();
-    }
+    MinerOptions mo;
+    mo.min_support = options_.min_support;
+    mo.max_edges = options_.max_edges;
+    mo.capture_frontier = &frontier_;
+    engine::GrowSubtree(node_db_, mo, code, projected, out_);
   }
 
   /// Discards the frontier subtree of a dropped (frequent -> infrequent)
@@ -289,21 +289,9 @@ PatternSet IncMergeJoin(const GraphDatabase& node_db, const PatternSet& cached,
       static_cast<double>(updated.size()) / node_db.size() <=
           options.delta_sweep_max_fraction;
   if (!small_update || frontier == nullptr || !frontier->valid) {
-    GSpanMiner miner;
-    MinerOptions mo;
-    mo.min_support = options.min_support;
-    mo.max_edges = options.max_edges;
-    if (frontier != nullptr) {
-      frontier->map.clear();
-      frontier->valid = small_update;  // Re-capture only when worthwhile.
-      if (small_update) mo.capture_frontier = &frontier->map;
-    }
-    PatternSet out = miner.Mine(node_db, mo);
-    s->candidates_counted += out.size();
-    for (const PatternInfo& p : out.patterns()) {
-      if (!cached.Contains(p.code)) ++s->spanning_found;
-    }
-    return out;
+    return ExactSweep(
+        node_db, options, frontier, /*capture=*/small_update,
+        [&cached](const DfsCode& code) { return cached.Contains(code); }, s);
   }
 
   // Pass 1 — pure set arithmetic for every cached pattern: containment in

@@ -45,8 +45,8 @@ class LabelIndex {
   int graph_count_ = 0;
 };
 
-/// Process-wide escape hatch for the index-based candidate pruning (the
-/// CLI/bench flag --no-prune-index). Defaults to enabled. Counting paths
+/// Process-wide escape hatch for the index-based candidate pruning (set by
+/// tests and bench_micro_support). Defaults to enabled. Counting paths
 /// check it before consulting GraphDatabase::label_index(); output is
 /// bit-identical either way.
 bool LabelIndexEnabled();

@@ -3,6 +3,8 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "common/thread_pool.h"
+#include "graph/canonical.h"
 #include "obs/metrics.h"
 
 namespace partminer {
@@ -348,6 +350,143 @@ Projected ProjectCode(const DfsCode& code, const GraphDatabase& db,
   }
   PM_METRIC_COUNTER("miner.embeddings_projected")->Add(out.size());
   return out;
+}
+
+namespace {
+
+/// Read-only state of one growth run, shared by every frame and task. The
+/// output sinks travel as parameters so that sibling subtrees can grow as
+/// pool tasks into task-local sinks.
+struct Grower {
+  const GraphDatabase& db;
+  const MinerOptions& options;
+  ChildRank rank;
+  const MinimalityCheck& is_minimal;
+
+  /// Emits `code` (frequent, minimal), then grows its children.
+  void Visit(DfsCode* code, const Projected& projected, int depth,
+             PatternSet* out, FrontierMap* frontier) const {
+    PatternInfo info;
+    info.code = *code;
+    info.support = SupportOf(projected);
+    info.tids = TidSetOf(projected);
+    if (frontier != nullptr) frontier->erase(*code);
+    out->Upsert(std::move(info));
+
+    if (static_cast<int>(code->size()) >= options.max_edges) return;
+    const ExtensionMap children =
+        CollectExtensions(db, *code, projected, /*enable_order_pruning=*/true);
+    Expand(code, children, static_cast<int64_t>(projected.size()), depth, out,
+           frontier);
+  }
+
+  /// Visits one frequent child, or parks it on the frontier when its code
+  /// is not minimal: the minimal twin carries the pattern, and the TIDs
+  /// must survive for the incremental lookups.
+  void VisitChild(DfsCode* code, const Projected& projected, int child_rank,
+                  int depth, bool check_minimal, PatternSet* out,
+                  FrontierMap* frontier) const {
+    if (check_minimal && !(is_minimal ? is_minimal(*code, child_rank)
+                                      : IsMinimalDfsCode(*code))) {
+      if (frontier != nullptr) (*frontier)[*code] = TidSetOf(projected);
+      return;
+    }
+    Visit(code, projected, depth, out, frontier);
+  }
+
+  /// Grows the children of `code` (depth `depth`; the empty code is -1).
+  void Expand(DfsCode* code, const ExtensionMap& children,
+              int64_t parent_embeddings, int depth, PatternSet* out,
+              FrontierMap* frontier) const {
+    struct Child {
+      const DfsEdge* tuple;
+      const Projected* projected;
+      int rank;
+    };
+    std::vector<Child> frequent;  // Most nodes have none: no allocation.
+    for (const auto& [tuple, projected] : children) {
+      code->Append(tuple);
+      if (SupportOf(projected) < options.min_support) {
+        if (frontier != nullptr) (*frontier)[*code] = TidSetOf(projected);
+      } else {
+        frequent.push_back(
+            Child{&tuple, &projected, rank != nullptr ? rank(*code) : 0});
+      }
+      code->PopBack();
+    }
+    if (rank != nullptr) {
+      std::stable_sort(
+          frequent.begin(), frequent.end(),
+          [](const Child& a, const Child& b) { return a.rank < b.rank; });
+    }
+    const bool check_minimal = !code->empty();  // Roots are minimal.
+
+    if (options.pool == nullptr || depth >= 1 ||
+        parent_embeddings < options.parallel_spawn_min_embeddings) {
+      for (const Child& child : frequent) {
+        code->Append(*child.tuple);
+        VisitChild(code, *child.projected, child.rank, depth + 1,
+                   check_minimal, out, frontier);
+        code->PopBack();
+      }
+      return;
+    }
+
+    // One task per frequent child, each with its own code copy and sinks;
+    // the minimality test is part of the task's work.
+    struct Job {
+      DfsCode code;
+      const Projected* projected;
+      int rank;
+      PatternSet patterns;
+      FrontierMap frontier;
+    };
+    std::vector<Job> jobs(frequent.size());
+    for (size_t i = 0; i < frequent.size(); ++i) {
+      jobs[i].code = *code;
+      jobs[i].code.Append(*frequent[i].tuple);
+      jobs[i].projected = frequent[i].projected;
+      jobs[i].rank = frequent[i].rank;
+    }
+    const bool want_frontier = frontier != nullptr;
+    {
+      TaskGroup group(options.pool);
+      for (Job& job : jobs) {
+        group.Spawn([this, &job, depth, check_minimal, want_frontier]() {
+          VisitChild(&job.code, *job.projected, job.rank, depth + 1,
+                     check_minimal, &job.patterns,
+                     want_frontier ? &job.frontier : nullptr);
+        });
+      }
+    }  // Waits; `children` and the jobs outlive every task.
+
+    // Sibling subtrees have disjoint keys (each carries its own child
+    // tuple), so merging in visit order reproduces the serial sinks.
+    for (Job& job : jobs) {
+      out->AppendFrom(std::move(job.patterns));
+      if (frontier != nullptr) frontier->merge(job.frontier);
+    }
+  }
+};
+
+}  // namespace
+
+PatternSet GrowFromRoots(const GraphDatabase& db, const MinerOptions& options,
+                         ChildRank rank, const MinimalityCheck& is_minimal) {
+  const Grower grower{db, options, rank, is_minimal};
+  const ExtensionMap roots = CollectRootExtensions(db);
+  PatternSet out;
+  DfsCode code;
+  grower.Expand(&code, roots, INT64_MAX, /*depth=*/-1, &out,
+                options.capture_frontier);
+  return out;
+}
+
+void GrowSubtree(const GraphDatabase& db, const MinerOptions& options,
+                 DfsCode* code, const Projected& projected, PatternSet* out) {
+  const MinimalityCheck generic;
+  const Grower grower{db, options, nullptr, generic};
+  grower.Visit(code, projected, /*depth=*/0, out, options.capture_frontier);
 }
 
 int SupportOf(const Projected& projected) {

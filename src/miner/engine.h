@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -123,7 +124,8 @@ ExtensionMap CollectRootExtensions(const GraphDatabase& db);
 /// Collects all rightmost extensions of `code` over its embeddings.
 /// When `enable_order_pruning` is set, extensions that provably produce
 /// non-minimal codes are dropped early (the gSpan label-order prunings);
-/// every surviving extension must still pass IsMinimalDfsCode.
+/// every surviving extension must still pass IsMinimalDfsCode. The growth
+/// loop always prunes; the unpruned enumeration is the tests' reference.
 /// Uses a thread-local History scratch, safe for concurrent callers.
 ExtensionMap CollectExtensions(const GraphDatabase& db, const DfsCode& code,
                                const Projected& projected,
@@ -140,6 +142,46 @@ ExtensionMap CollectExtensions(const GraphDatabase& db, const DfsCode& code,
 Projected ProjectCode(const DfsCode& code, const GraphDatabase& db,
                       const std::vector<int>& graph_indices,
                       std::deque<Embedding>* arena);
+
+/// Child visit order of the growth loop: the frequent children of one
+/// node are visited in stable ascending rank of their full code. Null keeps
+/// gSpan's tuple order.
+using ChildRank = int (*)(const DfsCode& child);
+
+/// Minimality test of a frequent child code, given its rank (0 without a
+/// ChildRank). Empty means the generic IsMinimalDfsCode. It may run on
+/// several pool workers at once.
+using MinimalityCheck = std::function<bool(const DfsCode& child, int rank)>;
+
+/// Depth-first pattern growth from the empty code: the one search loop
+/// behind gSpan, Gaston and the incremental merge. Every frequent pattern
+/// with a minimal code is appended to the result with its support and
+/// TIDs, in visit order. The roots are the single-edge groups of `db`; they
+/// skip the minimality test, since a single edge in canonical orientation
+/// is minimal. A pattern of `options.max_edges` edges is not extended.
+///
+/// The frontier contract (see FrontierMap), enforced here and nowhere
+/// else: with `options.capture_frontier` set, every enumerated group that
+/// is infrequent, or frequent under a non-minimal code, is written as
+/// `frontier[code] = tids`, and every emitted pattern is erased from it.
+///
+/// With `options.pool`, the children of the empty code, and the children
+/// of a root with at least `options.parallel_spawn_min_embeddings`
+/// embeddings, are grown as pool tasks into task-local sinks that are
+/// merged back in visit order, so the result and the frontier equal the
+/// serial run's; task frontiers are merged by key, so a pooled run expects
+/// a frontier holding no key of the grown tree (a fresh capture map).
+/// Without a pool the recursion writes straight into the caller's sinks.
+PatternSet GrowFromRoots(const GraphDatabase& db, const MinerOptions& options,
+                         ChildRank rank = nullptr,
+                         const MinimalityCheck& is_minimal = {});
+
+/// The same growth started at one frequent minimal `code` whose embeddings
+/// into `db` are `projected`: emits `code` and its whole frequent subtree
+/// into `out`, under the same frontier contract and visit order
+/// (tuple order, generic minimality test).
+void GrowSubtree(const GraphDatabase& db, const MinerOptions& options,
+                 DfsCode* code, const Projected& projected, PatternSet* out);
 
 /// Support of an embedding list: the number of distinct database graphs.
 /// Embeddings are grouped by graph in database order by construction.

@@ -1,11 +1,9 @@
 #include "miner/gaston.h"
 
-#include <algorithm>
-#include <utility>
+#include <atomic>
 #include <vector>
 
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "graph/canonical.h"
 #include "miner/engine.h"
 #include "obs/metrics.h"
@@ -31,6 +29,9 @@ Phase PhaseOf(const DfsCode& code) {
   }
   return Phase::kPath;
 }
+
+/// ChildRank of the growth loop: the phase of a child code.
+int PhaseRank(const DfsCode& code) { return static_cast<int>(PhaseOf(code)); }
 
 /// Label sequences of a path pattern: vertex labels v[0..n] and edge labels
 /// e[0..n-1] (e[k] joins v[k] and v[k+1]), extracted by walking the pattern
@@ -100,17 +101,6 @@ DfsCode BuildPathCode(const PathLabels& labels, int root,
 
 }  // namespace
 
-bool IsStraightPathCode(const DfsCode& code) {
-  for (size_t k = 0; k < code.size(); ++k) {
-    const DfsEdge& e = code[k];
-    if (!e.IsForward() || e.from != static_cast<int>(k) ||
-        e.to != static_cast<int>(k) + 1) {
-      return false;
-    }
-  }
-  return true;
-}
-
 bool IsMinimalPathCode(const DfsCode& code) {
   const Graph g = code.ToGraph();
   const PathLabels labels = ExtractPathLabels(g);
@@ -130,230 +120,37 @@ bool IsMinimalPathCode(const DfsCode& code) {
   return true;
 }
 
-namespace {
-
-/// Read-only state shared by every frame and task of one Mine(). Outputs
-/// (PatternSet, frontier, stats) travel as per-frame parameters so sibling
-/// subtrees can run as pool tasks with task-local copies.
-struct GastonContext {
-  const GraphDatabase* db;
-  const MinerOptions* options;
-  ThreadPool* pool;  // Null disables subtree tasks (serial traversal).
-};
-
-/// Output of one subtree task, merged by the parent in job order.
-struct SubtreeResult {
-  PatternSet patterns;
-  FrontierMap frontier;
-  GastonStats stats;
-};
-
-/// Frontier keys of sibling subtrees are disjoint (each carries its own
-/// root tuple), so a move-merge reproduces exactly the serial map content.
-void MergeFrontier(FrontierMap&& src, FrontierMap* dst) {
-  for (auto& [code, tids] : src) (*dst)[code] = std::move(tids);
-}
-
-void AddStats(const GastonStats& src, GastonStats* dst) {
-  dst->frequent_paths += src.frequent_paths;
-  dst->frequent_trees += src.frequent_trees;
-  dst->frequent_cyclic += src.frequent_cyclic;
-  dst->path_fast_checks += src.path_fast_checks;
-  dst->generic_min_checks += src.generic_min_checks;
-}
-
-bool CheckMinimal(const DfsCode& code, Phase phase, GastonStats* stats) {
-  if (phase == Phase::kPath) {
-    ++stats->path_fast_checks;
-    PM_METRIC_COUNTER("miner.minimality_checks")->Increment();
-    return IsMinimalPathCode(code);
-  }
-  ++stats->generic_min_checks;
-  return IsMinimalDfsCode(code);
-}
-
-void GrowPhased(const GastonContext& ctx, DfsCode* code,
-                const engine::Projected& projected, Phase phase, int depth,
-                PatternSet* out, FrontierMap* frontier, GastonStats* stats);
-
-/// A deferred subtree: the child code in its (target phase, tuple) position
-/// of the serial 3-pass sweep, with the phase already classified and the
-/// minimality check still pending (it runs inside the task).
-struct PhasedJob {
-  DfsCode code;
-  const engine::Projected* projected;
-  Phase phase;
-};
-
-void GrowChildrenParallel(const GastonContext& ctx, DfsCode* code,
-                          const engine::ExtensionMap& extensions, Phase phase,
-                          int depth, PatternSet* out, FrontierMap* frontier,
-                          GastonStats* stats) {
-  // Jobs are collected in the exact order the serial 3-pass loop visits
-  // frequent children; infrequent children do their (cheap) frontier
-  // bookkeeping inline on the pass that owns it.
-  std::vector<PhasedJob> jobs;
-  for (const Phase target : {Phase::kPath, Phase::kTree, Phase::kCyclic}) {
-    if (target < phase) continue;
-    for (const auto& [tuple, child_projected] : extensions) {
-      code->Append(tuple);
-      const Phase child_phase = PhaseOf(*code);
-      PM_CHECK_GE(static_cast<int>(child_phase), static_cast<int>(phase))
-          << "Gaston phase regressed";
-      if (engine::SupportOf(child_projected) < ctx.options->min_support) {
-        if (target == Phase::kCyclic &&  // Capture once (the last pass).
-            frontier != nullptr) {
-          frontier->emplace(*code, engine::TidSetOf(child_projected));
-        }
-      } else if (child_phase == target) {
-        jobs.push_back(PhasedJob{*code, &child_projected, child_phase});
-      }
-      code->PopBack();
-    }
-  }
-
-  std::vector<SubtreeResult> results(jobs.size());
-  const bool want_frontier = frontier != nullptr;
-  {
-    TaskGroup group(ctx.pool);
-    for (size_t i = 0; i < jobs.size(); ++i) {
-      group.Spawn([&ctx, &jobs, &results, i, depth, want_frontier]() {
-        PhasedJob& job = jobs[i];
-        SubtreeResult& slot = results[i];
-        if (CheckMinimal(job.code, job.phase, &slot.stats)) {
-          GrowPhased(ctx, &job.code, *job.projected, job.phase, depth + 1,
-                     &slot.patterns, want_frontier ? &slot.frontier : nullptr,
-                     &slot.stats);
-        } else if (want_frontier) {
-          slot.frontier.emplace(job.code, engine::TidSetOf(*job.projected));
-        }
-      });
-    }
-  }  // TaskGroup dtor waits; jobs/extensions/projected outlive every task.
-
-  for (SubtreeResult& r : results) {
-    out->AppendFrom(std::move(r.patterns));
-    if (frontier != nullptr) MergeFrontier(std::move(r.frontier), frontier);
-    AddStats(r.stats, stats);
-  }
-}
-
-void GrowPhased(const GastonContext& ctx, DfsCode* code,
-                const engine::Projected& projected, Phase phase, int depth,
-                PatternSet* out, FrontierMap* frontier, GastonStats* stats) {
-  PatternInfo info;
-  info.code = *code;
-  info.support = engine::SupportOf(projected);
-  info.tids = engine::TidSetOf(projected);
-  out->Upsert(std::move(info));
-  switch (phase) {
-    case Phase::kPath: ++stats->frequent_paths; break;
-    case Phase::kTree: ++stats->frequent_trees; break;
-    case Phase::kCyclic: ++stats->frequent_cyclic; break;
-  }
-
-  if (static_cast<int>(code->size()) >= ctx.options->max_edges) return;
-
-  engine::ExtensionMap extensions = engine::CollectExtensions(
-      *ctx.db, *code, projected, ctx.options->enable_order_pruning);
-
-  if (ctx.pool != nullptr && depth < 1 &&
-      static_cast<int>(projected.size()) >=
-          ctx.options->parallel_spawn_min_embeddings) {
-    GrowChildrenParallel(ctx, code, extensions, phase, depth, out, frontier,
-                         stats);
-    return;
-  }
-
-  // Gaston's phase discipline: node refinements that keep the pattern in an
-  // earlier phase are explored before refinements that advance the phase,
-  // and the phase never regresses (a path extension of a tree is
-  // impossible). Three passes over the sorted extension map realize this
-  // order without changing the discovered set.
-  for (const Phase target : {Phase::kPath, Phase::kTree, Phase::kCyclic}) {
-    if (target < phase) continue;  // Monotone: no regression possible.
-    for (const auto& [tuple, child_projected] : extensions) {
-      code->Append(tuple);
-      const Phase child_phase = PhaseOf(*code);
-      PM_CHECK_GE(static_cast<int>(child_phase), static_cast<int>(phase))
-          << "Gaston phase regressed";
-      if (engine::SupportOf(child_projected) < ctx.options->min_support) {
-        if (target == Phase::kCyclic &&  // Capture once (the last pass).
-            frontier != nullptr) {
-          frontier->emplace(*code, engine::TidSetOf(child_projected));
-        }
-      } else if (child_phase == target) {
-        if (CheckMinimal(*code, child_phase, stats)) {
-          GrowPhased(ctx, code, child_projected, child_phase, depth + 1, out,
-                     frontier, stats);
-        } else if (frontier != nullptr) {
-          frontier->emplace(*code, engine::TidSetOf(child_projected));
-        }
-      }
-      code->PopBack();
-    }
-  }
-}
-
-}  // namespace
-
 PatternSet GastonMiner::Mine(const GraphDatabase& db,
                              const MinerOptions& options) {
-  stats_ = GastonStats();
-  PatternSet out;
-  const GastonContext ctx{&db, &options, options.pool};
-  FrontierMap* frontier = options.capture_frontier;
+  // Gaston's phase discipline: refinements that keep the pattern in an
+  // earlier phase are explored before refinements that advance it (phases
+  // never regress along a DFS-code prefix chain), which is the growth loop's
+  // stable visit order by phase. Paths are tested by the closed-form path
+  // check. The check counters are atomic: with a pool, the test runs on
+  // several workers at once.
+  std::atomic<int64_t> path_fast_checks{0};
+  std::atomic<int64_t> generic_min_checks{0};
+  const engine::MinimalityCheck check = [&](const DfsCode& code, int rank) {
+    if (rank == static_cast<int>(Phase::kPath)) {
+      path_fast_checks.fetch_add(1, std::memory_order_relaxed);
+      PM_METRIC_COUNTER("miner.minimality_checks")->Increment();
+      return IsMinimalPathCode(code);
+    }
+    generic_min_checks.fetch_add(1, std::memory_order_relaxed);
+    return IsMinimalDfsCode(code);
+  };
+  PatternSet out = engine::GrowFromRoots(db, options, &PhaseRank, check);
 
-  // Phase 1 of Figure 7: frequent edges.
-  engine::ExtensionMap roots = engine::CollectRootExtensions(db);
-  DfsCode code;
-  if (ctx.pool == nullptr) {
-    for (const auto& [tuple, projected] : roots) {
-      code.Append(tuple);
-      if (engine::SupportOf(projected) < options.min_support) {
-        if (frontier != nullptr) {
-          frontier->emplace(code, engine::TidSetOf(projected));
-        }
-      } else {
-        GrowPhased(ctx, &code, projected, Phase::kPath, /*depth=*/0, &out,
-                   frontier, &stats_);
-      }
-      code.PopBack();
-    }
-  } else {
-    // Parallel: one task per frequent root group. Every root is a single
-    // edge — a path, minimal by construction — so tasks grow directly.
-    std::vector<PhasedJob> jobs;
-    for (const auto& [tuple, projected] : roots) {
-      code.Append(tuple);
-      if (engine::SupportOf(projected) < options.min_support) {
-        if (frontier != nullptr) {
-          frontier->emplace(code, engine::TidSetOf(projected));
-        }
-      } else {
-        jobs.push_back(PhasedJob{code, &projected, Phase::kPath});
-      }
-      code.PopBack();
-    }
-    std::vector<SubtreeResult> results(jobs.size());
-    const bool want_frontier = frontier != nullptr;
-    {
-      TaskGroup group(ctx.pool);
-      for (size_t i = 0; i < jobs.size(); ++i) {
-        group.Spawn([&ctx, &jobs, &results, i, want_frontier]() {
-          GrowPhased(ctx, &jobs[i].code, *jobs[i].projected, Phase::kPath,
-                     /*depth=*/0, &results[i].patterns,
-                     want_frontier ? &results[i].frontier : nullptr,
-                     &results[i].stats);
-        });
-      }
-    }
-    for (SubtreeResult& r : results) {
-      out.AppendFrom(std::move(r.patterns));
-      if (frontier != nullptr) MergeFrontier(std::move(r.frontier), frontier);
-      AddStats(r.stats, &stats_);
+  stats_ = GastonStats();
+  for (const PatternInfo& p : out.patterns()) {
+    switch (PhaseOf(p.code)) {
+      case Phase::kPath: ++stats_.frequent_paths; break;
+      case Phase::kTree: ++stats_.frequent_trees; break;
+      case Phase::kCyclic: ++stats_.frequent_cyclic; break;
     }
   }
+  stats_.path_fast_checks = path_fast_checks.load();
+  stats_.generic_min_checks = generic_min_checks.load();
 
   PM_METRIC_COUNTER("gaston.frequent_paths")->Add(stats_.frequent_paths);
   PM_METRIC_COUNTER("gaston.frequent_trees")->Add(stats_.frequent_trees);

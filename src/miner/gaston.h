@@ -50,11 +50,6 @@ class GastonMiner : public FrequentSubgraphMiner {
   GastonStats stats_;
 };
 
-/// True when `code` encodes a simple path pattern *and* is the straight walk
-/// from one endpoint (edge k connects DFS indices k and k+1, no backward
-/// edges). Exposed for tests.
-bool IsStraightPathCode(const DfsCode& code);
-
 /// Exact minimality test specialized for straight path codes: compares the
 /// code against every DFS enumeration of the path (each root vertex, each
 /// branch order), all constructed in closed form. Exposed for tests, which

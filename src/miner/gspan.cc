@@ -1,193 +1,14 @@
 #include "miner/gspan.h"
 
-#include <utility>
-#include <vector>
-
-#include "common/thread_pool.h"
-#include "graph/canonical.h"
 #include "miner/engine.h"
 
 namespace partminer {
 
-namespace {
-
-/// Mining state shared (read-only) by every frame and task of one Mine().
-struct GrowContext {
-  const GraphDatabase* db;
-  const MinerOptions* options;
-  ThreadPool* pool;  // Null disables subtree tasks (serial traversal).
-};
-
-/// Output of one subtree task, merged by the parent in tuple order.
-struct SubtreeResult {
-  PatternSet patterns;
-  FrontierMap frontier;
-};
-
-/// Frontier keys of sibling subtrees are disjoint (each carries its own
-/// root tuple), so a move-merge reproduces exactly the serial map content.
-void MergeFrontier(FrontierMap&& src, FrontierMap* dst) {
-  for (auto& [code, tids] : src) (*dst)[code] = std::move(tids);
-}
-
-void Grow(const GrowContext& ctx, DfsCode* code,
-          const engine::Projected& projected, int depth, PatternSet* out,
-          FrontierMap* frontier);
-
-/// Fans the frequent children of `extensions` out as pool tasks (one per
-/// sibling subtree), then appends their results in tuple order — the exact
-/// order the serial loop would have produced. Infrequent children are
-/// handled inline (cheap frontier bookkeeping); the minimality check rides
-/// inside the task, it is part of the subtree's work.
-void GrowChildrenParallel(const GrowContext& ctx, DfsCode* code,
-                          const engine::ExtensionMap& extensions, int depth,
-                          PatternSet* out, FrontierMap* frontier) {
-  struct Job {
-    DfsCode code;
-    const engine::Projected* projected;
-  };
-  std::vector<Job> jobs;
-  for (const auto& [tuple, child_projected] : extensions) {
-    code->Append(tuple);
-    if (engine::SupportOf(child_projected) < ctx.options->min_support) {
-      if (frontier != nullptr) {
-        frontier->emplace(*code, engine::TidSetOf(child_projected));
-      }
-    } else {
-      jobs.push_back(Job{*code, &child_projected});
-    }
-    code->PopBack();
-  }
-
-  std::vector<SubtreeResult> results(jobs.size());
-  const bool want_frontier = frontier != nullptr;
-  {
-    TaskGroup group(ctx.pool);
-    for (size_t i = 0; i < jobs.size(); ++i) {
-      group.Spawn([&ctx, &jobs, &results, i, depth, want_frontier]() {
-        Job& job = jobs[i];
-        SubtreeResult& slot = results[i];
-        if (IsMinimalDfsCode(job.code)) {
-          Grow(ctx, &job.code, *job.projected, depth + 1, &slot.patterns,
-               want_frontier ? &slot.frontier : nullptr);
-        } else if (want_frontier) {
-          // Frequent under a non-minimal code: not a pattern here, but its
-          // TID list must survive for the incremental lookups.
-          slot.frontier.emplace(job.code, engine::TidSetOf(*job.projected));
-        }
-      });
-    }
-  }  // TaskGroup dtor waits; jobs/extensions/projected outlive every task.
-
-  for (SubtreeResult& r : results) {
-    out->AppendFrom(std::move(r.patterns));
-    if (frontier != nullptr) MergeFrontier(std::move(r.frontier), frontier);
-  }
-}
-
-/// Recursive pattern growth. `code` is the (minimal) code of the current
-/// pattern, `projected` its embeddings. Reports the pattern, then recurses
-/// into every frequent minimal extension — as sibling pool tasks for
-/// first-level children of a large enough subtree, serially otherwise.
-void Grow(const GrowContext& ctx, DfsCode* code,
-          const engine::Projected& projected, int depth, PatternSet* out,
-          FrontierMap* frontier) {
-  PatternInfo info;
-  info.code = *code;
-  info.support = engine::SupportOf(projected);
-  info.tids = engine::TidSetOf(projected);
-  out->Upsert(std::move(info));
-
-  if (static_cast<int>(code->size()) >= ctx.options->max_edges) return;
-
-  engine::ExtensionMap extensions = engine::CollectExtensions(
-      *ctx.db, *code, projected, ctx.options->enable_order_pruning);
-
-  if (ctx.pool != nullptr && depth < 1 &&
-      static_cast<int>(projected.size()) >=
-          ctx.options->parallel_spawn_min_embeddings) {
-    GrowChildrenParallel(ctx, code, extensions, depth, out, frontier);
-    return;
-  }
-
-  for (const auto& [tuple, child_projected] : extensions) {
-    code->Append(tuple);
-    if (engine::SupportOf(child_projected) < ctx.options->min_support) {
-      if (frontier != nullptr) {
-        frontier->emplace(*code, engine::TidSetOf(child_projected));
-      }
-    } else if (IsMinimalDfsCode(*code)) {
-      Grow(ctx, code, child_projected, depth + 1, out, frontier);
-    } else if (frontier != nullptr) {
-      // Frequent under a non-minimal code: not a pattern here, but its TID
-      // list must survive for the incremental lookups.
-      frontier->emplace(*code, engine::TidSetOf(child_projected));
-    }
-    code->PopBack();
-  }
-}
-
-}  // namespace
-
 PatternSet GSpanMiner::Mine(const GraphDatabase& db,
                             const MinerOptions& options) {
-  PatternSet out;
-  engine::ExtensionMap roots = engine::CollectRootExtensions(db);
-  const GrowContext ctx{&db, &options, options.pool};
-  FrontierMap* frontier = options.capture_frontier;
-
-  if (ctx.pool == nullptr) {
-    DfsCode code;
-    for (const auto& [tuple, projected] : roots) {
-      code.Append(tuple);
-      if (engine::SupportOf(projected) < options.min_support) {
-        if (frontier != nullptr) {
-          frontier->emplace(code, engine::TidSetOf(projected));
-        }
-      } else {
-        Grow(ctx, &code, projected, /*depth=*/0, &out, frontier);
-      }
-      code.PopBack();
-    }
-    return out;
-  }
-
-  // Parallel: one task per frequent root group (every root tuple in
-  // canonical orientation is minimal, so tasks start growing directly).
-  struct Job {
-    DfsCode code;
-    const engine::Projected* projected;
-  };
-  std::vector<Job> jobs;
-  DfsCode code;
-  for (const auto& [tuple, projected] : roots) {
-    code.Append(tuple);
-    if (engine::SupportOf(projected) < options.min_support) {
-      if (frontier != nullptr) {
-        frontier->emplace(code, engine::TidSetOf(projected));
-      }
-    } else {
-      jobs.push_back(Job{code, &projected});
-    }
-    code.PopBack();
-  }
-  std::vector<SubtreeResult> results(jobs.size());
-  const bool want_frontier = frontier != nullptr;
-  {
-    TaskGroup group(ctx.pool);
-    for (size_t i = 0; i < jobs.size(); ++i) {
-      group.Spawn([&ctx, &jobs, &results, i, want_frontier]() {
-        Grow(ctx, &jobs[i].code, *jobs[i].projected, /*depth=*/0,
-             &results[i].patterns,
-             want_frontier ? &results[i].frontier : nullptr);
-      });
-    }
-  }
-  for (SubtreeResult& r : results) {
-    out.AppendFrom(std::move(r.patterns));
-    if (frontier != nullptr) MergeFrontier(std::move(r.frontier), frontier);
-  }
-  return out;
+  // gSpan is the growth loop at its defaults: tuple order, generic
+  // minimality test.
+  return engine::GrowFromRoots(db, options);
 }
 
 }  // namespace partminer

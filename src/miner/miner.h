@@ -20,11 +20,6 @@ struct MinerOptions {
   /// Upper bound on pattern size in edges. INT_MAX mines everything.
   int max_edges = INT_MAX;
 
-  /// Enables the gSpan label-order prunings that drop obviously non-minimal
-  /// extensions before the canonical check. Purely an optimization; tests
-  /// run with it both on and off and compare against a brute-force miner.
-  bool enable_order_pruning = true;
-
   /// When non-null, receives the mining frontier: every enumerated extension
   /// group that did not become a frequent pattern, with exact TID lists (see
   /// FrontierMap). Consumed by the incremental merge.

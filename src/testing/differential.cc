@@ -155,9 +155,9 @@ DifferentialResult RunAllChecks(const GraphDatabase& db,
     check(gaston.Mine(db, options), "gaston");
   }
 
-  // Parallel gSpan: the work-stealing traversal must be bit-identical to
-  // the serial one. The spawn threshold is lowered so the tiny fuzz
-  // databases actually fan out.
+  // Parallel gSpan and Gaston: the work-stealing traversal must be
+  // bit-identical to the serial one. The spawn threshold is lowered so the
+  // tiny fuzz databases actually fan out.
   for (const int threads : {2, 8}) {
     if (!result.ok()) break;
     ThreadPool pool(threads);
@@ -167,6 +167,9 @@ DifferentialResult RunAllChecks(const GraphDatabase& db,
     GSpanMiner gspan;
     check(gspan.Mine(db, parallel),
           "gspan(pool=" + std::to_string(threads) + ")");
+    GastonMiner gaston;
+    check(gaston.Mine(db, parallel),
+          "gaston(pool=" + std::to_string(threads) + ")");
   }
 
   // PartMiner across unit miners and thread counts; Theorems 1-3 say the

@@ -112,21 +112,6 @@ TEST(GSpanTest, MatchesBruteForceOnRandomDatabases) {
   }
 }
 
-TEST(GSpanTest, OrderPruningDoesNotChangeResults) {
-  Rng rng(77);
-  for (int trial = 0; trial < 6; ++trial) {
-    const GraphDatabase db = testutil::RandomDatabase(&rng, 6, 6, 3, 3, 2);
-    MinerOptions with, without;
-    with.min_support = 2;
-    without.min_support = 2;
-    with.enable_order_pruning = true;
-    without.enable_order_pruning = false;
-    GSpanMiner miner;
-    ExpectSamePatterns(miner.Mine(db, without), miner.Mine(db, with),
-                       "pruning trial " + std::to_string(trial));
-  }
-}
-
 TEST(GSpanTest, MaxEdgesBoundsPatternSize) {
   GSpanMiner miner;
   MinerOptions options;
@@ -160,24 +145,6 @@ TEST(GastonTest, PhaseStatsAccountForAllPatterns) {
   EXPECT_EQ(gaston.stats().TotalFrequent(), result.size());
   // Gaston's observation: paths and trees dominate.
   EXPECT_GT(gaston.stats().frequent_paths, 0);
-}
-
-TEST(GastonTest, StraightPathCodeDetection) {
-  DfsCode straight;
-  straight.Append({0, 1, 0, 0, 1});
-  straight.Append({1, 2, 1, 0, 0});
-  EXPECT_TRUE(IsStraightPathCode(straight));
-
-  DfsCode branched;
-  branched.Append({0, 1, 0, 0, 1});
-  branched.Append({0, 2, 0, 0, 1});
-  EXPECT_FALSE(IsStraightPathCode(branched));
-
-  DfsCode cyclic;
-  cyclic.Append({0, 1, 0, 0, 0});
-  cyclic.Append({1, 2, 0, 0, 0});
-  cyclic.Append({2, 0, 0, 0, 0});
-  EXPECT_FALSE(IsStraightPathCode(cyclic));
 }
 
 TEST(GastonTest, PathFastCheckMatchesGenericOnRandomPathCodes) {

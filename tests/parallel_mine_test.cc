@@ -1,14 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <numeric>
 #include <string>
 #include <vector>
 
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "core/inc_part_miner.h"
+#include "core/merge_join.h"
 #include "core/part_miner.h"
 #include "datagen/generator.h"
 #include "datagen/update_generator.h"
+#include "miner/engine.h"
 #include "miner/gaston.h"
 #include "miner/gspan.h"
 #include "tests/test_util.h"
@@ -159,6 +163,169 @@ TEST(ParallelMineTest, IncPartMinerIdenticalAcrossThreadCounts) {
     ExpectBitIdentical(expected.fi, got.fi, what + " fi");
     EXPECT_EQ(expected.remined_units.bits(), got.remined_units.bits()) << what;
   }
+}
+
+// The frontier contract IncMergeJoin relies on for exactness (FrontierMap,
+// engine::GrowFromRoots): every enumerated group that did not become a
+// pattern is recorded with its exact TIDs, and no pattern is recorded.
+
+/// Mines `db` with `miner` (pool optional, fan-out forced) and returns the
+/// captured frontier; `patterns` receives the result when non-null.
+FrontierMap CaptureFrontier(FrequentSubgraphMiner* miner,
+                            const GraphDatabase& db, int support,
+                            ThreadPool* pool, PatternSet* patterns = nullptr) {
+  MinerOptions options;
+  options.min_support = support;
+  options.pool = pool;
+  options.parallel_spawn_min_embeddings = 1;
+  FrontierMap frontier;
+  options.capture_frontier = &frontier;
+  PatternSet mined = miner->Mine(db, options);
+  if (patterns != nullptr) *patterns = std::move(mined);
+  return frontier;
+}
+
+/// Checks that no frontier key is a pattern and that every key's TIDs
+/// equal a from-scratch projection of its code over `db`.
+void ExpectExactFrontier(const GraphDatabase& db, const PatternSet& patterns,
+                         const FrontierMap& frontier, const std::string& what) {
+  std::vector<int> all(db.size());
+  std::iota(all.begin(), all.end(), 0);
+  for (const auto& [code, tids] : frontier) {
+    EXPECT_FALSE(patterns.Contains(code))
+        << what << ": frontier key is a pattern " << code.ToString();
+    std::deque<engine::Embedding> arena;
+    const TidSet recount =
+        engine::TidSetOf(engine::ProjectCode(code, db, all, &arena));
+    EXPECT_EQ(tids, recount) << what << ": " << code.ToString();
+  }
+}
+
+/// Checks that every group a mine enumerates (each root, each rightmost
+/// extension of each pattern) is either a pattern or a frontier key.
+void ExpectCompleteFrontier(const GraphDatabase& db, const PatternSet& patterns,
+                            const FrontierMap& frontier,
+                            const std::string& what) {
+  auto accounted = [&](const DfsCode& code) {
+    EXPECT_TRUE(patterns.Contains(code) || frontier.count(code) > 0)
+        << what << ": enumerated group missing " << code.ToString();
+  };
+  for (const auto& [tuple, projected] : engine::CollectRootExtensions(db)) {
+    DfsCode root;
+    root.Append(tuple);
+    accounted(root);
+  }
+  std::vector<int> all(db.size());
+  std::iota(all.begin(), all.end(), 0);
+  for (const PatternInfo& p : patterns.patterns()) {
+    std::deque<engine::Embedding> arena;
+    const engine::Projected projected =
+        engine::ProjectCode(p.code, db, all, &arena);
+    for (const auto& [tuple, child] : engine::CollectExtensions(
+             db, p.code, projected, /*enable_order_pruning=*/true)) {
+      DfsCode code = p.code;
+      code.Append(tuple);
+      accounted(code);
+    }
+  }
+}
+
+TEST(ParallelMineTest, FrontierContractSameAcrossMinersAndPools) {
+  ThreadPool pool2(2);
+  ThreadPool pool8(8);
+  Rng rng(2024);
+  for (int seed = 0; seed < 100; ++seed) {
+    const GraphDatabase db = testutil::RandomDatabase(&rng, 10, 7, 3, 3, 2);
+    for (const int support : {2, 3, 4}) {
+      const std::string what =
+          "seed " + std::to_string(seed) + " support " + std::to_string(support);
+      GSpanMiner gspan;
+      const FrontierMap expected = CaptureFrontier(&gspan, db, support, nullptr);
+      for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &pool2,
+                               &pool8}) {
+        const std::string where =
+            what + " pool " + std::to_string(pool ? pool->width() : 0);
+        GastonMiner gaston;
+        EXPECT_TRUE(expected == CaptureFrontier(&gaston, db, support, pool))
+            << "gaston " << where;
+        if (pool != nullptr) {
+          EXPECT_TRUE(expected == CaptureFrontier(&gspan, db, support, pool))
+              << "gspan " << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(ParallelMineTest, FrontierContractKeysAreExactCompleteNonPatterns) {
+  Rng rng(4048);
+  size_t keys = 0;
+  for (int seed = 0; seed < 40; ++seed) {
+    const GraphDatabase db = testutil::RandomDatabase(&rng, 10, 7, 3, 3, 2);
+    for (const int support : {2, 3, 4}) {
+      GSpanMiner gspan;
+      PatternSet patterns;
+      const FrontierMap frontier =
+          CaptureFrontier(&gspan, db, support, nullptr, &patterns);
+      const std::string what =
+          "seed " + std::to_string(seed) + " support " + std::to_string(support);
+      ExpectExactFrontier(db, patterns, frontier, what);
+      ExpectCompleteFrontier(db, patterns, frontier, what);
+      keys += frontier.size();
+    }
+  }
+  EXPECT_GT(keys, 0u);
+}
+
+TEST(ParallelMineTest, FrontierContractHoldsAfterIncrementalGrow) {
+  // Overwriting a few graphs with copies of graph 0 makes graph 0's
+  // subgraphs newly frequent, which the delta sweep completes through the
+  // growth loop's subtree grow (the only place it increments spanning_found).
+  Rng rng(6072);
+  int grown_rounds = 0;
+  int grown_keys = 0;
+  for (int seed = 0; seed < 30; ++seed) {
+    GraphDatabase db = testutil::RandomDatabase(&rng, 14, 7, 3, 3, 2);
+    const int support = 4;
+    NodeFrontier frontier;
+    frontier.valid = true;
+    MinerOptions options;
+    options.min_support = support;
+    options.capture_frontier = &frontier.map;
+    GSpanMiner gspan;
+    const PatternSet cached = gspan.Mine(db, options);
+
+    const std::vector<int> updated = {3, 7};
+    for (const int gi : updated) db.mutable_graph(gi) = db.graph(0);
+    MergeJoinOptions mj;
+    mj.min_support = support;
+    mj.delta_sweep_max_fraction = 1.0;  // Always the delta sweep.
+    MergeJoinStats stats;
+    const PatternSet result =
+        IncMergeJoin(db, cached, updated, mj, &stats, &frontier);
+    if (stats.spanning_found > 0) ++grown_rounds;
+
+    const std::string what = "seed " + std::to_string(seed);
+    ExpectExactFrontier(db, result, frontier.map, what);
+
+    // Keys under a newly frequent pattern were written by the grow; there
+    // must be some.
+    for (const auto& [code, tids] : frontier.map) {
+      for (const PatternInfo& p : result.patterns()) {
+        if (cached.Contains(p.code) || code.size() <= p.code.size()) continue;
+        bool extends = true;
+        for (size_t i = 0; i < p.code.size() && extends; ++i) {
+          extends = code[i] == p.code[i];
+        }
+        if (extends) {
+          ++grown_keys;
+          break;
+        }
+      }
+    }
+  }
+  EXPECT_GT(grown_rounds, 0);
+  EXPECT_GT(grown_keys, 0);
 }
 
 }  // namespace

@@ -36,7 +36,6 @@
 #include "datagen/generator.h"
 #include "graph/canonical.h"
 #include "graph/graph_io.h"
-#include "graph/label_index.h"
 #include "miner/closed.h"
 #include "miner/gaston.h"
 #include "miner/gspan.h"
@@ -144,8 +143,8 @@ int Usage() {
                "  partminer mine  --input=db.lg --support=0.05 [--k=4] "
                "[--algo=partminer|gspan|gaston|adi] [--criteria=combined|"
                "mincut|isolation|metis] [--threads=N] [--max-edges=N] "
-               "[--pool-frames=N] [--closed|--maximal] [--no-prune-index] "
-               "[--no-canon-cache] [--output=out.lg] "
+               "[--pool-frames=N] [--closed|--maximal] [--no-canon-cache] "
+               "[--output=out.lg] "
                "[--trace=trace.json] [--metrics=metrics.json]\n"
                "  partminer gen   --output=db.lg [--d --t --n --l --i "
                "--seed]\n"
@@ -181,7 +180,7 @@ Status WritePatterns(const PatternSet& patterns, std::ostream& out) {
 int Mine(const std::map<std::string, std::string>& flags) {
   WarnUnknownFlags(flags, {"input", "support", "k", "algo", "criteria",
                            "threads", "max-edges", "pool-frames", "closed",
-                           "maximal", "no-prune-index", "no-canon-cache",
+                           "maximal", "no-canon-cache",
                            "output", "trace", "metrics"});
   GraphDatabase db;
   const std::string input = Get(flags, "input", "");
@@ -208,12 +207,10 @@ int Mine(const std::map<std::string, std::string>& flags) {
   const int max_edges = IntFlag(flags, "max-edges", 0);
   const std::string algo = Get(flags, "algo", "partminer");
 
-  // Support-counting fast-path escape hatches. Mined output is bit-identical
-  // either way; the flags exist for debugging and for measuring what the
-  // label index and the minimality cache buy. Setting them also publishes
-  // the prune.index_enabled / canon.cache_enabled gauges, so a --metrics
-  // dump records which configuration produced it.
-  SetLabelIndexEnabled(flags.count("no-prune-index") == 0);
+  // Minimality-cache escape hatch. Mined output is bit-identical either
+  // way; the flag exists for debugging and for measuring what the cache
+  // buys. Setting it also publishes the canon.cache_enabled gauge, so a
+  // --metrics dump records which configuration produced it.
   SetMinimalityCacheEnabled(flags.count("no-canon-cache") == 0);
 
   const std::string trace_path = Get(flags, "trace", "");

@@ -1,9 +1,12 @@
 #!/bin/sh
-# ThreadSanitizer sweep of the concurrent paths: work-stealing pool,
-# parallel gSpan/Gaston subtree mining, PartMiner/IncPartMiner unit
-# scheduling, and the buffer pool. Builds into build-tsan/ (kept
-# separate from the regular build; TSan is ABI-incompatible with it) and
-# runs the full ctest suite under TSAN_OPTIONS that fail on any report.
+# ThreadSanitizer sweep of the concurrent paths: work-stealing pool, the
+# pattern-growth loop's subtree fan-out (parallel gSpan/Gaston), PartMiner
+# unit scheduling, the buffer pool and the service. Builds into build-tsan/
+# (kept separate from the regular build; TSan is ABI-incompatible with it)
+# and runs the ctest suite under TSAN_OPTIONS that fail on any report.
+# Extra arguments go to ctest; two slow-labelled ctest targets use them:
+#   run_tsan_mining   tools/run_tsan.sh -R "ParallelMine|ThreadPool"
+#   run_tsan_storage  tools/run_tsan.sh -R "BufferPool"
 #
 # Usage: tools/run_tsan.sh [extra ctest args...]
 set -eu
