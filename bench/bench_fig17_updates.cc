@@ -73,7 +73,7 @@ void RunSweep(const char* figure, const WorkloadSpec& spec, double sup,
         static_cast<long long>(result.merge_stats.cached_patterns),
         static_cast<long long>(result.merge_stats.candidates_counted),
         static_cast<long long>(result.merge_stats.candidates_skipped_known),
-        result.uf.size(), result.fi.size(), result.if_.size());
+        result.uf, result.fi.size(), result.if_.size());
   }
 }
 

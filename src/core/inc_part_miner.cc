@@ -1,5 +1,7 @@
 #include "core/inc_part_miner.h"
 
+#include <utility>
+
 #include "common/logging.h"
 #include "common/timing.h"
 #include "core/merge_join.h"
@@ -39,6 +41,8 @@ IncPartMinerResult IncPartMiner::Update(PartMiner* state,
   // over the root's own cache and frontier. The root's recombined database
   // is the database itself, so no materialization is needed.
   const PatternSet& old_patterns = state->patterns();
+  PatternSet next;
+  MergeTransitions transitions;
   Stopwatch merge_watch;
   {
     PM_TRACE_SPAN("inc_merge_root", {{"candidates", old_patterns.size()}});
@@ -47,31 +51,33 @@ IncPartMinerResult IncPartMiner::Update(PartMiner* state,
     mj.max_edges = state->options().max_edges;
     mj.delta_sweep_max_fraction =
         state->options().inc_delta_sweep_max_fraction;
-    result.patterns =
-        IncMergeJoin(new_db, old_patterns, log.updated_graphs, mj,
-                     &result.merge_stats, &state->mutable_root_frontier());
+    next = IncMergeJoin(new_db, old_patterns, log.updated_graphs, mj,
+                        &result.merge_stats, &state->mutable_root_frontier(),
+                        &transitions);
   }
   result.merge_seconds = merge_watch.ElapsedSeconds();
   PM_METRIC_HISTOGRAM("partminer.phase.merge_ms")
       ->Observe(result.merge_seconds * 1e3);
 
-  // Classification (Section 4.5): exact, as set differences of the old and
-  // new root sets.
+  // Classification (Section 4.5) from the round's transitions: IF with the
+  // new info, FI with the old, UF as what remains of the new set.
   Stopwatch classify_watch;
   {
-    PM_TRACE_SPAN("classify", {{"patterns", result.patterns.size()}});
-    for (const PatternInfo& p : result.patterns.patterns()) {
-      (old_patterns.Contains(p.code) ? result.uf : result.if_).Upsert(p);
+    PM_TRACE_SPAN("classify", {{"patterns", next.size()}});
+    for (const DfsCode& code : transitions.became_frequent) {
+      result.if_.Upsert(*next.Find(code));
     }
-    for (const PatternInfo& p : old_patterns.patterns()) {
-      if (!result.patterns.Contains(p.code)) result.fi.Upsert(p);
+    for (const DfsCode& code : transitions.became_infrequent) {
+      result.fi.Upsert(*old_patterns.Find(code));
     }
+    result.uf = next.size() - result.if_.size();
   }
   result.verify_seconds = classify_watch.ElapsedSeconds();
   PM_METRIC_HISTOGRAM("partminer.phase.verify_ms")
       ->Observe(result.verify_seconds * 1e3);
 
-  state->mutable_patterns() = result.patterns;
+  result.patterns = next;
+  state->mutable_patterns() = std::move(next);
   return result;
 }
 

@@ -12,12 +12,13 @@ namespace partminer {
 /// Outcome of one incremental round: the new exact pattern set of the
 /// updated database plus the paper's three classification sets
 /// (Section 4.5): UF (frequent before and after), FI (frequent ->
-/// infrequent), IF (infrequent -> frequent).
+/// infrequent), IF (infrequent -> frequent). UF is every pattern of
+/// `patterns` not in IF, so only its size is kept.
 struct IncPartMinerResult {
   PatternSet patterns;  // P(D'), exact.
-  PatternSet uf;
-  PatternSet fi;
-  PatternSet if_;
+  int uf = 0;
+  PatternSet fi;   // With their pre-update info.
+  PatternSet if_;  // With their post-update info.
 
   /// Units holding an updated vertex (the setword of Figure 12), from
   /// routing alone: no unit is re-mined.
@@ -49,9 +50,9 @@ struct IncPartMinerResult {
 ///
 /// The paper's prune set (unit patterns that vanished from a re-mined unit)
 /// only marks candidates for its final check; with the root merge exact,
-/// the classification is a plain set difference between the old and new
-/// root sets, with no isomorphism test. Tests compare every field against
-/// a from-scratch re-mining.
+/// the classification is the set of transitions IncMergeJoin reports, with
+/// no isomorphism test and no pass over the unchanged patterns. Tests
+/// compare every field against a from-scratch re-mining.
 class IncPartMiner {
  public:
   IncPartMiner() = default;

@@ -5,9 +5,11 @@
 #include <functional>
 #include <utility>
 
+#include "common/timing.h"
 #include "graph/canonical.h"
 #include "miner/engine.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace partminer {
 
@@ -47,7 +49,7 @@ PatternSet ExactSweep(const GraphDatabase& db, const MergeJoinOptions& options,
   mo.min_support = options.min_support;
   mo.max_edges = options.max_edges;
   if (frontier != nullptr) {
-    frontier->map.clear();
+    frontier->map.Clear();
     frontier->valid = capture;
     if (capture) mo.capture_frontier = &frontier->map;
   }
@@ -90,15 +92,6 @@ PatternSet MergeJoin(const GraphDatabase& db,
 
 namespace {
 
-/// True when `code` strictly extends `prefix` (same leading tuples).
-bool ExtendsPrefix(const DfsCode& code, const DfsCode& prefix) {
-  if (code.size() <= prefix.size()) return false;
-  for (size_t i = 0; i < prefix.size(); ++i) {
-    if (!(code[i] == prefix[i])) return false;
-  }
-  return true;
-}
-
 /// The delta-mining sweep behind IncMergeJoin: a gSpan recursion over the
 /// *updated graphs only*. Every encountered extension group resolves its
 /// pre-update TID list from the node's cache (frequent patterns) or its
@@ -106,12 +99,17 @@ bool ExtendsPrefix(const DfsCode& code, const DfsCode& prefix) {
 /// occurrences), so post-update supports come from set arithmetic alone —
 /// no subgraph-isomorphism counting. Patterns that newly cross the
 /// threshold are completed by a full-projection subtree grow (rare).
+///
+/// The sweep reaches every code through its prefix chain, so it carries the
+/// newest cut over a code's proper prefixes down the recursion and each
+/// frontier lookup checks liveness with one comparison (see Frontier).
 class DeltaSweep {
  public:
   DeltaSweep(const GraphDatabase& node_db, const GraphDatabase& upd_db,
-             const PatternSet& cached, FrontierMap& frontier,
+             const PatternSet& cached, Frontier& frontier,
              TidSet updated_set, const MergeJoinOptions& options,
-             PatternSet* out, MergeJoinStats* stats)
+             PatternSet* out, MergeJoinStats* stats,
+             std::vector<DfsCode>* became_frequent)
       : node_db_(node_db),
         upd_db_(upd_db),
         cached_(cached),
@@ -119,74 +117,72 @@ class DeltaSweep {
         updated_set_(std::move(updated_set)),
         options_(options),
         out_(out),
-        stats_(stats) {}
+        stats_(stats),
+        became_frequent_(became_frequent) {}
 
   void Run() {
-    // Strip the updated graphs from every frontier entry up front: the
-    // remainder is exactly "pre-update containment that is still valid",
-    // and the sweep re-adds post-update hits for the entries it reaches.
-    // Entries it does not reach have no post-update occurrence in the
-    // updated graphs, so the stripped value is already exact.
-    for (auto& [code, tids] : frontier_) {
-      (void)code;
-      tids -= updated_set_;
-    }
     engine::ExtensionMap roots = engine::CollectRootExtensions(upd_db_);
     DfsCode code;
     for (const auto& [tuple, projected] : roots) {
       code.Append(tuple);
-      Handle(&code, projected);
+      Handle(&code, projected, /*prefix_cut=*/0);
       code.PopBack();
     }
   }
 
  private:
-  /// Exact post-update TIDs: (old \ updated) ∪ hits-in-updated, three word-
-  /// wise bitset passes with no per-candidate vector materialization (the
-  /// former KeptTids/NewTids set_difference+merge pair, folded). The pre-
+  /// Exact post-update TIDs: (old \ updated) ∪ hits-in-updated. The pre-
   /// update set comes from the node cache (stripped here) or the frontier
-  /// (stripped once up front in Run()); absent means zero pre-update
+  /// (stripped lazily by its lookup); absent or dead means zero pre-update
   /// occurrences.
-  TidSet NewTids(const DfsCode& code, const TidSet& upd_hits) const {
+  TidSet NewTids(const DfsCode& code, Frontier::Epoch prefix_cut,
+                 const TidSet& upd_hits) const {
     TidSet tids;
     const PatternInfo* info = cached_.Find(code);
     if (info != nullptr) {
       tids = info->tids;
       tids -= updated_set_;
     } else {
-      const auto it = frontier_.find(code);
-      if (it != frontier_.end()) tids = it->second;  // Already stripped.
+      frontier_.Lookup(code, prefix_cut, &tids);
     }
     tids |= upd_hits;
     return tids;
   }
 
-  /// Processes one extension group reached through the updated graphs.
-  void Handle(DfsCode* code, const engine::Projected& projected) {
+  /// Processes one extension group reached through the updated graphs;
+  /// `prefix_cut` is the frontier's PrefixCutEpoch(*code).
+  void Handle(DfsCode* code, const engine::Projected& projected,
+              Frontier::Epoch prefix_cut) {
     ++stats_->candidates_generated;
     const TidSet upd_hits = engine::TidSetOf(projected);
-    TidSet tids = NewTids(*code, upd_hits);
+    TidSet tids = NewTids(*code, prefix_cut, upd_hits);
     const int support = tids.Count();
     const bool was_cached = cached_.Contains(*code);
 
     if (support < options_.min_support) {
-      frontier_[*code] = std::move(tids);
-      if (was_cached) CutSubtree(*code);  // FI: prune the stale subtree.
+      // A cached pattern landing here was parked by Pass 1 and is cut
+      // after the sweep.
+      frontier_.Put(*code, std::move(tids));
       return;  // Apriori: nothing frequent extends an infrequent pattern.
     }
     if (!IsMinimalDfsCode(*code)) {
       // Frequent under a non-minimal code: keep the TIDs for future rounds;
       // the minimal twin carries the pattern.
-      frontier_[*code] = std::move(tids);
+      frontier_.Put(*code, std::move(tids));
       return;
     }
     if (!was_cached) {
       // Newly frequent (IF direction): its subtree was never enumerated
       // before, so recover it with a full projection over the node database
-      // (exact TIDs are in hand).
+      // (exact TIDs are in hand). Everything the grow emits is newly
+      // frequent too: it extends a code that was infrequent.
       ++stats_->spanning_found;
       ++stats_->candidates_counted;
+      const int first = out_->size();
       FullGrow(code, tids.ToVector());
+      for (int i = first; i < out_->size(); ++i) {
+        became_frequent_->push_back(out_->patterns()[i].code);
+      }
       return;
     }
 
@@ -194,7 +190,7 @@ class DeltaSweep {
     // its extensions inside the updated graphs. Pass 1 may have parked it in
     // the frontier (its stripped support fell short); it is frequent again.
     ++stats_->candidates_skipped_known;
-    frontier_.erase(*code);
+    frontier_.Erase(*code);
     PatternInfo info;
     info.code = *code;
     info.support = support;
@@ -202,18 +198,20 @@ class DeltaSweep {
     out_->Upsert(std::move(info));
 
     if (static_cast<int>(code->size()) >= options_.max_edges) return;
+    const Frontier::Epoch child_cut =
+        std::max(prefix_cut, frontier_.CutEpoch(*code));
     engine::ExtensionMap extensions = engine::CollectExtensions(
         upd_db_, *code, projected, /*enable_order_pruning=*/true);
     for (const auto& [tuple, child_projected] : extensions) {
       code->Append(tuple);
-      Handle(code, child_projected);
+      Handle(code, child_projected, child_cut);
       code->PopBack();
     }
   }
 
   /// Standard full-projection grow for a newly frequent pattern: emits its
   /// whole frequent subtree with exact info and records the subtree's
-  /// frontier.
+  /// frontier at the current epoch.
   void FullGrow(DfsCode* code, const std::vector<int>& tids) {
     std::deque<engine::Embedding> arena;
     const engine::Projected projected =
@@ -225,28 +223,15 @@ class DeltaSweep {
     engine::GrowSubtree(node_db_, mo, code, projected, out_);
   }
 
-  /// Discards the frontier subtree of a dropped (frequent -> infrequent)
-  /// pattern. Those entries were derived through occurrences that may have
-  /// vanished; they are re-derived if the region becomes frequent again.
-  /// FI transitions are rare, so a linear scan is acceptable.
-  void CutSubtree(const DfsCode& cut) {
-    for (auto it = frontier_.begin(); it != frontier_.end();) {
-      if (ExtendsPrefix(it->first, cut)) {
-        it = frontier_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-
   const GraphDatabase& node_db_;
   const GraphDatabase& upd_db_;
   const PatternSet& cached_;
-  FrontierMap& frontier_;
+  Frontier& frontier_;
   const TidSet updated_set_;
   const MergeJoinOptions& options_;
   PatternSet* out_;
   MergeJoinStats* stats_;
+  std::vector<DfsCode>* became_frequent_;
 };
 
 }  // namespace
@@ -254,7 +239,8 @@ class DeltaSweep {
 PatternSet IncMergeJoin(const GraphDatabase& node_db, const PatternSet& cached,
                         const std::vector<int>& updated_graphs,
                         const MergeJoinOptions& options,
-                        MergeJoinStats* stats, NodeFrontier* frontier) {
+                        MergeJoinStats* stats, NodeFrontier* frontier,
+                        MergeTransitions* transitions) {
   MergeJoinStats local_stats;
   MergeJoinStats* s = &local_stats;
   s->cached_patterns += cached.size();
@@ -268,6 +254,10 @@ PatternSet IncMergeJoin(const GraphDatabase& node_db, const PatternSet& cached,
       if (caller != nullptr) caller->Accumulate(*local);
     }
   } publisher{&local_stats, stats};
+  MergeTransitions local_transitions;
+  MergeTransitions* t =
+      transitions != nullptr ? transitions : &local_transitions;
+  *t = MergeTransitions();
 
   std::vector<int> updated = updated_graphs;
   std::sort(updated.begin(), updated.end());
@@ -284,14 +274,39 @@ PatternSet IncMergeJoin(const GraphDatabase& node_db, const PatternSet& cached,
   // small-update round could use the cache: a small-update round with an
   // invalid cache re-captures; a large-update round skips the capture and
   // invalidates.
-  const bool small_update =
-      node_db.size() == 0 ||
-      static_cast<double>(updated.size()) / node_db.size() <=
-          options.delta_sweep_max_fraction;
+  const auto small_share = [&](size_t graphs) {
+    return node_db.size() == 0 ||
+           static_cast<double>(graphs) / node_db.size() <=
+               options.delta_sweep_max_fraction;
+  };
+  const bool small_update = small_share(updated.size());
   if (!small_update || frontier == nullptr || !frontier->valid) {
-    return ExactSweep(
+    PatternSet out = ExactSweep(
         node_db, options, frontier, /*capture=*/small_update,
         [&cached](const DfsCode& code) { return cached.Contains(code); }, s);
+    // Transitions by set difference: the sweep already paid O(result).
+    for (const PatternInfo& p : out.patterns()) {
+      if (!cached.Contains(p.code)) t->became_frequent.push_back(p.code);
+    }
+    for (const PatternInfo& p : cached.patterns()) {
+      if (!out.Contains(p.code)) t->became_infrequent.push_back(p.code);
+    }
+    return out;
+  }
+
+  // Open this round's frontier epoch. Strips are lazy; once the graphs
+  // updated since the last compaction pass the same share that sends a
+  // round to the re-sweep, one compaction pays the whole-frontier cost.
+  Frontier& f = frontier->map;
+  f.BeginRound(updated);
+  if (!small_share(f.PendingGraphs())) {
+    PM_TRACE_SPAN("frontier_compact", {{"entries", f.size()},
+                                       {"pending_graphs", f.PendingGraphs()}});
+    Stopwatch compact_watch;
+    f.Compact();
+    PM_METRIC_COUNTER("partminer.update.frontier_compactions")->Increment();
+    PM_METRIC_HISTOGRAM("partminer.update.frontier_compact_ms")
+        ->Observe(compact_watch.ElapsedMillis());
   }
 
   // Pass 1 — pure set arithmetic for every cached pattern: containment in
@@ -301,10 +316,15 @@ PatternSet IncMergeJoin(const GraphDatabase& node_db, const PatternSet& cached,
   // whose stripped support falls short is parked in the frontier: the sweep
   // never reaches it if it lost every occurrence in the updated graphs (only
   // a relabel can do that), and a later round must still find its TIDs.
+  // Only parked patterns can end up frequent -> infrequent.
   const TidSet updated_set = TidSet::FromVector(updated);
   PatternSet out;
+  std::vector<DfsCode> parked;
   for (const PatternInfo& p : cached.patterns()) {
-    if (static_cast<int>(p.code.size()) > options.max_edges) continue;
+    if (static_cast<int>(p.code.size()) > options.max_edges) {
+      t->became_infrequent.push_back(p.code);
+      continue;
+    }
     ++s->delta_recounts;
     PatternInfo q;
     q.code = p.code;
@@ -314,12 +334,14 @@ PatternSet IncMergeJoin(const GraphDatabase& node_db, const PatternSet& cached,
     if (q.support >= options.min_support) {
       out.Upsert(std::move(q));
     } else {
-      frontier->map[q.code] = std::move(q.tids);
+      f.Put(q.code, std::move(q.tids));
+      parked.push_back(p.code);
     }
   }
 
-  // Pass 2 — the frontier-backed delta sweep over the updated graphs. The
-  // frontier map is mutated in place (stripped, refreshed, pruned).
+  // Pass 2 — the frontier-backed delta sweep over the updated graphs. It
+  // refreshes the frontier entries it reaches and re-frequents the parked
+  // patterns it reaches.
   GraphDatabase upd_db;
   size_t u = 0;
   for (int i = 0; i < node_db.size(); ++i) {
@@ -330,9 +352,21 @@ PatternSet IncMergeJoin(const GraphDatabase& node_db, const PatternSet& cached,
       upd_db.Add(Graph(), node_db.gid(i));
     }
   }
-  DeltaSweep sweep(node_db, upd_db, cached, frontier->map, updated_set,
-                   options, &out, s);
+  DeltaSweep sweep(node_db, upd_db, cached, f, updated_set, options, &out, s,
+                   &t->became_frequent);
   sweep.Run();
+
+  // Parked patterns the sweep did not make frequent again are the FI
+  // transitions. Each cuts its frontier subtree: those entries were derived
+  // through occurrences of a pattern that dropped out, and the subtree grow
+  // re-derives them if it becomes frequent again. Cutting every FI pattern,
+  // reached or not, keeps every live entry under a chain of current
+  // patterns, where the sweep keeps it exact.
+  for (DfsCode& code : parked) {
+    if (out.Contains(code)) continue;
+    f.Cut(code);
+    t->became_infrequent.push_back(std::move(code));
+  }
   return out;
 }
 

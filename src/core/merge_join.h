@@ -57,11 +57,20 @@ struct MergeJoinStats {
 /// Every pattern in the result carries exact support and TID lists for
 /// `db` (exact_tids set).
 /// `frontier_out`, when non-null, receives the root's mining frontier (see
-/// FrontierMap) for consumption by later IncMergeJoin calls.
+/// Frontier) for consumption by later IncMergeJoin calls.
 PatternSet MergeJoin(const GraphDatabase& db,
                      const std::vector<PatternSet>& units,
                      const MergeJoinOptions& options, MergeJoinStats* stats,
                      NodeFrontier* frontier_out);
+
+/// The pattern transitions of one IncMergeJoin call (Section 4.5), by
+/// code: IF (infrequent -> frequent) and FI (frequent -> infrequent). The
+/// delta path reads them off the sweep; the re-sweep path takes set
+/// differences.
+struct MergeTransitions {
+  std::vector<DfsCode> became_frequent;
+  std::vector<DfsCode> became_infrequent;
+};
 
 /// The incremental merge (IncMergeJoin, Figure 12): recovers the exact
 /// frequent pattern set of a node's *updated* database from the node's
@@ -82,18 +91,28 @@ PatternSet MergeJoin(const GraphDatabase& db,
 /// results of the pre-updated database to eliminate the generation of
 /// unchanged candidate graphs" (Section 1): unchanged candidates are never
 /// re-generated or re-counted outside the updated graphs.
+///
 /// `frontier` is the node's cached frontier (in/out): candidates looked up
-/// there are re-counted by set arithmetic alone, and the map is replaced by
-/// the post-update frontier. Its invariant: every code the sweep can reach
-/// (all DFS-code prefixes frequent and minimal) that is not in `cached`
-/// either has an entry with its exact TIDs or has no occurrence at all.
-/// A cached pattern that falls below threshold is therefore written to the
-/// frontier even when the sweep never reaches it. With a null or invalid
-/// frontier the call takes the exact re-sweep path.
+/// there are re-counted by set arithmetic alone, and it is left holding the
+/// post-update frontier. Its invariant: every code the sweep can reach (all
+/// DFS-code prefixes frequent and minimal) that is not in `cached` either
+/// has a live entry whose lazily stripped TIDs are exact or has no
+/// occurrence at all. A cached pattern that falls below threshold is
+/// therefore written to the frontier even when the sweep never reaches it.
+/// A delta round opens a frontier epoch instead of stripping every entry,
+/// and a reached pattern that falls frequent -> infrequent cuts its subtree
+/// by logging its code (Frontier::Cut), not by scanning the frontier. The
+/// whole-frontier pass (Frontier::Compact) runs only once the graphs
+/// updated since the last one exceed `delta_sweep_max_fraction` of the
+/// database. With a null or invalid frontier the call takes the exact
+/// re-sweep path, which replaces the frontier wholesale.
+///
+/// `transitions`, when non-null, receives the round's IF and FI codes.
 PatternSet IncMergeJoin(const GraphDatabase& node_db, const PatternSet& cached,
                         const std::vector<int>& updated_graphs,
                         const MergeJoinOptions& options,
-                        MergeJoinStats* stats, NodeFrontier* frontier);
+                        MergeJoinStats* stats, NodeFrontier* frontier,
+                        MergeTransitions* transitions = nullptr);
 
 }  // namespace partminer
 

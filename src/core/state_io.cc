@@ -59,15 +59,18 @@ void WritePatternSet(const PatternSet& set, std::ostream& out) {
   }
 }
 
+// The frontier is written compacted: live entries with their current TIDs,
+// so a lazily maintained frontier saves exactly as a compacted one would.
 void WriteFrontier(const NodeFrontier& frontier, std::ostream& out) {
-  out << "frontier " << (frontier.valid ? 1 : 0) << ' '
-      << frontier.map.size() << '\n';
-  for (const auto& [code, tids] : frontier.map) {
+  size_t live = 0;
+  frontier.map.ForEachLive([&live](const DfsCode&, const TidSet&) { ++live; });
+  out << "frontier " << (frontier.valid ? 1 : 0) << ' ' << live << '\n';
+  frontier.map.ForEachLive([&out](const DfsCode& code, const TidSet& tids) {
     WriteCode(code, out);
     out << ' ';
     WriteTids(tids, out);
     out << '\n';
-  }
+  });
 }
 
 Status ReadCode(std::istream& in, DfsCode* code) {
@@ -127,13 +130,13 @@ Status ReadFrontier(std::istream& in, NodeFrontier* frontier) {
     return Status::Corruption("expected 'frontier <valid> <n>'");
   }
   frontier->valid = valid != 0;
-  frontier->map.clear();
+  frontier->map.Clear();
   for (size_t i = 0; i < count; ++i) {
     DfsCode code;
     PARTMINER_RETURN_IF_ERROR(ReadCode(in, &code));
     TidSet tids;
     PARTMINER_RETURN_IF_ERROR(ReadTids(in, &tids));
-    frontier->map.emplace(std::move(code), std::move(tids));
+    frontier->map.Put(code, std::move(tids));
   }
   return Status::Ok();
 }

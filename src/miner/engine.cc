@@ -365,12 +365,12 @@ struct Grower {
 
   /// Emits `code` (frequent, minimal), then grows its children.
   void Visit(DfsCode* code, const Projected& projected, int depth,
-             PatternSet* out, FrontierMap* frontier) const {
+             PatternSet* out, Frontier* frontier) const {
     PatternInfo info;
     info.code = *code;
     info.support = SupportOf(projected);
     info.tids = TidSetOf(projected);
-    if (frontier != nullptr) frontier->erase(*code);
+    if (frontier != nullptr) frontier->Erase(*code);
     out->Upsert(std::move(info));
 
     if (static_cast<int>(code->size()) >= options.max_edges) return;
@@ -385,10 +385,10 @@ struct Grower {
   /// must survive for the incremental lookups.
   void VisitChild(DfsCode* code, const Projected& projected, int child_rank,
                   int depth, bool check_minimal, PatternSet* out,
-                  FrontierMap* frontier) const {
+                  Frontier* frontier) const {
     if (check_minimal && !(is_minimal ? is_minimal(*code, child_rank)
                                       : IsMinimalDfsCode(*code))) {
-      if (frontier != nullptr) (*frontier)[*code] = TidSetOf(projected);
+      if (frontier != nullptr) frontier->Put(*code, TidSetOf(projected));
       return;
     }
     Visit(code, projected, depth, out, frontier);
@@ -397,7 +397,7 @@ struct Grower {
   /// Grows the children of `code` (depth `depth`; the empty code is -1).
   void Expand(DfsCode* code, const ExtensionMap& children,
               int64_t parent_embeddings, int depth, PatternSet* out,
-              FrontierMap* frontier) const {
+              Frontier* frontier) const {
     struct Child {
       const DfsEdge* tuple;
       const Projected* projected;
@@ -407,7 +407,7 @@ struct Grower {
     for (const auto& [tuple, projected] : children) {
       code->Append(tuple);
       if (SupportOf(projected) < options.min_support) {
-        if (frontier != nullptr) (*frontier)[*code] = TidSetOf(projected);
+        if (frontier != nullptr) frontier->Put(*code, TidSetOf(projected));
       } else {
         frequent.push_back(
             Child{&tuple, &projected, rank != nullptr ? rank(*code) : 0});
@@ -439,7 +439,7 @@ struct Grower {
       const Projected* projected;
       int rank;
       PatternSet patterns;
-      FrontierMap frontier;
+      Frontier frontier;
     };
     std::vector<Job> jobs(frequent.size());
     for (size_t i = 0; i < frequent.size(); ++i) {
@@ -447,6 +447,7 @@ struct Grower {
       jobs[i].code.Append(*frequent[i].tuple);
       jobs[i].projected = frequent[i].projected;
       jobs[i].rank = frequent[i].rank;
+      if (frontier != nullptr) jobs[i].frontier = frontier->Fork();
     }
     const bool want_frontier = frontier != nullptr;
     {
@@ -464,7 +465,7 @@ struct Grower {
     // tuple), so merging in visit order reproduces the serial sinks.
     for (Job& job : jobs) {
       out->AppendFrom(std::move(job.patterns));
-      if (frontier != nullptr) frontier->merge(job.frontier);
+      if (frontier != nullptr) frontier->MergeFrom(std::move(job.frontier));
     }
   }
 };

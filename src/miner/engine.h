@@ -160,10 +160,10 @@ using MinimalityCheck = std::function<bool(const DfsCode& child, int rank)>;
 /// skip the minimality test, since a single edge in canonical orientation
 /// is minimal. A pattern of `options.max_edges` edges is not extended.
 ///
-/// The frontier contract (see FrontierMap), enforced here and nowhere
+/// The frontier contract (see Frontier), enforced here and nowhere
 /// else: with `options.capture_frontier` set, every enumerated group that
 /// is infrequent, or frequent under a non-minimal code, is written as
-/// `frontier[code] = tids`, and every emitted pattern is erased from it.
+/// `frontier.Put(code, tids)`, and every emitted pattern is erased from it.
 ///
 /// With `options.pool`, the children of the empty code, and the children
 /// of a root with at least `options.parallel_spawn_min_embeddings`

@@ -22,8 +22,9 @@ struct MinerOptions {
 
   /// When non-null, receives the mining frontier: every enumerated extension
   /// group that did not become a frequent pattern, with exact TID lists (see
-  /// FrontierMap). Consumed by the incremental merge.
-  FrontierMap* capture_frontier = nullptr;
+  /// Frontier), written at the frontier's current epoch. Consumed by the
+  /// incremental merge.
+  Frontier* capture_frontier = nullptr;
 
   /// When non-null, the gSpan/Gaston search tree itself is parallelized:
   /// sibling extension subtrees (root groups, and first-level children with

@@ -430,6 +430,9 @@ std::string Daemon::HandleLine(const std::string& line, bool* shutdown) {
     result.Set("epoch", Json::Number(static_cast<int64_t>(pub->epoch)));
     result.Set("queue_depth",
                Json::Number(static_cast<int64_t>(queue_depth_edits())));
+    result.Set("frontier_entries", Json::Number(pub->frontier_entries));
+    result.Set("frontier_dead_entries",
+               Json::Number(pub->frontier_dead_entries));
     response = RenderResponse(id, std::move(result));
   } else if (command == "dump") {
     // Reparse for the same reason as `metrics`: the dump must splice into

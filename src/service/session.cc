@@ -110,9 +110,16 @@ void MinerSession::PublishLocked() {
               return pa.code.Compare(pb.code) < 0;
             });
 
+  const Frontier& frontier = miner_->root_frontier().map;
+  next->frontier_entries = static_cast<int64_t>(frontier.size());
+  next->frontier_dead_entries = static_cast<int64_t>(frontier.CountDead());
+
   epoch_digests_[epoch_ % kDigestWindow] = {epoch_, next->digest};
   PM_METRIC_GAUGE("service.epoch")->Set(static_cast<int64_t>(epoch_));
   PM_METRIC_GAUGE("service.patterns")->Set(n);
+  PM_METRIC_GAUGE("partminer.frontier.entries")->Set(next->frontier_entries);
+  PM_METRIC_GAUGE("partminer.frontier.dead_entries")
+      ->Set(next->frontier_dead_entries);
   std::shared_ptr<const Published> previous = std::move(next);
   {
     std::lock_guard<std::mutex> lock(published_mu_);

@@ -89,6 +89,10 @@ struct Published {
   uint64_t digest = 0;  // PatternSetDigest of the pattern set below.
   int resident_support = 0;
   int graph_count = 0;
+  /// Root frontier entries stored, and how many of them are dead (cut but
+  /// not yet compacted away).
+  int64_t frontier_entries = 0;
+  int64_t frontier_dead_entries = 0;
   /// (canonical code string, support), sorted by code string: the digest's
   /// input, and the binary-search table for containment probes.
   std::vector<std::pair<std::string, int>> by_code;

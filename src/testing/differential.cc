@@ -1,6 +1,8 @@
 #include "testing/differential.h"
 
+#include <algorithm>
 #include <cstdlib>
+#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -16,6 +18,7 @@
 #include "graph/graph_io.h"
 #include "graph/label_index.h"
 #include "miner/brute_force.h"
+#include "miner/engine.h"
 #include "miner/gaston.h"
 #include "miner/gspan.h"
 
@@ -86,20 +89,88 @@ std::string DiffAgainstOracle(const PatternSet& oracle,
 
 /// Chained incremental rounds per case: enough for state carried across
 /// rounds (the root set and frontier) to be read back by later rounds.
-constexpr int kIncrementalRounds = 4;
+constexpr int kIncrementalRounds = 8;
+/// Rounds from this one on update at most a tenth of the graphs (at least
+/// one), so the frontier's lazy strip and cut state carries across several
+/// rounds before a compaction.
+constexpr int kFirstSmallRound = 4;
 
 /// Seeded update round shared by RunAllChecks and corpus replay: the update
-/// stream is a pure function of the case seed and the round, so minimized
-/// repros keep exercising the same incremental path. Odd rounds relabel
-/// only — the one update kind that can remove a pattern's occurrences.
-UpdateOptions MakeUpdateOptions(const FuzzCaseParams& params, int round) {
+/// stream is a pure function of the case seed, the round and the attempt,
+/// so minimized repros keep exercising the same incremental path. Odd
+/// rounds relabel only — the one update kind that can remove a pattern's
+/// occurrences.
+UpdateOptions MakeUpdateOptions(const FuzzCaseParams& params, int round,
+                                int attempt) {
   UpdateOptions upd;
   Rng rng(params.seed * 0x9e3779b97f4a7c15ull + 3 + round);
   upd.fraction_graphs = 0.2 + 0.15 * static_cast<double>(rng.Uniform(4));
   upd.updates_per_graph = 1 + static_cast<int>(rng.Uniform(3));
   if (round % 2 == 1) upd.kinds = {UpdateKind::kRelabel};
   upd.seed = params.seed + 101 + round;
+  if (round >= kFirstSmallRound) {
+    upd.fraction_graphs = 0.1;
+    upd.seed += 1000 * static_cast<uint64_t>(attempt);
+  }
   return upd;
+}
+
+/// Applies round `round`'s updates to `db`. A small round redraws (up to a
+/// fixed number of attempts) until it touches between one graph and a
+/// tenth of them; if none does, the round changes nothing.
+UpdateLog ApplyRoundUpdates(GraphDatabase* db, const FuzzCaseParams& params,
+                            int round) {
+  if (round < kFirstSmallRound) {
+    return ApplyUpdates(db, params.gen.num_labels,
+                        MakeUpdateOptions(params, round, 0));
+  }
+  const size_t cap = static_cast<size_t>(std::max(1, db->size() / 10));
+  for (int attempt = 0; attempt < 16; ++attempt) {
+    GraphDatabase trial = *db;
+    UpdateLog log = ApplyUpdates(&trial, params.gen.num_labels,
+                                 MakeUpdateOptions(params, round, attempt));
+    if (!log.updated_graphs.empty() && log.updated_graphs.size() <= cap) {
+      *db = std::move(trial);
+      return log;
+    }
+  }
+  return UpdateLog();
+}
+
+/// The frontier contract after an incremental round, checked on the
+/// compacted frontier: no key is a pattern and every key's TIDs equal a
+/// from-scratch projection over `db`. Compaction must change no lookup of
+/// the lazily maintained `frontier`. Returns "" when it holds.
+std::string CheckCompactedFrontier(const GraphDatabase& db,
+                                   const PatternSet& patterns,
+                                   const Frontier& frontier) {
+  Frontier compacted = frontier;
+  compacted.Compact();
+  std::vector<int> all(db.size());
+  for (int i = 0; i < db.size(); ++i) all[i] = i;
+  std::string problem;
+  compacted.ForEachLive([&](const DfsCode& code, const TidSet& tids) {
+    if (!problem.empty()) return;
+    std::deque<engine::Embedding> arena;
+    if (patterns.Contains(code)) {
+      problem = "frontier key is a pattern " + code.ToString();
+    } else if (tids != engine::TidSetOf(
+                           engine::ProjectCode(code, db, all, &arena))) {
+      problem = "frontier TIDs of " + code.ToString() +
+                " differ from a recount";
+    }
+  });
+  frontier.ForEachKey([&](const DfsCode& code) {
+    if (!problem.empty()) return;
+    TidSet lazy;
+    TidSet kept;
+    frontier.Lookup(code, &lazy);
+    compacted.Lookup(code, &kept);
+    if (lazy != kept) {
+      problem = "compaction changed the lookup of " + code.ToString();
+    }
+  });
+  return problem;
 }
 
 }  // namespace
@@ -236,9 +307,11 @@ DifferentialResult RunAllChecks(const GraphDatabase& db,
 
   // Chained incremental rounds from one Mine: apply seeded updates, update
   // incrementally, and compare every round against a from-scratch re-mining
-  // of the updated database. Updates of at most half the graphs take the
-  // frontier-backed delta path; larger ones take the exact re-sweep, which
-  // drops the frontier until a smaller round re-captures it.
+  // of the updated database and the root frontier against its contract.
+  // Updates of at most half the graphs take the frontier-backed delta path;
+  // larger ones take the exact re-sweep, which drops the frontier until a
+  // smaller round re-captures it. The small rounds at the end stay on the
+  // delta path with lazy frontier state carried between them.
   if (result.ok()) {
     GraphDatabase updated = db;
     AssignUpdateHotspots(&updated, 0.3, params.seed + 11);
@@ -255,8 +328,7 @@ DifferentialResult RunAllChecks(const GraphDatabase& db,
     ++result.configurations;
     IncPartMiner inc;
     for (int round = 0; round < kIncrementalRounds && result.ok(); ++round) {
-      const UpdateLog log = ApplyUpdates(&updated, params.gen.num_labels,
-                                         MakeUpdateOptions(params, round));
+      const UpdateLog log = ApplyRoundUpdates(&updated, params, round);
       const IncPartMinerResult inc_result = inc.Update(&miner, updated, log);
 
       // Diffed against a fresh serial mining of the updated database (gSpan
@@ -265,6 +337,11 @@ DifferentialResult RunAllChecks(const GraphDatabase& db,
       const PatternSet remined = gspan.Mine(updated, options);
       result.divergence =
           DiffAgainstOracle(remined, inc_result.patterns, "incpartminer");
+      if (result.divergence.empty() && miner.root_frontier().valid) {
+        const std::string problem = CheckCompactedFrontier(
+            updated, inc_result.patterns, miner.root_frontier().map);
+        if (!problem.empty()) result.divergence = "root frontier: " + problem;
+      }
       if (!result.divergence.empty()) {
         result.divergence = "round " + std::to_string(round) +
                             " of chained updates (" +

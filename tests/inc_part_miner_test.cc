@@ -36,6 +36,32 @@ GraphDatabase MakeDatabase(uint64_t seed, int graphs = 16) {
   return db;
 }
 
+/// Classification exactness: IF carries the new info, FI the old, and UF
+/// counts the rest of the new set, all of it frequent before.
+void ExpectExactClassification(const PatternSet& before,
+                               const PatternSet& expected,
+                               const IncPartMinerResult& result) {
+  int uf = 0;
+  for (const PatternInfo& p : result.patterns.patterns()) {
+    if (result.if_.Contains(p.code)) continue;
+    EXPECT_TRUE(before.Contains(p.code)) << p.code.ToString();
+    ++uf;
+  }
+  EXPECT_EQ(result.uf, uf);
+  for (const PatternInfo& p : result.if_.patterns()) {
+    EXPECT_FALSE(before.Contains(p.code)) << p.code.ToString();
+    ASSERT_TRUE(expected.Contains(p.code)) << p.code.ToString();
+    EXPECT_EQ(p.tids, expected.Find(p.code)->tids) << p.code.ToString();
+  }
+  for (const PatternInfo& p : result.fi.patterns()) {
+    ASSERT_TRUE(before.Contains(p.code)) << p.code.ToString();
+    EXPECT_FALSE(expected.Contains(p.code)) << p.code.ToString();
+    EXPECT_EQ(p.tids, before.Find(p.code)->tids) << p.code.ToString();
+  }
+  EXPECT_EQ(result.uf + result.if_.size(), expected.size());
+  EXPECT_EQ(result.uf + result.fi.size(), before.size());
+}
+
 struct IncCase {
   int k;
   UpdateKind kind;
@@ -73,22 +99,7 @@ TEST_P(IncPartMinerEquivalence, MatchesFromScratch) {
   const PatternSet expected = gspan.Mine(db, full);
   ExpectSameResults(expected, result.patterns, "incremental vs scratch");
 
-  // Classification exactness.
-  for (const PatternInfo& p : result.uf.patterns()) {
-    EXPECT_TRUE(before.patterns.Contains(p.code));
-    EXPECT_TRUE(expected.Contains(p.code));
-  }
-  for (const PatternInfo& p : result.if_.patterns()) {
-    EXPECT_FALSE(before.patterns.Contains(p.code));
-    EXPECT_TRUE(expected.Contains(p.code));
-  }
-  for (const PatternInfo& p : result.fi.patterns()) {
-    EXPECT_TRUE(before.patterns.Contains(p.code));
-    EXPECT_FALSE(expected.Contains(p.code));
-  }
-  EXPECT_EQ(result.uf.size() + result.if_.size(),
-            static_cast<int>(expected.size()));
-  EXPECT_EQ(result.uf.size() + result.fi.size(), before.patterns.size());
+  ExpectExactClassification(before.patterns, expected, result);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -133,9 +144,12 @@ TEST(IncPartMinerTest, ForcedDeltaPathStaysExactAcrossRounds) {
     upd.kinds = {static_cast<UpdateKind>(round % 3)};
     upd.seed = 4000 + round;
     const UpdateLog log = ApplyUpdates(&db, 5, upd);
+    const PatternSet before = miner.patterns();
     const IncPartMinerResult result = inc.Update(&miner, db, log);
-    ExpectSameResults(gspan.Mine(db, full), result.patterns,
+    const PatternSet expected = gspan.Mine(db, full);
+    ExpectSameResults(expected, result.patterns,
                       "forced-delta round " + std::to_string(round));
+    ExpectExactClassification(before, expected, result);
   }
 }
 

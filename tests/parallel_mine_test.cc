@@ -15,6 +15,7 @@
 #include "miner/engine.h"
 #include "miner/gaston.h"
 #include "miner/gspan.h"
+#include "obs/metrics.h"
 #include "tests/test_util.h"
 
 namespace partminer {
@@ -49,7 +50,7 @@ TEST(ParallelMineTest, GSpanIdenticalAcrossThreadCounts) {
 
   MinerOptions serial;
   serial.min_support = 3;
-  FrontierMap serial_frontier;
+  Frontier serial_frontier;
   serial.capture_frontier = &serial_frontier;
   const PatternSet expected = miner.Mine(db, serial);
   ASSERT_GT(expected.size(), 0);
@@ -60,7 +61,7 @@ TEST(ParallelMineTest, GSpanIdenticalAcrossThreadCounts) {
     parallel.min_support = 3;
     parallel.pool = &pool;
     parallel.parallel_spawn_min_embeddings = 1;  // Force subtree fan-out.
-    FrontierMap frontier;
+    Frontier frontier;
     parallel.capture_frontier = &frontier;
     const PatternSet got = miner.Mine(db, parallel);
     ExpectBitIdentical(expected, got,
@@ -76,7 +77,7 @@ TEST(ParallelMineTest, GastonIdenticalAcrossThreadCounts) {
 
   MinerOptions serial;
   serial.min_support = 3;
-  FrontierMap serial_frontier;
+  Frontier serial_frontier;
   serial.capture_frontier = &serial_frontier;
   const PatternSet expected = serial_miner.Mine(db, serial);
   ASSERT_GT(expected.size(), 0);
@@ -89,7 +90,7 @@ TEST(ParallelMineTest, GastonIdenticalAcrossThreadCounts) {
     parallel.min_support = 3;
     parallel.pool = &pool;
     parallel.parallel_spawn_min_embeddings = 1;
-    FrontierMap frontier;
+    Frontier frontier;
     parallel.capture_frontier = &frontier;
     const PatternSet got = miner.Mine(db, parallel);
     ExpectBitIdentical(expected, got,
@@ -158,7 +159,7 @@ TEST(ParallelMineTest, IncPartMinerIdenticalAcrossThreadCounts) {
     const IncPartMinerResult got = run(threads);
     const std::string what = "inc threads=" + std::to_string(threads);
     ExpectBitIdentical(expected.patterns, got.patterns, what);
-    ExpectBitIdentical(expected.uf, got.uf, what + " uf");
+    EXPECT_EQ(expected.uf, got.uf) << what << " uf";
     ExpectBitIdentical(expected.if_, got.if_, what + " if");
     ExpectBitIdentical(expected.fi, got.fi, what + " fi");
     EXPECT_EQ(expected.remined_units.bits(), got.remined_units.bits()) << what;
@@ -178,11 +179,11 @@ FrontierMap CaptureFrontier(FrequentSubgraphMiner* miner,
   options.min_support = support;
   options.pool = pool;
   options.parallel_spawn_min_embeddings = 1;
-  FrontierMap frontier;
+  Frontier frontier;
   options.capture_frontier = &frontier;
   PatternSet mined = miner->Mine(db, options);
   if (patterns != nullptr) *patterns = std::move(mined);
-  return frontier;
+  return frontier.ToMap();
 }
 
 /// Checks that no frontier key is a pattern and that every key's TIDs
@@ -306,11 +307,13 @@ TEST(ParallelMineTest, FrontierContractHoldsAfterIncrementalGrow) {
     if (stats.spanning_found > 0) ++grown_rounds;
 
     const std::string what = "seed " + std::to_string(seed);
-    ExpectExactFrontier(db, result, frontier.map, what);
+    frontier.map.Compact();
+    const FrontierMap compacted = frontier.map.ToMap();
+    ExpectExactFrontier(db, result, compacted, what);
 
     // Keys under a newly frequent pattern were written by the grow; there
     // must be some.
-    for (const auto& [code, tids] : frontier.map) {
+    for (const auto& [code, tids] : compacted) {
       for (const PatternInfo& p : result.patterns()) {
         if (cached.Contains(p.code) || code.size() <= p.code.size()) continue;
         bool extends = true;
@@ -326,6 +329,183 @@ TEST(ParallelMineTest, FrontierContractHoldsAfterIncrementalGrow) {
   }
   EXPECT_GT(grown_rounds, 0);
   EXPECT_GT(grown_keys, 0);
+}
+
+/// Recount of `code` over every graph of `db`.
+TidSet Recount(const GraphDatabase& db, const DfsCode& code) {
+  std::vector<int> all(db.size());
+  std::iota(all.begin(), all.end(), 0);
+  std::deque<engine::Embedding> arena;
+  return engine::TidSetOf(engine::ProjectCode(code, db, all, &arena));
+}
+
+/// The frontier's current value for `code`: absent and dead read as empty.
+TidSet LookupOrEmpty(const Frontier& frontier, const DfsCode& code) {
+  TidSet tids;
+  frontier.Lookup(code, &tids);
+  return tids;
+}
+
+/// The lazy frontier invariant the delta sweep relies on: every group a
+/// mine of `db` enumerates (each root, each rightmost extension of each
+/// pattern) that is not a pattern reads its exact TIDs, and every live key
+/// reads its exact TIDs.
+void ExpectLazyFrontierExact(const GraphDatabase& db,
+                             const PatternSet& patterns,
+                             const Frontier& frontier,
+                             const std::string& what) {
+  auto reachable = [&](const DfsCode& code) {
+    if (patterns.Contains(code)) return;
+    EXPECT_EQ(LookupOrEmpty(frontier, code), Recount(db, code))
+        << what << ": reachable " << code.ToString();
+  };
+  for (const auto& [tuple, projected] : engine::CollectRootExtensions(db)) {
+    DfsCode root;
+    root.Append(tuple);
+    reachable(root);
+  }
+  std::vector<int> all(db.size());
+  std::iota(all.begin(), all.end(), 0);
+  for (const PatternInfo& p : patterns.patterns()) {
+    std::deque<engine::Embedding> arena;
+    const engine::Projected projected =
+        engine::ProjectCode(p.code, db, all, &arena);
+    for (const auto& [tuple, child] : engine::CollectExtensions(
+             db, p.code, projected, /*enable_order_pruning=*/true)) {
+      DfsCode code = p.code;
+      code.Append(tuple);
+      reachable(code);
+    }
+  }
+  frontier.ForEachKey([&](const DfsCode& code) {
+    TidSet tids;
+    if (frontier.Lookup(code, &tids)) {
+      EXPECT_FALSE(patterns.Contains(code))
+          << what << ": live key is a pattern " << code.ToString();
+      EXPECT_EQ(tids, Recount(db, code)) << what << ": " << code.ToString();
+    }
+  });
+}
+
+bool StrictlyExtends(const DfsCode& code, const DfsCode& prefix) {
+  if (code.size() <= prefix.size()) return false;
+  for (size_t i = 0; i < prefix.size(); ++i) {
+    if (!(code[i] == prefix[i])) return false;
+  }
+  return true;
+}
+
+TEST(ParallelMineTest, LazyFrontierExactAcrossChainedDeltaRounds) {
+  // Ten chained delta rounds per database with no compaction in between.
+  // Each round relabels vertices in two graphs and attaches a new vertex in
+  // a third; the next round reverts the relabels. A relabel that removes a
+  // pattern's occurrence while another updated graph still reaches it cuts
+  // its subtree (FI); the revert makes it frequent again, and the subtree
+  // grow re-derives the cut prefix's frontier.
+  obs::Counter* compactions = obs::MetricRegistry::Global().GetCounter(
+      "partminer.update.frontier_compactions");
+  const int64_t compactions_before = compactions->value();
+  Rng rng(8192);
+  int cut_rounds = 0;
+  int regrown_cut_prefixes = 0;
+  int dead_keys_seen = 0;
+  for (int seed = 0; seed < 20; ++seed) {
+    GraphDatabase db = testutil::RandomDatabase(&rng, 16, 7, 3, 3, 2);
+    const int support = 3;
+    NodeFrontier frontier;
+    frontier.valid = true;
+    MinerOptions options;
+    options.min_support = support;
+    options.capture_frontier = &frontier.map;
+    GSpanMiner gspan;
+    PatternSet cached = gspan.Mine(db, options);
+    options.capture_frontier = nullptr;
+    MergeJoinOptions mj;
+    mj.min_support = support;
+    mj.delta_sweep_max_fraction = 1.0;  // Delta path, never compacted.
+
+    struct Relabel {
+      int graph;
+      VertexId vertex;
+      Label label;
+    };
+    std::vector<Relabel> undo;
+    for (int round = 0; round < 10; ++round) {
+      std::vector<int> updated;
+      if (!undo.empty()) {
+        for (const Relabel& r : undo) {
+          db.mutable_graph(r.graph).set_vertex_label(r.vertex, r.label);
+          updated.push_back(r.graph);
+        }
+        undo.clear();
+      } else {
+        for (int i = 0; i < 2; ++i) {
+          const int gi = static_cast<int>(rng.Uniform(db.size()));
+          Graph& g = db.mutable_graph(gi);
+          const VertexId v = static_cast<VertexId>(rng.Uniform(g.VertexCount()));
+          undo.push_back(Relabel{gi, v, g.vertex_label(v)});
+          g.set_vertex_label(v, static_cast<Label>(rng.Uniform(3)));
+          updated.push_back(gi);
+        }
+      }
+      const int gi = static_cast<int>(rng.Uniform(db.size()));
+      Graph& g = db.mutable_graph(gi);
+      const VertexId anchor =
+          static_cast<VertexId>(rng.Uniform(g.VertexCount()));
+      const VertexId added = g.AddVertex(static_cast<Label>(rng.Uniform(3)));
+      g.AddEdge(anchor, added, static_cast<Label>(rng.Uniform(2)));
+      updated.push_back(gi);
+
+      const Frontier::CutLog cut_before = frontier.map.cuts();
+      MergeTransitions transitions;
+      cached = IncMergeJoin(db, cached, updated, mj, nullptr, &frontier,
+                            &transitions);
+      const std::string what =
+          "seed " + std::to_string(seed) + " round " + std::to_string(round);
+      const PatternSet expected = gspan.Mine(db, options);
+      ASSERT_EQ(expected.SortedCodeStrings(), cached.SortedCodeStrings())
+          << what;
+      ASSERT_TRUE(frontier.valid) << what;
+
+      ExpectLazyFrontierExact(db, cached, frontier.map, what);
+
+      // Keys under a prefix cut this round read as absent.
+      std::vector<DfsCode> cut_now;
+      for (const auto& [code, epoch] : frontier.map.cuts()) {
+        if (epoch == frontier.map.epoch()) cut_now.push_back(code);
+      }
+      if (!cut_now.empty()) ++cut_rounds;
+      frontier.map.ForEachKey([&](const DfsCode& key) {
+        for (const DfsCode& cut : cut_now) {
+          if (!StrictlyExtends(key, cut)) continue;
+          TidSet tids;
+          EXPECT_FALSE(frontier.map.Lookup(key, &tids))
+              << what << ": " << key.ToString() << " under cut "
+              << cut.ToString();
+          ++dead_keys_seen;
+        }
+      });
+      for (const DfsCode& code : transitions.became_frequent) {
+        if (cut_before.count(code) > 0) ++regrown_cut_prefixes;
+      }
+
+      // Compaction changes no lookup and leaves nothing dead.
+      Frontier compacted = frontier.map;
+      compacted.Compact();
+      EXPECT_EQ(compacted.CountDead(), 0u) << what;
+      EXPECT_LE(compacted.size(), frontier.map.size()) << what;
+      frontier.map.ForEachKey([&](const DfsCode& key) {
+        EXPECT_EQ(LookupOrEmpty(frontier.map, key),
+                  LookupOrEmpty(compacted, key))
+            << what << ": " << key.ToString();
+      });
+      EXPECT_TRUE(frontier.map == compacted) << what;
+    }
+  }
+  EXPECT_EQ(compactions->value(), compactions_before);
+  EXPECT_GT(cut_rounds, 0);
+  EXPECT_GT(regrown_cut_prefixes, 0);
+  EXPECT_GT(dead_keys_seen, 0);
 }
 
 }  // namespace

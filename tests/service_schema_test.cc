@@ -96,6 +96,8 @@ TEST_F(ServiceSchemaTest, HealthSchema) {
       << state;
   ExpectInt(result, "epoch");
   ExpectInt(result, "queue_depth");
+  ExpectInt(result, "frontier_entries");
+  ExpectInt(result, "frontier_dead_entries");
 }
 
 TEST_F(ServiceSchemaTest, MetricsSchemaIncludesOperatorFields) {

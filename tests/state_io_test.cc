@@ -88,6 +88,56 @@ TEST(StateIoTest, RestoredMinerContinuesIncrementally) {
                     "incremental after restore");
 }
 
+TEST(StateIoTest, LazyFrontierSavesCompactedAndResumesExactly) {
+  // Three delta rounds leave the frontier with pending strips and at least
+  // one cut; the saved state holds the compacted frontier, and both the
+  // restored miner and the original keep matching gSpan for three more.
+  GraphDatabase db = MakeDatabase(29);
+  PartMinerOptions options;
+  options.min_support_count = 4;
+  options.partition.k = 2;
+  options.inc_delta_sweep_max_fraction = 1.0;  // Delta path, no compaction.
+  PartMiner miner(options);
+  miner.Mine(db);
+
+  GSpanMiner gspan;
+  MinerOptions full;
+  full.min_support = 4;
+  IncPartMiner inc;
+  auto round = [&](PartMiner* state, GraphDatabase* graphs, int r) {
+    UpdateOptions upd;
+    upd.fraction_graphs = 0.3;
+    upd.kinds = {UpdateKind::kRelabel};
+    upd.seed = 700 + r;
+    const UpdateLog log = ApplyUpdates(graphs, 5, upd);
+    const IncPartMinerResult result = inc.Update(state, *graphs, log);
+    ExpectSameResults(gspan.Mine(*graphs, full), result.patterns,
+                      "round " + std::to_string(r));
+  };
+  for (int r = 0; r < 3; ++r) round(&miner, &db, r);
+  const Frontier& lazy = miner.root_frontier().map;
+  ASSERT_TRUE(miner.root_frontier().valid);
+  ASSERT_FALSE(lazy.cuts().empty());
+  ASSERT_GT(lazy.PendingGraphs(), 0);
+
+  std::stringstream buffer;
+  ASSERT_TRUE(SaveMinerState(miner, buffer).ok());
+  EXPECT_EQ(buffer.str().rfind("partminer-state 3\n", 0), 0u);
+  PartMiner restored(options);
+  ASSERT_TRUE(LoadMinerState(buffer, &restored).ok());
+  Frontier compacted = lazy;
+  compacted.Compact();
+  EXPECT_EQ(restored.root_frontier().map.size(), compacted.size());
+  EXPECT_TRUE(restored.root_frontier().map == lazy);
+  EXPECT_TRUE(restored.root_frontier().map.cuts().empty());
+
+  GraphDatabase restored_db = db;
+  for (int r = 3; r < 6; ++r) {
+    round(&restored, &restored_db, r);
+    round(&miner, &db, r);
+  }
+}
+
 TEST(StateIoTest, FileRoundTrip) {
   GraphDatabase db = MakeDatabase(11);
   PartMinerOptions options;
