@@ -62,8 +62,7 @@ void RunStatic(const WorkloadSpec& spec, int k, int io_delay_us,
       options.min_support_fraction = sup;
       options.partition.k = k;
       options.partition.criteria = c.value;
-      PartMiner miner(options);
-      const PartMinerResult result = miner.Mine(db);
+      const PartMinerResult result = MinePaperPipeline(db, options);
       PrintRow("fig13a", c.name, sup * 100, result.AggregateSeconds());
     }
   }

@@ -45,8 +45,7 @@ void RunStatic(const WorkloadSpec& spec, int k, int io_delay_us,
     PartMinerOptions options;
     options.min_support_fraction = sup;
     options.partition.k = k;
-    PartMiner miner(options);
-    const PartMinerResult result = miner.Mine(db);
+    const PartMinerResult result = MinePaperPipeline(db, options);
     PrintRow("fig14a", "PartMiner", sup * 100, result.AggregateSeconds());
   }
 }

@@ -1,9 +1,9 @@
 // Figure 15: effect of the number of units k (2..6).
 //   (a) static:  ADIMINE (flat) vs PartMiner aggregate (serial) and
-//       parallel (max over units) time.
+//       parallel (max over units) time of the paper pipeline.
 //   (b) dynamic: ADIMINE (rebuild + remine) vs IncPartMiner. An update
-//       round mines no unit (route, root merge, classify), so its aggregate
-//       and parallel times coincide and one row is printed.
+//       round mines no unit (root merge, classify) and does not read k, so
+//       its aggregate and parallel times coincide and one row is printed.
 //
 // Paper shape: more units -> more total work (aggregate grows with k);
 // parallel PartMiner beats the serial baseline; IncPartMiner beats ADIMINE
@@ -57,8 +57,7 @@ void RunStatic(const WorkloadSpec& spec, double sup, int io_delay_us,
     PartMinerOptions options;
     options.min_support_fraction = sup;
     options.partition.k = k;
-    PartMiner miner(options);
-    const PartMinerResult result = miner.Mine(db);
+    const PartMinerResult result = MinePaperPipeline(db, options);
     PrintRow("fig15a", "Aggregate time", k, result.AggregateSeconds());
     PrintRow("fig15a", "Parallel time", k, result.ParallelSeconds());
   }

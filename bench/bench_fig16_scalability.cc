@@ -45,8 +45,7 @@ void RunPoint(const char* figure, double x, const WorkloadSpec& spec,
   options.min_support_fraction = sup;
   options.partition.k = k;
   options.unit_mining_threads = threads;
-  PartMiner miner(options);
-  const PartMinerResult result = miner.Mine(db);
+  const PartMinerResult result = MinePaperPipeline(db, options);
   PrintRow(figure, "PartMiner", x, result.AggregateSeconds());
 }
 

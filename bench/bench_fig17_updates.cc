@@ -11,7 +11,7 @@
 // candidate accounting (counted vs skipped-known) that explains the gap.
 //
 // Flags: --kind=relabel|add|both, --scale, --d/--t/--n/--l/--i/--seed,
-//        --sup, --k, --io-delay-us.
+//        --sup, --io-delay-us.
 
 #include <algorithm>
 #include <cmath>
@@ -30,13 +30,12 @@ namespace bench {
 namespace {
 
 void RunSweep(const char* figure, const WorkloadSpec& spec, double sup,
-              int k, int io_delay_us, const PoolSizing& pool,
+              int io_delay_us, const PoolSizing& pool,
               std::vector<UpdateKind> kinds) {
   for (const double fraction : {0.02, 0.05, 0.1, 0.2, 0.4, 0.6, 0.8}) {
     GraphDatabase db = MakeWorkload(spec);
     PartMinerOptions options;
     options.min_support_fraction = sup;
-    options.partition.k = k;
     PartMiner miner(options);
     miner.Mine(db);
 
@@ -67,9 +66,9 @@ void RunSweep(const char* figure, const WorkloadSpec& spec, double sup,
     PrintRow(figure, "IncPartMiner", fraction * 100,
              result.AggregateSeconds());
     std::printf(
-        "# %s updates=%.0f%%: remined %d/%d units, cached %lld, counted "
-        "%lld, skipped-known %lld, UF %d FI %d IF %d\n",
-        figure, fraction * 100, result.remined_units.Count(), k,
+        "# %s updates=%.0f%%: cached %lld, counted %lld, skipped-known "
+        "%lld, UF %d FI %d IF %d\n",
+        figure, fraction * 100,
         static_cast<long long>(result.merge_stats.cached_patterns),
         static_cast<long long>(result.merge_stats.candidates_counted),
         static_cast<long long>(result.merge_stats.candidates_skipped_known),
@@ -88,7 +87,6 @@ int main(int argc, char** argv) {
   ApplyFastPathFlags(flags);
   const WorkloadSpec spec = WorkloadSpec::FromFlags(flags);
   const double sup = flags.GetDouble("sup", 0.04);
-  const int k = flags.GetInt("k", 2);
   const int io_delay_us = flags.GetInt("io-delay-us", 1000);
   // 32 frames: pool smaller than the page file, so ADI runs pay eviction.
   const partminer::PoolSizing pool = PoolSizingFromFlags(flags, 32);
@@ -99,11 +97,11 @@ int main(int argc, char** argv) {
               "below ADIMINE across 20%-80% updates)",
               spec.Tag());
   if (kind == "relabel" || kind == "both") {
-    RunSweep("fig17a", spec, sup, k, io_delay_us, pool,
+    RunSweep("fig17a", spec, sup, io_delay_us, pool,
              {UpdateKind::kRelabel});
   }
   if (kind == "add" || kind == "both") {
-    RunSweep("fig17b", spec, sup, k, io_delay_us, pool,
+    RunSweep("fig17b", spec, sup, io_delay_us, pool,
              {UpdateKind::kAddEdge, UpdateKind::kAddVertex});
   }
   MaybeWriteMetrics(flags, "fig17");

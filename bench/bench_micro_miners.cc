@@ -109,8 +109,7 @@ void BM_PartMinerUnitsParallel(benchmark::State& state) {
   options.unit_mining_threads = static_cast<int>(state.range(0));
   int patterns = 0;
   for (auto _ : state) {
-    PartMiner miner(options);
-    patterns = miner.Mine(db).patterns.size();
+    patterns = MinePaperPipeline(db, options).patterns.size();
   }
   state.counters["patterns"] = patterns;
 }

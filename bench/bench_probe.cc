@@ -69,8 +69,7 @@ int main(int argc, char** argv) {
     options.min_support_count = sup_count;
     options.partition.k = k;
     options.max_edges = max_edges;
-    PartMiner miner(options);
-    const PartMinerResult r = miner.Mine(db);
+    const PartMinerResult r = MinePaperPipeline(db, options);
     std::printf(
         "PartMiner: %7.2fs  %6d patterns (partition %.2fs, units sum %.2fs "
         "max %.2fs, merge %.2fs)\n",
@@ -88,7 +87,6 @@ int main(int argc, char** argv) {
     PartMinerOptions options;
     options.min_support_fraction = sup;
     options.min_support_count = sup_count;
-    options.partition.k = k;
     options.max_edges = max_edges;
     PartMiner miner(options);
     miner.Mine(dyn);
@@ -102,10 +100,9 @@ int main(int argc, char** argv) {
     IncPartMiner inc;
     const IncPartMinerResult r = inc.Update(&miner, dyn, log);
     std::printf(
-        "IncPart:   %7.2fs  %6d patterns (route %.2fs, merge %.3fs; %d/%d "
-        "units touched, %zu graphs updated)\n",
-        watch.ElapsedSeconds(), r.patterns.size(), r.route_seconds,
-        r.merge_seconds, r.remined_units.Count(), k,
+        "IncPart:   %7.2fs  %6d patterns (merge %.3fs, %zu graphs "
+        "updated)\n",
+        watch.ElapsedSeconds(), r.patterns.size(), r.merge_seconds,
         log.updated_graphs.size());
     std::printf(
         "  inc merge stats: cached %lld, delta %lld, generated %lld, "

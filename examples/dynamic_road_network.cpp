@@ -36,12 +36,10 @@ int main() {
 
   PartMinerOptions options;
   options.min_support_fraction = 0.05;
-  options.partition.k = 4;
-  options.partition.criteria = PartitionCriteria::kCombined;  // Partition3.
   PartMiner miner(options);
   const PartMinerResult initial = miner.Mine(db);
   std::printf("initial catalog: %d frequent motifs (%.3fs)\n",
-              initial.patterns.size(), initial.AggregateSeconds());
+              initial.patterns.size(), initial.merge_seconds);
 
   GSpanMiner from_scratch;
   MinerOptions scratch_options;
@@ -89,11 +87,9 @@ int main() {
     const bool ok =
         expected.SortedCodeStrings() == r.patterns.SortedCodeStrings();
     std::printf(
-        "round %d: %2zu districts updated | IncPartMiner %.3fs "
-        "(units re-examined: %d/%d) vs from-scratch %.3fs | motifs %d "
-        "(+%d new, -%d gone) %s\n",
-        round, log.updated_graphs.size(), inc_seconds,
-        r.remined_units.Count(), options.partition.k, scratch_seconds,
+        "round %d: %2zu districts updated | IncPartMiner %.3fs vs "
+        "from-scratch %.3fs | motifs %d (+%d new, -%d gone) %s\n",
+        round, log.updated_graphs.size(), inc_seconds, scratch_seconds,
         r.patterns.size(), r.if_.size(), r.fi.size(),
         ok ? "" : "MISMATCH!");
     if (!ok) return 1;

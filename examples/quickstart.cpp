@@ -54,8 +54,7 @@ int main() {
   PartMinerOptions pm_options;
   pm_options.min_support_count = options.min_support;
   pm_options.partition.k = 4;
-  PartMiner part_miner(pm_options);
-  const PartMinerResult result = part_miner.Mine(db);
+  const PartMinerResult result = MinePaperPipeline(db, pm_options);
   std::printf("PartMiner (k=4) found %d patterns in %.3fs aggregate / %.3fs "
               "parallel\n",
               result.patterns.size(), result.AggregateSeconds(),

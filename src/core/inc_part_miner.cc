@@ -11,7 +11,7 @@
 namespace partminer {
 
 double IncPartMinerResult::AggregateSeconds() const {
-  return route_seconds + merge_seconds + verify_seconds;
+  return merge_seconds + verify_seconds;
 }
 
 IncPartMinerResult IncPartMiner::Update(PartMiner* state,
@@ -23,19 +23,6 @@ IncPartMinerResult IncPartMiner::Update(PartMiner* state,
                  {"updated_graphs", log.updated_graphs.size()}});
   PM_METRIC_COUNTER("partminer.update_runs")->Increment();
   IncPartMinerResult result;
-
-  // Route the updates: extend assignments to new vertices, then compute the
-  // setword of units the update touched (Figure 12 input `set`).
-  Stopwatch route_watch;
-  {
-    PM_TRACE_SPAN("route", {{"touched_vertices", log.touched_vertices.size()}});
-    PartitionedDatabase& part = state->mutable_partitioned();
-    part.ExtendAssignments(new_db);
-    result.remined_units = part.TouchedUnits(new_db, log.touched_vertices);
-  }
-  result.route_seconds = route_watch.ElapsedSeconds();
-  PM_METRIC_HISTOGRAM("partminer.phase.route_ms")
-      ->Observe(result.route_seconds * 1e3);
 
   // Incremental merge at the root (IncMergeJoin, Figure 12 lines 11-12),
   // over the root's own cache and frontier. The root's recombined database

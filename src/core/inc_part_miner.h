@@ -20,11 +20,10 @@ struct IncPartMinerResult {
   PatternSet fi;   // With their pre-update info.
   PatternSet if_;  // With their post-update info.
 
-  /// Units holding an updated vertex (the setword of Figure 12), from
-  /// routing alone: no unit is re-mined.
+  /// Always empty: Update routes nothing to units.
   SetWord remined_units;
 
-  double route_seconds = 0;   // Assignment extension + touched units.
+  double route_seconds = 0;   // Always 0: Update does no routing.
   double merge_seconds = 0;   // Root IncMergeJoin.
   double verify_seconds = 0;  // UF/FI/IF classification.
 
@@ -33,20 +32,18 @@ struct IncPartMinerResult {
 
   /// Update mines no unit, so the unit share of a round is 0.
   double UnitSecondsSum() const { return 0; }
-  /// route + merge + classification.
+  /// merge + classification.
   double AggregateSeconds() const;
 };
 
 /// IncPartMiner (Figure 12): updates a mined PartMiner in place.
 ///
-/// A round is route → root IncMergeJoin → classify. Routing extends the
-/// partition to new vertices and computes the setword of units the update
-/// touched (reported, and what keeps the partition current for later
-/// rounds). The root's IncMergeJoin then recovers the exact pattern set of
-/// the updated database from the root's own cached set and frontier,
-/// touching work proportional to the update. No interior node or unit is
-/// re-merged: only the root's set is ever read, and each incremental merge
-/// reads only its own node's cache.
+/// A round is root IncMergeJoin → classify. The root's IncMergeJoin
+/// recovers the exact pattern set of the updated database from the root's
+/// own cached set and frontier, touching work proportional to the update
+/// (`log.updated_graphs`). The paper's setword of units to re-mine only
+/// selects leaves whose results the root never reads, so no partition is
+/// kept and nothing is routed.
 ///
 /// The paper's prune set (unit patterns that vanished from a re-mined unit)
 /// only marks candidates for its final check; with the root merge exact,
@@ -60,8 +57,8 @@ class IncPartMiner {
   /// Applies one update round. `state` must have completed Mine();
   /// `new_db` is the updated database (same graph count, vertices only
   /// added, per the paper's update model); `log` is the update log from
-  /// ApplyUpdates. The state's partition assignments, root pattern set and
-  /// root frontier are updated so further rounds can follow.
+  /// ApplyUpdates. The state's root pattern set and root frontier are
+  /// updated so further rounds can follow.
   IncPartMinerResult Update(PartMiner* state, const GraphDatabase& new_db,
                             const UpdateLog& log);
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <functional>
 #include <utility>
 
 #include "common/timing.h"
@@ -39,12 +38,11 @@ namespace {
 /// The exact sweep both operators fall back on: a gSpan run over `db` at
 /// the merge threshold. With `frontier`, its map is replaced and marked
 /// valid iff `capture`, in which case the sweep captures into it. Every
-/// emitted pattern counts as a counted candidate; those `known` does not
-/// hold count as spanning (newly found) patterns.
+/// emitted pattern counts as a counted candidate; with `known`, those it
+/// does not hold count as spanning (newly found) patterns.
 PatternSet ExactSweep(const GraphDatabase& db, const MergeJoinOptions& options,
                       NodeFrontier* frontier, bool capture,
-                      const std::function<bool(const DfsCode&)>& known,
-                      MergeJoinStats* s) {
+                      const PatternSet* known, MergeJoinStats* s) {
   MinerOptions mo;
   mo.min_support = options.min_support;
   mo.max_edges = options.max_edges;
@@ -55,36 +53,25 @@ PatternSet ExactSweep(const GraphDatabase& db, const MergeJoinOptions& options,
   }
   PatternSet out = engine::GrowFromRoots(db, mo);
   s->candidates_counted += out.size();
-  for (const PatternInfo& p : out.patterns()) {
-    if (!known(p.code)) ++s->spanning_found;
+  if (known != nullptr) {
+    for (const PatternInfo& p : out.patterns()) {
+      if (!known->Contains(p.code)) ++s->spanning_found;
+    }
   }
   return out;
 }
 
 }  // namespace
 
-PatternSet MergeJoin(const GraphDatabase& db,
-                     const std::vector<PatternSet>& units,
-                     const MergeJoinOptions& options, MergeJoinStats* stats,
-                     NodeFrontier* frontier_out) {
+PatternSet MergeJoin(const GraphDatabase& db, const MergeJoinOptions& options,
+                     MergeJoinStats* stats, NodeFrontier* frontier_out) {
   // Per-call deltas accumulate locally, reach the registry once at the end,
   // and fold into the caller's struct (keeping the existing struct API).
   MergeJoinStats local_stats;
-  for (const PatternSet& unit : units) {
-    local_stats.inherited_patterns += unit.size();
-  }
-
   // Exact root recovery (see the header comment for why this is the
   // recovery operator), capturing the frontier for the incremental path.
-  // A pattern in no unit is genuinely cross-partition.
-  PatternSet out = ExactSweep(
-      db, options, frontier_out, /*capture=*/true,
-      [&units](const DfsCode& code) {
-        return std::any_of(
-            units.begin(), units.end(),
-            [&code](const PatternSet& unit) { return unit.Contains(code); });
-      },
-      &local_stats);
+  PatternSet out = ExactSweep(db, options, frontier_out, /*capture=*/true,
+                              /*known=*/nullptr, &local_stats);
   local_stats.PublishToRegistry();
   if (stats != nullptr) stats->Accumulate(local_stats);
   return out;
@@ -281,9 +268,8 @@ PatternSet IncMergeJoin(const GraphDatabase& node_db, const PatternSet& cached,
   };
   const bool small_update = small_share(updated.size());
   if (!small_update || frontier == nullptr || !frontier->valid) {
-    PatternSet out = ExactSweep(
-        node_db, options, frontier, /*capture=*/small_update,
-        [&cached](const DfsCode& code) { return cached.Contains(code); }, s);
+    PatternSet out = ExactSweep(node_db, options, frontier,
+                                /*capture=*/small_update, &cached, s);
     // Transitions by set difference: the sweep already paid O(result).
     for (const PatternInfo& p : out.patterns()) {
       if (!cached.Contains(p.code)) t->became_frequent.push_back(p.code);

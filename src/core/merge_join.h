@@ -3,7 +3,6 @@
 
 #include <climits>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "graph/graph.h"
@@ -25,13 +24,13 @@ struct MergeJoinOptions {
 
 /// Work counters for the merge operators.
 struct MergeJoinStats {
-  int64_t inherited_patterns = 0;   // Unit patterns fed into the root.
+  int64_t inherited_patterns = 0;   // MinePaperPipeline: unit patterns.
   int64_t cached_patterns = 0;      // IncMergeJoin: cached patterns reused.
   int64_t delta_recounts = 0;       // IncMergeJoin: cached patterns delta-verified.
   int64_t candidates_generated = 0; // Extension candidates examined.
   int64_t candidates_counted = 0;   // Candidates needing a support count.
   int64_t candidates_skipped_known = 0;  // Skipped: already in the cache.
-  int64_t spanning_found = 0;       // Newly discovered frequent patterns.
+  int64_t spanning_found = 0;       // Frequent patterns no input held.
 
   void Accumulate(const MergeJoinStats& other);
 
@@ -48,20 +47,16 @@ struct MergeJoinStats {
 /// DFS-code sweep of the database seeded at its frequent 1-edge patterns
 /// (every frequent pattern is reachable through its minimal-code prefix
 /// chain, whose members are frequent by the Apriori property — Theorems
-/// 1-3 in the paper). Only the root's set is ever read, so no interior
-/// node is swept. `units` (the Phase 2 unit results) feed only the
-/// `inherited_patterns` and `spanning_found` counters; the candidate-reuse
-/// machinery the paper describes pays off in the *incremental* operator
-/// below, which is where the paper's evaluation exercises it.
+/// 1-3 in the paper). The sweep reads no unit result, so it takes none; the
+/// candidate-reuse machinery the paper describes pays off in the
+/// *incremental* operator below, which is where the paper's evaluation
+/// exercises it.
 ///
 /// Every pattern in the result carries exact support and TID lists for
-/// `db` (exact_tids set).
-/// `frontier_out`, when non-null, receives the root's mining frontier (see
-/// Frontier) for consumption by later IncMergeJoin calls.
-PatternSet MergeJoin(const GraphDatabase& db,
-                     const std::vector<PatternSet>& units,
-                     const MergeJoinOptions& options, MergeJoinStats* stats,
-                     NodeFrontier* frontier_out);
+/// `db`. `frontier_out`, when non-null, receives the root's mining frontier
+/// (see Frontier) for consumption by later IncMergeJoin calls.
+PatternSet MergeJoin(const GraphDatabase& db, const MergeJoinOptions& options,
+                     MergeJoinStats* stats, NodeFrontier* frontier_out);
 
 /// The pattern transitions of one IncMergeJoin call (Section 4.5), by
 /// code: IF (infrequent -> frequent) and FI (frequent -> infrequent). The

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
@@ -37,6 +38,11 @@ double PartMinerResult::ParallelSeconds() const {
 
 PartMiner::PartMiner(const PartMinerOptions& options) : options_(options) {}
 
+const PartitionedDatabase& PartMiner::partitioned() const {
+  static const PartitionedDatabase kEmpty;
+  return kEmpty;
+}
+
 int PartMiner::ResolveSupport(int db_size) const {
   if (options_.min_support_count > 0) return options_.min_support_count;
   const int count = static_cast<int>(
@@ -44,18 +50,44 @@ int PartMiner::ResolveSupport(int db_size) const {
   return std::max(1, count);
 }
 
-int PartMiner::NodeSupport(int index) const {
-  // ceil(sup / 2^depth), computed by repeated halving so intermediate
-  // ceilings compose the way the completeness argument requires.
-  int support = root_support_;
-  for (int d = 0; d < partitioned_.tree()[index].depth; ++d) {
-    support = (support + 1) / 2;
+PartMinerResult PartMiner::Mine(const GraphDatabase& db) {
+  PM_TRACE_SPAN("part_miner.mine", {{"graphs", db.size()}});
+  PM_METRIC_COUNTER("partminer.mine_runs")->Increment();
+  PartMinerResult result;
+  root_support_ = ResolveSupport(db.size());
+  result.min_support_count = root_support_;
+
+  // The root merge (Figure 11 lines 9-17) over the whole database, which is
+  // the recombination of every unit, capturing the frontier Update reads.
+  Stopwatch merge_watch;
+  {
+    PM_TRACE_SPAN("merge_node", {{"node", 0}, {"depth", 0}});
+    MergeJoinOptions mj;
+    mj.min_support = root_support_;
+    mj.max_edges = options_.max_edges;
+    patterns_ = MergeJoin(db, mj, &result.merge_stats, &root_frontier_);
   }
+  result.merge_seconds = merge_watch.ElapsedSeconds();
+  PM_METRIC_HISTOGRAM("partminer.phase.merge_ms")
+      ->Observe(result.merge_seconds * 1e3);
+
+  result.patterns = patterns_;
+  mined_ = true;
+  return result;
+}
+
+int NodeSupport(int root_support, int depth) {
+  // Repeated halving, so intermediate ceilings compose the way the
+  // completeness argument requires.
+  int support = root_support;
+  for (int d = 0; d < depth; ++d) support = (support + 1) / 2;
   return std::max(1, support);
 }
 
-std::unique_ptr<FrequentSubgraphMiner> PartMiner::MakeUnitMiner() const {
-  switch (options_.unit_miner) {
+namespace {
+
+std::unique_ptr<FrequentSubgraphMiner> MakeUnitMiner(UnitMinerKind kind) {
+  switch (kind) {
     case UnitMinerKind::kGaston:
       return std::make_unique<GastonMiner>();
     case UnitMinerKind::kGSpan:
@@ -65,64 +97,59 @@ std::unique_ptr<FrequentSubgraphMiner> PartMiner::MakeUnitMiner() const {
   return nullptr;
 }
 
-PartMinerResult PartMiner::Mine(const GraphDatabase& db) {
-  PM_TRACE_SPAN("part_miner.mine",
+}  // namespace
+
+PartMinerResult MinePaperPipeline(const GraphDatabase& db,
+                                  const PartMinerOptions& options,
+                                  NodeFrontier* root_frontier) {
+  PM_TRACE_SPAN("part_miner.paper_pipeline",
                 {{"graphs", db.size()},
-                 {"k", options_.partition.k},
-                 {"threads", options_.unit_mining_threads}});
-  PM_METRIC_COUNTER("partminer.mine_runs")->Increment();
-  PartMinerResult result;
-  root_support_ = ResolveSupport(db.size());
-  result.min_support_count = root_support_;
+                 {"k", options.partition.k},
+                 {"threads", options.unit_mining_threads}});
+  PartMiner miner(options);
+  const int root_support = miner.ResolveSupport(db.size());
 
   // Phase 1: divide the database into k units (Figure 6).
   Stopwatch partition_watch;
+  PartitionedDatabase partitioned;
   {
-    PM_TRACE_SPAN("partition", {{"k", options_.partition.k}});
-    partitioned_ = PartitionedDatabase::Create(db, options_.partition);
+    PM_TRACE_SPAN("partition", {{"k", options.partition.k}});
+    partitioned = PartitionedDatabase::Create(db, options.partition);
   }
-  result.partition_seconds = partition_watch.ElapsedSeconds();
+  const double partition_seconds = partition_watch.ElapsedSeconds();
   PM_METRIC_HISTOGRAM("partminer.phase.partition_ms")
-      ->Observe(result.partition_seconds * 1e3);
-
-  const std::vector<MergeTreeNode>& tree = partitioned_.tree();
-  const int root = partitioned_.root();
-  std::vector<PatternSet> unit_patterns(partitioned_.k());
-  root_frontier_ = NodeFrontier();
-  result.unit_mining_seconds.assign(partitioned_.k(), 0.0);
+      ->Observe(partition_seconds * 1e3);
 
   // Phase 2a: mine every unit with the memory-based miner at its reduced
   // support (Figure 11 lines 4-5). Units are independent, so with
   // unit_mining_threads > 0 they run concurrently, each worker with its own
-  // miner instance and output slot. With k=1 the single unit is the root,
-  // so its pass captures the root frontier.
+  // miner instance and output slot.
+  const std::vector<MergeTreeNode>& tree = partitioned.tree();
+  std::vector<PatternSet> unit_patterns(partitioned.k());
+  std::vector<double> unit_seconds(partitioned.k(), 0.0);
   std::vector<int> leaf_nodes;
   for (size_t node = 0; node < tree.size(); ++node) {
     if (tree[node].left == -1) leaf_nodes.push_back(static_cast<int>(node));
   }
   auto mine_unit = [&](int node, ThreadPool* pool) {
     const int unit_index = tree[node].lo;
-    PM_TRACE_SPAN("unit_mine",
-                  {{"unit", unit_index}, {"support", NodeSupport(node)}});
+    const int support = NodeSupport(root_support, tree[node].depth);
+    PM_TRACE_SPAN("unit_mine", {{"unit", unit_index}, {"support", support}});
     Stopwatch watch;
-    const GraphDatabase unit_db = partitioned_.MaterializeUnit(db, unit_index);
+    const GraphDatabase unit_db = partitioned.MaterializeUnit(db, unit_index);
     MinerOptions miner_options;
-    miner_options.min_support = NodeSupport(node);
-    miner_options.max_edges = options_.max_edges;
+    miner_options.min_support = support;
+    miner_options.max_edges = options.max_edges;
     miner_options.pool = pool;
-    if (node == root) {
-      miner_options.capture_frontier = &root_frontier_.map;
-      root_frontier_.valid = true;
-    }
-    std::unique_ptr<FrequentSubgraphMiner> unit_miner = MakeUnitMiner();
-    unit_patterns[unit_index] = unit_miner->Mine(unit_db, miner_options);
-    result.unit_mining_seconds[unit_index] = watch.ElapsedSeconds();
+    unit_patterns[unit_index] =
+        MakeUnitMiner(options.unit_miner)->Mine(unit_db, miner_options);
+    unit_seconds[unit_index] = watch.ElapsedSeconds();
     PM_METRIC_HISTOGRAM("partminer.phase.unit_mine_ms")
-        ->Observe(result.unit_mining_seconds[unit_index] * 1e3);
+        ->Observe(unit_seconds[unit_index] * 1e3);
   };
   {
     PM_TRACE_SPAN("unit_mining", {{"units", leaf_nodes.size()}});
-    if (options_.unit_mining_threads > 0) {
+    if (options.unit_mining_threads > 0) {
       // Pool width is exactly unit_mining_threads. Units and their mining
       // subtrees share the pool: a unit that finishes early frees workers
       // to steal extension subtrees of a still-running heavy unit, which is
@@ -132,15 +159,15 @@ PartMinerResult PartMiner::Mine(const GraphDatabase& db) {
       // order through a shared counter, so whichever task body runs first
       // picks up the heaviest remaining unit — submission and steal order
       // cannot invert the schedule.
-      std::vector<int64_t> unit_vertices(partitioned_.k(), 0);
-      for (const std::vector<int>& graph_assign : partitioned_.assignments()) {
+      std::vector<int64_t> unit_vertices(partitioned.k(), 0);
+      for (const std::vector<int>& graph_assign : partitioned.assignments()) {
         for (const int unit : graph_assign) ++unit_vertices[unit];
       }
       std::vector<int> order = leaf_nodes;
       std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
         return unit_vertices[tree[a].lo] > unit_vertices[tree[b].lo];
       });
-      ThreadPool pool(options_.unit_mining_threads);
+      ThreadPool pool(options.unit_mining_threads);
       std::atomic<size_t> next{0};
       TaskGroup group(&pool);
       for (size_t t = 0; t < order.size(); ++t) {
@@ -155,29 +182,29 @@ PartMinerResult PartMiner::Mine(const GraphDatabase& db) {
     }
   }
 
-  // Phase 2b: one merge-join at the root (Figure 11 lines 9-17). The root's
-  // recombined database is the database itself (the merge tree covers every
-  // unit), so no materialization is needed. The unit sets only feed the
-  // merge counters and are dropped when Mine returns.
-  if (tree[root].left == -1) {  // k=1: the unit pass mined the root.
-    patterns_ = std::move(unit_patterns[tree[root].lo]);
-  } else {
-    Stopwatch merge_watch;
-    {
-      PM_TRACE_SPAN("merge_node", {{"node", root}, {"depth", 0}});
-      MergeJoinOptions mj;
-      mj.min_support = root_support_;
-      mj.max_edges = options_.max_edges;
-      patterns_ = MergeJoin(db, unit_patterns, mj, &result.merge_stats,
-                            &root_frontier_);
-    }
-    result.merge_seconds = merge_watch.ElapsedSeconds();
-    PM_METRIC_HISTOGRAM("partminer.phase.merge_ms")
-        ->Observe(result.merge_seconds * 1e3);
+  // Phase 2b: the root merge-join (Figure 11 lines 9-17), exactly as the
+  // resident miner runs it. The unit sets only feed the merge counters: a
+  // pattern in no unit is genuinely cross-partition.
+  PartMinerResult result = miner.Mine(db);
+  result.partition_seconds = partition_seconds;
+  result.unit_mining_seconds = std::move(unit_seconds);
+  MergeJoinStats unit_stats;
+  for (const PatternSet& unit : unit_patterns) {
+    unit_stats.inherited_patterns += unit.size();
   }
-
-  result.patterns = patterns_;
-  mined_ = true;
+  for (const PatternInfo& p : result.patterns.patterns()) {
+    if (std::none_of(unit_patterns.begin(), unit_patterns.end(),
+                     [&p](const PatternSet& unit) {
+                       return unit.Contains(p.code);
+                     })) {
+      ++unit_stats.spanning_found;
+    }
+  }
+  unit_stats.PublishToRegistry();
+  result.merge_stats.Accumulate(unit_stats);
+  if (root_frontier != nullptr) {
+    *root_frontier = std::move(miner.mutable_root_frontier());
+  }
   return result;
 }
 

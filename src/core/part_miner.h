@@ -3,14 +3,12 @@
 
 #include <climits>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "core/merge_join.h"
 #include "graph/graph.h"
-#include "miner/miner.h"
 #include "miner/pattern_set.h"
 #include "partition/db_partition.h"
 
@@ -27,6 +25,8 @@ struct PartMinerOptions {
   /// Absolute minimum support; takes precedence when positive.
   int min_support_count = -1;
 
+  /// DBPartition settings. Only MinePaperPipeline reads them: PartMiner
+  /// keeps no partition.
   PartitionOptions partition;
   UnitMinerKind unit_miner = UnitMinerKind::kGaston;
   int max_edges = INT_MAX;
@@ -35,13 +35,13 @@ struct PartMinerOptions {
   /// above which the incremental merge falls back to an exact re-sweep.
   double inc_delta_sweep_max_fraction = 0.15;
 
-  /// Number of threads for unit mining — the width of the work-stealing
-  /// pool (see common/thread_pool.h). 0 mines units serially (the default;
-  /// the *parallel time* metric is still reported). Positive values run
-  /// units concurrently in longest-unit-first order — "PartMiner is
-  /// inherently parallel in nature" (Section 1) — and additionally fan the
-  /// unit miners' extension subtrees onto the same pool, so idle workers
-  /// steal work from a straggling unit instead of waiting for it.
+  /// MinePaperPipeline only: the width of the work-stealing pool the units
+  /// are mined on (see common/thread_pool.h). 0 mines units serially (the
+  /// *parallel time* metric is still reported). Positive values run units
+  /// concurrently in longest-unit-first order — "PartMiner is inherently
+  /// parallel in nature" (Section 1) — and fan the unit miners' extension
+  /// subtrees onto the same pool, so idle workers steal work from a
+  /// straggling unit instead of waiting for it. The root sweep is serial.
   int unit_mining_threads = 0;
 };
 
@@ -51,11 +51,12 @@ struct VerifyStats {
   int64_t graphs_examined = 0;
 };
 
-/// Outcome of one PartMiner run, including the timing decomposition the
-/// paper reports: aggregate (serial) time sums all unit mining times,
-/// parallel time takes their maximum — "in the parallel mode (with 1 CPU),
-/// the units are executed concurrently and we take the maximum of the time
-/// spent in the units" (Section 5.1.3).
+/// Outcome of one mining run, including the timing decomposition the paper
+/// reports: aggregate (serial) time sums all unit mining times, parallel
+/// time takes their maximum — "in the parallel mode (with 1 CPU), the units
+/// are executed concurrently and we take the maximum of the time spent in
+/// the units" (Section 5.1.3). Only MinePaperPipeline partitions and mines
+/// units; after PartMiner::Mine those fields are 0 or empty.
 struct PartMinerResult {
   PatternSet patterns;  // Exact frequent subgraphs of D at min support.
 
@@ -76,60 +77,45 @@ struct PartMinerResult {
   double ParallelSeconds() const;
 };
 
-/// The PartMiner algorithm (Figure 11). Phase 1 divides the database into k
-/// units via recursive bi-partitioning (DBPartition, Figure 6); Phase 2
-/// mines each unit with the memory-based miner at reduced support and
-/// recombines the unit results with one merge-join at the root, whose
-/// output is exact. Only the root's set is ever read, so no interior node
-/// of the merge tree is swept.
-///
-/// Support thresholds: the root uses the requested support; each merge-tree
-/// node at depth d uses ceil(sup / 2^d); a leaf unit is mined at its node
-/// threshold. For power-of-two k this equals the paper's sup/k leaf rule;
-/// for other k it is the strict-halving generalization that Theorem 3's
-/// pigeonhole argument actually requires (see DESIGN.md).
-///
-/// After Mine() the object retains the partition, the root pattern set (the
-/// result) and the root frontier — the state IncPartMiner updates
-/// incrementally. The unit sets are dropped after the root merge.
+/// The resident miner: the root of the paper's merge tree (Figure 11) and
+/// the state IncPartMiner updates in place. Mine() is one exact
+/// frontier-capturing sweep of the whole database at the requested support
+/// (MergeJoin); the object keeps only the root pattern set (the result) and
+/// the root frontier. The paper's Phase 1 and Phase 2 feed nothing the root
+/// reads, so they live in MinePaperPipeline, which the figure harnesses
+/// time.
 class PartMiner {
  public:
   explicit PartMiner(const PartMinerOptions& options);
 
-  /// Mines `db`. The database must outlive the PartMiner when IncPartMiner
-  /// is used afterwards.
+  /// Mines `db`: resolves the support and runs the root sweep with frontier
+  /// capture. No partition is computed and no unit is mined.
   PartMinerResult Mine(const GraphDatabase& db);
 
   const PartMinerOptions& options() const { return options_; }
 
   /// State accessors for IncPartMiner and the experiment harnesses.
   bool mined() const { return mined_; }
-  const PartitionedDatabase& partitioned() const { return partitioned_; }
-  PartitionedDatabase& mutable_partitioned() { return partitioned_; }
+  /// Always an empty partition: the miner keeps none.
+  const PartitionedDatabase& partitioned() const;
   /// The exact result of the last Mine()/incremental update: the root's
   /// pattern set at the root support.
   const PatternSet& patterns() const { return patterns_; }
   PatternSet& mutable_patterns() { return patterns_; }
-  /// The root's mining frontier (see FrontierMap) — the cache that makes
+  /// The root's mining frontier (see Frontier) — the cache that makes
   /// IncMergeJoin isomorphism-free.
   const NodeFrontier& root_frontier() const { return root_frontier_; }
   NodeFrontier& mutable_root_frontier() { return root_frontier_; }
-  /// Every frontier the miner keeps: only the root captures one.
+  /// Every frontier the miner keeps: only the root's.
   std::span<const NodeFrontier> node_frontiers() const {
     return {&root_frontier_, 1};
   }
-  /// Support threshold for tree node `index`.
-  int NodeSupport(int index) const;
   /// Resolved absolute root support for a database of `db_size` graphs.
   int ResolveSupport(int db_size) const;
 
-  /// Creates the configured unit miner.
-  std::unique_ptr<FrequentSubgraphMiner> MakeUnitMiner() const;
-
   /// State-restoration hook for LoadMinerState: marks the miner as mined
-  /// with the given resolved root support. The partition, root pattern set
-  /// and root frontier must have been installed through the mutable
-  /// accessors.
+  /// with the given resolved root support. The root pattern set and root
+  /// frontier must have been installed through the mutable accessors.
   void RestoreMinedState(int root_support) {
     mined_ = true;
     root_support_ = root_support;
@@ -140,10 +126,30 @@ class PartMiner {
   PartMinerOptions options_;
   bool mined_ = false;
   int root_support_ = 0;
-  PartitionedDatabase partitioned_;
   PatternSet patterns_;
   NodeFrontier root_frontier_;
 };
+
+/// Support threshold of a merge-tree node at `depth` below a root mined at
+/// `root_support`: ceil(sup / 2^depth), by repeated halving, at least 1.
+/// For power-of-two k a leaf gets the paper's sup/k; for other k this is
+/// the strict-halving generalization that Theorem 3's pigeonhole argument
+/// actually requires (see DESIGN.md).
+int NodeSupport(int root_support, int depth);
+
+/// The paper's PartMiner pipeline (Figure 11), as the figures time it.
+/// Phase 1 divides every graph into `options.partition.k` units by
+/// recursive bisection (DBPartition, Figure 6); Phase 2 mines each unit
+/// with the configured memory-based miner at its NodeSupport, on a pool of
+/// `options.unit_mining_threads` workers, then recombines at the root with
+/// PartMiner::Mine's sweep. The partition and the unit sets are dropped on
+/// return: they fill only the timings and the `inherited_patterns` and
+/// `spanning_found` merge counters. The patterns are those of
+/// PartMiner::Mine. `root_frontier`, when non-null, receives the frontier
+/// the root sweep captured.
+PartMinerResult MinePaperPipeline(const GraphDatabase& db,
+                                  const PartMinerOptions& options,
+                                  NodeFrontier* root_frontier = nullptr);
 
 }  // namespace partminer
 

@@ -16,10 +16,12 @@ namespace {
 constexpr const char* kMagic = "partminer-state";
 // Version 2 appended an integrity footer (`footer <payload_bytes>
 // <fnv1a_hex>`) so truncation and bit flips are detected before any of the
-// payload is trusted. Version 3 keeps the footer and holds only what
-// IncPartMiner reads: the partition, the root pattern set and the root
-// frontier. Earlier versions are rejected.
-constexpr int kVersion = 3;
+// payload is trusted. Version 3 held the partition, the root pattern set
+// and the root frontier. Version 4 drops the partition, which nothing
+// reads, and each pattern's always-set exactness flag: it holds the root
+// support, the root pattern set and the root frontier. Earlier versions
+// are rejected.
+constexpr int kVersion = 4;
 constexpr const char* kFooterTag = "footer";
 
 /// FNV-1a 64-bit over the serialized payload. Not cryptographic — it only
@@ -53,7 +55,7 @@ void WritePatternSet(const PatternSet& set, std::ostream& out) {
   out << "patterns " << set.size() << '\n';
   for (const PatternInfo& p : set.patterns()) {
     WriteCode(p.code, out);
-    out << ' ' << p.support << ' ' << (p.exact_tids ? 1 : 0) << ' ';
+    out << ' ' << p.support << ' ';
     WriteTids(p.tids, out);
     out << '\n';
   }
@@ -111,11 +113,7 @@ Status ReadPatternSet(std::istream& in, PatternSet* set) {
   for (int i = 0; i < count; ++i) {
     PatternInfo p;
     PARTMINER_RETURN_IF_ERROR(ReadCode(in, &p.code));
-    int exact = 1;
-    if (!(in >> p.support >> exact)) {
-      return Status::Corruption("bad pattern header");
-    }
-    p.exact_tids = exact != 0;
+    if (!(in >> p.support)) return Status::Corruption("bad pattern header");
     PARTMINER_RETURN_IF_ERROR(ReadTids(in, &p.tids));
     set->Upsert(std::move(p));
   }
@@ -146,19 +144,8 @@ Status SaveMinerStatePayload(const PartMiner& miner, std::ostream& out) {
   if (!miner.mined()) {
     return Status::InvalidArgument("miner has not completed Mine()");
   }
-  const PartitionedDatabase& part = miner.partitioned();
   out << kMagic << ' ' << kVersion << '\n';
   out << "root_support " << miner.root_support() << '\n';
-  out << "k " << part.k() << '\n';
-
-  const auto& assignments = part.assignments();
-  out << "graphs " << assignments.size() << '\n';
-  for (const std::vector<int>& units : assignments) {
-    out << units.size();
-    for (const int u : units) out << ' ' << u;
-    out << '\n';
-  }
-
   WritePatternSet(miner.patterns(), out);
   WriteFrontier(miner.root_frontier(), out);
   if (!out) return Status::IoError("write failed");
@@ -248,33 +235,6 @@ Status LoadMinerStatePayload(std::istream& in, PartMiner* miner) {
   if (!(in >> tag >> root_support) || tag != "root_support") {
     return Status::Corruption("expected root_support");
   }
-  int k = 0;
-  if (!(in >> tag >> k) || tag != "k") {
-    return Status::Corruption("expected k");
-  }
-  if (k != miner->options().partition.k) {
-    return Status::InvalidArgument(
-        "state was saved with k=" + std::to_string(k) +
-        " but the miner is configured with k=" +
-        std::to_string(miner->options().partition.k));
-  }
-
-  size_t graphs = 0;
-  if (!(in >> tag >> graphs) || tag != "graphs") {
-    return Status::Corruption("expected graphs");
-  }
-  std::vector<std::vector<int>> assignments(graphs);
-  for (std::vector<int>& units : assignments) {
-    size_t n = 0;
-    if (!(in >> n)) return Status::Corruption("bad assignment length");
-    units.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      if (!(in >> units[i]) || units[i] < 0 || units[i] >= k) {
-        return Status::Corruption("bad unit assignment");
-      }
-    }
-  }
-
   PatternSet patterns;
   PARTMINER_RETURN_IF_ERROR(ReadPatternSet(in, &patterns));
   NodeFrontier frontier;
@@ -282,8 +242,6 @@ Status LoadMinerStatePayload(std::istream& in, PartMiner* miner) {
 
   // Install (only after everything parsed and validated, so a failed load
   // leaves the miner untouched).
-  miner->mutable_partitioned() =
-      PartitionedDatabase::Restore(k, std::move(assignments));
   miner->mutable_patterns() = std::move(patterns);
   miner->mutable_root_frontier() = std::move(frontier);
   miner->RestoreMinedState(root_support);

@@ -47,7 +47,7 @@ struct EditBatchOutcome {
 
 /// Applies `edits` in order with per-edit validation. Touched vertices get
 /// their update frequency bumped and are recorded in `log` exactly like
-/// ApplyUpdates, so IncPartMiner routing sees the same shape of evidence.
+/// ApplyUpdates, so IncPartMiner sees the same shape of evidence.
 EditBatchOutcome ApplyEditBatch(GraphDatabase* db,
                                 const std::vector<EditOp>& edits,
                                 UpdateLog* log);

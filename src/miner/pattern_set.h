@@ -23,11 +23,6 @@ struct PatternInfo {
   DfsCode code;
   int support = 0;
   TidSet tids;
-  /// True when support/tids were counted exactly against the database the
-  /// holding set describes. Every miner and merge emits exact patterns; the
-  /// flag is round-tripped by state_io and honored by the differential
-  /// harness's TID comparison.
-  bool exact_tids = true;
 };
 
 /// The *frontier* of a mining pass: every rightmost-extension group that was

@@ -120,23 +120,6 @@ PartitionedDatabase PartitionedDatabase::Create(
   return out;
 }
 
-PartitionedDatabase PartitionedDatabase::Restore(
-    int k, std::vector<std::vector<int>> assignments) {
-  PM_CHECK_GE(k, 1);
-  PM_CHECK_LE(k, SetWord::kMaxUnits);
-  PartitionedDatabase out;
-  out.k_ = k;
-  BuildTree(0, k, 0, &out.tree_);
-  for (const std::vector<int>& units : assignments) {
-    for (const int u : units) {
-      PM_CHECK_GE(u, 0);
-      PM_CHECK_LT(u, k);
-    }
-  }
-  out.assignment_ = std::move(assignments);
-  return out;
-}
-
 GraphDatabase PartitionedDatabase::Materialize(const GraphDatabase& db,
                                                int lo, int hi) const {
   PM_CHECK_EQ(db.size(), static_cast<int>(assignment_.size()));
@@ -208,8 +191,12 @@ SetWord PartitionedDatabase::TouchedUnits(
 }
 
 int64_t PartitionedDatabase::TotalCutEdges(const GraphDatabase& db) const {
+  if (k_ == 0) return 0;  // Default-constructed: no units, no cut.
+  PM_CHECK_EQ(db.size(), static_cast<int>(assignment_.size()));
   int64_t total = 0;
   for (int i = 0; i < db.size(); ++i) {
+    PM_CHECK_EQ(db.graph(i).VertexCount(),
+                static_cast<int>(assignment_[i].size()));
     for (const EdgeEntry& e : db.graph(i).UndirectedEdges()) {
       if (assignment_[i][e.from] != assignment_[i][e.to]) ++total;
     }

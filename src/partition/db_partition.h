@@ -90,19 +90,15 @@ class PartitionedDatabase {
       const std::vector<std::pair<int, VertexId>>& touched) const;
 
   /// Total connective (cut) edges across all graphs — the partition-quality
-  /// metric the weight function trades against isolation.
+  /// metric the weight function trades against isolation. A default-
+  /// constructed (empty) partition has none; otherwise `db` must be the
+  /// partitioned database (checked).
   int64_t TotalCutEdges(const GraphDatabase& db) const;
 
-  /// Per-graph unit assignments (state persistence).
+  /// Per-graph unit assignments.
   const std::vector<std::vector<int>>& assignments() const {
     return assignment_;
   }
-
-  /// Rebuilds a partition from persisted assignments. The merge tree is a
-  /// pure function of k, so shape and assignments fully determine the
-  /// object.
-  static PartitionedDatabase Restore(int k,
-                                     std::vector<std::vector<int>> assignments);
 
   /// Sum over touched vertices of TouchedUnits cardinality — how well the
   /// partitioning isolated updates.

@@ -170,8 +170,6 @@ Json BatchResultJson(const BatchResult& result) {
     out.Set("first_rejection", Json::Str(result.first_rejection));
   }
   out.Set("patterns", Json::Number(static_cast<int64_t>(result.patterns)));
-  out.Set("remined_units",
-          Json::Number(static_cast<int64_t>(result.remined_units)));
   return out;
 }
 

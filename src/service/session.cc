@@ -196,13 +196,12 @@ Status MinerSession::ApplyBatch(const std::vector<EditOp>& edits,
   PM_METRIC_COUNTER("service.edits_applied")->Add(outcome.applied);
   PM_METRIC_COUNTER("service.edits_rejected")->Add(outcome.rejected);
 
-  // Phase A: the incremental re-mine round (routing, root merge,
-  // classification) plus publishing the new epoch.
+  // Phase A: the incremental re-mine round (root merge, classification)
+  // plus publishing the new epoch.
   phase_watch.Restart();
   if (outcome.applied > 0) {
     PM_TRACE_SPAN("phase_a_remine", {{"applied", outcome.applied}});
-    const IncPartMinerResult inc = inc_.Update(miner_.get(), db_, log);
-    result->remined_units = inc.remined_units.Count();
+    inc_.Update(miner_.get(), db_, log);
     ++epoch_;
     PublishLocked();
   }

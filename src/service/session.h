@@ -38,12 +38,11 @@ struct BatchResult {
   int applied = 0;
   int rejected = 0;
   std::string first_rejection;
-  int remined_units = 0;
   int patterns = 0;
   double apply_seconds = 0;
   /// Lifecycle breakdown (DESIGN.md section 13): phase B is applying the
   /// edits to the resident database; phase A is the incremental re-mine
-  /// round (routing, root merge, classification, digest). Together they
+  /// round (root merge, classification, digest). Together they
   /// tile apply_seconds.
   double phase_a_seconds = 0;
   double phase_b_seconds = 0;
@@ -101,8 +100,8 @@ struct Published {
   std::vector<int> by_support;
 };
 
-/// The daemon's resident mining state: one database + PartMiner partition
-/// kept in memory across requests, updated in place by IncPartMiner so the
+/// The daemon's resident mining state: one database + the PartMiner root
+/// state (pattern set and frontier) kept in memory across requests, updated in place by IncPartMiner so the
 /// incremental machinery finally serves more than one request per process.
 ///
 /// Concurrency contract:
@@ -146,7 +145,7 @@ class MinerSession {
   /// from the current published epoch; never takes the session lock.
   Status Query(const QueryRequest& request, QueryReply* reply);
 
-  /// Writes `<prefix>.db.lg` + `<prefix>.state` (state_io v3, checksummed).
+  /// Writes `<prefix>.db.lg` + `<prefix>.state` (state_io v4, checksummed).
   /// Shared lock: holds off the next batch apply, never a query.
   Status Snapshot(const std::string& prefix, SnapshotResult* result);
 

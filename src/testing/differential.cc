@@ -44,7 +44,7 @@ class FastPathGuard {
 };
 
 /// Diffs `actual` against the oracle result: same canonical codes, same
-/// supports, and — when both sides counted exactly — the same TID sets.
+/// supports and the same TID sets.
 /// Returns "" on agreement, else a description capped at a few examples.
 std::string DiffAgainstOracle(const PatternSet& oracle,
                               const PatternSet& actual,
@@ -68,7 +68,7 @@ std::string DiffAgainstOracle(const PatternSet& oracle,
            std::to_string(p.support) + ", " + name + " " +
            std::to_string(q->support));
     }
-    if (p.exact_tids && q->exact_tids && !(p.tids == q->tids)) {
+    if (!(p.tids == q->tids)) {
       note("tid-set mismatch for " + p.code.ToString());
     }
   }
@@ -243,8 +243,8 @@ DifferentialResult RunAllChecks(const GraphDatabase& db,
           "gaston(pool=" + std::to_string(threads) + ")");
   }
 
-  // PartMiner across unit miners and thread counts; Theorems 1-3 say the
-  // partition-mine-merge pipeline is lossless.
+  // The paper pipeline across unit miners and unit-mining thread counts;
+  // Theorems 1-3 say partition-mine-merge is lossless.
   for (const UnitMinerKind kind : {UnitMinerKind::kGaston,
                                    UnitMinerKind::kGSpan}) {
     for (const int threads : {0, 2, 8}) {
@@ -256,8 +256,7 @@ DifferentialResult RunAllChecks(const GraphDatabase& db,
       popt.partition.seed = params.seed + 7;
       popt.unit_miner = kind;
       popt.unit_mining_threads = threads;
-      PartMiner miner(popt);
-      check(miner.Mine(db).patterns,
+      check(MinePaperPipeline(db, popt).patterns,
             std::string("partminer(") +
                 (kind == UnitMinerKind::kGaston ? "gaston" : "gspan") +
                 ",threads=" + std::to_string(threads) + ")");
@@ -275,8 +274,6 @@ DifferentialResult RunAllChecks(const GraphDatabase& db,
     PartMinerOptions popt;
     popt.min_support_count = params.min_support;
     popt.max_edges = params.max_edges;
-    popt.partition.k = params.k;
-    popt.partition.seed = params.seed + 7;
     PartMiner miner(popt);
     check(miner.Mine(db).patterns, "partminer(fast paths off)");
     SetLabelIndexEnabled(true);
@@ -319,8 +316,6 @@ DifferentialResult RunAllChecks(const GraphDatabase& db,
     PartMinerOptions popt;
     popt.min_support_count = params.min_support;
     popt.max_edges = params.max_edges;
-    popt.partition.k = params.k;
-    popt.partition.seed = params.seed + 7;
     popt.inc_delta_sweep_max_fraction = 0.5;
     PartMiner miner(popt);
     miner.Mine(updated);

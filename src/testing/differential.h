@@ -41,8 +41,9 @@ struct DifferentialResult {
 
 /// Mines `db` with every miner configuration — brute force (the oracle),
 /// gSpan (serial, and on work-stealing pools of 2 and 8 threads), Gaston,
-/// PartMiner (both unit miners, unit-mining threads 0/2/8), PartMiner with
-/// the label-index and minimality-cache fast paths disabled, the
+/// the paper pipeline (MinePaperPipeline: both unit miners, unit-mining
+/// threads 0/2/8), PartMiner with the label-index and minimality-cache fast
+/// paths disabled, the
 /// disk-resident AdiMine on a deliberately tiny buffer pool, and chained
 /// IncPartMiner rounds from one Mine (seeded updates with relabels, each
 /// round's result vs from-scratch re-mining) — and diffs every result

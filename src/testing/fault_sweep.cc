@@ -158,7 +158,6 @@ FaultSweepOutcome RunStateIoFaultSweep(uint64_t seed) {
 
   PartMinerOptions options;
   options.min_support_count = 4;
-  options.partition.k = 2;
   PartMiner miner(options);
   miner.Mine(db);
 
@@ -319,7 +318,6 @@ FaultSweepOutcome RunDaemonFaultSweep(uint64_t seed) {
 
   service::SessionOptions session_options;
   session_options.miner.min_support_count = 6;
-  session_options.miner.partition.k = 2;
 
   EditStreamOptions stream;
   stream.seed = seed + 3;

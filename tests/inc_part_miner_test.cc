@@ -177,38 +177,6 @@ TEST(IncPartMinerTest, MultipleRoundsStayExact) {
   }
 }
 
-TEST(IncPartMinerTest, UntouchedUnitsAreNotRemined) {
-  GraphDatabase db = MakeDatabase(13, /*graphs=*/20);
-  PartMinerOptions options;
-  options.min_support_count = 4;
-  options.partition.k = 4;
-  PartMiner miner(options);
-  miner.Mine(db);
-
-  // One surgical update: relabel a degree-1 vertex of graph 0. The touched
-  // units are at most {unit(v), unit(neighbor)} — strictly fewer than k.
-  Graph& g0 = db.mutable_graph(0);
-  VertexId leaf = -1;
-  for (VertexId v = 0; v < g0.VertexCount(); ++v) {
-    if (g0.Degree(v) == 1) {
-      leaf = v;
-      break;
-    }
-  }
-  ASSERT_NE(leaf, -1) << "expected a degree-1 vertex in the first graph";
-  g0.set_vertex_label(leaf, g0.vertex_label(leaf) + 100);
-  g0.BumpUpdateFreq(leaf);
-  UpdateLog log;
-  log.updated_graphs = {0};
-  log.touched_vertices = {{0, leaf}};
-
-  IncPartMiner inc;
-  const IncPartMinerResult result = inc.Update(&miner, db, log);
-  EXPECT_GT(result.remined_units.Count(), 0);
-  EXPECT_LT(result.remined_units.Count(), 4)
-      << "expected at least one unit untouched";
-}
-
 TEST(IncPartMinerTest, IncrementalWorkIsBoundedByUpdates) {
   GraphDatabase db = MakeDatabase(21, /*graphs=*/24);
   PartMinerOptions options;

@@ -42,7 +42,7 @@ TEST(MergeJoinEdgeTest, EmptyNodeDatabaseYieldsEmptyResult) {
   options.min_support = 1;
   MergeJoinStats stats;
   const PatternSet result =
-      MergeJoin(empty, {}, options, &stats, nullptr);
+      MergeJoin(empty, options, &stats, nullptr);
   EXPECT_EQ(result.size(), 0);
 }
 
@@ -60,7 +60,7 @@ TEST(MergeJoinEdgeTest, EmptyChildrenStillRecoverExactly) {
   options.min_support = 4;
   MergeJoinStats stats;
   const PatternSet result =
-      MergeJoin(db, {}, options, &stats, nullptr);
+      MergeJoin(db, options, &stats, nullptr);
 
   GSpanMiner gspan;
   MinerOptions full;
@@ -75,7 +75,7 @@ TEST(MergeJoinEdgeTest, SupportAboveDatabaseSizeIsEmpty) {
   options.min_support = 2;  // k larger than the database at this node.
   MergeJoinStats stats;
   const PatternSet result =
-      MergeJoin(db, {}, options, &stats, nullptr);
+      MergeJoin(db, options, &stats, nullptr);
   EXPECT_EQ(result.size(), 0);
 }
 
@@ -90,8 +90,7 @@ TEST(MergeJoinEdgeTest, SingleGraphUnitsMergeExactly) {
   PartMinerOptions options;
   options.min_support_count = 2;
   options.partition.k = 2;
-  PartMiner miner(options);
-  const PartMinerResult result = miner.Mine(db);
+  const PartMinerResult result = MinePaperPipeline(db, options);
 
   GSpanMiner gspan;
   MinerOptions full;
@@ -117,8 +116,7 @@ TEST(MergeJoinEdgeTest, PatternFrequentInEveryUnitKeepsFullSupport) {
   PartMinerOptions options;
   options.min_support_count = 12;
   options.partition.k = 4;
-  PartMiner miner(options);
-  const PartMinerResult result = miner.Mine(db);
+  const PartMinerResult result = MinePaperPipeline(db, options);
 
   GSpanMiner gspan;
   MinerOptions full;
@@ -144,8 +142,7 @@ TEST(MergeJoinEdgeTest, KLargerThanDatabaseLeavesUnitsEmpty) {
   PartMinerOptions options;
   options.min_support_count = 2;
   options.partition.k = 8;
-  PartMiner miner(options);
-  const PartMinerResult result = miner.Mine(db);
+  const PartMinerResult result = MinePaperPipeline(db, options);
 
   GSpanMiner gspan;
   MinerOptions full;

@@ -354,8 +354,7 @@ TEST(TracerTest, PartMinerEmitsOneSpanPerUnitUnderConcurrentMining) {
 
   Tracer& tracer = Tracer::Global();
   tracer.Start();
-  PartMiner miner(options);
-  const PartMinerResult result = miner.Mine(db);
+  const PartMinerResult result = MinePaperPipeline(db, options);
   tracer.Stop();
   EXPECT_GT(result.patterns.size(), 0);
 
@@ -416,6 +415,45 @@ TEST(TracerTest, PartMinerEmitsOneSpanPerUnitUnderConcurrentMining) {
   EXPECT_GT(registry.GetCounter("iso.embedding_extensions")->value(), 0);
   EXPECT_GT(registry.GetCounter("merge.inherited_patterns")->value(), 0);
   EXPECT_GT(registry.GetCounter("merge.candidates_counted")->value(), 0);
+}
+
+TEST(TracerTest, MineIsOneRootSweep) {
+  GeneratorParams params;
+  params.num_graphs = 40;
+  params.num_kernels = 8;
+  params.seed = 9;
+  const GraphDatabase db = GenerateDatabase(params);
+
+  PartMinerOptions options;
+  options.min_support_fraction = 0.2;
+  options.partition.k = 4;
+  options.unit_mining_threads = 2;
+
+  Tracer& tracer = Tracer::Global();
+  tracer.Start();
+  PartMiner miner(options);
+  EXPECT_GT(miner.Mine(db).patterns.size(), 0);
+  tracer.Stop();
+
+  // The resident miner partitions nothing and mines no unit, whatever its
+  // partition options say: its one phase is the root merge.
+  int merge_spans = 0, other_phase_spans = 0;
+  for (const TraceEvent& e : tracer.Snapshot()) {
+    const std::string name = e.name;
+    if (name == "merge_node") {
+      ++merge_spans;
+      for (const obs::TraceArg& arg : e.args) {
+        if (std::string(arg.key) == "depth") {
+          EXPECT_EQ(arg.number, 0);
+        }
+      }
+    } else if (name == "partition" || name == "unit_mining" ||
+               name == "unit_mine") {
+      ++other_phase_spans;
+    }
+  }
+  EXPECT_EQ(merge_spans, 1);
+  EXPECT_EQ(other_phase_spans, 0);
 }
 
 }  // namespace

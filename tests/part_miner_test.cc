@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "common/random.h"
 #include "datagen/generator.h"
 #include "miner/gspan.h"
+#include "obs/trace.h"
 #include "tests/test_util.h"
 
 namespace partminer {
@@ -21,9 +27,9 @@ void ExpectSameResults(const PatternSet& expected, const PatternSet& actual,
   }
 }
 
-/// The headline property (Theorems 1-3): PartMiner output is exactly the
-/// gSpan result on the unpartitioned database — same patterns, same
-/// supports, same TID lists — for every k and partition criteria.
+/// The headline property (Theorems 1-3): the paper pipeline's output is
+/// exactly the gSpan result on the unpartitioned database — same patterns,
+/// same supports, same TID lists — for every k and partition criteria.
 struct PartMinerCase {
   int k;
   PartitionCriteria criteria;
@@ -46,8 +52,7 @@ TEST_P(PartMinerEquivalence, MatchesGSpan) {
   options.min_support_count = c.min_support;
   options.partition.k = c.k;
   options.partition.criteria = c.criteria;
-  PartMiner miner(options);
-  const PartMinerResult result = miner.Mine(db);
+  const PartMinerResult result = MinePaperPipeline(db, options);
 
   ExpectSameResults(expected, result.patterns,
                     "k=" + std::to_string(c.k) +
@@ -81,9 +86,8 @@ TEST(PartMinerTest, GastonAndGSpanUnitMinersAgree) {
   a.partition.k = b.partition.k = 3;
   a.unit_miner = UnitMinerKind::kGaston;
   b.unit_miner = UnitMinerKind::kGSpan;
-  PartMiner ma(a), mb(b);
-  ExpectSameResults(ma.Mine(db).patterns, mb.Mine(db).patterns,
-                    "unit miner kinds");
+  ExpectSameResults(MinePaperPipeline(db, a).patterns,
+                    MinePaperPipeline(db, b).patterns, "unit miner kinds");
 }
 
 TEST(PartMinerTest, SupportFractionResolution) {
@@ -99,6 +103,13 @@ TEST(PartMinerTest, SupportFractionResolution) {
 }
 
 TEST(PartMinerTest, NodeSupportHalvesPerDepth) {
+  for (int depth = 0; depth < 5; ++depth) {
+    EXPECT_EQ(NodeSupport(8, depth), std::max(1, 8 >> depth));
+  }
+  EXPECT_EQ(NodeSupport(5, 1), 3);  // Ceilings compose: 5 -> 3 -> 2.
+  EXPECT_EQ(NodeSupport(5, 2), 2);
+
+  // The paper pipeline mines each of its k=4 leaves (depth 2) at 8/4.
   GraphDatabase db;
   Graph g;
   g.AddVertex(0);
@@ -108,13 +119,18 @@ TEST(PartMinerTest, NodeSupportHalvesPerDepth) {
   PartMinerOptions options;
   options.min_support_count = 8;
   options.partition.k = 4;
-  PartMiner miner(options);
-  miner.Mine(db);
-  const auto& tree = miner.partitioned().tree();
-  for (size_t i = 0; i < tree.size(); ++i) {
-    const int expected = std::max(1, 8 >> tree[i].depth);
-    EXPECT_EQ(miner.NodeSupport(static_cast<int>(i)), expected);
+  obs::Tracer& tracer = obs::Tracer::Global();
+  tracer.Start();
+  MinePaperPipeline(db, options);
+  tracer.Stop();
+  std::vector<int64_t> supports;
+  for (const obs::TraceEvent& e : tracer.Snapshot()) {
+    if (std::string(e.name) != "unit_mine") continue;
+    for (const obs::TraceArg& arg : e.args) {
+      if (std::string(arg.key) == "support") supports.push_back(arg.number);
+    }
   }
+  EXPECT_EQ(supports, (std::vector<int64_t>{2, 2, 2, 2}));
 }
 
 TEST(PartMinerTest, TimingFieldsPopulated) {
@@ -127,12 +143,21 @@ TEST(PartMinerTest, TimingFieldsPopulated) {
   PartMinerOptions options;
   options.min_support_fraction = 0.3;
   options.partition.k = 3;
-  PartMiner miner(options);
-  const PartMinerResult r = miner.Mine(db);
+  const PartMinerResult r = MinePaperPipeline(db, options);
   EXPECT_EQ(static_cast<int>(r.unit_mining_seconds.size()), 3);
   EXPECT_GE(r.AggregateSeconds(), r.ParallelSeconds());
   EXPECT_GT(r.patterns.size(), 0);
   EXPECT_EQ(r.min_support_count, 6);
+  EXPECT_GT(r.merge_stats.inherited_patterns, 0);
+
+  // The resident miner runs only the root sweep.
+  PartMiner miner(options);
+  const PartMinerResult product = miner.Mine(db);
+  EXPECT_EQ(product.partition_seconds, 0);
+  EXPECT_TRUE(product.unit_mining_seconds.empty());
+  EXPECT_EQ(product.merge_stats.inherited_patterns, 0);
+  EXPECT_EQ(miner.partitioned().k(), 0);
+  EXPECT_EQ(miner.partitioned().TotalCutEdges(db), 0);
 }
 
 TEST(PartMinerTest, ParallelUnitMiningMatchesSerial) {
@@ -143,9 +168,46 @@ TEST(PartMinerTest, ParallelUnitMiningMatchesSerial) {
   serial.partition.k = parallel.partition.k = 4;
   serial.unit_mining_threads = 0;
   parallel.unit_mining_threads = 4;
-  PartMiner a(serial), b(parallel);
-  ExpectSameResults(a.Mine(db).patterns, b.Mine(db).patterns,
+  ExpectSameResults(MinePaperPipeline(db, serial).patterns,
+                    MinePaperPipeline(db, parallel).patterns,
                     "parallel unit mining");
+}
+
+/// The paper pipeline's root merge is PartMiner::Mine: the same patterns
+/// in the same order, with the same supports and TIDs, and the same root
+/// frontier, whatever the partition and the unit-mining pool.
+TEST(PartMinerTest, PaperPipelineMatchesMineBitIdentical) {
+  Rng rng(57);
+  const GraphDatabase db = testutil::RandomDatabase(&rng, 16, 8, 3, 3, 2);
+  PartMinerOptions options;
+  options.min_support_count = 3;
+  PartMiner miner(options);
+  const PatternSet expected = miner.Mine(db).patterns;
+  ASSERT_GT(expected.size(), 0);
+  ASSERT_TRUE(miner.root_frontier().valid);
+
+  for (const int k : {1, 2, 3, 4}) {
+    for (const int threads : {0, 4}) {
+      const std::string what =
+          "k=" + std::to_string(k) + " threads=" + std::to_string(threads);
+      PartMinerOptions paper = options;
+      paper.partition.k = k;
+      paper.unit_mining_threads = threads;
+      NodeFrontier frontier;
+      const PatternSet got =
+          MinePaperPipeline(db, paper, &frontier).patterns;
+      ASSERT_EQ(expected.size(), got.size()) << what;
+      for (int i = 0; i < expected.size(); ++i) {
+        const PatternInfo& a = expected.patterns()[i];
+        const PatternInfo& b = got.patterns()[i];
+        EXPECT_EQ(a.code.ToString(), b.code.ToString()) << what;
+        EXPECT_EQ(a.support, b.support) << what;
+        EXPECT_EQ(a.tids, b.tids) << what;
+      }
+      EXPECT_TRUE(frontier.valid) << what;
+      EXPECT_TRUE(frontier.map == miner.root_frontier().map) << what;
+    }
+  }
 }
 
 TEST(PartMinerTest, MaxEdgesRespected) {

@@ -198,6 +198,60 @@ TEST(PartitionedDatabaseTest, TouchedUnitsCoverChangedEdges) {
   EXPECT_FALSE(touched.Empty());
 }
 
+TEST(PartitionedDatabaseTest, SurgicalUpdateTouchesFewerThanKUnits) {
+  GeneratorParams params;
+  params.num_graphs = 20;
+  params.avg_edges = 10;
+  params.num_labels = 5;
+  params.num_kernels = 8;
+  params.avg_kernel_edges = 3;
+  params.seed = 13;
+  GraphDatabase db = GenerateDatabase(params);
+  AssignUpdateHotspots(&db, 0.2, 14);
+  PartitionOptions options;
+  options.k = 4;
+  const PartitionedDatabase part = PartitionedDatabase::Create(db, options);
+
+  // One surgical update: relabel a degree-1 vertex of graph 0. The touched
+  // units are at most {unit(v), unit(neighbor)} — strictly fewer than k.
+  Graph& g0 = db.mutable_graph(0);
+  VertexId leaf = -1;
+  for (VertexId v = 0; v < g0.VertexCount(); ++v) {
+    if (g0.Degree(v) == 1) {
+      leaf = v;
+      break;
+    }
+  }
+  ASSERT_NE(leaf, -1) << "expected a degree-1 vertex in the first graph";
+  g0.set_vertex_label(leaf, g0.vertex_label(leaf) + 100);
+  const SetWord touched = part.TouchedUnits(db, {{0, leaf}});
+  EXPECT_GT(touched.Count(), 0);
+  EXPECT_LT(touched.Count(), 4) << "expected at least one unit untouched";
+}
+
+TEST(PartitionedDatabaseTest, TotalCutEdgesOfEmptyPartitionIsZero) {
+  Rng rng(31);
+  GraphDatabase db;
+  db.Add(testutil::RandomConnectedGraph(&rng, 6, 3, 2, 2));
+  const PartitionedDatabase empty;
+  EXPECT_EQ(empty.TotalCutEdges(db), 0);
+  EXPECT_EQ(empty.TotalCutEdges(GraphDatabase()), 0);
+}
+
+TEST(PartitionedDatabaseTest, TotalCutEdgesChecksDatabaseSize) {
+  Rng rng(32);
+  GraphDatabase db;
+  for (int i = 0; i < 3; ++i) {
+    db.Add(testutil::RandomConnectedGraph(&rng, 6, 3, 2, 2));
+  }
+  PartitionOptions options;
+  options.k = 2;
+  const PartitionedDatabase part = PartitionedDatabase::Create(db, options);
+  GraphDatabase fewer;
+  fewer.Add(db.graph(0));
+  EXPECT_DEATH(part.TotalCutEdges(fewer), "Check failed");
+}
+
 TEST(PartitionedDatabaseTest, IsolationCriteriaReduceTouchedUnits) {
   // With hotspots concentrated, Partition1/3 should route updates into
   // fewer units on average than pure min-cut partitioning.

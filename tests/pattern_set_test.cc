@@ -80,10 +80,5 @@ TEST(PatternSetTest, SortedCodeStringsIsSorted) {
   EXPECT_TRUE(std::is_sorted(codes.begin(), codes.end()));
 }
 
-TEST(PatternSetTest, ExactTidsDefaultsTrue) {
-  PatternInfo p = MakePattern(0, 0, 0, 1);
-  EXPECT_TRUE(p.exact_tids);
-}
-
 }  // namespace
 }  // namespace partminer

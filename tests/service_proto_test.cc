@@ -206,6 +206,7 @@ TEST_F(ServiceProtoTest, WaitedUpdateAdvancesEpochAndDigestChanges) {
   EXPECT_EQ(result->Get("applied")->AsInt(), 1);
   EXPECT_EQ(result->Get("rejected")->AsInt(), 0);
   EXPECT_EQ(result->Get("epoch")->AsInt(), 1);
+  EXPECT_EQ(result->Get("remined_units"), nullptr) << response;
 
   // Relabeling a support-carrying vertex changes the mined set: the digest
   // moves and the epoch is visible to the next query.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -54,8 +55,6 @@ TEST(StateIoTest, RoundTripPreservesVerifiedResult) {
   EXPECT_TRUE(restored.mined());
   EXPECT_EQ(restored.root_support(), 4);
   ExpectSameResults(original.patterns, restored.patterns(), "round trip");
-  EXPECT_EQ(miner.partitioned().assignments(),
-            restored.partitioned().assignments());
 }
 
 TEST(StateIoTest, RestoredMinerContinuesIncrementally) {
@@ -122,7 +121,7 @@ TEST(StateIoTest, LazyFrontierSavesCompactedAndResumesExactly) {
 
   std::stringstream buffer;
   ASSERT_TRUE(SaveMinerState(miner, buffer).ok());
-  EXPECT_EQ(buffer.str().rfind("partminer-state 3\n", 0), 0u);
+  EXPECT_EQ(buffer.str().rfind("partminer-state 4\n", 0), 0u);
   PartMiner restored(options);
   ASSERT_TRUE(LoadMinerState(buffer, &restored).ok());
   Frontier compacted = lazy;
@@ -155,6 +154,20 @@ TEST(StateIoTest, FileRoundTrip) {
   ::unlink(path.c_str());
 }
 
+/// Re-frames `payload` with a valid integrity footer, as SaveMinerState
+/// would: `footer <payload_bytes> <fnv1a_hex>`.
+std::string WithFooter(const std::string& payload) {
+  uint64_t hash = 0xcbf29ce484222325ull;
+  for (const char c : payload) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ull;
+  }
+  std::ostringstream out;
+  out << payload << "footer " << payload.size() << ' ' << std::hex << hash
+      << '\n';
+  return out.str();
+}
+
 TEST(StateIoTest, RejectsUnminedAndMismatchedStates) {
   PartMinerOptions options;
   options.partition.k = 2;
@@ -163,7 +176,8 @@ TEST(StateIoTest, RejectsUnminedAndMismatchedStates) {
   EXPECT_EQ(SaveMinerState(unmined, buffer).code(),
             Status::Code::kInvalidArgument);
 
-  // Saved with k=3, loaded into k=2: rejected.
+  // The state holds no partition, so one saved under k=3 restores into a
+  // miner configured with k=2.
   GraphDatabase db = MakeDatabase(13);
   PartMinerOptions k3 = options;
   k3.min_support_count = 4;
@@ -172,10 +186,21 @@ TEST(StateIoTest, RejectsUnminedAndMismatchedStates) {
   miner.Mine(db);
   std::stringstream saved;
   ASSERT_TRUE(SaveMinerState(miner, saved).ok());
-  PartMiner wrong_k(options);
-  EXPECT_EQ(LoadMinerState(saved, &wrong_k).code(),
-            Status::Code::kInvalidArgument);
-  EXPECT_FALSE(wrong_k.mined());  // Failed load leaves the miner untouched.
+  const std::string bytes = saved.str();
+  PartMiner other_k(options);
+  ASSERT_TRUE(LoadMinerState(saved, &other_k).ok());
+  ExpectSameResults(miner.patterns(), other_k.patterns(), "other k");
+
+  // A well-framed state of another format version is refused.
+  const std::string payload = bytes.substr(0, bytes.rfind("footer "));
+  ASSERT_EQ(payload.rfind("partminer-state 4\n", 0), 0u);
+  std::stringstream future(
+      WithFooter("partminer-state 5" + payload.substr(17)));
+  PartMiner wrong_version(options);
+  const Status status = LoadMinerState(future, &wrong_version);
+  EXPECT_EQ(status.code(), Status::Code::kInvalidArgument)
+      << status.ToString();
+  EXPECT_FALSE(wrong_version.mined());  // Failed load leaves it untouched.
 }
 
 TEST(StateIoTest, RejectsCorruptInput) {
@@ -255,11 +280,10 @@ TEST(StateIoTest, ChecksumFailureNamesTheProblem) {
       << status.ToString();
 }
 
-TEST(StateIoTest, StateHoldsOnlyPartitionRootSetAndRootFrontier) {
+TEST(StateIoTest, StateHoldsOnlyRootSetAndRootFrontier) {
   GraphDatabase db = MakeDatabase(19);
   PartMinerOptions options;
   options.min_support_count = 4;
-  options.partition.k = 4;
   PartMiner miner(options);
   miner.Mine(db);
   ASSERT_TRUE(miner.root_frontier().valid);
@@ -275,45 +299,51 @@ TEST(StateIoTest, StateHoldsOnlyPartitionRootSetAndRootFrontier) {
     }
   }
   EXPECT_EQ(sections,
-            (std::vector<std::string>{"partminer-state", "root_support", "k",
-                                      "graphs", "patterns", "frontier",
-                                      "footer"}));
+            (std::vector<std::string>{"partminer-state", "root_support",
+                                      "patterns", "frontier", "footer"}));
   buffer.clear();
   buffer.seekg(0);
-  EXPECT_EQ(buffer.str().rfind("partminer-state 3\n", 0), 0u);
+  EXPECT_EQ(buffer.str().rfind("partminer-state 4\n", 0), 0u);
 
   PartMiner restored(options);
   ASSERT_TRUE(LoadMinerState(buffer, &restored).ok());
   ExpectSameResults(miner.patterns(), restored.patterns(), "root set");
   EXPECT_EQ(miner.root_frontier().valid, restored.root_frontier().valid);
   EXPECT_TRUE(miner.root_frontier().map == restored.root_frontier().map);
-  EXPECT_EQ(miner.partitioned().assignments(),
-            restored.partitioned().assignments());
 }
 
-TEST(StateIoTest, VersionTwoFileIsRefusedAndMinerLeftUntouched) {
+/// Loads the checked-in state file of an older format `version` into a
+/// mined miner and expects a refusal that leaves the miner as it was.
+void ExpectOlderVersionRefused(int version) {
   GraphDatabase db = MakeDatabase(23);
   PartMinerOptions options;
   options.min_support_count = 4;
-  options.partition.k = 2;
   PartMiner miner(options);
   miner.Mine(db);
   const PatternSet patterns = miner.patterns();
   const NodeFrontier frontier = miner.root_frontier();
-  const auto assignments = miner.partitioned().assignments();
 
+  const std::string v = std::to_string(version);
   const Status status = LoadMinerStateFile(
-      std::string(PARTMINER_SOURCE_DIR) + "/data/corpus/state_v2.state",
+      std::string(PARTMINER_SOURCE_DIR) + "/data/corpus/state_v" + v +
+          ".state",
       &miner);
   EXPECT_EQ(status.code(), Status::Code::kInvalidArgument)
       << status.ToString();
-  EXPECT_NE(status.message().find("version 2"), std::string::npos)
+  EXPECT_NE(status.message().find("version " + v), std::string::npos)
       << status.ToString();
   EXPECT_TRUE(miner.mined());
   EXPECT_EQ(miner.root_support(), 4);
   ExpectSameResults(patterns, miner.patterns(), "after refused load");
   EXPECT_TRUE(frontier.map == miner.root_frontier().map);
-  EXPECT_EQ(assignments, miner.partitioned().assignments());
+}
+
+TEST(StateIoTest, VersionTwoFileIsRefusedAndMinerLeftUntouched) {
+  ExpectOlderVersionRefused(2);
+}
+
+TEST(StateIoTest, VersionThreeFileIsRefusedAndMinerLeftUntouched) {
+  ExpectOlderVersionRefused(3);
 }
 
 TEST(StateIoTest, LegacyV1FileWithoutFooterIsRejected) {

@@ -10,6 +10,7 @@
 #include "datagen/generator.h"
 #include "datagen/update_generator.h"
 #include "miner/gspan.h"
+#include "partition/db_partition.h"
 
 namespace partminer {
 namespace {
@@ -63,7 +64,8 @@ TEST(StressSlowTest, ManyIncrementalRoundsMixedKinds) {
 
 TEST(StressSlowTest, VertexChainsRouteThroughNewVertices) {
   // AddVertex updates can chain (a new vertex attached to a new vertex via
-  // repeated rounds); assignment extension must stay total.
+  // repeated rounds); the incremental result must stay exact and the
+  // partition's assignment extension must stay total.
   GeneratorParams params;
   params.num_graphs = 10;
   params.avg_edges = 8;
@@ -77,6 +79,7 @@ TEST(StressSlowTest, VertexChainsRouteThroughNewVertices) {
   options.partition.k = 3;
   PartMiner miner(options);
   miner.Mine(db);
+  PartitionedDatabase part = PartitionedDatabase::Create(db, options.partition);
 
   GSpanMiner gspan;
   MinerOptions full;
@@ -93,7 +96,7 @@ TEST(StressSlowTest, VertexChainsRouteThroughNewVertices) {
     ExpectSamePatterns(gspan.Mine(db, full), r.patterns,
                        "chain round " + std::to_string(round));
     // Every vertex of every graph must have a unit assignment.
-    const PartitionedDatabase& part = miner.partitioned();
+    part.ExtendAssignments(db);
     for (int i = 0; i < db.size(); ++i) {
       for (VertexId v = 0; v < db.graph(i).VertexCount(); ++v) {
         const int unit = part.unit_of(i, v);

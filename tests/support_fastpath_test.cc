@@ -152,8 +152,7 @@ PatternSet MineOnce(const FastPathCase& c, const GraphDatabase& db,
   options.min_support_count = min_support;
   options.partition.k = 3;
   options.unit_mining_threads = c.threads;
-  PartMiner miner(options);
-  return miner.Mine(db).patterns;
+  return MinePaperPipeline(db, options).patterns;
 }
 
 TEST_P(FastPathEquivalence, BatchMiningBitIdentical) {

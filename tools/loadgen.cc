@@ -2,8 +2,7 @@
 //
 //   loadgen --daemon=./partminerd [--input=db.lg] [--requests=10000]
 //           [--clients=4] [--update-fraction=0.1] [--edits-per-update=4]
-//           [--seed=1] [--support=0.1] [--k=2] [--threads=0]
-//           [--queue-cap=4096] [--batch-max=256]
+//           [--seed=1] [--support=0.1] [--queue-cap=4096] [--batch-max=256]
 //           [--record=stream.txt | --replay=stream.txt]
 //           [--out=BENCH.json] [--smoke]
 //   loadgen --socket=/path/daemon.sock [...]     (drive an already-running
@@ -243,8 +242,8 @@ int Usage() {
       "usage: loadgen (--daemon=partminerd-path [--input=db.lg] |"
       " --socket=path --input=db.lg)\n"
       "  [--requests=10000] [--clients=4] [--update-fraction=0.1]\n"
-      "  [--edits-per-update=4] [--seed=1] [--support=0.1] [--k=2]\n"
-      "  [--threads=0] [--queue-cap=4096] [--batch-max=256]\n"
+      "  [--edits-per-update=4] [--seed=1] [--support=0.1]\n"
+      "  [--queue-cap=4096] [--batch-max=256]\n"
       "  [--record=stream.txt | --replay=stream.txt] [--out=BENCH.json]\n"
       "  [--smoke]\n");
   return 2;
@@ -254,18 +253,17 @@ int Main(int argc, char** argv) {
   const flags::FlagMap flags = flags::Parse(argc, argv);
   flags::WarnUnknown(flags, {"daemon", "socket", "input", "requests",
                              "clients", "update-fraction", "edits-per-update",
-                             "seed", "support", "k", "threads", "queue-cap",
+                             "seed", "support", "queue-cap",
                              "batch-max", "record", "replay", "out", "smoke"});
   const bool smoke = flags.count("smoke") > 0;
 
   int requests = 0, clients = 0, edits_per_update = 0, seed = 0;
-  int k = 0, threads = 0, queue_cap = 0, batch_max = 0;
+  int queue_cap = 0, batch_max = 0;
   double update_fraction = 0;
   if (!IntFlag(flags, "requests", smoke ? 300 : 10000, &requests) ||
       !IntFlag(flags, "clients", smoke ? 2 : 4, &clients) ||
       !IntFlag(flags, "edits-per-update", 4, &edits_per_update) ||
-      !IntFlag(flags, "seed", 1, &seed) || !IntFlag(flags, "k", 2, &k) ||
-      !IntFlag(flags, "threads", 0, &threads) ||
+      !IntFlag(flags, "seed", 1, &seed) ||
       !IntFlag(flags, "queue-cap", 4096, &queue_cap) ||
       !IntFlag(flags, "batch-max", 256, &batch_max) ||
       !DoubleFlag(flags, "update-fraction", 0.1, &update_fraction)) {
@@ -318,8 +316,6 @@ int Main(int argc, char** argv) {
         "--input=" + input,
         "--socket=" + socket_path,
         "--support=" + support,
-        "--k=" + std::to_string(k),
-        "--threads=" + std::to_string(threads),
         "--queue-cap=" + std::to_string(queue_cap),
         "--batch-max=" + std::to_string(batch_max),
     };

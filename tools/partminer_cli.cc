@@ -248,6 +248,8 @@ int Mine(const std::map<std::string, std::string>& flags) {
       patterns = miner.Mine(db, options);
     }
   } else if (algo == "partminer") {
+    // The paper's pipeline (partition, unit mining, root merge), so --k,
+    // --criteria and --threads keep their meaning.
     PartMinerOptions options;
     options.min_support_count = support_count;
     options.partition.k = std::max(1, IntFlag(flags, "k", 2));
@@ -263,8 +265,7 @@ int Mine(const std::map<std::string, std::string>& flags) {
     } else {
       options.partition.criteria = PartitionCriteria::kCombined;
     }
-    PartMiner miner(options);
-    patterns = miner.Mine(db).patterns;
+    patterns = MinePaperPipeline(db, options).patterns;
   } else if (algo == "adi") {
     AdiMineOptions adi_options;
     adi_options.pool = pool_sizing;

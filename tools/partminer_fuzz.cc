@@ -5,8 +5,8 @@
 //
 // For each seed a small random database is generated and mined with every
 // miner configuration (brute force, gSpan serial/parallel, Gaston,
-// PartMiner across unit miners and thread counts, fast paths off, the
-// disk-resident AdiMine, and chained IncPartMiner rounds with relabels); all
+// the paper pipeline across unit miners and thread counts, PartMiner with
+// fast paths off, the disk-resident AdiMine, and chained IncPartMiner rounds with relabels); all
 // results are diffed against the brute-force oracle. Any divergence is
 // minimized by greedy graph removal and written to the corpus directory as
 // a replayable .lg repro. The run then replays every existing corpus

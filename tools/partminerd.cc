@@ -1,6 +1,6 @@
 // partminerd — long-lived partition-mining service daemon.
 //
-//   partminerd --input=db.lg [--support=0.05] [--k=4] [--threads=N]
+//   partminerd --input=db.lg [--support=0.05]
 //              (--socket=/path/daemon.sock | --stdio)
 //              [--queue-cap=4096] [--batch-max=256]
 //              [--snapshot-prefix=/path/snap] [--num-labels=20]
@@ -10,11 +10,11 @@
 //              [--fault-seed=S]
 //   partminerd --restore=/path/snap (--socket=... | --stdio) [...]
 //
-// Loads the database, partitions and mines it once, then keeps the
-// IncPartMiner state resident and serves the newline-delimited JSON
+// Loads the database, mines it once (one frontier-capturing root sweep,
+// no partition), then keeps the IncPartMiner state resident and serves the newline-delimited JSON
 // protocol of DESIGN.md section 12: `update` (batched edits, bounded queue
 // with overload rejection), `query` (frequent-pattern retrieval /
-// containment), `snapshot` (state_io v2 checkpoint), `metrics`, `health`,
+// containment), `snapshot` (state_io v4 checkpoint), `metrics`, `health`,
 // `dump` (flight recorder), `sync`, `ping`, `shutdown`. --restore resumes
 // from a `snapshot` pair instead of re-mining from scratch.
 //
@@ -86,7 +86,7 @@ int Usage() {
   std::fprintf(
       stderr,
       "usage: partminerd (--input=db.lg | --restore=prefix) "
-      "(--socket=path | --stdio) [--support=0.05] [--k=2] [--threads=N] "
+      "(--socket=path | --stdio) [--support=0.05] "
       "[--queue-cap=4096] [--batch-max=256] [--snapshot-prefix=path] "
       "[--num-labels=20] [--metrics=out.json] [--trace=out.json] "
       "[--slow-ms=MS] [--flight-dump=out.json] "
@@ -134,8 +134,8 @@ bool ArmFault(FaultInjector* injector, FaultInjector::Op op,
 int Main(int argc, char** argv) {
   const flags::FlagMap flag_map = flags::Parse(argc, argv);
   flags::WarnUnknown(flag_map,
-                     {"input", "restore", "socket", "stdio", "support", "k",
-                      "threads", "queue-cap", "batch-max", "snapshot-prefix",
+                     {"input", "restore", "socket", "stdio", "support",
+                      "queue-cap", "batch-max", "snapshot-prefix",
                       "num-labels", "metrics", "trace", "slow-ms",
                       "flight-dump", "fault-read", "fault-write",
                       "fault-alloc", "fault-seed"});
@@ -149,12 +149,10 @@ int Main(int argc, char** argv) {
     return Usage();
   }
 
-  int k = 2, threads = 0, queue_cap = 4096, batch_max = 256, num_labels = 20;
+  int queue_cap = 4096, batch_max = 256, num_labels = 20;
   int fault_seed = 1;
   double support = 0.05, slow_ms = 0;
-  if (!flags::IntFlag(flag_map, "k", 2, &k) ||
-      !flags::IntFlag(flag_map, "threads", 0, &threads) ||
-      !flags::IntFlag(flag_map, "queue-cap", 4096, &queue_cap) ||
+  if (!flags::IntFlag(flag_map, "queue-cap", 4096, &queue_cap) ||
       !flags::IntFlag(flag_map, "batch-max", 256, &batch_max) ||
       !flags::IntFlag(flag_map, "num-labels", 20, &num_labels) ||
       !flags::IntFlag(flag_map, "fault-seed", 1, &fault_seed) ||
@@ -181,8 +179,6 @@ int Main(int argc, char** argv) {
 
   service::SessionOptions session_options;
   session_options.num_labels = num_labels;
-  session_options.miner.partition.k = std::max(1, k);
-  session_options.miner.unit_mining_threads = std::max(0, threads);
   if (support >= 1.0) {
     session_options.miner.min_support_count = static_cast<int>(support);
   } else {
@@ -221,10 +217,9 @@ int Main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(stderr,
-               "partminerd: resident (%d graphs, support %d, %d patterns, "
-               "k=%d, threads=%d)\n",
+               "partminerd: resident (%d graphs, support %d, %d patterns)\n",
                session.graph_count(), session.resident_support(),
-               session.pattern_count(), k, threads);
+               session.pattern_count());
 
   service::DaemonOptions daemon_options;
   daemon_options.queue_cap_edits = queue_cap;
