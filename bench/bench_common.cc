@@ -4,7 +4,6 @@
 #include <cstdlib>
 
 #include "common/parse.h"
-#include "graph/canonical.h"
 #include "obs/metrics.h"
 
 namespace partminer {
@@ -111,12 +110,6 @@ void PrintHeader(const std::string& figure, const std::string& description,
               workload_tag.c_str());
   std::printf("figure,series,x,y\n");
   std::fflush(stdout);
-}
-
-void ApplyFastPathFlags(const Flags& flags) {
-  const bool cache = !flags.Has("no-canon-cache");
-  SetMinimalityCacheEnabled(cache);
-  if (!cache) ClearMinimalityCache();
 }
 
 PoolSizing PoolSizingFromFlags(const Flags& flags, int default_frames) {

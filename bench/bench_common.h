@@ -78,12 +78,6 @@ void PrintRow(const std::string& figure, const std::string& series,
 void PrintHeader(const std::string& figure, const std::string& description,
                  const std::string& workload_tag);
 
-/// Applies the fast-path escape hatch shared by every harness:
-/// --no-canon-cache disables the minimality memo cache (and any stale cached
-/// verdicts are dropped so a disabled run never reads them). Mined output is
-/// bit-identical either way; the flag measures what the cache buys.
-void ApplyFastPathFlags(const Flags& flags);
-
 /// Buffer-pool sizing for the disk-backed ADI runs: --pool-frames (default
 /// `default_frames`). Refuses to run (exit 2) on garbage or a value below 1,
 /// like the numeric Get* accessors.

@@ -102,7 +102,6 @@ void RunDynamic(const WorkloadSpec& spec, int k, double update_fraction,
 int main(int argc, char** argv) {
   using namespace partminer::bench;
   const Flags flags(argc, argv);
-  ApplyFastPathFlags(flags);
   const WorkloadSpec spec = WorkloadSpec::FromFlags(flags);
   const int k = flags.GetInt("k", 2);
   const double update_fraction = flags.GetDouble("update-fraction", 0.1);

@@ -95,7 +95,6 @@ void RunDynamic(const WorkloadSpec& spec, double sup, double update_fraction,
 int main(int argc, char** argv) {
   using namespace partminer::bench;
   const Flags flags(argc, argv);
-  ApplyFastPathFlags(flags);
   WorkloadSpec spec = WorkloadSpec::FromFlags(flags);
   // The paper uses D100kT20N20L200I9 here; scale I accordingly by default.
   if (!flags.Has("i")) spec.i = 9;

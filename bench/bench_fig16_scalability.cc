@@ -56,7 +56,6 @@ void RunPoint(const char* figure, double x, const WorkloadSpec& spec,
 int main(int argc, char** argv) {
   using namespace partminer::bench;
   const Flags flags(argc, argv);
-  ApplyFastPathFlags(flags);
   const WorkloadSpec base = WorkloadSpec::FromFlags(flags);
   const double sup = flags.GetDouble("sup", 0.04);
   const int k = flags.GetInt("k", 2);

@@ -84,7 +84,6 @@ int main(int argc, char** argv) {
   using namespace partminer::bench;
   using partminer::UpdateKind;
   const Flags flags(argc, argv);
-  ApplyFastPathFlags(flags);
   const WorkloadSpec spec = WorkloadSpec::FromFlags(flags);
   const double sup = flags.GetDouble("sup", 0.04);
   const int io_delay_us = flags.GetInt("io-delay-us", 1000);

@@ -39,7 +39,9 @@ namespace {
 /// the merge threshold. With `frontier`, its map is replaced and marked
 /// valid iff `capture`, in which case the sweep captures into it. Every
 /// emitted pattern counts as a counted candidate; with `known`, those it
-/// does not hold count as spanning (newly found) patterns.
+/// does not hold count as spanning (newly found) patterns, and the codes it
+/// holds skip the minimality test: an exact pattern set holds only minimal
+/// codes.
 PatternSet ExactSweep(const GraphDatabase& db, const MergeJoinOptions& options,
                       NodeFrontier* frontier, bool capture,
                       const PatternSet* known, MergeJoinStats* s) {
@@ -51,7 +53,14 @@ PatternSet ExactSweep(const GraphDatabase& db, const MergeJoinOptions& options,
     frontier->valid = capture;
     if (capture) mo.capture_frontier = &frontier->map;
   }
-  PatternSet out = engine::GrowFromRoots(db, mo);
+  engine::MinimalityCheck is_minimal;
+  if (known != nullptr) {
+    is_minimal = [known](const DfsCode& code, int /*rank*/) {
+      return known->Contains(code) || IsMinimalDfsCode(code);
+    };
+  }
+  PatternSet out =
+      engine::GrowFromRoots(db, mo, /*rank=*/nullptr, is_minimal);
   s->candidates_counted += out.size();
   if (known != nullptr) {
     for (const PatternInfo& p : out.patterns()) {
@@ -118,33 +127,30 @@ class DeltaSweep {
   }
 
  private:
-  /// Exact post-update TIDs: (old \ updated) ∪ hits-in-updated. The pre-
-  /// update set comes from the node cache (stripped here) or the frontier
-  /// (stripped lazily by its lookup); absent or dead means zero pre-update
-  /// occurrences.
-  TidSet NewTids(const DfsCode& code, Frontier::Epoch prefix_cut,
-                 const TidSet& upd_hits) const {
-    TidSet tids;
-    const PatternInfo* info = cached_.Find(code);
-    if (info != nullptr) {
-      tids = info->tids;
-      tids -= updated_set_;
-    } else {
-      frontier_.Lookup(code, prefix_cut, &tids);
-    }
-    tids |= upd_hits;
-    return tids;
-  }
-
   /// Processes one extension group reached through the updated graphs;
-  /// `prefix_cut` is the frontier's PrefixCutEpoch(*code).
+  /// `prefix_cut` is the frontier's PrefixCutEpoch(*code). Its exact post-
+  /// update TIDs are (old \ updated) ∪ hits-in-updated, where the pre-update
+  /// set comes from the node cache (stripped here) or the frontier (stripped
+  /// lazily by its lookup); absent or dead means zero pre-update occurrences.
   void Handle(DfsCode* code, const engine::Projected& projected,
               Frontier::Epoch prefix_cut) {
     ++stats_->candidates_generated;
-    const TidSet upd_hits = engine::TidSetOf(projected);
-    TidSet tids = NewTids(*code, prefix_cut, upd_hits);
+    TidSet tids;
+    const PatternInfo* cached = cached_.Find(*code);
+    if (cached != nullptr) {
+      tids = cached->tids;
+      tids -= updated_set_;
+    } else {
+      frontier_.Lookup(*code, prefix_cut, &tids);
+    }
+    // Known verdicts, no test: a cached code is minimal. A code outside the
+    // cache that meets the threshold outside the updated graphs alone was
+    // frequent before the round, yet the exact cache lacks it: it is not
+    // minimal.
+    const bool known_non_minimal =
+        cached == nullptr && tids.Count() >= options_.min_support;
+    tids |= engine::TidSetOf(projected);
     const int support = tids.Count();
-    const bool was_cached = cached_.Contains(*code);
 
     if (support < options_.min_support) {
       // A cached pattern landing here was parked by Pass 1 and is cut
@@ -152,13 +158,14 @@ class DeltaSweep {
       frontier_.Put(*code, std::move(tids));
       return;  // Apriori: nothing frequent extends an infrequent pattern.
     }
-    if (!IsMinimalDfsCode(*code)) {
+    if (known_non_minimal ||
+        (cached == nullptr && !IsMinimalDfsCode(*code))) {
       // Frequent under a non-minimal code: keep the TIDs for future rounds;
       // the minimal twin carries the pattern.
       frontier_.Put(*code, std::move(tids));
       return;
     }
-    if (!was_cached) {
+    if (cached == nullptr) {
       // Newly frequent (IF direction): its subtree was never enumerated
       // before, so recover it with a full projection over the node database
       // (exact TIDs are in hand). Everything the grow emits is newly

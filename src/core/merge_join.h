@@ -69,7 +69,10 @@ struct MergeTransitions {
 
 /// The incremental merge (IncMergeJoin, Figure 12): recovers the exact
 /// frequent pattern set of a node's *updated* database from the node's
-/// cached pre-update pattern set, touching work proportional to the update:
+/// cached pre-update pattern set, touching work proportional to the update.
+/// `cached` must be that exact set at `options.min_support`: its codes are
+/// then the minimal ones, which lets both paths skip the minimality test
+/// for codes whose verdict they already know (DESIGN §10).
 ///
 ///  1. Every cached pattern is delta-recounted — only `updated_graphs` are
 ///     re-examined; containment elsewhere cannot have changed. Patterns

@@ -9,6 +9,8 @@
 #include <string>
 #include <vector>
 
+#include "common/fnv.h"
+
 namespace partminer {
 
 namespace {
@@ -23,17 +25,6 @@ constexpr const char* kMagic = "partminer-state";
 // are rejected.
 constexpr int kVersion = 4;
 constexpr const char* kFooterTag = "footer";
-
-/// FNV-1a 64-bit over the serialized payload. Not cryptographic — it only
-/// needs to catch torn writes and random corruption.
-uint64_t Fnv1a(const std::string& data) {
-  uint64_t hash = 0xcbf29ce484222325ull;
-  for (const char c : data) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ull;
-  }
-  return hash;
-}
 
 void WriteCode(const DfsCode& code, std::ostream& out) {
   out << code.size();
@@ -187,7 +178,9 @@ Status CheckFooter(const std::string& contents, std::string* payload) {
         " bytes but the footer records " + std::to_string(payload_bytes) +
         " (file truncated?)");
   }
-  const uint64_t actual_hash = Fnv1a(*payload);
+  // FNV-1a: not cryptographic, it only needs to catch torn writes and
+  // random corruption.
+  const uint64_t actual_hash = Fnv1a(payload->data(), payload->size());
   if (actual_hash != expected_hash) {
     std::ostringstream msg;
     msg << "checksum mismatch: payload hashes to " << std::hex
@@ -205,7 +198,7 @@ Status SaveMinerState(const PartMiner& miner, std::ostream& out) {
   PARTMINER_RETURN_IF_ERROR(SaveMinerStatePayload(miner, payload));
   const std::string data = payload.str();
   std::ostringstream hex;
-  hex << std::hex << Fnv1a(data);
+  hex << std::hex << Fnv1a(data.data(), data.size());
   out << data << kFooterTag << ' ' << data.size() << ' ' << hex.str()
       << '\n';
   if (!out) return Status::IoError("write failed");

@@ -1,9 +1,6 @@
 #include "graph/canonical.h"
 
 #include <algorithm>
-#include <atomic>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "common/logging.h"
@@ -11,58 +8,7 @@
 
 namespace partminer {
 
-namespace {
-
-// ---------------------------------------------------------------------------
-// Minimality memo cache. Sharded by the high bits of the code hash (the low
-// bits select the bucket inside each shard's map), bounded per shard with a
-// whole-shard epoch flush on overflow: eviction never takes a second pass
-// over the map, and a flushed shard simply refills with the codes the current
-// mining phase is actually re-checking. Keys are full DFS codes, so a hash
-// collision costs a probe, never a wrong verdict.
-// ---------------------------------------------------------------------------
-
-constexpr int kCacheShardBits = 4;
-constexpr int kCacheShards = 1 << kCacheShardBits;
-constexpr std::size_t kMaxEntriesPerShard = std::size_t{1} << 14;
-
-struct CacheShard {
-  std::mutex mu;
-  std::unordered_map<DfsCode, bool, DfsCodeHash> verdicts;
-};
-
-CacheShard* CacheShards() {
-  // Leaked on purpose: metric handles follow the same never-destroyed rule,
-  // and worker threads may outlive static destruction order otherwise.
-  static CacheShard* const shards = new CacheShard[kCacheShards];
-  return shards;
-}
-
-CacheShard& ShardFor(std::size_t hash) {
-  return CacheShards()[(hash >> (sizeof(std::size_t) * 8 - kCacheShardBits)) &
-                       (kCacheShards - 1)];
-}
-
-std::atomic<bool> g_minimality_cache_enabled{true};
-
-}  // namespace
-
-bool MinimalityCacheEnabled() {
-  return g_minimality_cache_enabled.load(std::memory_order_relaxed);
-}
-
-void SetMinimalityCacheEnabled(bool enabled) {
-  g_minimality_cache_enabled.store(enabled, std::memory_order_relaxed);
-  PM_METRIC_GAUGE("canon.cache_enabled")->Set(enabled ? 1 : 0);
-}
-
-void ClearMinimalityCache() {
-  for (int s = 0; s < kCacheShards; ++s) {
-    CacheShard& shard = CacheShards()[s];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.verdicts.clear();
-  }
-}
+void ClearMinimalityCache() {}
 
 namespace {
 
@@ -350,18 +296,6 @@ bool IsMinimalDfsCode(const DfsCode& code) {
   PM_METRIC_COUNTER("miner.minimality_checks")->Increment();
   if (code.empty()) return true;
 
-  CacheShard* shard = nullptr;
-  if (MinimalityCacheEnabled()) {
-    shard = &ShardFor(DfsCodeHash{}(code));
-    std::lock_guard<std::mutex> lock(shard->mu);
-    const auto it = shard->verdicts.find(code);
-    if (it != shard->verdicts.end()) {
-      PM_METRIC_COUNTER("canon.cache_hits")->Increment();
-      return it->second;
-    }
-    PM_METRIC_COUNTER("canon.cache_misses")->Increment();
-  }
-
   const Graph g = code.ToGraph();
   int comparison = 1;
   const bool completed =
@@ -373,18 +307,7 @@ bool IsMinimalDfsCode(const DfsCode& code) {
   //   candidate at every step).
   PM_CHECK_LE(comparison, 0) << "invalid DFS code passed to IsMinimalDfsCode: "
                              << code.ToString();
-  const bool minimal = comparison == 0;
-
-  if (shard != nullptr) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    if (shard->verdicts.size() >= kMaxEntriesPerShard) {
-      PM_METRIC_COUNTER("canon.cache_evictions")
-          ->Add(static_cast<int64_t>(shard->verdicts.size()));
-      shard->verdicts.clear();
-    }
-    shard->verdicts.emplace(code, minimal);
-  }
-  return minimal;
+  return comparison == 0;
 }
 
 bool AreIsomorphic(const Graph& a, const Graph& b) {

@@ -19,22 +19,12 @@ DfsCode MinimumDfsCode(const Graph& graph);
 /// True iff `code` is the minimum DFS code of the graph it encodes. Used by
 /// the miners to prune duplicate enumeration branches. Cheaper than building
 /// the full minimum code because it stops at the first differing position.
-///
-/// Verdicts are memoized in a sharded, bounded, thread-safe cache keyed by
-/// the full DFS code (never by its hash alone, so collisions cannot corrupt
-/// a verdict): the same candidate codes recur across partition units, merge
-/// levels, and incremental rounds, and minimality is a pure function of the
-/// code. Hits/misses/evictions are published as canon.cache_* counters.
+/// A pure function of `code`: nothing is cached, so a caller that already
+/// knows the verdict (a code it emitted or stored as a pattern) skips the
+/// call instead (DESIGN §10).
 bool IsMinimalDfsCode(const DfsCode& code);
 
-/// Process-wide escape hatch for the minimality memo cache (the CLI/bench
-/// flag --no-canon-cache). Defaults to enabled; verdicts are identical with
-/// the cache on or off.
-bool MinimalityCacheEnabled();
-void SetMinimalityCacheEnabled(bool enabled);
-
-/// Drops every cached verdict. Tests and benchmarks use this to delimit
-/// measurement windows (cold vs warm cache).
+/// No-op, kept for callers written when verdicts were memoized.
 void ClearMinimalityCache();
 
 /// Exhaustive-reference implementation of MinimumDfsCode that explores every

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
+#include "common/fnv.h"
+
 namespace partminer {
 
 namespace {
@@ -94,10 +96,11 @@ int DfsCode::Compare(const DfsCode& other) const {
 }
 
 uint64_t DfsCode::Hash() const {
-  uint64_t h = 0xcbf29ce484222325ULL;
+  // One FNV-1a round per field (see FnvStep), each offset by the golden
+  // ratio so small labels and indices spread.
+  uint64_t h = kFnvOffsetBasis;
   auto mix = [&h](int64_t v) {
-    h ^= static_cast<uint64_t>(v) + 0x9e3779b97f4a7c15ULL;
-    h *= 0x100000001b3ULL;
+    h = FnvStep(h, static_cast<uint64_t>(v) + 0x9e3779b97f4a7c15ULL);
   };
   for (const DfsEdge& e : edges_) {
     mix(e.from);

@@ -64,7 +64,7 @@ class DfsCode {
   /// prefix compares smaller.
   int Compare(const DfsCode& other) const;
 
-  /// Stable 64-bit hash (FNV-1a over the tuple stream).
+  /// Stable 64-bit hash: one FNV-1a round per tuple field (see FnvStep).
   uint64_t Hash() const;
 
   /// Rendering like "(0,1,a,x,b)(1,2,b,y,c)" with numeric labels.

@@ -1,20 +1,9 @@
 #include "graph/graph.h"
 
-#include <mutex>
 #include <sstream>
 #include <vector>
 
-#include "graph/label_index.h"
-
 namespace partminer {
-
-std::shared_ptr<const LabelIndex> GraphDatabase::label_index() const {
-  std::lock_guard<std::mutex> lock(label_index_mu_);
-  if (label_index_ == nullptr) {
-    label_index_ = std::make_shared<const LabelIndex>(*this);
-  }
-  return label_index_;
-}
 
 bool Graph::SetEdgeLabel(VertexId u, VertexId v, Label label) {
   bool found = false;

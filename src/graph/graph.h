@@ -2,16 +2,12 @@
 #define PARTMINER_GRAPH_GRAPH_H_
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "common/logging.h"
 
 namespace partminer {
-
-class LabelIndex;
 
 /// Vertex index within a single graph.
 using VertexId = int32_t;
@@ -149,37 +145,11 @@ class GraphDatabase {
  public:
   GraphDatabase() = default;
 
-  // The cached label index is an artifact of the graph content, not part of
-  // the database's value: copies and moves transfer only the graphs and let
-  // the destination rebuild its own index on first use (the mutex member is
-  // neither copyable nor movable anyway).
-  GraphDatabase(const GraphDatabase& other)
-      : graphs_(other.graphs_), gids_(other.gids_) {}
-  GraphDatabase& operator=(const GraphDatabase& other) {
-    if (this != &other) {
-      graphs_ = other.graphs_;
-      gids_ = other.gids_;
-      InvalidateLabelIndex();
-    }
-    return *this;
-  }
-  GraphDatabase(GraphDatabase&& other) noexcept
-      : graphs_(std::move(other.graphs_)), gids_(std::move(other.gids_)) {}
-  GraphDatabase& operator=(GraphDatabase&& other) noexcept {
-    if (this != &other) {
-      graphs_ = std::move(other.graphs_);
-      gids_ = std::move(other.gids_);
-      InvalidateLabelIndex();
-    }
-    return *this;
-  }
-
   /// Adds a graph; returns its database index. `gid` defaults to the index.
   GraphId Add(Graph graph, GraphId gid = -1) {
     const GraphId index = static_cast<GraphId>(graphs_.size());
     graphs_.push_back(std::move(graph));
     gids_.push_back(gid < 0 ? index : gid);
-    InvalidateLabelIndex();
     return index;
   }
 
@@ -187,20 +157,8 @@ class GraphDatabase {
   bool empty() const { return graphs_.empty(); }
 
   const Graph& graph(int index) const { return graphs_[index]; }
-  /// Mutable access invalidates the cached label index: the caller may change
-  /// labels or edges, and a stale index could prune true embeddings.
-  Graph& mutable_graph(int index) {
-    InvalidateLabelIndex();
-    return graphs_[index];
-  }
+  Graph& mutable_graph(int index) { return graphs_[index]; }
   GraphId gid(int index) const { return gids_[index]; }
-
-  /// The database's inverted label index (see label_index.h), built lazily on
-  /// first use and shared until the next mutation. Thread-safe: concurrent
-  /// mining workers counting support against the same database get the same
-  /// instance. The shared_ptr keeps a handed-out index valid even if the
-  /// database is mutated (or destroyed) while a counting pass still holds it.
-  std::shared_ptr<const LabelIndex> label_index() const;
 
   /// Total number of edges across all member graphs.
   int64_t TotalEdges() const {
@@ -210,15 +168,8 @@ class GraphDatabase {
   }
 
  private:
-  void InvalidateLabelIndex() {
-    std::lock_guard<std::mutex> lock(label_index_mu_);
-    label_index_.reset();
-  }
-
   std::vector<Graph> graphs_;
   std::vector<GraphId> gids_;
-  mutable std::mutex label_index_mu_;
-  mutable std::shared_ptr<const LabelIndex> label_index_;
 };
 
 }  // namespace partminer

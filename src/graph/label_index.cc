@@ -1,24 +1,10 @@
 #include "graph/label_index.h"
 
-#include <atomic>
 #include <utility>
 
 #include "obs/metrics.h"
 
 namespace partminer {
-
-namespace {
-std::atomic<bool> g_label_index_enabled{true};
-}  // namespace
-
-bool LabelIndexEnabled() {
-  return g_label_index_enabled.load(std::memory_order_relaxed);
-}
-
-void SetLabelIndexEnabled(bool enabled) {
-  g_label_index_enabled.store(enabled, std::memory_order_relaxed);
-  PM_METRIC_GAUGE("prune.index_enabled")->Set(enabled ? 1 : 0);
-}
 
 uint64_t LabelIndex::TripleKey(Label a, Label elabel, Label b) {
   if (a > b) std::swap(a, b);

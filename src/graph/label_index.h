@@ -13,8 +13,8 @@ namespace partminer {
 /// graphs containing at least one vertex with that label, and normalized
 /// edge triple (min endpoint label, edge label, max endpoint label) → TidSet
 /// of the graphs containing at least one such edge. Built in one O(V+E)
-/// sweep per database; GraphDatabase::label_index() builds it lazily and
-/// caches it until the database is mutated.
+/// sweep per database. Its one reader, AprioriMiner::Mine, builds it once
+/// per call over the database it mines.
 ///
 /// CandidatesFor(pattern) intersects the sets of every distinct pattern
 /// label and edge triple. Any graph hosting an embedding necessarily
@@ -44,13 +44,6 @@ class LabelIndex {
   std::unordered_map<uint64_t, TidSet> edge_tids_;
   int graph_count_ = 0;
 };
-
-/// Process-wide escape hatch for the index-based candidate pruning (set by
-/// tests and bench_micro_support). Defaults to enabled. Counting paths
-/// check it before consulting GraphDatabase::label_index(); output is
-/// bit-identical either way.
-bool LabelIndexEnabled();
-void SetLabelIndexEnabled(bool enabled);
 
 }  // namespace partminer
 

@@ -1,6 +1,5 @@
 #include "miner/apriori.h"
 
-#include <memory>
 #include <vector>
 
 #include "graph/isomorphism.h"
@@ -18,8 +17,7 @@ PatternSet AprioriMiner::Mine(const GraphDatabase& db,
   PatternSet out = vocabulary;
   stats_.frequent_found += out.size();
 
-  std::shared_ptr<const LabelIndex> index;
-  if (LabelIndexEnabled()) index = db.label_index();
+  const LabelIndex index(db);
 
   // Level-wise generate-and-count.
   for (int k = 1; k < options.max_edges; ++k) {
@@ -37,12 +35,12 @@ PatternSet AprioriMiner::Mine(const GraphDatabase& db,
         if (out.Contains(candidate)) continue;  // Reached from another base.
         // Count within the generating parent's TID set (any occurrence of
         // the candidate contains an occurrence of the parent), narrowed
-        // further by the label index when enabled.
+        // further by the label index.
         ++stats_.candidates_counted;
         const Graph pattern = candidate.ToGraph();
         const SubgraphMatcher matcher(pattern);
         TidSet among = base_tids;
-        if (index != nullptr) among &= index->CandidatesFor(pattern);
+        among &= index.CandidatesFor(pattern);
         PatternInfo info;
         info.support = matcher.CountSupportAmong(db, among, &info.tids);
         if (info.support < options.min_support) continue;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/fnv.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "graph/canonical.h"
@@ -49,16 +50,13 @@ std::vector<int> BuildRightmostPathPositions(const DfsCode& code) {
 namespace {
 
 uint64_t HashTuple(const DfsEdge& t) {
-  uint64_t h = 1469598103934665603ull;  // FNV-1a over the five fields.
-  const auto mix = [&h](uint32_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  mix(static_cast<uint32_t>(t.from));
-  mix(static_cast<uint32_t>(t.to));
-  mix(static_cast<uint32_t>(t.from_label));
-  mix(static_cast<uint32_t>(t.edge_label));
-  mix(static_cast<uint32_t>(t.to_label));
+  // One FNV-1a round per field (see FnvStep).
+  uint64_t h = kFnvOffsetBasis;
+  h = FnvStep(h, static_cast<uint32_t>(t.from));
+  h = FnvStep(h, static_cast<uint32_t>(t.to));
+  h = FnvStep(h, static_cast<uint32_t>(t.from_label));
+  h = FnvStep(h, static_cast<uint32_t>(t.edge_label));
+  h = FnvStep(h, static_cast<uint32_t>(t.to_label));
   return h;
 }
 

@@ -5,6 +5,7 @@
 #include <numeric>
 #include <sstream>
 
+#include "common/fnv.h"
 #include "common/timing.h"
 #include "core/state_io.h"
 #include "graph/canonical.h"
@@ -18,16 +19,10 @@ namespace service {
 
 namespace {
 
-constexpr uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr uint64_t kFnvPrime = 1099511628211ULL;
-
-void FnvMix(uint64_t* h, const void* data, size_t n) {
-  const unsigned char* bytes = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < n; ++i) {
-    *h ^= bytes[i];
-    *h *= kFnvPrime;
-  }
-}
+// The digest's seed: the 64-bit FNV offset basis with its last digit
+// dropped. Digests are compared across runs and pinned by golden tests, so
+// it stays as it is.
+constexpr uint64_t kDigestSeed = 1469598103934665603ull;
 
 /// Every injected fault leaves a flight-recorder event before the Status
 /// surfaces — the post-mortem trail a degraded fault-injected run is judged
@@ -59,12 +54,13 @@ std::vector<std::pair<std::string, int>> SortByCode(
   return sorted;
 }
 
-/// FNV-1a over (code, support) pairs already sorted by code string.
+/// FNV-1a from kDigestSeed over (code, support) pairs already sorted by
+/// code string.
 uint64_t DigestSorted(const std::vector<std::pair<std::string, int>>& sorted) {
-  uint64_t h = kFnvOffset;
+  uint64_t h = kDigestSeed;
   for (const auto& [code, support] : sorted) {
-    FnvMix(&h, code.data(), code.size());
-    FnvMix(&h, &support, sizeof(support));
+    h = Fnv1a(code.data(), code.size(), h);
+    h = Fnv1a(&support, sizeof(support), h);
   }
   return h;
 }

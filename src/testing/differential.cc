@@ -14,9 +14,7 @@
 #include "core/inc_part_miner.h"
 #include "core/part_miner.h"
 #include "datagen/update_generator.h"
-#include "graph/canonical.h"
 #include "graph/graph_io.h"
-#include "graph/label_index.h"
 #include "miner/brute_force.h"
 #include "miner/engine.h"
 #include "miner/gaston.h"
@@ -26,22 +24,6 @@ namespace partminer {
 namespace testing {
 
 namespace {
-
-/// Restores the global fast-path toggles on scope exit.
-class FastPathGuard {
- public:
-  FastPathGuard()
-      : index_(LabelIndexEnabled()), cache_(MinimalityCacheEnabled()) {}
-  ~FastPathGuard() {
-    SetLabelIndexEnabled(index_);
-    SetMinimalityCacheEnabled(cache_);
-    ClearMinimalityCache();
-  }
-
- private:
-  const bool index_;
-  const bool cache_;
-};
 
 /// Diffs `actual` against the oracle result: same canonical codes, same
 /// supports and the same TID sets.
@@ -201,10 +183,6 @@ FuzzCaseParams MakeFuzzCase(uint64_t seed, bool smoke) {
 DifferentialResult RunAllChecks(const GraphDatabase& db,
                                 const FuzzCaseParams& params) {
   DifferentialResult result;
-  FastPathGuard guard;
-  SetLabelIndexEnabled(true);
-  SetMinimalityCacheEnabled(true);
-
   MinerOptions options;
   options.min_support = params.min_support;
   options.max_edges = params.max_edges;
@@ -263,24 +241,6 @@ DifferentialResult RunAllChecks(const GraphDatabase& db,
     }
   }
 
-  // Fast paths off: the label-index pruning and minimality memoization are
-  // optimizations and must not change any result.
-  if (result.ok()) {
-    SetLabelIndexEnabled(false);
-    SetMinimalityCacheEnabled(false);
-    ClearMinimalityCache();
-    GSpanMiner gspan;
-    check(gspan.Mine(db, options), "gspan(fast paths off)");
-    PartMinerOptions popt;
-    popt.min_support_count = params.min_support;
-    popt.max_edges = params.max_edges;
-    PartMiner miner(popt);
-    check(miner.Mine(db).patterns, "partminer(fast paths off)");
-    SetLabelIndexEnabled(true);
-    SetMinimalityCacheEnabled(true);
-    ClearMinimalityCache();
-  }
-
   // Disk-resident AdiMine on a deliberately tiny pool (constant eviction)
   // must match the in-memory oracle bit for bit.
   if (result.ok()) {
@@ -302,9 +262,11 @@ DifferentialResult RunAllChecks(const GraphDatabase& db,
     }
   }
 
-  // Chained incremental rounds from one Mine: apply seeded updates, update
-  // incrementally, and compare every round against a from-scratch re-mining
-  // of the updated database and the root frontier against its contract.
+  // Chained incremental rounds from one Mine: the base mine (the product
+  // path) is diffed against the oracle, then every round applies seeded
+  // updates, updates incrementally, and is compared against a from-scratch
+  // re-mining of the updated database and the root frontier against its
+  // contract.
   // Updates of at most half the graphs take the frontier-backed delta path;
   // larger ones take the exact re-sweep, which drops the frontier until a
   // smaller round re-captures it. The small rounds at the end stay on the
@@ -318,7 +280,9 @@ DifferentialResult RunAllChecks(const GraphDatabase& db,
     popt.max_edges = params.max_edges;
     popt.inc_delta_sweep_max_fraction = 0.5;
     PartMiner miner(popt);
-    miner.Mine(updated);
+    // Hotspots set update frequencies only, so the oracle still applies.
+    result.divergence =
+        DiffAgainstOracle(oracle, miner.Mine(updated).patterns, "partminer");
 
     ++result.configurations;
     IncPartMiner inc;

@@ -5,9 +5,12 @@
 #include <set>
 
 #include "common/random.h"
+#include "datagen/generator.h"
+#include "datagen/update_generator.h"
 #include "graph/canonical.h"
 #include "miner/extensions.h"
 #include "miner/gspan.h"
+#include "obs/metrics.h"
 #include "tests/test_util.h"
 
 namespace partminer {
@@ -179,6 +182,79 @@ TEST(IncMergeJoinTest, NoUpdatesIsCheapIdentity) {
   // Nothing was updated: the discovery sweep generates no candidates.
   EXPECT_EQ(stats.candidates_generated, 0);
   EXPECT_EQ(stats.candidates_counted, 0);
+}
+
+/// One mined state plus a round of add-only edits (adding edges never
+/// removes an occurrence, so every cached pattern stays frequent).
+struct KnownVerdictCase {
+  GraphDatabase db;
+  PatternSet cached;
+  NodeFrontier frontier;
+  std::vector<int> updated;
+  MergeJoinOptions mj;
+
+  explicit KnownVerdictCase(double fraction_graphs) {
+    GeneratorParams params;
+    params.num_graphs = 60;
+    params.avg_edges = 12;
+    params.num_labels = 5;
+    params.num_kernels = 10;
+    params.avg_kernel_edges = 4;
+    params.seed = 41;
+    db = GenerateDatabase(params);
+    mj.min_support = 6;
+    cached = MergeJoin(db, mj, /*stats=*/nullptr, &frontier);
+
+    UpdateOptions upd;
+    upd.fraction_graphs = fraction_graphs;
+    upd.kinds = {UpdateKind::kAddEdge, UpdateKind::kAddVertex};
+    upd.seed = 5;
+    updated = ApplyUpdates(&db, params.num_labels, upd).updated_graphs;
+  }
+
+  /// Runs IncMergeJoin, checks it against gSpan, and returns how many
+  /// IsMinimalDfsCode calls it made.
+  int64_t RunCountingChecks(MergeJoinStats* stats) {
+    obs::Counter* checks = obs::MetricRegistry::Global().GetCounter(
+        "miner.minimality_checks");
+    const int64_t before = checks->value();
+    const PatternSet result =
+        IncMergeJoin(db, cached, updated, mj, stats, &frontier);
+    const int64_t calls = checks->value() - before;
+
+    GSpanMiner gspan;
+    MinerOptions options;
+    options.min_support = mj.min_support;
+    EXPECT_EQ(gspan.Mine(db, options).SortedCodeStrings(),
+              result.SortedCodeStrings());
+    return calls;
+  }
+};
+
+/// A delta round knows every cached code is minimal, and that a frontier
+/// code already frequent outside the updated graphs is not: it tests far
+/// fewer codes than the still-frequent cached patterns it re-reaches.
+TEST(IncMergeJoinTest, DeltaRoundTestsOnlyUnknownVerdicts) {
+  KnownVerdictCase c(/*fraction_graphs=*/0.05);
+  ASSERT_LE(c.updated.size(), 0.15 * c.db.size());  // The delta path.
+  MergeJoinStats stats;
+  const int64_t calls = c.RunCountingChecks(&stats);
+  ASSERT_GT(stats.candidates_skipped_known, 0);
+  EXPECT_LT(calls, stats.candidates_skipped_known);
+}
+
+/// A re-sweep knows the cached codes are minimal: it tests fewer codes than
+/// the cached multi-edge patterns it re-emits.
+TEST(IncMergeJoinTest, ResweepTestsOnlyUnknownVerdicts) {
+  KnownVerdictCase c(/*fraction_graphs=*/0.4);
+  ASSERT_GT(c.updated.size(), 0.15 * c.db.size());  // The re-sweep path.
+  int64_t multi_edge = 0;
+  for (const PatternInfo& p : c.cached.patterns()) {
+    if (p.code.size() > 1) ++multi_edge;
+  }
+  ASSERT_GT(multi_edge, 0);
+  MergeJoinStats stats;
+  EXPECT_LT(c.RunCountingChecks(&stats), multi_edge);
 }
 
 }  // namespace

@@ -1,12 +1,14 @@
-// Support-counting fast path: the label inverted index and the minimality
-// memo cache are pure accelerators — this file pins down the two properties
+// Support-counting fast paths: the label inverted index that Apriori builds
+// per Mine, and the minimality verdicts IncMergeJoin already knows and so
+// does not test, are pure accelerators. This file pins down the properties
 // that make them safe. First, LabelIndex::CandidatesFor is a certified
 // superset of the true TID list for every mined pattern (a pruned graph can
-// never host an embedding). Second, mining with the fast path on and off
-// yields bit-identical pattern sets — codes, supports, and TID lists — for
-// every miner in the repo, at several thread counts.
+// never host an embedding). Second, Apriori's index-pruned counting yields
+// bit-identical pattern sets (codes, supports and TID lists) to every other
+// miner, at several thread counts. Third, incremental rounds that skip the
+// known verdicts, on the delta path and on the re-sweep path, match a
+// from-scratch mine bit for bit.
 
-#include <memory>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -17,37 +19,14 @@
 #include "core/part_miner.h"
 #include "datagen/generator.h"
 #include "datagen/update_generator.h"
-#include "graph/canonical.h"
 #include "graph/isomorphism.h"
 #include "graph/label_index.h"
+#include "miner/apriori.h"
 #include "miner/gaston.h"
 #include "miner/gspan.h"
 
 namespace partminer {
 namespace {
-
-/// Restores the process-wide fast-path toggles (and drops any cached
-/// verdicts) no matter how a test exits, so tests stay order-independent.
-class FastPathGuard {
- public:
-  FastPathGuard()
-      : index_(LabelIndexEnabled()), cache_(MinimalityCacheEnabled()) {}
-  ~FastPathGuard() {
-    SetLabelIndexEnabled(index_);
-    SetMinimalityCacheEnabled(cache_);
-    ClearMinimalityCache();
-  }
-
-  static void Set(bool enabled) {
-    SetLabelIndexEnabled(enabled);
-    SetMinimalityCacheEnabled(enabled);
-    ClearMinimalityCache();
-  }
-
- private:
-  const bool index_;
-  const bool cache_;
-};
 
 GraphDatabase MakeDatabase(uint64_t seed, int graphs = 18) {
   GeneratorParams params;
@@ -62,11 +41,11 @@ GraphDatabase MakeDatabase(uint64_t seed, int graphs = 18) {
   return db;
 }
 
-void ExpectIdentical(const PatternSet& on, const PatternSet& off,
+void ExpectIdentical(const PatternSet& expected, const PatternSet& actual,
                      const std::string& what) {
-  EXPECT_EQ(on.SortedCodeStrings(), off.SortedCodeStrings()) << what;
-  for (const PatternInfo& p : on.patterns()) {
-    const PatternInfo* q = off.Find(p.code);
+  EXPECT_EQ(expected.SortedCodeStrings(), actual.SortedCodeStrings()) << what;
+  for (const PatternInfo& p : expected.patterns()) {
+    const PatternInfo* q = actual.Find(p.code);
     ASSERT_NE(q, nullptr) << what << ": missing " << p.code.ToString();
     EXPECT_EQ(p.support, q->support) << what << ": " << p.code.ToString();
     EXPECT_EQ(p.tids, q->tids) << what << ": " << p.code.ToString();
@@ -155,18 +134,19 @@ PatternSet MineOnce(const FastPathCase& c, const GraphDatabase& db,
   return MinePaperPipeline(db, options).patterns;
 }
 
+/// Apriori counts every candidate only inside the label index's candidate
+/// graphs; no other miner reads the index.
 TEST_P(FastPathEquivalence, BatchMiningBitIdentical) {
   const FastPathCase& c = GetParam();
   const GraphDatabase db = MakeDatabase(21);
-  FastPathGuard guard;
 
-  FastPathGuard::Set(true);
-  const PatternSet with_fast_path = MineOnce(c, db, 4);
-  FastPathGuard::Set(false);
-  const PatternSet without = MineOnce(c, db, 4);
+  AprioriMiner apriori;
+  MinerOptions options;
+  options.min_support = 4;
+  const PatternSet indexed = apriori.Mine(db, options);
 
-  ASSERT_GT(with_fast_path.size(), 0);
-  ExpectIdentical(with_fast_path, without,
+  ASSERT_GT(indexed.size(), 0);
+  ExpectIdentical(indexed, MineOnce(c, db, 4),
                   c.miner + " threads=" + std::to_string(c.threads));
 }
 
@@ -181,38 +161,35 @@ INSTANTIATE_TEST_SUITE_P(
 
 class FastPathIncremental : public ::testing::TestWithParam<int> {};
 
-/// The incremental path exercises the delta arithmetic of IncMergeJoin
-/// under the minimality memo; both configurations must produce the same
-/// classification and TID lists.
+/// A small round takes IncMergeJoin's delta path and a 40% round its
+/// re-sweep; both skip the minimality test wherever the verdict is known.
+/// Each round must match the paper pipeline re-mining the updated database
+/// from scratch on `threads` unit-mining threads.
 TEST_P(FastPathIncremental, UpdateBitIdentical) {
   const int threads = GetParam();
-  FastPathGuard guard;
+  GraphDatabase db = MakeDatabase(33);
+  PartMinerOptions options;
+  options.min_support_count = 4;
+  options.partition.k = 3;
+  options.unit_mining_threads = threads;
+  PartMiner miner(options);
+  miner.Mine(db);
 
-  PatternSet results[2];
-  for (const bool enabled : {true, false}) {
-    FastPathGuard::Set(enabled);
-    GraphDatabase db = MakeDatabase(33);
-    PartMinerOptions options;
-    options.min_support_count = 4;
-    options.partition.k = 3;
-    options.unit_mining_threads = threads;
-    PartMiner miner(options);
-    miner.Mine(db);
-
+  IncPartMiner inc;
+  for (const double fraction : {0.1, 0.4}) {
     UpdateOptions upd;
-    upd.fraction_graphs = 0.4;
+    upd.fraction_graphs = fraction;
     upd.updates_per_graph = 2;
     upd.seed = 17;
     const UpdateLog log = ApplyUpdates(&db, 5, upd);
     ASSERT_FALSE(log.updated_graphs.empty());
 
-    IncPartMiner inc;
-    results[enabled ? 0 : 1] = inc.Update(&miner, db, log).patterns;
+    const PatternSet incremental = inc.Update(&miner, db, log).patterns;
+    ASSERT_GT(incremental.size(), 0);
+    ExpectIdentical(MinePaperPipeline(db, options).patterns, incremental,
+                    "fraction " + std::to_string(fraction) + " threads=" +
+                        std::to_string(threads));
   }
-
-  ASSERT_GT(results[0].size(), 0);
-  ExpectIdentical(results[0], results[1],
-                  "incremental threads=" + std::to_string(threads));
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, FastPathIncremental,

@@ -34,7 +34,6 @@
 #include "common/timing.h"
 #include "core/part_miner.h"
 #include "datagen/generator.h"
-#include "graph/canonical.h"
 #include "graph/graph_io.h"
 #include "miner/closed.h"
 #include "miner/gaston.h"
@@ -143,7 +142,7 @@ int Usage() {
                "  partminer mine  --input=db.lg --support=0.05 [--k=4] "
                "[--algo=partminer|gspan|gaston|adi] [--criteria=combined|"
                "mincut|isolation|metis] [--threads=N] [--max-edges=N] "
-               "[--pool-frames=N] [--closed|--maximal] [--no-canon-cache] "
+               "[--pool-frames=N] [--closed|--maximal] "
                "[--output=out.lg] "
                "[--trace=trace.json] [--metrics=metrics.json]\n"
                "  partminer gen   --output=db.lg [--d --t --n --l --i "
@@ -180,8 +179,7 @@ Status WritePatterns(const PatternSet& patterns, std::ostream& out) {
 int Mine(const std::map<std::string, std::string>& flags) {
   WarnUnknownFlags(flags, {"input", "support", "k", "algo", "criteria",
                            "threads", "max-edges", "pool-frames", "closed",
-                           "maximal", "no-canon-cache",
-                           "output", "trace", "metrics"});
+                           "maximal", "output", "trace", "metrics"});
   GraphDatabase db;
   const std::string input = Get(flags, "input", "");
   if (input.empty()) {
@@ -206,12 +204,6 @@ int Mine(const std::map<std::string, std::string>& flags) {
           : std::max(1, static_cast<int>(std::ceil(support * db.size())));
   const int max_edges = IntFlag(flags, "max-edges", 0);
   const std::string algo = Get(flags, "algo", "partminer");
-
-  // Minimality-cache escape hatch. Mined output is bit-identical either
-  // way; the flag exists for debugging and for measuring what the cache
-  // buys. Setting it also publishes the canon.cache_enabled gauge, so a
-  // --metrics dump records which configuration produced it.
-  SetMinimalityCacheEnabled(flags.count("no-canon-cache") == 0);
 
   const std::string trace_path = Get(flags, "trace", "");
   const std::string metrics_path = Get(flags, "metrics", "");

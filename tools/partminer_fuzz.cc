@@ -4,10 +4,11 @@
 //                  [--corpus=DIR] [--minimize=0|1]
 //
 // For each seed a small random database is generated and mined with every
-// miner configuration (brute force, gSpan serial/parallel, Gaston,
-// the paper pipeline across unit miners and thread counts, PartMiner with
-// fast paths off, the disk-resident AdiMine, and chained IncPartMiner rounds with relabels); all
-// results are diffed against the brute-force oracle. Any divergence is
+// miner configuration (brute force, gSpan and Gaston serial/parallel, the
+// paper pipeline across unit miners and thread counts, the disk-resident
+// AdiMine, and the resident PartMiner followed by chained IncPartMiner
+// rounds with relabels); all results are diffed against the brute-force
+// oracle. Any divergence is
 // minimized by greedy graph removal and written to the corpus directory as
 // a replayable .lg repro. The run then replays every existing corpus
 // repro (fixed bugs must stay fixed) and, unless --no-faults, sweeps

@@ -162,8 +162,6 @@ void Render(const Frame& frame, const Frame& previous, double interval_s,
   }
 
   std::printf("cache hit rates:\n");
-  PrintHitRate("canonical cache", Counter(frame, "canon.cache_hits"),
-               Counter(frame, "canon.cache_misses"));
   PrintHitRate("buffer pool", Counter(frame, "storage.pool_hits"),
                Counter(frame, "storage.pool_misses"));
 
