@@ -2,8 +2,9 @@
 //   (a) static:  ADIMINE (flat) vs PartMiner aggregate (serial) and
 //       parallel (max over units) time of the paper pipeline.
 //   (b) dynamic: ADIMINE (rebuild + remine) vs IncPartMiner. An update
-//       round mines no unit (root merge, classify) and does not read k, so
-//       its aggregate and parallel times coincide and one row is printed.
+//       round mines no unit (only the root's incremental merge) and does
+//       not read k, so its aggregate and parallel times coincide and one
+//       row is printed.
 //
 // Paper shape: more units -> more total work (aggregate grows with k);
 // parallel PartMiner beats the serial baseline; IncPartMiner beats ADIMINE

@@ -9,7 +9,6 @@
 
 #include "common/thread_pool.h"
 #include "core/inc_part_miner.h"
-#include "core/merge_join.h"
 #include "core/part_miner.h"
 #include "datagen/generator.h"
 #include "datagen/update_generator.h"
@@ -178,49 +177,45 @@ void BM_UnitSupportAblation(benchmark::State& state) {
 }
 BENCHMARK(BM_UnitSupportAblation)->Iterations(1);
 
-void BM_IncMergeJoinDelta(benchmark::State& state) {
+/// One IncPartMiner::Update round at 4% support after updating
+/// `state.range(0)` percent of the graphs, each from a fresh copy of one
+/// mined state. `max_fraction` is inc_delta_sweep_max_fraction: 1.0 forces
+/// the delta path and 0.0 the exact re-sweep.
+void RunUpdateRound(benchmark::State& state, double max_fraction) {
   GraphDatabase db = Workload(400);
-  const int sup = std::max(1, static_cast<int>(0.04 * db.size()));
-  GSpanMiner miner;
-  MinerOptions options;
-  options.min_support = sup;
-  const PatternSet cached = miner.Mine(db, options);
+  PartMinerOptions options;
+  options.min_support_count =
+      std::max(1, static_cast<int>(0.04 * db.size()));
+  options.inc_delta_sweep_max_fraction = max_fraction;
+  PartMiner base(options);
+  base.Mine(db);
 
   UpdateOptions upd;
   upd.fraction_graphs = state.range(0) / 100.0;
   upd.seed = 9;
   const UpdateLog log = ApplyUpdates(&db, 20, upd);
 
-  MergeJoinOptions mj;
-  mj.min_support = sup;
-  mj.delta_sweep_max_fraction = 1.0;  // Force the delta path.
+  IncPartMiner inc;
+  PartMiner miner(options);
+  int64_t delta_recounts = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        IncMergeJoin(db, cached, log.updated_graphs, mj, nullptr, nullptr));
+    state.PauseTiming();
+    miner = base;
+    state.ResumeTiming();
+    IncPartMinerResult result = inc.Update(&miner, db, log);
+    benchmark::DoNotOptimize(result);
+    delta_recounts = result.merge_stats.delta_recounts;
   }
+  state.counters["delta_recounts"] = static_cast<double>(delta_recounts);
+}
+
+void BM_IncMergeJoinDelta(benchmark::State& state) {
+  RunUpdateRound(state, 1.0);
 }
 BENCHMARK(BM_IncMergeJoinDelta)->Arg(2)->Arg(10)->Arg(40);
 
 void BM_IncMergeJoinResweep(benchmark::State& state) {
-  GraphDatabase db = Workload(400);
-  const int sup = std::max(1, static_cast<int>(0.04 * db.size()));
-  GSpanMiner miner;
-  MinerOptions options;
-  options.min_support = sup;
-  const PatternSet cached = miner.Mine(db, options);
-
-  UpdateOptions upd;
-  upd.fraction_graphs = state.range(0) / 100.0;
-  upd.seed = 9;
-  const UpdateLog log = ApplyUpdates(&db, 20, upd);
-
-  MergeJoinOptions mj;
-  mj.min_support = sup;
-  mj.delta_sweep_max_fraction = 0.0;  // Force the full re-sweep.
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        IncMergeJoin(db, cached, log.updated_graphs, mj, nullptr, nullptr));
-  }
+  RunUpdateRound(state, 0.0);
 }
 BENCHMARK(BM_IncMergeJoinResweep)->Arg(2)->Arg(10)->Arg(40);
 

@@ -24,8 +24,8 @@ struct IncPartMinerResult {
   SetWord remined_units;
 
   double route_seconds = 0;   // Always 0: Update does no routing.
-  double merge_seconds = 0;   // Root IncMergeJoin.
-  double verify_seconds = 0;  // UF/FI/IF classification.
+  double merge_seconds = 0;   // Root IncMergeJoin, classification included.
+  double verify_seconds = 0;  // Always 0: the merge classifies as it goes.
 
   MergeJoinStats merge_stats;
   VerifyStats verify_stats;  // Nothing is re-counted: always 0.
@@ -38,18 +38,48 @@ struct IncPartMinerResult {
 
 /// IncPartMiner (Figure 12): updates a mined PartMiner in place.
 ///
-/// A round is root IncMergeJoin → classify. The root's IncMergeJoin
-/// recovers the exact pattern set of the updated database from the root's
-/// own cached set and frontier, touching work proportional to the update
+/// A round is the paper's IncMergeJoin at the root: it recovers the exact
+/// pattern set of the updated database from the root's own cached set and
+/// frontier, touching work proportional to the update
 /// (`log.updated_graphs`). The paper's setword of units to re-mine only
 /// selects leaves whose results the root never reads, so no partition is
 /// kept and nothing is routed.
 ///
+///  1. Pass 1: every cached pattern is delta-recounted — only the updated
+///     graphs are re-examined; containment elsewhere cannot have changed.
+///     Patterns falling below threshold move to the frontier and, unless
+///     the sweep re-frequents them, drop out (the paper's FI direction).
+///  2. Pass 2: new patterns are discovered by sweeping rightmost extensions
+///     of verified patterns *projected onto the updated graphs only*: a
+///     pattern that became frequent must have gained an occurrence, so it
+///     occurs in an updated graph, and so does every prefix of its minimal
+///     code (per-graph Apriori). Support outside the updated graphs is
+///     read off the cached set or the frontier by set arithmetic.
+///
+/// This is the precise sense in which "IncPartMiner makes use of the pruned
+/// results of the pre-updated database to eliminate the generation of
+/// unchanged candidate graphs" (Section 1): unchanged candidates are never
+/// re-generated or re-counted outside the updated graphs. The cached set is
+/// exact, so its codes are the minimal ones, which lets both paths skip the
+/// minimality test for codes whose verdict they already know (DESIGN §10).
+///
+/// The frontier's invariant: every code the sweep can reach (all DFS-code
+/// prefixes frequent and minimal) that is not a cached pattern either has a
+/// live entry whose lazily stripped TIDs are exact or has no occurrence at
+/// all. A delta round opens a frontier epoch instead of stripping every
+/// entry, and a pattern that falls frequent -> infrequent cuts its subtree
+/// by logging its code (Frontier::Cut), not by scanning the frontier. The
+/// whole-frontier pass (Frontier::Compact) runs only once the graphs
+/// updated since the last one exceed `inc_delta_sweep_max_fraction` of the
+/// database. A round updating more than that share, or finding the
+/// frontier invalid, takes the exact re-sweep (RootSweep) instead, which
+/// replaces the frontier wholesale.
+///
 /// The paper's prune set (unit patterns that vanished from a re-mined unit)
 /// only marks candidates for its final check; with the root merge exact,
-/// the classification is the set of transitions IncMergeJoin reports, with
-/// no isomorphism test and no pass over the unchanged patterns. Tests
-/// compare every field against a from-scratch re-mining.
+/// the classification is the set of transitions the merge finds, with no
+/// isomorphism test and no pass over the unchanged patterns. Tests compare
+/// every field against a from-scratch re-mining.
 class IncPartMiner {
  public:
   IncPartMiner() = default;

@@ -9,6 +9,8 @@
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "common/timing.h"
+#include "graph/canonical.h"
+#include "miner/engine.h"
 #include "miner/gaston.h"
 #include "miner/gspan.h"
 #include "obs/metrics.h"
@@ -36,6 +38,43 @@ double PartMinerResult::ParallelSeconds() const {
   return partition_seconds + UnitSecondsMax() + merge_seconds;
 }
 
+int PartMinerOptions::ResolveSupport(int db_size) const {
+  if (min_support_count > 0) return min_support_count;
+  const int count =
+      static_cast<int>(std::ceil(min_support_fraction * db_size));
+  return std::max(1, count);
+}
+
+void MergeJoinStats::PublishToRegistry() const {
+  PM_METRIC_COUNTER("merge.inherited_patterns")->Add(inherited_patterns);
+  PM_METRIC_COUNTER("merge.cached_patterns")->Add(cached_patterns);
+  PM_METRIC_COUNTER("merge.delta_recounts")->Add(delta_recounts);
+  PM_METRIC_COUNTER("merge.candidates_generated")->Add(candidates_generated);
+  PM_METRIC_COUNTER("merge.candidates_counted")->Add(candidates_counted);
+  PM_METRIC_COUNTER("merge.candidates_skipped_known")
+      ->Add(candidates_skipped_known);
+  PM_METRIC_COUNTER("merge.spanning_found")->Add(spanning_found);
+}
+
+PatternSet RootSweep(const GraphDatabase& db, int min_support, int max_edges,
+                     Frontier* capture, const PatternSet* known,
+                     MergeJoinStats* stats) {
+  MinerOptions mo;
+  mo.min_support = min_support;
+  mo.max_edges = max_edges;
+  mo.capture_frontier = capture;
+  engine::MinimalityCheck is_minimal;
+  if (known != nullptr) {
+    is_minimal = [known](const DfsCode& code, int /*rank*/) {
+      return known->Contains(code) || IsMinimalDfsCode(code);
+    };
+  }
+  PatternSet out =
+      engine::GrowFromRoots(db, mo, /*rank=*/nullptr, is_minimal);
+  stats->candidates_counted += out.size();
+  return out;
+}
+
 PartMiner::PartMiner(const PartMinerOptions& options) : options_(options) {}
 
 const PartitionedDatabase& PartMiner::partitioned() const {
@@ -43,18 +82,11 @@ const PartitionedDatabase& PartMiner::partitioned() const {
   return kEmpty;
 }
 
-int PartMiner::ResolveSupport(int db_size) const {
-  if (options_.min_support_count > 0) return options_.min_support_count;
-  const int count = static_cast<int>(
-      std::ceil(options_.min_support_fraction * db_size));
-  return std::max(1, count);
-}
-
 PartMinerResult PartMiner::Mine(const GraphDatabase& db) {
   PM_TRACE_SPAN("part_miner.mine", {{"graphs", db.size()}});
   PM_METRIC_COUNTER("partminer.mine_runs")->Increment();
   PartMinerResult result;
-  root_support_ = ResolveSupport(db.size());
+  root_support_ = options_.ResolveSupport(db.size());
   result.min_support_count = root_support_;
 
   // The root merge (Figure 11 lines 9-17) over the whole database, which is
@@ -62,14 +94,16 @@ PartMinerResult PartMiner::Mine(const GraphDatabase& db) {
   Stopwatch merge_watch;
   {
     PM_TRACE_SPAN("merge_node", {{"node", 0}, {"depth", 0}});
-    MergeJoinOptions mj;
-    mj.min_support = root_support_;
-    mj.max_edges = options_.max_edges;
-    patterns_ = MergeJoin(db, mj, &result.merge_stats, &root_frontier_);
+    root_frontier_.map.Clear();
+    root_frontier_.valid = true;
+    patterns_ = RootSweep(db, root_support_, options_.max_edges,
+                          &root_frontier_.map, /*known=*/nullptr,
+                          &result.merge_stats);
   }
   result.merge_seconds = merge_watch.ElapsedSeconds();
   PM_METRIC_HISTOGRAM("partminer.phase.merge_ms")
       ->Observe(result.merge_seconds * 1e3);
+  result.merge_stats.PublishToRegistry();
 
   result.patterns = patterns_;
   mined_ = true;
@@ -100,14 +134,14 @@ std::unique_ptr<FrequentSubgraphMiner> MakeUnitMiner(UnitMinerKind kind) {
 }  // namespace
 
 PartMinerResult MinePaperPipeline(const GraphDatabase& db,
-                                  const PartMinerOptions& options,
-                                  NodeFrontier* root_frontier) {
+                                  const PartMinerOptions& options) {
   PM_TRACE_SPAN("part_miner.paper_pipeline",
                 {{"graphs", db.size()},
                  {"k", options.partition.k},
                  {"threads", options.unit_mining_threads}});
-  PartMiner miner(options);
-  const int root_support = miner.ResolveSupport(db.size());
+  PartMinerResult result;
+  const int root_support = options.ResolveSupport(db.size());
+  result.min_support_count = root_support;
 
   // Phase 1: divide the database into k units (Figure 6).
   Stopwatch partition_watch;
@@ -116,9 +150,9 @@ PartMinerResult MinePaperPipeline(const GraphDatabase& db,
     PM_TRACE_SPAN("partition", {{"k", options.partition.k}});
     partitioned = PartitionedDatabase::Create(db, options.partition);
   }
-  const double partition_seconds = partition_watch.ElapsedSeconds();
+  result.partition_seconds = partition_watch.ElapsedSeconds();
   PM_METRIC_HISTOGRAM("partminer.phase.partition_ms")
-      ->Observe(partition_seconds * 1e3);
+      ->Observe(result.partition_seconds * 1e3);
 
   // Phase 2a: mine every unit with the memory-based miner at its reduced
   // support (Figure 11 lines 4-5). Units are independent, so with
@@ -182,29 +216,34 @@ PartMinerResult MinePaperPipeline(const GraphDatabase& db,
     }
   }
 
-  // Phase 2b: the root merge-join (Figure 11 lines 9-17), exactly as the
-  // resident miner runs it. The unit sets only feed the merge counters: a
-  // pattern in no unit is genuinely cross-partition.
-  PartMinerResult result = miner.Mine(db);
-  result.partition_seconds = partition_seconds;
   result.unit_mining_seconds = std::move(unit_seconds);
-  MergeJoinStats unit_stats;
+
+  // Phase 2b: the root merge-join (Figure 11 lines 9-17), the sweep
+  // PartMiner::Mine runs, without its frontier capture: nothing reads a
+  // frontier here. The unit sets only feed the merge counters: a pattern in
+  // no unit is genuinely cross-partition.
+  Stopwatch merge_watch;
+  {
+    PM_TRACE_SPAN("merge_node", {{"node", 0}, {"depth", 0}});
+    result.patterns = RootSweep(db, root_support, options.max_edges,
+                                /*capture=*/nullptr, /*known=*/nullptr,
+                                &result.merge_stats);
+  }
+  result.merge_seconds = merge_watch.ElapsedSeconds();
+  PM_METRIC_HISTOGRAM("partminer.phase.merge_ms")
+      ->Observe(result.merge_seconds * 1e3);
   for (const PatternSet& unit : unit_patterns) {
-    unit_stats.inherited_patterns += unit.size();
+    result.merge_stats.inherited_patterns += unit.size();
   }
   for (const PatternInfo& p : result.patterns.patterns()) {
     if (std::none_of(unit_patterns.begin(), unit_patterns.end(),
                      [&p](const PatternSet& unit) {
                        return unit.Contains(p.code);
                      })) {
-      ++unit_stats.spanning_found;
+      ++result.merge_stats.spanning_found;
     }
   }
-  unit_stats.PublishToRegistry();
-  result.merge_stats.Accumulate(unit_stats);
-  if (root_frontier != nullptr) {
-    *root_frontier = std::move(miner.mutable_root_frontier());
-  }
+  result.merge_stats.PublishToRegistry();
   return result;
 }
 

@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "core/merge_join.h"
 #include "graph/graph.h"
 #include "miner/pattern_set.h"
 #include "partition/db_partition.h"
@@ -25,14 +24,19 @@ struct PartMinerOptions {
   /// Absolute minimum support; takes precedence when positive.
   int min_support_count = -1;
 
+  /// Resolved absolute support for a database of `db_size` graphs.
+  int ResolveSupport(int db_size) const;
+
   /// DBPartition settings. Only MinePaperPipeline reads them: PartMiner
   /// keeps no partition.
   PartitionOptions partition;
   UnitMinerKind unit_miner = UnitMinerKind::kGaston;
   int max_edges = INT_MAX;
 
-  /// Forwarded to IncMergeJoin (see MergeJoinOptions): updated-graph share
-  /// above which the incremental merge falls back to an exact re-sweep.
+  /// IncPartMiner's cost-model switch: the update-proportional delta sweep
+  /// wins while the updated graphs are a minority of the database; beyond
+  /// this share a plain exact re-sweep is cheaper. Both paths are exact;
+  /// this only picks the cheaper one.
   double inc_delta_sweep_max_fraction = 0.15;
 
   /// MinePaperPipeline only: the width of the work-stealing pool the units
@@ -43,6 +47,20 @@ struct PartMinerOptions {
   /// subtrees onto the same pool, so idle workers steal work from a
   /// straggling unit instead of waiting for it. The root sweep is serial.
   int unit_mining_threads = 0;
+};
+
+/// Work counters of the root merge, published as the merge.* counters.
+struct MergeJoinStats {
+  int64_t inherited_patterns = 0;   // MinePaperPipeline: unit patterns.
+  int64_t cached_patterns = 0;      // Update: cached patterns reused.
+  int64_t delta_recounts = 0;       // Update: cached patterns delta-verified.
+  int64_t candidates_generated = 0; // Extension candidates examined.
+  int64_t candidates_counted = 0;   // Candidates needing a support count.
+  int64_t candidates_skipped_known = 0;  // Skipped: already in the cache.
+  int64_t spanning_found = 0;       // Frequent patterns no input held.
+
+  /// Adds these values to the process metrics registry (merge.* counters).
+  void PublishToRegistry() const;
 };
 
 /// Verification work. The root merge is exact, so nothing is re-counted
@@ -77,11 +95,32 @@ struct PartMinerResult {
   double ParallelSeconds() const;
 };
 
+/// The merge-join of Section 4.3 at the root of the merge tree (the paper's
+/// MergeJoin, Figure 11 lines 9-17): recovers the *exact* frequent pattern
+/// set of `db`, the recombination of every unit, at `min_support`.
+///
+/// With exactness required at the root, the recovery operator is a full
+/// DFS-code sweep of the database seeded at its frequent 1-edge patterns
+/// (every frequent pattern is reachable through its minimal-code prefix
+/// chain, whose members are frequent by the Apriori property — Theorems
+/// 1-3 in the paper). The sweep reads no unit result, so it takes none; the
+/// candidate reuse the paper describes pays off in the incremental merge
+/// (IncPartMiner), which is where the paper's evaluation exercises it.
+///
+/// Every pattern carries exact support and TIDs. `capture`, when non-null,
+/// receives the sweep's frontier (see Frontier). `known`, when non-null, is
+/// an exact pattern set of the database before an update: the codes it
+/// holds skip the minimality test, since such a set holds only minimal
+/// codes. Every emitted pattern counts as a counted candidate in `stats`.
+PatternSet RootSweep(const GraphDatabase& db, int min_support, int max_edges,
+                     Frontier* capture, const PatternSet* known,
+                     MergeJoinStats* stats);
+
 /// The resident miner: the root of the paper's merge tree (Figure 11) and
 /// the state IncPartMiner updates in place. Mine() is one exact
-/// frontier-capturing sweep of the whole database at the requested support
-/// (MergeJoin); the object keeps only the root pattern set (the result) and
-/// the root frontier. The paper's Phase 1 and Phase 2 feed nothing the root
+/// frontier-capturing RootSweep of the whole database at the requested
+/// support; the object keeps only the root pattern set (the result) and the
+/// root frontier. The paper's Phase 1 and Phase 2 feed nothing the root
 /// reads, so they live in MinePaperPipeline, which the figure harnesses
 /// time.
 class PartMiner {
@@ -103,16 +142,13 @@ class PartMiner {
   const PatternSet& patterns() const { return patterns_; }
   PatternSet& mutable_patterns() { return patterns_; }
   /// The root's mining frontier (see Frontier) — the cache that makes
-  /// IncMergeJoin isomorphism-free.
+  /// IncPartMiner's delta sweep isomorphism-free.
   const NodeFrontier& root_frontier() const { return root_frontier_; }
   NodeFrontier& mutable_root_frontier() { return root_frontier_; }
   /// Every frontier the miner keeps: only the root's.
   std::span<const NodeFrontier> node_frontiers() const {
     return {&root_frontier_, 1};
   }
-  /// Resolved absolute root support for a database of `db_size` graphs.
-  int ResolveSupport(int db_size) const;
-
   /// State-restoration hook for LoadMinerState: marks the miner as mined
   /// with the given resolved root support. The root pattern set and root
   /// frontier must have been installed through the mutable accessors.
@@ -142,14 +178,12 @@ int NodeSupport(int root_support, int depth);
 /// recursive bisection (DBPartition, Figure 6); Phase 2 mines each unit
 /// with the configured memory-based miner at its NodeSupport, on a pool of
 /// `options.unit_mining_threads` workers, then recombines at the root with
-/// PartMiner::Mine's sweep. The partition and the unit sets are dropped on
-/// return: they fill only the timings and the `inherited_patterns` and
-/// `spanning_found` merge counters. The patterns are those of
-/// PartMiner::Mine. `root_frontier`, when non-null, receives the frontier
-/// the root sweep captured.
+/// a RootSweep that captures no frontier. The partition and the unit sets
+/// are dropped on return: they fill only the timings and the
+/// `inherited_patterns` and `spanning_found` merge counters. The patterns
+/// are those of PartMiner::Mine.
 PartMinerResult MinePaperPipeline(const GraphDatabase& db,
-                                  const PartMinerOptions& options,
-                                  NodeFrontier* root_frontier = nullptr);
+                                  const PartMinerOptions& options);
 
 }  // namespace partminer
 

@@ -27,9 +27,6 @@ uint64_t PatternSetDigest(const PatternSet& patterns);
 
 struct SessionOptions {
   PartMinerOptions miner;
-  /// Label-space hint recorded in snapshots and echoed by `info`; edits may
-  /// exceed it (the paper's "existing or new labels").
-  int num_labels = 20;
 };
 
 /// Result of one applied update batch.

@@ -1,8 +1,6 @@
 // Merge-join boundary coverage: empty units and node databases, single-graph
 // units, patterns frequent in every unit, and k larger than the database.
 
-#include "core/merge_join.h"
-
 #include <gtest/gtest.h>
 
 #include "common/random.h"
@@ -12,6 +10,13 @@
 
 namespace partminer {
 namespace {
+
+/// The exact root merge of `db` at `min_support`, through PartMiner::Mine.
+PatternSet MineRoot(const GraphDatabase& db, int min_support) {
+  PartMinerOptions options;
+  options.min_support_count = min_support;
+  return PartMiner(options).Mine(db).patterns;
+}
 
 void ExpectSamePatterns(const PatternSet& expected, const PatternSet& actual,
                         const std::string& what) {
@@ -38,12 +43,7 @@ Graph SharedMotif() {
 
 TEST(MergeJoinEdgeTest, EmptyNodeDatabaseYieldsEmptyResult) {
   GraphDatabase empty;
-  MergeJoinOptions options;
-  options.min_support = 1;
-  MergeJoinStats stats;
-  const PatternSet result =
-      MergeJoin(empty, options, &stats, nullptr);
-  EXPECT_EQ(result.size(), 0);
+  EXPECT_EQ(MineRoot(empty, 1).size(), 0);
 }
 
 TEST(MergeJoinEdgeTest, EmptyChildrenStillRecoverExactly) {
@@ -56,11 +56,7 @@ TEST(MergeJoinEdgeTest, EmptyChildrenStillRecoverExactly) {
   for (int i = 0; i < 4; ++i) {
     db.Add(testutil::RandomConnectedGraph(&rng, 5, 2, 3, 2));
   }
-  MergeJoinOptions options;
-  options.min_support = 4;
-  MergeJoinStats stats;
-  const PatternSet result =
-      MergeJoin(db, options, &stats, nullptr);
+  const PatternSet result = MineRoot(db, 4);
 
   GSpanMiner gspan;
   MinerOptions full;
@@ -71,12 +67,8 @@ TEST(MergeJoinEdgeTest, EmptyChildrenStillRecoverExactly) {
 TEST(MergeJoinEdgeTest, SupportAboveDatabaseSizeIsEmpty) {
   GraphDatabase db;
   db.Add(SharedMotif());
-  MergeJoinOptions options;
-  options.min_support = 2;  // k larger than the database at this node.
-  MergeJoinStats stats;
-  const PatternSet result =
-      MergeJoin(db, options, &stats, nullptr);
-  EXPECT_EQ(result.size(), 0);
+  // k larger than the database at this node.
+  EXPECT_EQ(MineRoot(db, 2).size(), 0);
 }
 
 TEST(MergeJoinEdgeTest, SingleGraphUnitsMergeExactly) {

@@ -1,10 +1,10 @@
-#include "core/merge_join.h"
-
 #include <gtest/gtest.h>
 
 #include <set>
 
 #include "common/random.h"
+#include "core/inc_part_miner.h"
+#include "core/part_miner.h"
 #include "datagen/generator.h"
 #include "datagen/update_generator.h"
 #include "graph/canonical.h"
@@ -83,22 +83,21 @@ TEST(GenerateExtensionsTest, ClosesTriangles) {
   EXPECT_TRUE(has_cycle);
 }
 
-/// Property behind Theorem 1/3: the merge at a node recovers exactly the
-/// gSpan result on the node's recombined database — same patterns, same
-/// supports, same TIDs.
+/// Property behind Theorem 1/3: the merge at the root recovers exactly the
+/// gSpan result on the recombined database — same patterns, same supports,
+/// same TIDs.
 TEST(MergeJoinTest, LosslessRecoveryAgainstGSpan) {
   Rng rng(606);
   for (int trial = 0; trial < 6; ++trial) {
     const GraphDatabase db = testutil::RandomDatabase(&rng, 10, 8, 3, 3, 2);
     const int sup = 3;
 
-    GSpanMiner miner;
-    MergeJoinOptions mj;
-    mj.min_support = sup;
-    MergeJoinStats stats;
-    const PatternSet merged =
-        MergeJoin(db, mj, &stats, /*frontier_out=*/nullptr);
+    PartMinerOptions part_options;
+    part_options.min_support_count = sup;
+    PartMiner part_miner(part_options);
+    const PatternSet merged = part_miner.Mine(db).patterns;
 
+    GSpanMiner miner;
     MinerOptions full;
     full.min_support = sup;
     const PatternSet expected = miner.Mine(db, full);
@@ -115,41 +114,39 @@ TEST(MergeJoinTest, LosslessRecoveryAgainstGSpan) {
 }
 
 /// IncMergeJoin recovers the exact post-update pattern set from the cached
-/// pre-update set, and the known-pattern skip actually skips counting.
+/// pre-update set on both paths, and the delta path delta-recounts every
+/// cached pattern while the re-sweep recounts none.
 TEST(IncMergeJoinTest, DeltaRecoveryAgainstGSpan) {
   Rng rng(99);
   for (int trial = 0; trial < 5; ++trial) {
-    GraphDatabase db = testutil::RandomDatabase(&rng, 12, 8, 3, 3, 2);
+    const GraphDatabase db = testutil::RandomDatabase(&rng, 12, 8, 3, 3, 2);
     const int sup = 3;
+
+    // Mutate a few graphs: relabel one vertex each.
+    GraphDatabase updated_db = db;
+    UpdateLog log;
+    for (int gi = 0; gi < updated_db.size(); gi += 4) {
+      Graph& g = updated_db.mutable_graph(gi);
+      const VertexId v = static_cast<VertexId>(rng.Uniform(g.VertexCount()));
+      g.set_vertex_label(v, static_cast<Label>(rng.Uniform(3)));
+      log.updated_graphs.push_back(gi);
+    }
+
     GSpanMiner miner;
     MinerOptions options;
     options.min_support = sup;
-    NodeFrontier initial_frontier;
-    initial_frontier.valid = true;
-    options.capture_frontier = &initial_frontier.map;
-    const PatternSet cached = miner.Mine(db, options);
-    options.capture_frontier = nullptr;
-
-    // Mutate a few graphs: relabel one vertex each.
-    std::vector<int> updated;
-    for (int gi = 0; gi < db.size(); gi += 4) {
-      Graph& g = db.mutable_graph(gi);
-      const VertexId v = static_cast<VertexId>(rng.Uniform(g.VertexCount()));
-      g.set_vertex_label(v, static_cast<Label>(rng.Uniform(3)));
-      updated.push_back(gi);
-    }
-
-    const PatternSet expected = miner.Mine(db, options);
+    const PatternSet expected = miner.Mine(updated_db, options);
     for (const double delta_threshold : {1.0, 0.0}) {
       // 1.0 forces the update-proportional delta sweep; 0.0 forces the
       // exact re-sweep. Both must produce identical exact results.
-      MergeJoinOptions mj;
-      mj.min_support = sup;
-      mj.delta_sweep_max_fraction = delta_threshold;
-      MergeJoinStats stats;
-      NodeFrontier frontier = initial_frontier;
-      const PatternSet incremental =
-          IncMergeJoin(db, cached, updated, mj, &stats, &frontier);
+      PartMinerOptions part_options;
+      part_options.min_support_count = sup;
+      part_options.inc_delta_sweep_max_fraction = delta_threshold;
+      PartMiner state(part_options);
+      const int cached = state.Mine(db).patterns.size();
+      const IncPartMinerResult result =
+          IncPartMiner().Update(&state, updated_db, log);
+      const PatternSet& incremental = result.patterns;
 
       EXPECT_EQ(expected.SortedCodeStrings(), incremental.SortedCodeStrings())
           << "trial " << trial << " threshold " << delta_threshold;
@@ -160,7 +157,10 @@ TEST(IncMergeJoinTest, DeltaRecoveryAgainstGSpan) {
         EXPECT_EQ(p.tids, q->tids) << p.code.ToString();
       }
       if (delta_threshold == 1.0) {
-        EXPECT_EQ(stats.delta_recounts, cached.size());
+        EXPECT_GT(result.merge_stats.delta_recounts, 0);
+        EXPECT_EQ(result.merge_stats.delta_recounts, cached);
+      } else {
+        EXPECT_EQ(result.merge_stats.delta_recounts, 0);
       }
     }
   }
@@ -169,29 +169,32 @@ TEST(IncMergeJoinTest, DeltaRecoveryAgainstGSpan) {
 TEST(IncMergeJoinTest, NoUpdatesIsCheapIdentity) {
   Rng rng(123);
   const GraphDatabase db = testutil::RandomDatabase(&rng, 10, 8, 3, 3, 2);
-  GSpanMiner miner;
-  MinerOptions options;
-  options.min_support = 3;
-  const PatternSet cached = miner.Mine(db, options);
+  PartMinerOptions options;
+  options.min_support_count = 3;
+  PartMiner state(options);
+  const PatternSet cached = state.Mine(db).patterns;
 
-  MergeJoinOptions mj;
-  mj.min_support = 3;
-  MergeJoinStats stats;
-  const PatternSet result = IncMergeJoin(db, cached, {}, mj, &stats, nullptr);
-  EXPECT_EQ(cached.SortedCodeStrings(), result.SortedCodeStrings());
+  const IncPartMinerResult result =
+      IncPartMiner().Update(&state, db, UpdateLog());
+  EXPECT_EQ(cached.SortedCodeStrings(), result.patterns.SortedCodeStrings());
   // Nothing was updated: the discovery sweep generates no candidates.
-  EXPECT_EQ(stats.candidates_generated, 0);
-  EXPECT_EQ(stats.candidates_counted, 0);
+  EXPECT_EQ(result.merge_stats.candidates_generated, 0);
+  EXPECT_EQ(result.merge_stats.candidates_counted, 0);
 }
 
 /// One mined state plus a round of add-only edits (adding edges never
 /// removes an occurrence, so every cached pattern stays frequent).
 struct KnownVerdictCase {
   GraphDatabase db;
-  PatternSet cached;
-  NodeFrontier frontier;
-  std::vector<int> updated;
-  MergeJoinOptions mj;
+  PartMiner state{Options()};
+  int cached_multi_edge = 0;
+  UpdateLog log;
+
+  static PartMinerOptions Options() {
+    PartMinerOptions options;
+    options.min_support_count = 6;
+    return options;
+  }
 
   explicit KnownVerdictCase(double fraction_graphs) {
     GeneratorParams params;
@@ -202,31 +205,33 @@ struct KnownVerdictCase {
     params.avg_kernel_edges = 4;
     params.seed = 41;
     db = GenerateDatabase(params);
-    mj.min_support = 6;
-    cached = MergeJoin(db, mj, /*stats=*/nullptr, &frontier);
+    state.Mine(db);
+    for (const PatternInfo& p : state.patterns().patterns()) {
+      if (p.code.size() > 1) ++cached_multi_edge;
+    }
 
     UpdateOptions upd;
     upd.fraction_graphs = fraction_graphs;
     upd.kinds = {UpdateKind::kAddEdge, UpdateKind::kAddVertex};
     upd.seed = 5;
-    updated = ApplyUpdates(&db, params.num_labels, upd).updated_graphs;
+    log = ApplyUpdates(&db, params.num_labels, upd);
   }
 
-  /// Runs IncMergeJoin, checks it against gSpan, and returns how many
+  /// Runs one Update round, checks it against gSpan, and returns how many
   /// IsMinimalDfsCode calls it made.
   int64_t RunCountingChecks(MergeJoinStats* stats) {
     obs::Counter* checks = obs::MetricRegistry::Global().GetCounter(
         "miner.minimality_checks");
     const int64_t before = checks->value();
-    const PatternSet result =
-        IncMergeJoin(db, cached, updated, mj, stats, &frontier);
+    const IncPartMinerResult result = IncPartMiner().Update(&state, db, log);
     const int64_t calls = checks->value() - before;
+    *stats = result.merge_stats;
 
     GSpanMiner gspan;
     MinerOptions options;
-    options.min_support = mj.min_support;
+    options.min_support = Options().min_support_count;
     EXPECT_EQ(gspan.Mine(db, options).SortedCodeStrings(),
-              result.SortedCodeStrings());
+              result.patterns.SortedCodeStrings());
     return calls;
   }
 };
@@ -236,9 +241,10 @@ struct KnownVerdictCase {
 /// fewer codes than the still-frequent cached patterns it re-reaches.
 TEST(IncMergeJoinTest, DeltaRoundTestsOnlyUnknownVerdicts) {
   KnownVerdictCase c(/*fraction_graphs=*/0.05);
-  ASSERT_LE(c.updated.size(), 0.15 * c.db.size());  // The delta path.
+  ASSERT_LE(c.log.updated_graphs.size(), 0.15 * c.db.size());
   MergeJoinStats stats;
   const int64_t calls = c.RunCountingChecks(&stats);
+  EXPECT_GT(stats.delta_recounts, 0);  // The delta path ran.
   ASSERT_GT(stats.candidates_skipped_known, 0);
   EXPECT_LT(calls, stats.candidates_skipped_known);
 }
@@ -247,14 +253,11 @@ TEST(IncMergeJoinTest, DeltaRoundTestsOnlyUnknownVerdicts) {
 /// the cached multi-edge patterns it re-emits.
 TEST(IncMergeJoinTest, ResweepTestsOnlyUnknownVerdicts) {
   KnownVerdictCase c(/*fraction_graphs=*/0.4);
-  ASSERT_GT(c.updated.size(), 0.15 * c.db.size());  // The re-sweep path.
-  int64_t multi_edge = 0;
-  for (const PatternInfo& p : c.cached.patterns()) {
-    if (p.code.size() > 1) ++multi_edge;
-  }
-  ASSERT_GT(multi_edge, 0);
+  ASSERT_GT(c.log.updated_graphs.size(), 0.15 * c.db.size());
+  ASSERT_GT(c.cached_multi_edge, 0);
   MergeJoinStats stats;
-  EXPECT_LT(c.RunCountingChecks(&stats), multi_edge);
+  EXPECT_LT(c.RunCountingChecks(&stats), c.cached_multi_edge);
+  EXPECT_EQ(stats.delta_recounts, 0);  // The re-sweep path ran.
 }
 
 }  // namespace

@@ -8,7 +8,6 @@
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "core/inc_part_miner.h"
-#include "core/merge_join.h"
 #include "core/part_miner.h"
 #include "datagen/generator.h"
 #include "datagen/update_generator.h"
@@ -283,28 +282,24 @@ TEST(ParallelMineTest, FrontierContractHoldsAfterIncrementalGrow) {
   int grown_keys = 0;
   for (int seed = 0; seed < 30; ++seed) {
     GraphDatabase db = testutil::RandomDatabase(&rng, 14, 7, 3, 3, 2);
-    const int support = 4;
-    NodeFrontier frontier;
-    frontier.valid = true;
-    MinerOptions options;
-    options.min_support = support;
-    options.capture_frontier = &frontier.map;
-    GSpanMiner gspan;
-    const PatternSet cached = gspan.Mine(db, options);
+    PartMinerOptions part_options;
+    part_options.min_support_count = 4;
+    part_options.inc_delta_sweep_max_fraction = 1.0;  // Always the delta sweep.
+    PartMiner state(part_options);
+    const PatternSet cached = state.Mine(db).patterns;
 
-    const std::vector<int> updated = {3, 7};
-    for (const int gi : updated) db.mutable_graph(gi) = db.graph(0);
-    MergeJoinOptions mj;
-    mj.min_support = support;
-    mj.delta_sweep_max_fraction = 1.0;  // Always the delta sweep.
-    MergeJoinStats stats;
-    const PatternSet result =
-        IncMergeJoin(db, cached, updated, mj, &stats, &frontier);
-    if (stats.spanning_found > 0) ++grown_rounds;
-
+    UpdateLog log;
+    log.updated_graphs = {3, 7};
+    for (const int gi : log.updated_graphs) db.mutable_graph(gi) = db.graph(0);
+    const IncPartMinerResult update = IncPartMiner().Update(&state, db, log);
+    const PatternSet& result = update.patterns;
     const std::string what = "seed " + std::to_string(seed);
-    frontier.map.Compact();
-    const FrontierMap compacted = frontier.map.ToMap();
+    EXPECT_GT(update.merge_stats.delta_recounts, 0) << what;
+    if (update.merge_stats.spanning_found > 0) ++grown_rounds;
+
+    Frontier& frontier = state.mutable_root_frontier().map;
+    frontier.Compact();
+    const FrontierMap compacted = frontier.ToMap();
     ExpectExactFrontier(db, result, compacted, what);
 
     // Keys under a newly frequent pattern were written by the grow; there
@@ -408,17 +403,17 @@ TEST(ParallelMineTest, LazyFrontierExactAcrossChainedDeltaRounds) {
   for (int seed = 0; seed < 20; ++seed) {
     GraphDatabase db = testutil::RandomDatabase(&rng, 16, 7, 3, 3, 2);
     const int support = 3;
-    NodeFrontier frontier;
-    frontier.valid = true;
+    PartMinerOptions part_options;
+    part_options.min_support_count = support;
+    // The delta path, never compacted.
+    part_options.inc_delta_sweep_max_fraction = 1.0;
+    PartMiner state(part_options);
+    state.Mine(db);
+    const NodeFrontier& frontier = state.root_frontier();
     MinerOptions options;
     options.min_support = support;
-    options.capture_frontier = &frontier.map;
     GSpanMiner gspan;
-    PatternSet cached = gspan.Mine(db, options);
-    options.capture_frontier = nullptr;
-    MergeJoinOptions mj;
-    mj.min_support = support;
-    mj.delta_sweep_max_fraction = 1.0;  // Delta path, never compacted.
+    IncPartMiner inc;
 
     struct Relabel {
       int graph;
@@ -453,11 +448,13 @@ TEST(ParallelMineTest, LazyFrontierExactAcrossChainedDeltaRounds) {
       updated.push_back(gi);
 
       const Frontier::CutLog cut_before = frontier.map.cuts();
-      MergeTransitions transitions;
-      cached = IncMergeJoin(db, cached, updated, mj, nullptr, &frontier,
-                            &transitions);
+      UpdateLog log;
+      log.updated_graphs = updated;
+      const IncPartMinerResult update = inc.Update(&state, db, log);
+      const PatternSet& cached = update.patterns;
       const std::string what =
           "seed " + std::to_string(seed) + " round " + std::to_string(round);
+      EXPECT_GT(update.merge_stats.delta_recounts, 0) << what;
       const PatternSet expected = gspan.Mine(db, options);
       ASSERT_EQ(expected.SortedCodeStrings(), cached.SortedCodeStrings())
           << what;
@@ -481,8 +478,8 @@ TEST(ParallelMineTest, LazyFrontierExactAcrossChainedDeltaRounds) {
           ++dead_keys_seen;
         }
       });
-      for (const DfsCode& code : transitions.became_frequent) {
-        if (cut_before.count(code) > 0) ++regrown_cut_prefixes;
+      for (const PatternInfo& p : update.if_.patterns()) {
+        if (cut_before.count(p.code) > 0) ++regrown_cut_prefixes;
       }
 
       // Compaction changes no lookup and leaves nothing dead.

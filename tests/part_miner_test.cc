@@ -93,13 +93,11 @@ TEST(PartMinerTest, GastonAndGSpanUnitMinersAgree) {
 TEST(PartMinerTest, SupportFractionResolution) {
   PartMinerOptions options;
   options.min_support_fraction = 0.04;
-  PartMiner miner(options);
-  EXPECT_EQ(miner.ResolveSupport(100), 4);
-  EXPECT_EQ(miner.ResolveSupport(101), 5);   // ceil.
-  EXPECT_EQ(miner.ResolveSupport(10), 1);
+  EXPECT_EQ(options.ResolveSupport(100), 4);
+  EXPECT_EQ(options.ResolveSupport(101), 5);   // ceil.
+  EXPECT_EQ(options.ResolveSupport(10), 1);
   options.min_support_count = 7;
-  PartMiner absolute(options);
-  EXPECT_EQ(absolute.ResolveSupport(100), 7);
+  EXPECT_EQ(options.ResolveSupport(100), 7);
 }
 
 TEST(PartMinerTest, NodeSupportHalvesPerDepth) {
@@ -173,9 +171,9 @@ TEST(PartMinerTest, ParallelUnitMiningMatchesSerial) {
                     "parallel unit mining");
 }
 
-/// The paper pipeline's root merge is PartMiner::Mine: the same patterns
-/// in the same order, with the same supports and TIDs, and the same root
-/// frontier, whatever the partition and the unit-mining pool.
+/// The paper pipeline's root merge is PartMiner::Mine's sweep without the
+/// frontier capture: the same patterns in the same order, with the same
+/// supports and TIDs, whatever the partition and the unit-mining pool.
 TEST(PartMinerTest, PaperPipelineMatchesMineBitIdentical) {
   Rng rng(57);
   const GraphDatabase db = testutil::RandomDatabase(&rng, 16, 8, 3, 3, 2);
@@ -193,9 +191,7 @@ TEST(PartMinerTest, PaperPipelineMatchesMineBitIdentical) {
       PartMinerOptions paper = options;
       paper.partition.k = k;
       paper.unit_mining_threads = threads;
-      NodeFrontier frontier;
-      const PatternSet got =
-          MinePaperPipeline(db, paper, &frontier).patterns;
+      const PatternSet got = MinePaperPipeline(db, paper).patterns;
       ASSERT_EQ(expected.size(), got.size()) << what;
       for (int i = 0; i < expected.size(); ++i) {
         const PatternInfo& a = expected.patterns()[i];
@@ -204,8 +200,6 @@ TEST(PartMinerTest, PaperPipelineMatchesMineBitIdentical) {
         EXPECT_EQ(a.support, b.support) << what;
         EXPECT_EQ(a.tids, b.tids) << what;
       }
-      EXPECT_TRUE(frontier.valid) << what;
-      EXPECT_TRUE(frontier.map == miner.root_frontier().map) << what;
     }
   }
 }

@@ -29,6 +29,7 @@
 
 #include "adi/adi_index.h"
 #include "adi/adi_miner.h"
+#include "common/flags.h"
 #include "common/parse.h"
 #include "common/thread_pool.h"
 #include "common/timing.h"
@@ -45,73 +46,21 @@ namespace {
 
 using namespace partminer;
 
-std::map<std::string, std::string> ParseFlags(int argc, char** argv) {
-  std::map<std::string, std::string> flags;
-  for (int i = 2; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) {
-      std::fprintf(stderr, "warning: ignoring stray argument '%s'\n",
-                   arg.c_str());
-      continue;
-    }
-    arg = arg.substr(2);
-    const size_t eq = arg.find('=');
-    if (eq == std::string::npos) {
-      flags[arg] = "1";
-    } else {
-      flags[arg.substr(0, eq)] = arg.substr(eq + 1);
-    }
-  }
-  return flags;
-}
-
-std::string Get(const std::map<std::string, std::string>& flags,
-                const std::string& key, const std::string& fallback) {
-  const auto it = flags.find(key);
-  return it == flags.end() ? fallback : it->second;
-}
+using flags::FlagMap;
 
 /// Strictly-parsed numeric flags: --threads=eight (or =8abc) is a usage
-/// error instead of silently becoming 0 the way std::atoi made it.
-int IntFlag(const std::map<std::string, std::string>& flags,
-            const std::string& key, int fallback) {
-  const std::string raw = Get(flags, key, "");
-  if (raw.empty()) return fallback;
+/// error (exit 2) instead of silently becoming a default.
+int IntFlag(const FlagMap& flag_map, const std::string& key, int fallback) {
   int value = 0;
-  if (!ParseInt32(raw, &value)) {
-    std::fprintf(stderr, "error: --%s=%s is not an integer\n", key.c_str(),
-                 raw.c_str());
-    std::exit(2);
-  }
+  if (!flags::IntFlag(flag_map, key, fallback, &value)) std::exit(2);
   return value;
 }
 
-double DoubleFlag(const std::map<std::string, std::string>& flags,
-                  const std::string& key, double fallback) {
-  const std::string raw = Get(flags, key, "");
-  if (raw.empty()) return fallback;
+double DoubleFlag(const FlagMap& flag_map, const std::string& key,
+                  double fallback) {
   double value = 0;
-  if (!ParseDouble(raw, &value)) {
-    std::fprintf(stderr, "error: --%s=%s is not a number\n", key.c_str(),
-                 raw.c_str());
-    std::exit(2);
-  }
+  if (!flags::DoubleFlag(flag_map, key, fallback, &value)) std::exit(2);
   return value;
-}
-
-/// Warns (stderr) about every parsed flag not in `known`, so a typo like
-/// --suport=0.05 is visible instead of silently falling back to a default.
-void WarnUnknownFlags(const std::map<std::string, std::string>& flags,
-                      std::initializer_list<const char*> known) {
-  for (const auto& [key, value] : flags) {
-    const bool recognized =
-        std::any_of(known.begin(), known.end(),
-                    [&key](const char* k) { return key == k; });
-    if (!recognized) {
-      std::fprintf(stderr, "warning: unrecognized flag --%s (ignored)\n",
-                   key.c_str());
-    }
-  }
 }
 
 /// Pages `db` through the disk-backed storage layer and records its paged
@@ -176,12 +125,13 @@ Status WritePatterns(const PatternSet& patterns, std::ostream& out) {
   return Status::Ok();
 }
 
-int Mine(const std::map<std::string, std::string>& flags) {
-  WarnUnknownFlags(flags, {"input", "support", "k", "algo", "criteria",
-                           "threads", "max-edges", "pool-frames", "closed",
-                           "maximal", "output", "trace", "metrics"});
+int Mine(const FlagMap& flag_map) {
+  flags::WarnUnknown(flag_map,
+                     {"input", "support", "k", "algo", "criteria", "threads",
+                      "max-edges", "pool-frames", "closed", "maximal",
+                      "output", "trace", "metrics"});
   GraphDatabase db;
-  const std::string input = Get(flags, "input", "");
+  const std::string input = flags::Get(flag_map, "input", "");
   if (input.empty()) {
     std::fprintf(stderr, "error: mine requires --input=<db.lg>\n");
     return Usage();
@@ -192,26 +142,26 @@ int Mine(const std::map<std::string, std::string>& flags) {
     return 1;
   }
 
-  const double support = DoubleFlag(flags, "support", 0.05);
+  const double support = DoubleFlag(flag_map, "support", 0.05);
   if (support <= 0.0) {
     std::fprintf(stderr, "error: --support must be positive (got %s)\n",
-                 Get(flags, "support", "0.05").c_str());
+                 flags::Get(flag_map, "support", "0.05").c_str());
     return Usage();
   }
   const int support_count =
       support >= 1.0
           ? static_cast<int>(support)
           : std::max(1, static_cast<int>(std::ceil(support * db.size())));
-  const int max_edges = IntFlag(flags, "max-edges", 0);
-  const std::string algo = Get(flags, "algo", "partminer");
+  const int max_edges = IntFlag(flag_map, "max-edges", 0);
+  const std::string algo = flags::Get(flag_map, "algo", "partminer");
 
-  const std::string trace_path = Get(flags, "trace", "");
-  const std::string metrics_path = Get(flags, "metrics", "");
+  const std::string trace_path = flags::Get(flag_map, "trace", "");
+  const std::string metrics_path = flags::Get(flag_map, "metrics", "");
   if (!trace_path.empty()) obs::Tracer::Global().Start();
 
   // Buffer-pool capacity for --algo=adi.
   PoolSizing pool_sizing;
-  pool_sizing.frames = IntFlag(flags, "pool-frames", pool_sizing.frames);
+  pool_sizing.frames = IntFlag(flag_map, "pool-frames", pool_sizing.frames);
   if (pool_sizing.frames < 1) {
     std::fprintf(stderr, "error: --pool-frames must be at least 1 (got %d)\n",
                  pool_sizing.frames);
@@ -226,7 +176,7 @@ int Mine(const std::map<std::string, std::string>& flags) {
     if (max_edges > 0) options.max_edges = max_edges;
     // --threads=N parallelizes the search tree on a work-stealing pool;
     // output is bit-identical to the serial traversal.
-    const int threads = IntFlag(flags, "threads", 0);
+    const int threads = IntFlag(flag_map, "threads", 0);
     std::unique_ptr<ThreadPool> pool;
     if (threads > 0) {
       pool = std::make_unique<ThreadPool>(threads);
@@ -244,10 +194,10 @@ int Mine(const std::map<std::string, std::string>& flags) {
     // --criteria and --threads keep their meaning.
     PartMinerOptions options;
     options.min_support_count = support_count;
-    options.partition.k = std::max(1, IntFlag(flags, "k", 2));
-    options.unit_mining_threads = IntFlag(flags, "threads", 0);
+    options.partition.k = std::max(1, IntFlag(flag_map, "k", 2));
+    options.unit_mining_threads = IntFlag(flag_map, "threads", 0);
     if (max_edges > 0) options.max_edges = max_edges;
-    const std::string criteria = Get(flags, "criteria", "combined");
+    const std::string criteria = flags::Get(flag_map, "criteria", "combined");
     if (criteria == "mincut") {
       options.partition.criteria = PartitionCriteria::kMinCut;
     } else if (criteria == "isolation") {
@@ -280,8 +230,8 @@ int Mine(const std::map<std::string, std::string>& flags) {
     return Usage();
   }
 
-  if (flags.count("closed")) patterns = ClosedPatterns(patterns);
-  if (flags.count("maximal")) patterns = MaximalPatterns(patterns);
+  if (flag_map.count("closed")) patterns = ClosedPatterns(patterns);
+  if (flag_map.count("maximal")) patterns = MaximalPatterns(patterns);
 
   if (!metrics_path.empty() && algo != "adi") {
     StorageFootprintProbe(db);
@@ -298,12 +248,12 @@ int Mine(const std::map<std::string, std::string>& flags) {
   std::fprintf(stderr,
                "%d graphs, min support %d: %d %spatterns in %.3fs (%s)\n",
                db.size(), support_count, patterns.size(),
-               flags.count("closed")    ? "closed "
-               : flags.count("maximal") ? "maximal "
+               flag_map.count("closed")    ? "closed "
+               : flag_map.count("maximal") ? "maximal "
                                         : "",
                watch.ElapsedSeconds(), algo.c_str());
 
-  const std::string output = Get(flags, "output", "");
+  const std::string output = flags::Get(flag_map, "output", "");
   if (output.empty()) {
     status = WritePatterns(patterns, std::cout);
   } else {
@@ -321,16 +271,16 @@ int Mine(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int Gen(const std::map<std::string, std::string>& flags) {
-  WarnUnknownFlags(flags, {"output", "d", "t", "n", "l", "i", "seed"});
+int Gen(const FlagMap& flag_map) {
+  flags::WarnUnknown(flag_map, {"output", "d", "t", "n", "l", "i", "seed"});
   GeneratorParams params;
-  params.num_graphs = IntFlag(flags, "d", 500);
-  params.avg_edges = IntFlag(flags, "t", 20);
-  params.num_labels = IntFlag(flags, "n", 20);
-  params.num_kernels = IntFlag(flags, "l", 50);
-  params.avg_kernel_edges = IntFlag(flags, "i", 5);
+  params.num_graphs = IntFlag(flag_map, "d", 500);
+  params.avg_edges = IntFlag(flag_map, "t", 20);
+  params.num_labels = IntFlag(flag_map, "n", 20);
+  params.num_kernels = IntFlag(flag_map, "l", 50);
+  params.avg_kernel_edges = IntFlag(flag_map, "i", 5);
   int64_t gen_seed = 1;
-  const std::string seed_raw = Get(flags, "seed", "1");
+  const std::string seed_raw = flags::Get(flag_map, "seed", "1");
   if (!ParseInt64(seed_raw, &gen_seed)) {
     std::fprintf(stderr, "error: --seed=%s is not an integer\n",
                  seed_raw.c_str());
@@ -339,7 +289,7 @@ int Gen(const std::map<std::string, std::string>& flags) {
   params.seed = static_cast<uint64_t>(gen_seed);
   const GraphDatabase db = GenerateDatabase(params);
 
-  const std::string output = Get(flags, "output", "");
+  const std::string output = flags::Get(flag_map, "output", "");
   const Status status = output.empty()
                             ? WriteGraphDatabase(db, std::cout)
                             : WriteGraphDatabaseFile(db, output);
@@ -353,9 +303,9 @@ int Gen(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int Stats(const std::map<std::string, std::string>& flags) {
-  WarnUnknownFlags(flags, {"input"});
-  const std::string input = Get(flags, "input", "");
+int Stats(const FlagMap& flag_map) {
+  flags::WarnUnknown(flag_map, {"input"});
+  const std::string input = flags::Get(flag_map, "input", "");
   if (input.empty()) {
     std::fprintf(stderr, "error: stats requires --input=<db.lg>\n");
     return Usage();
@@ -420,9 +370,10 @@ int Stats(const std::map<std::string, std::string>& flags) {
 int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string command = argv[1];
-  const auto flags = ParseFlags(argc, argv);
-  if (command == "mine") return Mine(flags);
-  if (command == "gen") return Gen(flags);
-  if (command == "stats") return Stats(flags);
+  // The subcommand is argv[1]; its flags follow.
+  const FlagMap flag_map = flags::Parse(argc - 1, argv + 1);
+  if (command == "mine") return Mine(flag_map);
+  if (command == "gen") return Gen(flag_map);
+  if (command == "stats") return Stats(flag_map);
   return Usage();
 }

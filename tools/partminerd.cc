@@ -3,7 +3,7 @@
 //   partminerd --input=db.lg [--support=0.05]
 //              (--socket=/path/daemon.sock | --stdio)
 //              [--queue-cap=4096] [--batch-max=256]
-//              [--snapshot-prefix=/path/snap] [--num-labels=20]
+//              [--snapshot-prefix=/path/snap]
 //              [--metrics=metrics.json] [--trace=trace.json]
 //              [--slow-ms=MS] [--flight-dump=flight.json]
 //              [--fault-read=SPEC] [--fault-write=SPEC] [--fault-alloc=SPEC]
@@ -88,7 +88,7 @@ int Usage() {
       "usage: partminerd (--input=db.lg | --restore=prefix) "
       "(--socket=path | --stdio) [--support=0.05] "
       "[--queue-cap=4096] [--batch-max=256] [--snapshot-prefix=path] "
-      "[--num-labels=20] [--metrics=out.json] [--trace=out.json] "
+      "[--metrics=out.json] [--trace=out.json] "
       "[--slow-ms=MS] [--flight-dump=out.json] "
       "[--fault-read|--fault-write|--fault-alloc=once:N|n:S:C|p:P] "
       "[--fault-seed=S]\n");
@@ -135,10 +135,9 @@ int Main(int argc, char** argv) {
   const flags::FlagMap flag_map = flags::Parse(argc, argv);
   flags::WarnUnknown(flag_map,
                      {"input", "restore", "socket", "stdio", "support",
-                      "queue-cap", "batch-max", "snapshot-prefix",
-                      "num-labels", "metrics", "trace", "slow-ms",
-                      "flight-dump", "fault-read", "fault-write",
-                      "fault-alloc", "fault-seed"});
+                      "queue-cap", "batch-max", "snapshot-prefix", "metrics",
+                      "trace", "slow-ms", "flight-dump", "fault-read",
+                      "fault-write", "fault-alloc", "fault-seed"});
 
   const std::string input = flags::Get(flag_map, "input", "");
   const std::string restore = flags::Get(flag_map, "restore", "");
@@ -149,12 +148,11 @@ int Main(int argc, char** argv) {
     return Usage();
   }
 
-  int queue_cap = 4096, batch_max = 256, num_labels = 20;
+  int queue_cap = 4096, batch_max = 256;
   int fault_seed = 1;
   double support = 0.05, slow_ms = 0;
   if (!flags::IntFlag(flag_map, "queue-cap", 4096, &queue_cap) ||
       !flags::IntFlag(flag_map, "batch-max", 256, &batch_max) ||
-      !flags::IntFlag(flag_map, "num-labels", 20, &num_labels) ||
       !flags::IntFlag(flag_map, "fault-seed", 1, &fault_seed) ||
       !flags::DoubleFlag(flag_map, "support", 0.05, &support) ||
       !flags::DoubleFlag(flag_map, "slow-ms", 0, &slow_ms)) {
@@ -178,7 +176,6 @@ int Main(int argc, char** argv) {
   if (!trace_path.empty()) obs::Tracer::Global().Start();
 
   service::SessionOptions session_options;
-  session_options.num_labels = num_labels;
   if (support >= 1.0) {
     session_options.miner.min_support_count = static_cast<int>(support);
   } else {
