@@ -1,6 +1,10 @@
 // Micro benchmarks (google-benchmark) for the core graph machinery:
 // minimum-DFS-code construction, minimality checking (generic vs the
-// Gaston path fast-path), and subgraph-isomorphism support counting.
+// Gaston path fast-path), subgraph-isomorphism support counting, and the
+// TidSet operations at sizes on both sides of the inline/dense boundary.
+
+#include <utility>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
@@ -9,6 +13,7 @@
 #include "graph/dfs_code.h"
 #include "graph/graph.h"
 #include "graph/isomorphism.h"
+#include "graph/tid_set.h"
 #include "miner/gaston.h"
 
 namespace partminer {
@@ -117,6 +122,57 @@ void BM_SubgraphIsomorphism(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SubgraphIsomorphism)->Arg(3)->Arg(5)->Arg(8);
+
+// `members` distinct TIDs drawn from a 2000-graph database.
+TidSet RandomTidSet(Rng* rng, int members) {
+  constexpr int kUniverse = 2000;
+  std::vector<int> all(kUniverse);
+  for (int i = 0; i < kUniverse; ++i) all[i] = i;
+  for (int i = 0; i < members; ++i) {
+    std::swap(all[i], all[i + rng->Uniform(kUniverse - i)]);
+  }
+  all.resize(members);
+  return TidSet::FromVector(all);
+}
+
+// Per-operation reference at 1, 4 (largest inline), 5 (smallest dense), 80
+// and 2000 members; each operand pair has equal sizes.
+void TidSetSizes(benchmark::internal::Benchmark* b) {
+  for (const int members : {1, 4, 5, 80, 2000}) b->Arg(members);
+}
+
+void BM_TidSetUnion(benchmark::State& state) {
+  Rng rng(19);
+  const TidSet a = RandomTidSet(&rng, static_cast<int>(state.range(0)));
+  const TidSet b = RandomTidSet(&rng, static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    TidSet got = a;
+    got |= b;
+    benchmark::DoNotOptimize(got);
+  }
+}
+BENCHMARK(BM_TidSetUnion)->Apply(TidSetSizes);
+
+void BM_TidSetDifference(benchmark::State& state) {
+  Rng rng(23);
+  const TidSet a = RandomTidSet(&rng, static_cast<int>(state.range(0)));
+  const TidSet b = RandomTidSet(&rng, static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    TidSet got = a;
+    got -= b;
+    benchmark::DoNotOptimize(got);
+  }
+}
+BENCHMARK(BM_TidSetDifference)->Apply(TidSetSizes);
+
+void BM_TidSetCount(benchmark::State& state) {
+  Rng rng(29);
+  const TidSet a = RandomTidSet(&rng, static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(a.Count());
+  }
+}
+BENCHMARK(BM_TidSetCount)->Apply(TidSetSizes);
 
 }  // namespace
 }  // namespace partminer

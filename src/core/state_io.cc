@@ -34,8 +34,8 @@ void WriteCode(const DfsCode& code, std::ostream& out) {
   }
 }
 
-// TidSets round-trip through their ascending vector form, keeping the text
-// format identical to the pre-bitset one.
+// TidSets round-trip through their ascending vector form, so the text does
+// not depend on which form a set is stored in.
 void WriteTids(const TidSet& tids, std::ostream& out) {
   const std::vector<int> v = tids.ToVector();
   out << v.size();

@@ -27,7 +27,7 @@ bool Covers(const PatternInfo& super, const PatternInfo& sub,
             bool require_equal_support) {
   if (require_equal_support && super.support != sub.support) return false;
   // TID inclusion is a necessary condition and much cheaper than the
-  // isomorphism check (word-wise subset test on the bitsets).
+  // isomorphism check (TidSet::Includes).
   if (!sub.tids.Includes(super.tids)) return false;
   return ContainsSubgraph(super.code.ToGraph(), sub.code.ToGraph());
 }

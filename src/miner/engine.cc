@@ -517,11 +517,14 @@ std::vector<int> TidsOf(const Projected& projected) {
 
 TidSet TidSetOf(const Projected& projected) {
   TidSet tids;
+  if (projected.empty()) return tids;
+  // Ascending graph order: the last embedding holds the largest TID.
+  const int max_tid = projected.back().graph_index;
   int last = -1;
   for (const Embedding& e : projected) {
     if (e.graph_index != last) {
       PM_DCHECK(e.graph_index > last);
-      tids.Add(e.graph_index);
+      tids.Append(e.graph_index, max_tid);
       last = e.graph_index;
     }
   }

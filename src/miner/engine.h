@@ -190,7 +190,9 @@ int SupportOf(const Projected& projected);
 /// Distinct database indices of an embedding list, ascending.
 std::vector<int> TidsOf(const Projected& projected);
 
-/// TidsOf as a TidSet — the form PatternInfo and the frontier store.
+/// TidsOf as a TidSet — the form PatternInfo and the frontier store. A set
+/// past TidSet::kInline TIDs allocates its bitset once, sized by the last
+/// embedding.
 TidSet TidSetOf(const Projected& projected);
 
 }  // namespace engine

@@ -50,11 +50,17 @@ void Frontier::Strip(Epoch since, TidSet* tids) const {
     *tids -= pending_;
     return;
   }
-  TidSet stale = *tids;
-  stale &= pending_;
-  stale.ForEach([&](int g) {
-    if (graph_epoch_[g] > since) tids->Remove(g);
-  });
+  // Walk the smaller of the two sets; most entries hold a TID or two.
+  if (tids->Count() <= pending_.Count()) {
+    tids->RemoveIf([&](int g) {
+      return static_cast<size_t>(g) < graph_epoch_.size() &&
+             graph_epoch_[g] > since;
+    });
+  } else {
+    pending_.ForEach([&](int g) {
+      if (graph_epoch_[g] > since) tids->Remove(g);
+    });
+  }
 }
 
 void Frontier::Compact() {

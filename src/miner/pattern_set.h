@@ -16,9 +16,9 @@ namespace partminer {
 
 /// One discovered frequent subgraph: its canonical (minimum) DFS code, its
 /// support, and the TID set — indices of the database graphs containing it,
-/// stored as a dense bitset (see tid_set.h). TID sets are what make the
-/// incremental delta-recount of IncPartMiner possible and they confine
-/// merge-join support counting to candidate graphs.
+/// inline up to four TIDs and a bitset above that (see tid_set.h). TID sets
+/// are what make the incremental delta-recount of IncPartMiner possible and
+/// they confine merge-join support counting to candidate graphs.
 struct PatternInfo {
   DfsCode code;
   int support = 0;

@@ -281,10 +281,20 @@ Status MinerSession::Query(const QueryRequest& request, QueryReply* reply) {
 
 Status MinerSession::Snapshot(const std::string& prefix,
                               SnapshotResult* result) {
-  std::shared_lock lock(mu_);
-  if (miner_ == nullptr) return NotInitialized();
-  if (prefix.empty()) return Status::InvalidArgument("empty snapshot prefix");
-  result->epoch = epoch_;
+  // Copy the resident state under the lock and write it without: the next
+  // batch apply waits for the copy, not for the disk.
+  GraphDatabase db;
+  std::unique_ptr<PartMiner> miner;
+  {
+    std::shared_lock lock(mu_);
+    if (miner_ == nullptr) return NotInitialized();
+    if (prefix.empty()) {
+      return Status::InvalidArgument("empty snapshot prefix");
+    }
+    result->epoch = epoch_;
+    db = db_;
+    miner = std::make_unique<PartMiner>(*miner_);
+  }
   result->db_path = prefix + ".db.lg";
   result->state_path = prefix + ".state";
   // One injector consultation per file write, mirroring the DiskManager
@@ -295,7 +305,7 @@ Status MinerSession::Snapshot(const std::string& prefix,
     return RecordInjectedFault(FaultInjector::Op::kWrite,
                                "writing " + result->db_path);
   }
-  PARTMINER_RETURN_IF_ERROR_CTX(WriteGraphDatabaseFile(db_, result->db_path),
+  PARTMINER_RETURN_IF_ERROR_CTX(WriteGraphDatabaseFile(db, result->db_path),
                                 "snapshotting database");
   if (injector_ != nullptr &&
       injector_->ShouldFail(FaultInjector::Op::kWrite)) {
@@ -303,12 +313,12 @@ Status MinerSession::Snapshot(const std::string& prefix,
                                "writing " + result->state_path);
   }
   PARTMINER_RETURN_IF_ERROR_CTX(
-      SaveMinerStateFile(*miner_, result->state_path),
+      SaveMinerStateFile(*miner, result->state_path),
       "snapshotting miner state");
   PM_METRIC_COUNTER("service.snapshots")->Increment();
   obs::FlightRecorder::Global().Record(
       obs::FlightEventType::kSnapshotWritten,
-      static_cast<int64_t>(epoch_), 0, 0, prefix.c_str());
+      static_cast<int64_t>(result->epoch), 0, 0, prefix.c_str());
   return Status::Ok();
 }
 

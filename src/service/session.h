@@ -109,8 +109,10 @@ struct Published {
 ///  - Query, Current, ready, epoch, digest, resident_support, graph_count
 ///    and pattern_count copy that pointer and never take the session lock:
 ///    a reply reflects one published epoch and never waits on an apply.
-///  - Snapshot, VerifiedPatterns and DigestAt read the resident state under
-///    the session lock, shared (a snapshot holds off the next apply).
+///  - VerifiedPatterns and DigestAt read the resident state under the
+///    session lock, shared. Snapshot copies it under the lock, shared, and
+///    writes the copy with no lock held, so the disk never holds off an
+///    apply.
 ///  - DigestAt keeps the last kDigestWindow epochs, so tests can check a
 ///    reply's (epoch, digest) against what the batcher produced.
 ///
@@ -142,8 +144,10 @@ class MinerSession {
   /// from the current published epoch; never takes the session lock.
   Status Query(const QueryRequest& request, QueryReply* reply);
 
-  /// Writes `<prefix>.db.lg` + `<prefix>.state` (state_io v4, checksummed).
-  /// Shared lock: holds off the next batch apply, never a query.
+  /// Writes `<prefix>.db.lg` + `<prefix>.state` (state_io v4, checksummed)
+  /// of the epoch current when it starts. It copies that state under the
+  /// session lock, shared, and writes with no lock held: the next batch
+  /// apply waits for the copy only, and a query never waits.
   Status Snapshot(const std::string& prefix, SnapshotResult* result);
 
   /// The current published epoch (an empty, unready one until the first

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <thread>
 #include <unistd.h>
 #include <vector>
 
@@ -160,6 +161,51 @@ TEST_F(ServiceRecoveryTest, SnapshotAfterEveryBatchRestoresEveryEpoch) {
         << "crash after batch " << crash;
   }
   for (const std::string& prefix : prefixes) RemoveSnapshot(prefix);
+}
+
+TEST_F(ServiceRecoveryTest, SnapshotWhileBatchesApplyRestoresItsEpoch) {
+  // Snapshots race batch applies on another thread. Each must capture one
+  // whole epoch: the database and miner state it restores digest to what the
+  // writer recorded for the epoch the snapshot reports.
+  EditStreamOptions stream;
+  stream.seed = 11;
+  stream.requests = 24;
+  stream.update_fraction = 1.0;
+  stream.edits_per_update = 5;
+  stream.num_labels = 4;
+  stream.resident_support = 3;
+  std::vector<std::vector<EditOp>> batches;
+  for (const StreamItem& item : GenerateEditStream(db_, stream)) {
+    batches.push_back(item.edits);
+  }
+
+  MinerSession session(MakeOptions());
+  ASSERT_TRUE(session.Init(db_).ok());
+  std::thread writer([&] {
+    for (const auto& batch : batches) {
+      BatchResult result;
+      EXPECT_TRUE(session.ApplyBatch(batch, &result).ok());
+    }
+  });
+  constexpr int kSnapshots = 6;
+  std::vector<std::string> prefixes;
+  std::vector<SnapshotResult> snapshots(kSnapshots);
+  for (int i = 0; i < kSnapshots; ++i) {
+    prefixes.push_back(TempPrefix(("race" + std::to_string(i)).c_str()));
+    EXPECT_TRUE(session.Snapshot(prefixes[i], &snapshots[i]).ok());
+  }
+  writer.join();
+
+  for (int i = 0; i < kSnapshots; ++i) {
+    MinerSession restored(MakeOptions());
+    ASSERT_TRUE(restored
+                    .InitFromSnapshot(snapshots[i].db_path,
+                                      snapshots[i].state_path)
+                    .ok());
+    EXPECT_EQ(restored.digest(), session.DigestAt(snapshots[i].epoch))
+        << "snapshot " << i << " at epoch " << snapshots[i].epoch;
+    RemoveSnapshot(prefixes[i]);
+  }
 }
 
 TEST_F(ServiceRecoveryTest, FailedRestoreLeavesSessionUnready) {
