@@ -9,13 +9,14 @@
 //   ./build/examples/dynamic_road_network
 
 #include <cstdio>
+#include <string>
 
 #include "common/timing.h"
 #include "core/inc_part_miner.h"
 #include "core/part_miner.h"
-#include "core/state_io.h"
 #include "datagen/generator.h"
 #include "datagen/update_generator.h"
+#include "graph/graph_io.h"
 #include "miner/gspan.h"
 
 int main() {
@@ -47,24 +48,25 @@ int main() {
 
   double inc_total = 0, scratch_total = 0;
   IncPartMiner inc;
-  const std::string state_path = "/tmp/partminer_road_network.state";
+  const std::string db_path = "/tmp/partminer_road_network.lg";
   for (int round = 1; round <= 5; ++round) {
     if (round == 4) {
-      // Simulate a maintenance-process restart: persist the state, drop the
-      // in-memory miner, and resume from disk.
-      Status status = SaveMinerStateFile(miner, state_path);
+      // Simulate a maintenance-process restart: persist the database, drop
+      // the in-memory miner, and re-mine what was read back. The miner
+      // state is a function of the database and the support.
+      Status status = WriteGraphDatabaseFile(db, db_path);
+      GraphDatabase reloaded;
+      if (status.ok()) status = ReadGraphDatabaseFile(db_path, &reloaded);
+      std::remove(db_path.c_str());
       if (!status.ok()) {
-        std::printf("save failed: %s\n", status.ToString().c_str());
+        std::printf("restart failed: %s\n", status.ToString().c_str());
         return 1;
       }
-      PartMiner reloaded(options);
-      status = LoadMinerStateFile(state_path, &reloaded);
-      if (!status.ok()) {
-        std::printf("load failed: %s\n", status.ToString().c_str());
-        return 1;
-      }
-      miner = std::move(reloaded);
-      std::printf("-- state persisted and restored (simulated restart) --\n");
+      db = std::move(reloaded);
+      AssignUpdateHotspots(&db, 0.15, 8);  // Hot zones are not in the file.
+      miner = PartMiner(options);
+      miner.Mine(db);
+      std::printf("-- database persisted and re-mined (restart) --\n");
     }
     // A handful of districts (~4%) receive construction updates this round.
     UpdateOptions upd;

@@ -149,13 +149,6 @@ class PartMiner {
   std::span<const NodeFrontier> node_frontiers() const {
     return {&root_frontier_, 1};
   }
-  /// State-restoration hook for LoadMinerState: marks the miner as mined
-  /// with the given resolved root support. The root pattern set and root
-  /// frontier must have been installed through the mutable accessors.
-  void RestoreMinedState(int root_support) {
-    mined_ = true;
-    root_support_ = root_support;
-  }
   int root_support() const { return root_support_; }
 
  private:

@@ -2,37 +2,19 @@
 #define PARTMINER_CORE_STATE_IO_H_
 
 #include <iosfwd>
-#include <string>
 
 #include "common/status.h"
 #include "core/part_miner.h"
 
 namespace partminer {
 
-/// Persistence for the incremental-mining state. The paper's setting is a
-/// long-lived evolving database; a maintenance process must survive
-/// restarts without re-mining from scratch. SaveMinerState captures
-/// everything IncPartMiner reads — the root support, the root's exact
-/// pattern set (the result) and the root frontier — in a versioned
-/// line-oriented text format (v4; older versions are refused). The file
-/// ends with an integrity footer (`footer <payload_bytes> <fnv1a_hex>`);
-/// Load validates the footer before trusting any of the payload, so a
-/// truncated or bit-flipped file fails with a descriptive Corruption
-/// status instead of silently restoring bad state.
-///
-/// The database itself is not stored (persist it separately with
-/// WriteGraphDatabaseFile); the state is only meaningful against the
-/// database it was saved with.
+/// Writes everything IncPartMiner reads — the root support, the root's
+/// exact pattern set and the compacted root frontier — as line-oriented
+/// text. Its only reader is perfbench `update_rounds`, which takes the
+/// length of the output as `core.state_bytes`. Nothing loads it back: the
+/// state is a function of the database and the support, and a restore
+/// re-mines a snapshot of the database (MinerSession::Snapshot).
 Status SaveMinerState(const PartMiner& miner, std::ostream& out);
-Status SaveMinerStateFile(const PartMiner& miner, const std::string& path);
-
-/// Restores a previously saved state into `miner`, whose options supply
-/// everything the file does not (max_edges, the delta-sweep switch). The
-/// saved root support replaces the configured one. After a successful load
-/// the miner behaves as if it had just completed Mine() on the saved
-/// database: IncPartMiner::Update may be called directly.
-Status LoadMinerState(std::istream& in, PartMiner* miner);
-Status LoadMinerStateFile(const std::string& path, PartMiner* miner);
 
 }  // namespace partminer
 

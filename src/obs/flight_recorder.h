@@ -19,7 +19,7 @@ enum class FlightEventType : int32_t {
   kBatchApplied,         // Batch round applied: a=epoch, b=edits, c=units.
   kBatchFailed,          // Batch round dropped: a=edits; detail=status.
   kFaultInjected,        // Storage fault fired: detail=op+context.
-  kSnapshotWritten,      // Snapshot pair on disk: a=epoch.
+  kSnapshotWritten,      // Snapshot file on disk: a=epoch.
   kSnapshotFailed,       // Snapshot request failed: detail=status.
   kQueueHighWater,       // New queue-depth high water: a=depth, b=cap.
   kSlowRequest,          // Request over --slow-ms: a=id, b=us; detail=verb.

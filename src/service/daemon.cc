@@ -395,7 +395,6 @@ std::string Daemon::HandleLine(const std::string& line, bool* shutdown) {
       Json result = Json::Object();
       result.Set("epoch", Json::Number(static_cast<int64_t>(snapshot.epoch)));
       result.Set("db_path", Json::Str(snapshot.db_path));
-      result.Set("state_path", Json::Str(snapshot.state_path));
       response = RenderResponse(id, std::move(result));
     }
   } else if (command == "metrics") {

@@ -1,13 +1,14 @@
 #include "service/session.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
 #include <mutex>
 #include <numeric>
 #include <sstream>
 
 #include "common/fnv.h"
 #include "common/timing.h"
-#include "core/state_io.h"
 #include "graph/canonical.h"
 #include "graph/graph_io.h"
 #include "obs/flight_recorder.h"
@@ -63,6 +64,83 @@ uint64_t DigestSorted(const std::vector<std::pair<std::string, int>>& sorted) {
     h = Fnv1a(&support, sizeof(support), h);
   }
   return h;
+}
+
+// A snapshot file is the database as WriteGraphDatabase writes it, then one
+// comment line, which every .lg reader skips:
+//
+//   # partminer-snapshot support=<S> bytes=<n> fnv=<hex>
+//
+// <S> is the resolved root support, <n> the length of the database text and
+// <hex> the FNV-1a of that text continued over <S>. A restore checks the
+// line before it parses anything, so a truncated or bit-flipped file is
+// refused, and re-mines the database at <S>: the miner state is a function
+// of the two.
+constexpr const char* kSnapshotFooter =
+    "# partminer-snapshot support=%d bytes=%zu fnv=%llx";
+
+std::string SnapshotFooter(int support, const std::string& text,
+                           size_t bytes) {
+  const uint64_t fnv =
+      Fnv1a(&support, sizeof(support), Fnv1a(text.data(), bytes));
+  char footer[96];
+  std::snprintf(footer, sizeof(footer), kSnapshotFooter, support, bytes,
+                static_cast<unsigned long long>(fnv));
+  return footer;
+}
+
+Status WriteSnapshotFile(const GraphDatabase& db, int support,
+                         const std::string& path) {
+  std::ostringstream text;
+  PARTMINER_RETURN_IF_ERROR(WriteGraphDatabase(db, text));
+  const std::string data = std::move(text).str();
+  std::ofstream out(path);
+  if (!out) return Status::IoError("cannot open " + path + " for writing");
+  out << data << SnapshotFooter(support, data, data.size()) << '\n';
+  if (!out.flush()) return Status::IoError("write failed: " + path);
+  return Status::Ok();
+}
+
+Status ReadSnapshotFile(const std::string& path, GraphDatabase* db,
+                        int* support) {
+  std::ifstream in(path);
+  if (!in) return Status::IoError("cannot open " + path);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  if (in.bad()) return Status::IoError("read failed: " + path);
+  std::string contents = std::move(buffer).str();
+
+  // The footer is the last non-empty line; find it without trusting
+  // anything else about the (possibly corrupted) contents.
+  size_t end = contents.size();
+  while (end > 0 && contents[end - 1] == '\n') --end;
+  const size_t newline = end == 0 ? std::string::npos
+                                  : contents.rfind('\n', end - 1);
+  const size_t start = newline == std::string::npos ? 0 : newline + 1;
+  const std::string line = contents.substr(start, end - start);
+  size_t bytes = 0;
+  unsigned long long fnv = 0;
+  if (std::sscanf(line.c_str(), kSnapshotFooter, support, &bytes, &fnv) !=
+          3 ||
+      *support < 1) {
+    return Status::Corruption(
+        "missing snapshot footer (file truncated or not a snapshot)");
+  }
+  if (bytes != start) {
+    return Status::Corruption(
+        "database is " + std::to_string(start) +
+        " bytes but the footer records " + std::to_string(bytes) +
+        " (file truncated?)");
+  }
+  // FNV-1a: not cryptographic, it only needs to catch torn writes and
+  // random corruption. The footer must also read back exactly as written.
+  if (SnapshotFooter(*support, contents, start) != line) {
+    return Status::Corruption("checksum mismatch (file corrupted)");
+  }
+  std::istringstream text(std::move(contents));
+  PARTMINER_RETURN_IF_ERROR(ReadGraphDatabase(text, db));
+  if (db->empty()) return Status::Corruption("snapshot database is empty");
+  return Status::Ok();
 }
 
 Status NotInitialized() {
@@ -137,23 +215,22 @@ Status MinerSession::Init(GraphDatabase db) {
   return Status::Ok();
 }
 
-Status MinerSession::InitFromSnapshot(const std::string& db_path,
-                                      const std::string& state_path) {
+Status MinerSession::InitFromSnapshot(const std::string& path) {
   std::unique_lock lock(mu_);
   if (injector_ != nullptr &&
       injector_->ShouldFail(FaultInjector::Op::kRead)) {
     return RecordInjectedFault(FaultInjector::Op::kRead,
-                               "reading snapshot " + db_path);
+                               "reading snapshot " + path);
   }
   GraphDatabase db;
-  PARTMINER_RETURN_IF_ERROR_CTX(ReadGraphDatabaseFile(db_path, &db),
-                                "restoring snapshot database");
-  if (db.empty()) return Status::Corruption("snapshot database is empty");
-  auto miner = std::make_unique<PartMiner>(options_.miner);
-  PARTMINER_RETURN_IF_ERROR_CTX(LoadMinerStateFile(state_path, miner.get()),
-                                "restoring miner state");
-  // Only adopt the new state once both halves restored; a failed restore
-  // leaves any previous resident state serving.
+  PartMinerOptions options = options_.miner;
+  PARTMINER_RETURN_IF_ERROR_CTX(
+      ReadSnapshotFile(path, &db, &options.min_support_count),
+      "restoring snapshot");
+  // Mined at the saved support, not the configured one, so the restored
+  // pattern set is the one the snapshot's epoch held.
+  auto miner = std::make_unique<PartMiner>(options);
+  miner->Mine(db);
   db_ = std::move(db);
   miner_ = std::move(miner);
   epoch_ = 0;
@@ -281,10 +358,10 @@ Status MinerSession::Query(const QueryRequest& request, QueryReply* reply) {
 
 Status MinerSession::Snapshot(const std::string& prefix,
                               SnapshotResult* result) {
-  // Copy the resident state under the lock and write it without: the next
-  // batch apply waits for the copy, not for the disk.
+  // Copy the database under the lock and write it without: the next batch
+  // apply waits for the copy, not for the disk.
   GraphDatabase db;
-  std::unique_ptr<PartMiner> miner;
+  int support = 0;
   {
     std::shared_lock lock(mu_);
     if (miner_ == nullptr) return NotInitialized();
@@ -293,28 +370,19 @@ Status MinerSession::Snapshot(const std::string& prefix,
     }
     result->epoch = epoch_;
     db = db_;
-    miner = std::make_unique<PartMiner>(*miner_);
+    support = miner_->root_support();
   }
   result->db_path = prefix + ".db.lg";
-  result->state_path = prefix + ".state";
-  // One injector consultation per file write, mirroring the DiskManager
-  // hook: a scripted write fault fails this snapshot cleanly and the next
-  // attempt (next schedule point) succeeds.
+  // One injector consultation per snapshot, mirroring the DiskManager
+  // hook: a scripted write fault fails this snapshot cleanly, leaves the
+  // previous file as it was, and the next attempt succeeds.
   if (injector_ != nullptr &&
       injector_->ShouldFail(FaultInjector::Op::kWrite)) {
     return RecordInjectedFault(FaultInjector::Op::kWrite,
                                "writing " + result->db_path);
   }
-  PARTMINER_RETURN_IF_ERROR_CTX(WriteGraphDatabaseFile(db, result->db_path),
-                                "snapshotting database");
-  if (injector_ != nullptr &&
-      injector_->ShouldFail(FaultInjector::Op::kWrite)) {
-    return RecordInjectedFault(FaultInjector::Op::kWrite,
-                               "writing " + result->state_path);
-  }
   PARTMINER_RETURN_IF_ERROR_CTX(
-      SaveMinerStateFile(*miner, result->state_path),
-      "snapshotting miner state");
+      WriteSnapshotFile(db, support, result->db_path), "writing snapshot");
   PM_METRIC_COUNTER("service.snapshots")->Increment();
   obs::FlightRecorder::Global().Record(
       obs::FlightEventType::kSnapshotWritten,

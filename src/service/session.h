@@ -74,7 +74,6 @@ struct QueryReply {
 struct SnapshotResult {
   uint64_t epoch = 0;
   std::string db_path;
-  std::string state_path;
 };
 
 /// One published epoch: everything the read verbs answer from, built once by
@@ -110,9 +109,9 @@ struct Published {
 ///    and pattern_count copy that pointer and never take the session lock:
 ///    a reply reflects one published epoch and never waits on an apply.
 ///  - VerifiedPatterns and DigestAt read the resident state under the
-///    session lock, shared. Snapshot copies it under the lock, shared, and
-///    writes the copy with no lock held, so the disk never holds off an
-///    apply.
+///    session lock, shared. Snapshot copies the database under the lock,
+///    shared, and writes the copy with no lock held, so the disk never
+///    holds off an apply.
 ///  - DigestAt keeps the last kDigestWindow epochs, so tests can check a
 ///    reply's (epoch, digest) against what the batcher produced.
 ///
@@ -131,11 +130,13 @@ class MinerSession {
   /// Mines `db` from scratch and becomes ready (epoch 0).
   Status Init(GraphDatabase db);
 
-  /// Restores database + miner state from a Snapshot() pair. The restored
-  /// session restarts its epoch counter at 0 (epochs are session-local;
-  /// pattern-set digests, not epoch numbers, are what survive restarts).
-  Status InitFromSnapshot(const std::string& db_path,
-                          const std::string& state_path);
+  /// Restores from a Snapshot() file: checks its footer, reads the
+  /// database and mines it at the saved support, whatever the configured
+  /// one. The new state is adopted only on success, so a failed restore
+  /// leaves the session as it was. The restored session restarts its epoch
+  /// counter at 0 (epochs are session-local; pattern-set digests, not epoch
+  /// numbers, are what survive restarts).
+  Status InitFromSnapshot(const std::string& path);
 
   /// Applies one edit batch and incrementally re-mines. Exclusive.
   Status ApplyBatch(const std::vector<EditOp>& edits, BatchResult* result);
@@ -144,10 +145,11 @@ class MinerSession {
   /// from the current published epoch; never takes the session lock.
   Status Query(const QueryRequest& request, QueryReply* reply);
 
-  /// Writes `<prefix>.db.lg` + `<prefix>.state` (state_io v4, checksummed)
-  /// of the epoch current when it starts. It copies that state under the
-  /// session lock, shared, and writes with no lock held: the next batch
-  /// apply waits for the copy only, and a query never waits.
+  /// Writes `<prefix>.db.lg`: the database of the epoch current when it
+  /// starts, in gSpan text format, and a comment line with the root support
+  /// and a checksum. It copies the database under the session lock, shared,
+  /// and writes with no lock held: the next batch apply waits for the copy
+  /// only, and a query never waits.
   Status Snapshot(const std::string& prefix, SnapshotResult* result);
 
   /// The current published epoch (an empty, unready one until the first

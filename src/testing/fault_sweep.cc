@@ -1,12 +1,12 @@
 #include "testing/fault_sweep.h"
 
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
-
-#include <cstdio>
 
 #include "adi/adi_miner.h"
 #include "core/part_miner.h"
-#include "core/state_io.h"
 #include "common/random.h"
 #include "datagen/edit_stream.h"
 #include "datagen/generator.h"
@@ -50,6 +50,31 @@ std::string DiffExact(const PatternSet& expected, const PatternSet& actual) {
   }
   return "";
 }
+
+/// A fresh directory under $TMPDIR (default /tmp), removed with everything
+/// in it when the object goes, so sweeps that run at the same time never
+/// share a file. path() is empty when the directory could not be made.
+class ScratchDir {
+ public:
+  ScratchDir() {
+    const char* tmp = std::getenv("TMPDIR");
+    std::string name =
+        std::string(tmp != nullptr && *tmp != '\0' ? tmp : "/tmp") +
+        "/pm_sweep.XXXXXX";
+    if (::mkdtemp(name.data()) != nullptr) path_ = name;
+  }
+  ~ScratchDir() {
+    std::error_code ignored;
+    if (!path_.empty()) std::filesystem::remove_all(path_, ignored);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 /// One fault-injected build+mine. Returns via the outcome counters; any
 /// contract violation (wrong result under OK status, or failure to recover
@@ -152,62 +177,90 @@ FaultSweepOutcome RunAdiFaultSweep(uint64_t seed) {
   return out;
 }
 
-FaultSweepOutcome RunStateIoFaultSweep(uint64_t seed) {
+FaultSweepOutcome RunSnapshotTamperSweep(uint64_t seed) {
   FaultSweepOutcome out;
-  GraphDatabase db = GenerateDatabase(SweepDatabaseParams(seed + 1));
-
-  PartMinerOptions options;
-  options.min_support_count = 4;
-  PartMiner miner(options);
-  miner.Mine(db);
-
-  std::stringstream buffer;
-  const Status saved = SaveMinerState(miner, buffer);
-  if (!saved.ok()) {
-    out.violations.push_back("save failed: " + saved.ToString());
+  const ScratchDir dir;
+  if (dir.path().empty()) {
+    out.violations.push_back("cannot create a scratch directory");
     return out;
   }
-  const std::string bytes = buffer.str();
+  service::SessionOptions options;
+  options.miner.min_support_count = 4;
+  service::MinerSession saved(options);
+  service::SnapshotResult snapshot;
+  Status status =
+      saved.Init(GenerateDatabase(SweepDatabaseParams(seed + 1)));
+  if (status.ok()) status = saved.Snapshot(dir.path() + "/saved", &snapshot);
+  if (!status.ok()) {
+    out.violations.push_back("snapshot failed: " + status.ToString());
+    return out;
+  }
+  std::string bytes;
+  {
+    std::ifstream in(snapshot.db_path);
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    bytes = buffer.str();
+  }
+  const std::string tampered = dir.path() + "/tampered.db.lg";
 
-  auto try_load = [&](const std::string& image, const std::string& label) {
+  auto try_restore = [&](const std::string& image, const std::string& label) {
     ++out.runs;
-    PartMiner restored(options);
-    std::istringstream in(image);
-    const Status status = LoadMinerState(in, &restored);
-    if (!status.ok()) {
+    std::ofstream(tampered) << image;
+    service::MinerSession restored(options);
+    const Status restore = restored.InitFromSnapshot(tampered);
+    if (!restore.ok()) {
       ++out.clean_failures;
-      if (restored.mined()) {
-        out.violations.push_back(label +
-                                 ": failed load left the miner mined");
+      if (restored.ready()) {
+        out.violations.push_back(label + ": failed restore left the "
+                                         "session ready");
+      }
+      if (restore.message().empty()) {
+        out.violations.push_back(label + ": failure with empty message");
       }
       return;
     }
-    // A load that succeeds despite tampering must have restored exactly
-    // the saved result (only possible for no-op corruptions).
-    const std::string diff = DiffExact(miner.patterns(), restored.patterns());
-    if (diff.empty()) {
+    // A restore that succeeds despite tampering must have restored exactly
+    // the saved state (only possible for no-op corruptions).
+    const std::string diff =
+        DiffExact(saved.VerifiedPatterns(), restored.VerifiedPatterns());
+    if (diff.empty() && restored.digest() == saved.digest()) {
       ++out.successes;
     } else {
-      out.violations.push_back(label + ": OK load with wrong state: " + diff);
+      out.violations.push_back(label + ": OK restore with wrong state: " +
+                               (diff.empty() ? "digest differs" : diff));
     }
   };
 
   Rng rng(seed + 5);
   for (int i = 0; i < 48; ++i) {
     const size_t cut = 1 + rng.Uniform(bytes.size() - 1);
-    try_load(bytes.substr(0, cut),
-             "truncate to " + std::to_string(cut) + " bytes");
+    try_restore(bytes.substr(0, cut),
+                "truncate to " + std::to_string(cut) + " bytes");
   }
+  // Cuts just past a newline leave a valid, smaller database; only the
+  // footer can refuse them. The last one drops exactly the footer line.
+  std::vector<size_t> line_ends;
+  for (size_t i = 0; i + 1 < bytes.size(); ++i) {
+    if (bytes[i] == '\n') line_ends.push_back(i + 1);
+  }
+  for (int i = 0; i < 16; ++i) {
+    const size_t cut = line_ends[rng.Uniform(line_ends.size())];
+    try_restore(bytes.substr(0, cut),
+                "truncate at the line boundary " + std::to_string(cut));
+  }
+  try_restore(bytes.substr(0, line_ends.back()), "footer line dropped");
   for (int i = 0; i < 48; ++i) {
     std::string flipped = bytes;
     const size_t pos = rng.Uniform(flipped.size());
     flipped[pos] = static_cast<char>(flipped[pos] ^ (1u << rng.Uniform(8)));
-    try_load(flipped, "bit flip at byte " + std::to_string(pos));
+    try_restore(flipped, "bit flip at byte " + std::to_string(pos));
   }
-  // Control: the untampered image must load with the exact state.
-  try_load(bytes, "untampered");
-  if (out.successes == 0) {
-    out.violations.push_back("untampered image failed to load");
+  // Control: the untampered file must restore the saved digest.
+  const int before = out.successes;
+  try_restore(bytes, "untampered");
+  if (out.successes == before) {
+    out.violations.push_back("untampered snapshot failed to restore");
   }
   return out;
 }
@@ -327,8 +380,13 @@ FaultSweepOutcome RunDaemonFaultSweep(uint64_t seed) {
   stream.resident_support = 6;
   const std::vector<StreamItem> updates = GenerateEditStream(base, stream);
 
-  const std::string prefix =
-      "/tmp/pm_daemon_sweep." + std::to_string(seed);
+  const ScratchDir dir;
+  if (dir.path().empty()) {
+    out.violations.push_back("cannot create a scratch directory");
+    return out;
+  }
+  const std::string prefix = dir.path() + "/snap";
+  const std::string snapshot_path = prefix + ".db.lg";
 
   const auto oracle_digest = [&](const GraphDatabase& db) {
     PartMiner oracle(session_options.miner);
@@ -386,11 +444,10 @@ FaultSweepOutcome RunDaemonFaultSweep(uint64_t seed) {
                   "the acknowledged batches");
       return;
     }
-    // And the snapshot pair written after detach must restore to the same
+    // And the snapshot written after detach must restore to the same
     // digest in a brand-new session.
     service::MinerSession restored(session_options);
-    const Status restore =
-        restored.InitFromSnapshot(prefix + ".db.lg", prefix + ".state");
+    const Status restore = restored.InitFromSnapshot(snapshot_path);
     if (!restore.ok()) {
       out.violations.push_back(label + ": post-detach restore failed: " +
                                restore.ToString());
@@ -444,7 +501,7 @@ FaultSweepOutcome RunDaemonFaultSweep(uint64_t seed) {
   }
 
   // Restore grid: scripted read faults against InitFromSnapshot. A clean
-  // snapshot pair exists from the rounds above; every injected restore must
+  // snapshot exists from the rounds above; every injected restore must
   // fail cleanly, and a fault-free retry must come up with the saved state.
   for (int n = 0; n < 3; ++n) {
     ++out.runs;
@@ -452,8 +509,7 @@ FaultSweepOutcome RunDaemonFaultSweep(uint64_t seed) {
     injector.FailOnce(FaultInjector::Op::kRead, n);
     service::MinerSession session(session_options);
     session.set_fault_injector(&injector);
-    const Status restore =
-        session.InitFromSnapshot(prefix + ".db.lg", prefix + ".state");
+    const Status restore = session.InitFromSnapshot(snapshot_path);
     const std::string label =
         "daemon restore fail-once n=" + std::to_string(n);
     if (restore.ok()) {
@@ -468,16 +524,13 @@ FaultSweepOutcome RunDaemonFaultSweep(uint64_t seed) {
       }
     }
     session.set_fault_injector(nullptr);
-    const Status retry =
-        session.InitFromSnapshot(prefix + ".db.lg", prefix + ".state");
+    const Status retry = session.InitFromSnapshot(snapshot_path);
     if (!retry.ok()) {
       out.violations.push_back(label + ": fault-free retry failed: " +
                                retry.ToString());
     }
   }
 
-  std::remove((prefix + ".db.lg").c_str());
-  std::remove((prefix + ".state").c_str());
   return out;
 }
 

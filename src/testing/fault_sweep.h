@@ -31,10 +31,13 @@ struct FaultSweepOutcome {
 /// fault-free result (no poisoned state).
 FaultSweepOutcome RunAdiFaultSweep(uint64_t seed);
 
-/// Sweeps miner-state persistence: saves a mined PartMiner, then attempts
-/// loads from truncated and bit-flipped images. Any load that does not
-/// fail cleanly must restore exactly the saved pattern set.
-FaultSweepOutcome RunStateIoFaultSweep(uint64_t seed);
+/// Sweeps snapshot restore: snapshots a mined session, then restores
+/// truncated (at random bytes and at line boundaries, which parse as a
+/// valid smaller database) and bit-flipped copies of the file through
+/// MinerSession::InitFromSnapshot. Every restore must either fail cleanly
+/// and leave the session unready or restore exactly the saved digest; the
+/// untampered file must restore.
+FaultSweepOutcome RunSnapshotTamperSweep(uint64_t seed);
 
 /// Sweeps the resident mining service: a daemon (session + protocol
 /// dispatcher, in-process) is driven through a scripted update / snapshot /

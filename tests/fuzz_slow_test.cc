@@ -29,11 +29,12 @@ TEST(FuzzSlowTest, AdiFaultSweepHoldsContract) {
   for (const std::string& v : outcome.violations) ADD_FAILURE() << v;
 }
 
-TEST(FuzzSlowTest, StateIoFaultSweepHoldsContract) {
-  const testing::FaultSweepOutcome outcome = testing::RunStateIoFaultSweep(2);
+TEST(FuzzSlowTest, SnapshotTamperSweepHoldsContract) {
+  const testing::FaultSweepOutcome outcome =
+      testing::RunSnapshotTamperSweep(2);
   EXPECT_GT(outcome.runs, 50);
   EXPECT_GT(outcome.clean_failures, 0);
-  EXPECT_GT(outcome.successes, 0);  // The untampered control load.
+  EXPECT_GT(outcome.successes, 0);  // The untampered control restore.
   for (const std::string& v : outcome.violations) ADD_FAILURE() << v;
 }
 

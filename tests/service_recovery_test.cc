@@ -4,7 +4,9 @@
 // both must agree with a from-scratch re-mine of the final database.
 
 #include <cstdio>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <unistd.h>
@@ -13,7 +15,9 @@
 #include "common/random.h"
 #include "core/part_miner.h"
 #include "datagen/edit_stream.h"
+#include "graph/graph_io.h"
 #include "gtest/gtest.h"
+#include "miner/gspan.h"
 #include "service/session.h"
 #include "storage/fault_injector.h"
 #include "tests/test_util.h"
@@ -36,7 +40,6 @@ std::string TempPrefix(const char* tag) {
 
 void RemoveSnapshot(const std::string& prefix) {
   std::remove((prefix + ".db.lg").c_str());
-  std::remove((prefix + ".state").c_str());
 }
 
 /// Exact pattern-set equality: codes, supports, and TID sets.
@@ -102,8 +105,7 @@ TEST_F(ServiceRecoveryTest, RestoredSessionMatchesUninterruptedRun) {
   }  // ~MinerSession: the crash.
 
   MinerSession restored(MakeOptions());
-  ASSERT_TRUE(
-      restored.InitFromSnapshot(prefix + ".db.lg", prefix + ".state").ok());
+  ASSERT_TRUE(restored.InitFromSnapshot(prefix + ".db.lg").ok());
   // Epochs are session-local and restart at zero; the digest is what
   // carries identity across the restart.
   EXPECT_EQ(restored.epoch(), 0u);
@@ -149,10 +151,7 @@ TEST_F(ServiceRecoveryTest, SnapshotAfterEveryBatchRestoresEveryEpoch) {
   }
   for (size_t crash = 0; crash < prefixes.size(); ++crash) {
     MinerSession restored(MakeOptions());
-    ASSERT_TRUE(restored
-                    .InitFromSnapshot(prefixes[crash] + ".db.lg",
-                                      prefixes[crash] + ".state")
-                    .ok());
+    ASSERT_TRUE(restored.InitFromSnapshot(prefixes[crash] + ".db.lg").ok());
     for (size_t i = crash + 1; i < batches_.size(); ++i) {
       BatchResult result;
       ASSERT_TRUE(restored.ApplyBatch(batches_[i], &result).ok());
@@ -165,8 +164,8 @@ TEST_F(ServiceRecoveryTest, SnapshotAfterEveryBatchRestoresEveryEpoch) {
 
 TEST_F(ServiceRecoveryTest, SnapshotWhileBatchesApplyRestoresItsEpoch) {
   // Snapshots race batch applies on another thread. Each must capture one
-  // whole epoch: the database and miner state it restores digest to what the
-  // writer recorded for the epoch the snapshot reports.
+  // whole epoch: the database it restores digests to what the writer
+  // recorded for the epoch the snapshot reports.
   EditStreamOptions stream;
   stream.seed = 11;
   stream.requests = 24;
@@ -198,10 +197,7 @@ TEST_F(ServiceRecoveryTest, SnapshotWhileBatchesApplyRestoresItsEpoch) {
 
   for (int i = 0; i < kSnapshots; ++i) {
     MinerSession restored(MakeOptions());
-    ASSERT_TRUE(restored
-                    .InitFromSnapshot(snapshots[i].db_path,
-                                      snapshots[i].state_path)
-                    .ok());
+    ASSERT_TRUE(restored.InitFromSnapshot(snapshots[i].db_path).ok());
     EXPECT_EQ(restored.digest(), session.DigestAt(snapshots[i].epoch))
         << "snapshot " << i << " at epoch " << snapshots[i].epoch;
     RemoveSnapshot(prefixes[i]);
@@ -216,17 +212,20 @@ TEST_F(ServiceRecoveryTest, FailedRestoreLeavesSessionUnready) {
     SnapshotResult snapshot;
     ASSERT_TRUE(session.Snapshot(prefix, &snapshot).ok());
   }
-  // Truncate the state file: the checksummed load must fail cleanly and the
-  // half-restored session must refuse to serve.
+  // Truncate the snapshot just past a line in its middle: what is left
+  // parses as a valid smaller database, so only the footer check can refuse
+  // it, and the half-restored session must refuse to serve.
   {
-    FILE* f = std::fopen((prefix + ".state").c_str(), "r+");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(::ftruncate(::fileno(f), 64), 0);
-    std::fclose(f);
+    std::ifstream in(prefix + ".db.lg");
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    const std::string bytes = buffer.str();
+    const size_t cut = bytes.find('\n', bytes.size() / 2) + 1;
+    ASSERT_LT(cut, bytes.size());
+    std::ofstream(prefix + ".db.lg") << bytes.substr(0, cut);
   }
   MinerSession broken(MakeOptions());
-  const Status restore =
-      broken.InitFromSnapshot(prefix + ".db.lg", prefix + ".state");
+  const Status restore = broken.InitFromSnapshot(prefix + ".db.lg");
   EXPECT_FALSE(restore.ok());
   EXPECT_FALSE(broken.ready());
   QueryReply reply;
@@ -246,14 +245,55 @@ TEST_F(ServiceRecoveryTest, InjectedReadFaultFailsRestoreThenRetryWorks) {
   injector.FailOnce(FaultInjector::Op::kRead, 0);
   MinerSession session(MakeOptions());
   session.set_fault_injector(&injector);
-  EXPECT_FALSE(
-      session.InitFromSnapshot(prefix + ".db.lg", prefix + ".state").ok());
+  EXPECT_FALSE(session.InitFromSnapshot(prefix + ".db.lg").ok());
   EXPECT_FALSE(session.ready());
   // The scripted fault is consumed; the retry restores the same state.
-  EXPECT_TRUE(
-      session.InitFromSnapshot(prefix + ".db.lg", prefix + ".state").ok());
+  EXPECT_TRUE(session.InitFromSnapshot(prefix + ".db.lg").ok());
   EXPECT_TRUE(session.ready());
   RemoveSnapshot(prefix);
+}
+
+TEST_F(ServiceRecoveryTest, FailedSecondSnapshotRestoresOneWholeEpoch) {
+  // A second snapshot to the same prefix fails on its first or its second
+  // write consultation. Whatever is left on disk must restore to one whole
+  // epoch: the resident patterns are exactly what gSpan mines from the
+  // restored database, and the digest is that of the first snapshot's
+  // epoch or, if the write got through, the second's. A failure between
+  // two files of one snapshot would leave a new database beside a stale
+  // miner state, and restore it without complaint.
+  for (const int failing_write : {0, 1}) {
+    SCOPED_TRACE("failing write " + std::to_string(failing_write));
+    const std::string prefix = TempPrefix("torn");
+    MinerSession session(MakeOptions());
+    ASSERT_TRUE(session.Init(db_).ok());
+    BatchResult result;
+    ASSERT_TRUE(session.ApplyBatch(batches_[0], &result).ok());
+    SnapshotResult first;
+    ASSERT_TRUE(session.Snapshot(prefix, &first).ok());
+    for (size_t i = 1; i < batches_.size(); ++i) {
+      ASSERT_TRUE(session.ApplyBatch(batches_[i], &result).ok());
+    }
+    FaultInjector injector(1);
+    injector.FailOnce(FaultInjector::Op::kWrite, failing_write);
+    session.set_fault_injector(&injector);
+    SnapshotResult second;
+    const bool second_written = session.Snapshot(prefix, &second).ok();
+    session.set_fault_injector(nullptr);
+
+    MinerSession restored(MakeOptions());
+    ASSERT_TRUE(restored.InitFromSnapshot(prefix + ".db.lg").ok());
+    GraphDatabase restored_db;
+    ASSERT_TRUE(ReadGraphDatabaseFile(prefix + ".db.lg", &restored_db).ok());
+    GSpanMiner gspan;
+    MinerOptions oracle;
+    oracle.min_support = restored.resident_support();
+    ExpectSamePatterns(gspan.Mine(restored_db, oracle),
+                       restored.VerifiedPatterns(),
+                       "restored vs gSpan of the restored database");
+    EXPECT_EQ(restored.digest(),
+              session.DigestAt(second_written ? second.epoch : first.epoch));
+    RemoveSnapshot(prefix);
+  }
 }
 
 }  // namespace

@@ -1,20 +1,34 @@
+// Miner-state persistence. A snapshot is the database plus its root support
+// and a checksum in one trailing comment line; a restore checks the line,
+// reads the database and re-mines it. SaveMinerState only writes (its one
+// reader measures the length), so its cases check the text itself.
+
 #include "core/state_io.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cctype>
 #include <cstdint>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/inc_part_miner.h"
+#include "datagen/edit_stream.h"
 #include "datagen/generator.h"
 #include "datagen/update_generator.h"
+#include "graph/graph_io.h"
 #include "miner/gspan.h"
+#include "service/session.h"
 
 namespace partminer {
 namespace {
+
+using service::MinerSession;
+using service::SessionOptions;
+using service::SnapshotResult;
 
 void ExpectSameResults(const PatternSet& expected, const PatternSet& actual,
                        const std::string& what) {
@@ -39,58 +53,109 @@ GraphDatabase MakeDatabase(uint64_t seed) {
   return db;
 }
 
+SessionOptions SupportOptions(int support) {
+  SessionOptions options;
+  options.miner.min_support_count = support;
+  return options;
+}
+
+/// A snapshot prefix; Snapshot() writes `<prefix>.db.lg`.
+std::string TempPrefix(const std::string& tag) {
+  return "/tmp/partminer_state_io_" + tag + "_" +
+         std::to_string(::getpid());
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+void WriteFile(const std::string& path, const std::string& contents) {
+  std::ofstream(path) << contents;
+}
+
+/// Snapshots a session mined at support 4 and returns the file's bytes.
+std::string SnapshotBytes(MinerSession* session) {
+  EXPECT_TRUE(session->Init(MakeDatabase(17)).ok());
+  SnapshotResult snapshot;
+  EXPECT_TRUE(session->Snapshot(TempPrefix("bytes"), &snapshot).ok());
+  const std::string bytes = ReadFile(snapshot.db_path);
+  ::unlink(snapshot.db_path.c_str());
+  return bytes;
+}
+
+/// Restores `contents` written to a file and expects a clean refusal that
+/// leaves the session unready.
+Status ExpectRefused(const std::string& contents, const std::string& what) {
+  const std::string path = TempPrefix("refused") + ".db.lg";
+  WriteFile(path, contents);
+  MinerSession session(SupportOptions(4));
+  const Status status = session.InitFromSnapshot(path);
+  EXPECT_FALSE(status.ok()) << what;
+  EXPECT_FALSE(status.message().empty()) << what;
+  EXPECT_FALSE(session.ready()) << what;
+  ::unlink(path.c_str());
+  return status;
+}
+
 TEST(StateIoTest, RoundTripPreservesVerifiedResult) {
-  GraphDatabase db = MakeDatabase(5);
-  PartMinerOptions options;
-  options.min_support_count = 4;
-  options.partition.k = 3;
-  PartMiner miner(options);
-  const PartMinerResult original = miner.Mine(db);
+  MinerSession session(SupportOptions(4));
+  ASSERT_TRUE(session.Init(MakeDatabase(5)).ok());
+  const std::string prefix = TempPrefix("round_trip");
+  SnapshotResult snapshot;
+  ASSERT_TRUE(session.Snapshot(prefix, &snapshot).ok());
 
-  std::stringstream buffer;
-  ASSERT_TRUE(SaveMinerState(miner, buffer).ok());
-
-  PartMiner restored(options);
-  ASSERT_TRUE(LoadMinerState(buffer, &restored).ok());
-  EXPECT_TRUE(restored.mined());
-  EXPECT_EQ(restored.root_support(), 4);
-  ExpectSameResults(original.patterns, restored.patterns(), "round trip");
+  MinerSession restored(SupportOptions(4));
+  ASSERT_TRUE(restored.InitFromSnapshot(snapshot.db_path).ok());
+  EXPECT_TRUE(restored.ready());
+  EXPECT_EQ(restored.resident_support(), 4);
+  EXPECT_EQ(restored.digest(), session.digest());
+  ExpectSameResults(session.VerifiedPatterns(), restored.VerifiedPatterns(),
+                    "round trip");
+  ::unlink(snapshot.db_path.c_str());
 }
 
 TEST(StateIoTest, RestoredMinerContinuesIncrementally) {
-  // The whole point: a restarted process resumes incremental maintenance
-  // from the persisted state with exact results.
-  GraphDatabase db = MakeDatabase(9);
-  PartMinerOptions options;
-  options.min_support_count = 4;
-  options.partition.k = 4;
-  PartMiner miner(options);
-  miner.Mine(db);
+  // A restarted process resumes incremental maintenance from the snapshot
+  // with exact results.
+  const GraphDatabase db = MakeDatabase(9);
+  MinerSession session(SupportOptions(4));
+  ASSERT_TRUE(session.Init(db).ok());
+  const std::string prefix = TempPrefix("continue");
+  SnapshotResult snapshot;
+  ASSERT_TRUE(session.Snapshot(prefix, &snapshot).ok());
+  MinerSession restored(SupportOptions(4));
+  ASSERT_TRUE(restored.InitFromSnapshot(snapshot.db_path).ok());
 
-  std::stringstream buffer;
-  ASSERT_TRUE(SaveMinerState(miner, buffer).ok());
-  PartMiner restored(options);
-  ASSERT_TRUE(LoadMinerState(buffer, &restored).ok());
-
-  UpdateOptions upd;
-  upd.fraction_graphs = 0.3;
-  upd.seed = 42;
-  const UpdateLog log = ApplyUpdates(&db, 5, upd);
-
-  IncPartMiner inc;
-  const IncPartMinerResult result = inc.Update(&restored, db, log);
-
+  EditStreamOptions stream;
+  stream.seed = 42;
+  stream.requests = 3;
+  stream.update_fraction = 1.0;
+  stream.edits_per_update = 5;
+  stream.num_labels = 5;
+  stream.resident_support = 4;
+  GraphDatabase replayed = db;
   GSpanMiner gspan;
   MinerOptions full;
   full.min_support = 4;
-  ExpectSameResults(gspan.Mine(db, full), result.patterns,
-                    "incremental after restore");
+  for (const StreamItem& item : GenerateEditStream(db, stream)) {
+    service::BatchResult result;
+    ASSERT_TRUE(restored.ApplyBatch(item.edits, &result).ok());
+    UpdateLog log;
+    ApplyEditBatch(&replayed, item.edits, &log);
+    ExpectSameResults(gspan.Mine(replayed, full), restored.VerifiedPatterns(),
+                      "incremental after restore");
+  }
+  ::unlink(snapshot.db_path.c_str());
 }
 
 TEST(StateIoTest, LazyFrontierSavesCompactedAndResumesExactly) {
   // Three delta rounds leave the frontier with pending strips and at least
-  // one cut; the saved state holds the compacted frontier, and both the
-  // restored miner and the original keep matching gSpan for three more.
+  // one cut. SaveMinerState writes it exactly as a compacted copy writes,
+  // and writing does not disturb the miner: it keeps matching gSpan for
+  // three more rounds.
   GraphDatabase db = MakeDatabase(29);
   PartMinerOptions options;
   options.min_support_count = 4;
@@ -103,17 +168,17 @@ TEST(StateIoTest, LazyFrontierSavesCompactedAndResumesExactly) {
   MinerOptions full;
   full.min_support = 4;
   IncPartMiner inc;
-  auto round = [&](PartMiner* state, GraphDatabase* graphs, int r) {
+  auto round = [&](int r) {
     UpdateOptions upd;
     upd.fraction_graphs = 0.3;
     upd.kinds = {UpdateKind::kRelabel};
     upd.seed = 700 + r;
-    const UpdateLog log = ApplyUpdates(graphs, 5, upd);
-    const IncPartMinerResult result = inc.Update(state, *graphs, log);
-    ExpectSameResults(gspan.Mine(*graphs, full), result.patterns,
+    const UpdateLog log = ApplyUpdates(&db, 5, upd);
+    const IncPartMinerResult result = inc.Update(&miner, db, log);
+    ExpectSameResults(gspan.Mine(db, full), result.patterns,
                       "round " + std::to_string(r));
   };
-  for (int r = 0; r < 3; ++r) round(&miner, &db, r);
+  for (int r = 0; r < 3; ++r) round(r);
   const Frontier& lazy = miner.root_frontier().map;
   ASSERT_TRUE(miner.root_frontier().valid);
   ASSERT_FALSE(lazy.cuts().empty());
@@ -121,160 +186,143 @@ TEST(StateIoTest, LazyFrontierSavesCompactedAndResumesExactly) {
 
   std::stringstream buffer;
   ASSERT_TRUE(SaveMinerState(miner, buffer).ok());
-  EXPECT_EQ(buffer.str().rfind("partminer-state 4\n", 0), 0u);
-  PartMiner restored(options);
-  ASSERT_TRUE(LoadMinerState(buffer, &restored).ok());
-  Frontier compacted = lazy;
-  compacted.Compact();
-  EXPECT_EQ(restored.root_frontier().map.size(), compacted.size());
-  EXPECT_TRUE(restored.root_frontier().map == lazy);
-  EXPECT_TRUE(restored.root_frontier().map.cuts().empty());
+  PartMiner compacted = miner;
+  compacted.mutable_root_frontier().map.Compact();
+  ASSERT_TRUE(compacted.root_frontier().map.cuts().empty());
+  std::stringstream compacted_buffer;
+  ASSERT_TRUE(SaveMinerState(compacted, compacted_buffer).ok());
+  EXPECT_EQ(buffer.str(), compacted_buffer.str());
+  EXPECT_NE(buffer.str().find("\nfrontier 1 " +
+                              std::to_string(compacted.root_frontier()
+                                                 .map.size()) +
+                              "\n"),
+            std::string::npos);
 
-  GraphDatabase restored_db = db;
-  for (int r = 3; r < 6; ++r) {
-    round(&restored, &restored_db, r);
-    round(&miner, &db, r);
-  }
+  for (int r = 3; r < 6; ++r) round(r);
 }
 
 TEST(StateIoTest, FileRoundTrip) {
-  GraphDatabase db = MakeDatabase(11);
-  PartMinerOptions options;
-  options.min_support_count = 3;
-  options.partition.k = 2;
-  PartMiner miner(options);
-  miner.Mine(db);
+  // Every .lg reader reads a snapshot: the footer is a comment line.
+  const GraphDatabase db = MakeDatabase(11);
+  MinerSession session(SupportOptions(3));
+  ASSERT_TRUE(session.Init(db).ok());
+  SnapshotResult snapshot;
+  ASSERT_TRUE(session.Snapshot(TempPrefix("file"), &snapshot).ok());
 
-  const std::string path =
-      "/tmp/partminer_state_" + std::to_string(::getpid()) + ".state";
-  ASSERT_TRUE(SaveMinerStateFile(miner, path).ok());
-  PartMiner restored(options);
-  ASSERT_TRUE(LoadMinerStateFile(path, &restored).ok());
-  ExpectSameResults(miner.patterns(), restored.patterns(), "file round trip");
-  ::unlink(path.c_str());
-}
-
-/// Re-frames `payload` with a valid integrity footer, as SaveMinerState
-/// would: `footer <payload_bytes> <fnv1a_hex>`.
-std::string WithFooter(const std::string& payload) {
-  uint64_t hash = 0xcbf29ce484222325ull;
-  for (const char c : payload) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ull;
-  }
-  std::ostringstream out;
-  out << payload << "footer " << payload.size() << ' ' << std::hex << hash
-      << '\n';
-  return out.str();
+  GraphDatabase read;
+  ASSERT_TRUE(ReadGraphDatabaseFile(snapshot.db_path, &read).ok());
+  std::ostringstream expected, actual;
+  ASSERT_TRUE(WriteGraphDatabase(db, expected).ok());
+  ASSERT_TRUE(WriteGraphDatabase(read, actual).ok());
+  EXPECT_EQ(read.size(), db.size());
+  EXPECT_EQ(actual.str(), expected.str());
+  const std::string bytes = ReadFile(snapshot.db_path);
+  EXPECT_EQ(bytes.rfind(expected.str(), 0), 0u);
+  EXPECT_EQ(bytes.substr(expected.str().size()).rfind(
+                "# partminer-snapshot support=3 bytes=" +
+                    std::to_string(expected.str().size()) + " fnv=",
+                0),
+            0u)
+      << bytes.substr(expected.str().size());
+  ::unlink(snapshot.db_path.c_str());
 }
 
 TEST(StateIoTest, RejectsUnminedAndMismatchedStates) {
   PartMinerOptions options;
-  options.partition.k = 2;
   PartMiner unmined(options);
   std::stringstream buffer;
   EXPECT_EQ(SaveMinerState(unmined, buffer).code(),
             Status::Code::kInvalidArgument);
+  MinerSession unready(SupportOptions(4));
+  SnapshotResult snapshot;
+  EXPECT_EQ(unready.Snapshot(TempPrefix("unready"), &snapshot).code(),
+            Status::Code::kInvalidArgument);
 
-  // The state holds no partition, so one saved under k=3 restores into a
-  // miner configured with k=2.
-  GraphDatabase db = MakeDatabase(13);
-  PartMinerOptions k3 = options;
-  k3.min_support_count = 4;
-  k3.partition.k = 3;
-  PartMiner miner(k3);
-  miner.Mine(db);
-  std::stringstream saved;
-  ASSERT_TRUE(SaveMinerState(miner, saved).ok());
-  const std::string bytes = saved.str();
-  PartMiner other_k(options);
-  ASSERT_TRUE(LoadMinerState(saved, &other_k).ok());
-  ExpectSameResults(miner.patterns(), other_k.patterns(), "other k");
-
-  // A well-framed state of another format version is refused.
-  const std::string payload = bytes.substr(0, bytes.rfind("footer "));
-  ASSERT_EQ(payload.rfind("partminer-state 4\n", 0), 0u);
-  std::stringstream future(
-      WithFooter("partminer-state 5" + payload.substr(17)));
-  PartMiner wrong_version(options);
-  const Status status = LoadMinerState(future, &wrong_version);
-  EXPECT_EQ(status.code(), Status::Code::kInvalidArgument)
-      << status.ToString();
-  EXPECT_FALSE(wrong_version.mined());  // Failed load leaves it untouched.
+  // A session configured at another support restores at the snapshot's
+  // support, with its digest: the saved support wins.
+  MinerSession session(SupportOptions(4));
+  ASSERT_TRUE(session.Init(MakeDatabase(13)).ok());
+  ASSERT_TRUE(session.Snapshot(TempPrefix("support"), &snapshot).ok());
+  for (const int configured : {2, 7}) {
+    MinerSession other(SupportOptions(configured));
+    ASSERT_TRUE(other.InitFromSnapshot(snapshot.db_path).ok());
+    EXPECT_EQ(other.resident_support(), 4) << configured;
+    EXPECT_EQ(other.digest(), session.digest()) << configured;
+  }
+  SessionOptions fraction;
+  fraction.miner.min_support_fraction = 0.9;
+  MinerSession by_fraction(fraction);
+  ASSERT_TRUE(by_fraction.InitFromSnapshot(snapshot.db_path).ok());
+  EXPECT_EQ(by_fraction.resident_support(), 4);
+  EXPECT_EQ(by_fraction.digest(), session.digest());
+  ::unlink(snapshot.db_path.c_str());
 }
 
 TEST(StateIoTest, RejectsCorruptInput) {
-  PartMinerOptions options;
-  PartMiner miner(options);
-  for (const char* text :
-       {"", "garbage 1", "partminer-state 99\n",
-        "partminer-state 1\nroot_support x\n"}) {
-    std::stringstream in(text);
-    EXPECT_FALSE(LoadMinerState(in, &miner).ok()) << "'" << text << "'";
-    EXPECT_FALSE(miner.mined());
+  // A plain database, an empty file, garbage and footers that do not parse
+  // are all refused before anything is mined.
+  std::ostringstream plain;
+  ASSERT_TRUE(WriteGraphDatabase(MakeDatabase(3), plain).ok());
+  for (const std::string& text :
+       {std::string(), std::string("garbage 1\n"), plain.str(),
+        plain.str() + "# partminer-snapshot support=0 bytes=" +
+            std::to_string(plain.str().size()) + " fnv=0\n",
+        plain.str() + "# partminer-snapshot support=x\n",
+        std::string("# partminer-snapshot support=4 bytes=0 fnv=0\n")}) {
+    const Status status = ExpectRefused(text, "'" + text.substr(0, 40) + "'");
+    EXPECT_EQ(status.code(), Status::Code::kCorruption) << status.ToString();
   }
-}
-
-/// Saves a small miner state and returns the serialized bytes.
-std::string SavedStateBytes() {
-  GraphDatabase db = MakeDatabase(17);
-  PartMinerOptions options;
-  options.min_support_count = 4;
-  options.partition.k = 2;
-  PartMiner miner(options);
-  miner.Mine(db);
-  std::stringstream buffer;
-  EXPECT_TRUE(SaveMinerState(miner, buffer).ok());
-  return buffer.str();
+  MinerSession missing(SupportOptions(4));
+  const std::string absent = TempPrefix("missing") + ".db.lg";
+  EXPECT_EQ(missing.InitFromSnapshot(absent).code(), Status::Code::kIoError);
+  EXPECT_FALSE(missing.ready());
 }
 
 TEST(StateIoTest, TruncatedFileIsRejectedWithDescriptiveStatus) {
-  const std::string bytes = SavedStateBytes();
+  MinerSession saved(SupportOptions(4));
+  const std::string bytes = SnapshotBytes(&saved);
   ASSERT_GT(bytes.size(), 64u);
-  PartMinerOptions options;
-  options.partition.k = 2;
 
-  // Every truncation point that loses data — cutting mid-footer, cutting
-  // the footer off entirely, cutting mid-payload — must fail cleanly and
-  // leave the miner untouched. (Losing only the final newline loses no
-  // data; the footer still validates and the load is allowed to succeed.)
-  for (size_t cut : {bytes.size() - 2, bytes.size() - 8, bytes.size() / 2,
-                     bytes.size() / 4, size_t{64}, size_t{1}}) {
-    PartMiner miner(options);
-    std::stringstream in(bytes.substr(0, cut));
-    const Status status = LoadMinerState(in, &miner);
+  // Every truncation that loses data must be refused: mid-footer, the
+  // footer line cut off whole, mid-database, and at line boundaries, where
+  // what is left parses as a valid smaller database. (Losing only the
+  // final newline loses no data; such a file may restore.)
+  const size_t footer = bytes.rfind('\n', bytes.size() - 2) + 1;
+  const size_t mid_line = bytes.find('\n', bytes.size() / 2) + 1;
+  for (const size_t cut :
+       {bytes.size() - 2, bytes.size() - 8, footer, footer - 1, mid_line,
+        bytes.size() / 2, bytes.size() / 4, size_t{64}, size_t{1}}) {
+    const Status status = ExpectRefused(bytes.substr(0, cut),
+                                        "cut=" + std::to_string(cut));
     EXPECT_EQ(status.code(), Status::Code::kCorruption) << "cut=" << cut;
-    EXPECT_FALSE(status.message().empty()) << "cut=" << cut;
-    EXPECT_FALSE(miner.mined()) << "cut=" << cut;
   }
 }
 
 TEST(StateIoTest, BitFlippedFileIsRejected) {
-  const std::string bytes = SavedStateBytes();
-  PartMinerOptions options;
-  options.partition.k = 2;
+  MinerSession saved(SupportOptions(4));
+  const std::string bytes = SnapshotBytes(&saved);
 
-  // Flip one bit at a spread of positions across the payload. Loads must
-  // either fail (almost always a checksum mismatch) — never restore state
-  // that differs from what was saved.
-  for (size_t pos = 0; pos < bytes.size(); pos += bytes.size() / 23 + 1) {
+  // Flip one bit at a spread of positions across the database and the
+  // footer. Every restore must fail; none may come up with another state.
+  for (size_t pos = 0; pos + 1 < bytes.size();
+       pos += bytes.size() / 23 + 1) {
     std::string corrupted = bytes;
     corrupted[pos] = static_cast<char>(corrupted[pos] ^ 0x10);
-    PartMiner miner(options);
-    std::stringstream in(corrupted);
-    const Status status = LoadMinerState(in, &miner);
-    EXPECT_FALSE(status.ok()) << "pos=" << pos;
-    EXPECT_FALSE(miner.mined()) << "pos=" << pos;
+    ExpectRefused(corrupted, "pos=" + std::to_string(pos));
   }
+  const size_t support = bytes.rfind("support=4") + 8;
+  std::string other_support = bytes;
+  other_support[support] = '5';
+  ExpectRefused(other_support, "support digit");
 }
 
 TEST(StateIoTest, ChecksumFailureNamesTheProblem) {
-  std::string bytes = SavedStateBytes();
-  // Flip a byte in the middle of the payload: the footer no longer matches.
+  MinerSession saved(SupportOptions(4));
+  std::string bytes = SnapshotBytes(&saved);
+  // Flip a byte in the middle of the database: the footer no longer
+  // matches.
   bytes[bytes.size() / 2] ^= 0x01;
-  PartMiner miner{PartMinerOptions{}};
-  std::stringstream in(bytes);
-  const Status status = LoadMinerState(in, &miner);
+  const Status status = ExpectRefused(bytes, "mid-file flip");
   EXPECT_EQ(status.code(), Status::Code::kCorruption);
   EXPECT_NE(status.message().find("checksum mismatch"), std::string::npos)
       << status.ToString();
@@ -292,71 +340,20 @@ TEST(StateIoTest, StateHoldsOnlyRootSetAndRootFrontier) {
   ASSERT_TRUE(SaveMinerState(miner, buffer).ok());
   std::vector<std::string> sections;
   std::string line;
+  int pattern_lines = 0;
   while (std::getline(buffer, line)) {
     const std::string tag = line.substr(0, line.find(' '));
     if (!tag.empty() && !std::isdigit(static_cast<unsigned char>(tag[0]))) {
       sections.push_back(tag);
+    } else if (sections.back() == "patterns") {
+      ++pattern_lines;
     }
   }
   EXPECT_EQ(sections,
             (std::vector<std::string>{"partminer-state", "root_support",
-                                      "patterns", "frontier", "footer"}));
-  buffer.clear();
-  buffer.seekg(0);
-  EXPECT_EQ(buffer.str().rfind("partminer-state 4\n", 0), 0u);
-
-  PartMiner restored(options);
-  ASSERT_TRUE(LoadMinerState(buffer, &restored).ok());
-  ExpectSameResults(miner.patterns(), restored.patterns(), "root set");
-  EXPECT_EQ(miner.root_frontier().valid, restored.root_frontier().valid);
-  EXPECT_TRUE(miner.root_frontier().map == restored.root_frontier().map);
-}
-
-/// Loads the checked-in state file of an older format `version` into a
-/// mined miner and expects a refusal that leaves the miner as it was.
-void ExpectOlderVersionRefused(int version) {
-  GraphDatabase db = MakeDatabase(23);
-  PartMinerOptions options;
-  options.min_support_count = 4;
-  PartMiner miner(options);
-  miner.Mine(db);
-  const PatternSet patterns = miner.patterns();
-  const NodeFrontier frontier = miner.root_frontier();
-
-  const std::string v = std::to_string(version);
-  const Status status = LoadMinerStateFile(
-      std::string(PARTMINER_SOURCE_DIR) + "/data/corpus/state_v" + v +
-          ".state",
-      &miner);
-  EXPECT_EQ(status.code(), Status::Code::kInvalidArgument)
-      << status.ToString();
-  EXPECT_NE(status.message().find("version " + v), std::string::npos)
-      << status.ToString();
-  EXPECT_TRUE(miner.mined());
-  EXPECT_EQ(miner.root_support(), 4);
-  ExpectSameResults(patterns, miner.patterns(), "after refused load");
-  EXPECT_TRUE(frontier.map == miner.root_frontier().map);
-}
-
-TEST(StateIoTest, VersionTwoFileIsRefusedAndMinerLeftUntouched) {
-  ExpectOlderVersionRefused(2);
-}
-
-TEST(StateIoTest, VersionThreeFileIsRefusedAndMinerLeftUntouched) {
-  ExpectOlderVersionRefused(3);
-}
-
-TEST(StateIoTest, LegacyV1FileWithoutFooterIsRejected) {
-  // A well-formed v1 header with no footer must be refused up front, not
-  // half-parsed.
-  PartMiner miner{PartMinerOptions{}};
-  std::stringstream in(
-      "partminer-state 1\nroot_support 2\nk 2\ngraphs 0\nnodes 0\n"
-      "verified\npatterns 0\n");
-  const Status status = LoadMinerState(in, &miner);
-  EXPECT_EQ(status.code(), Status::Code::kCorruption);
-  EXPECT_NE(status.message().find("footer"), std::string::npos)
-      << status.ToString();
+                                      "patterns", "frontier"}));
+  EXPECT_EQ(pattern_lines, miner.patterns().size());
+  EXPECT_EQ(buffer.str().rfind("partminer-state 4\nroot_support 4\n", 0), 0u);
 }
 
 }  // namespace

@@ -12,7 +12,8 @@
 // minimized by greedy graph removal and written to the corpus directory as
 // a replayable .lg repro. The run then replays every existing corpus
 // repro (fixed bugs must stay fixed) and, unless --no-faults, sweeps
-// storage fault injection over the ADI and state-persistence paths.
+// storage fault injection over the ADI path, tampered snapshot files and
+// the resident daemon.
 //
 // Exit status: 0 when everything agrees and every fault run ended
 // correct-or-clean-error; 1 otherwise.
@@ -108,14 +109,15 @@ int Run(int argc, char** argv) {
       std::fprintf(stderr, "VIOLATION (adi): %s\n", v.c_str());
     }
     fault_violations += static_cast<int>(adi.violations.size());
-    const FaultSweepOutcome state = testing::RunStateIoFaultSweep(start + 2);
+    const FaultSweepOutcome tamper =
+        testing::RunSnapshotTamperSweep(start + 2);
     std::printf(
-        "state_io fault sweep: %d runs, %d clean failures, %d correct, "
+        "snapshot tamper sweep: %d runs, %d clean failures, %d correct, "
         "%zu violations\n",
-        state.runs, state.clean_failures, state.successes,
-        state.violations.size());
-    for (const std::string& v : state.violations) {
-      std::fprintf(stderr, "VIOLATION (state_io): %s\n", v.c_str());
+        tamper.runs, tamper.clean_failures, tamper.successes,
+        tamper.violations.size());
+    for (const std::string& v : tamper.violations) {
+      std::fprintf(stderr, "VIOLATION (snapshot): %s\n", v.c_str());
     }
     const FaultSweepOutcome daemon = testing::RunDaemonFaultSweep(start + 3);
     std::printf(
@@ -126,7 +128,7 @@ int Run(int argc, char** argv) {
     for (const std::string& v : daemon.violations) {
       std::fprintf(stderr, "VIOLATION (daemon): %s\n", v.c_str());
     }
-    fault_violations += static_cast<int>(state.violations.size()) +
+    fault_violations += static_cast<int>(tamper.violations.size()) +
                         static_cast<int>(daemon.violations.size());
   }
 

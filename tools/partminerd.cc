@@ -11,12 +11,15 @@
 //   partminerd --restore=/path/snap (--socket=... | --stdio) [...]
 //
 // Loads the database, mines it once (one frontier-capturing root sweep,
-// no partition), then keeps the IncPartMiner state resident and serves the newline-delimited JSON
-// protocol of DESIGN.md section 12: `update` (batched edits, bounded queue
-// with overload rejection), `query` (frequent-pattern retrieval /
-// containment), `snapshot` (state_io v4 checkpoint), `metrics`, `health`,
-// `dump` (flight recorder), `sync`, `ping`, `shutdown`. --restore resumes
-// from a `snapshot` pair instead of re-mining from scratch.
+// no partition), then keeps the IncPartMiner state resident and serves the
+// newline-delimited JSON protocol of DESIGN.md section 12: `update`
+// (batched edits, bounded queue with overload rejection), `query`
+// (frequent-pattern retrieval / containment), `snapshot` (writes
+// `<path>.db.lg`: the database with its root support and a checksum in a
+// trailing comment line), `metrics`, `health`, `dump` (flight recorder),
+// `sync`, `ping`, `shutdown`.
+// --restore=PREFIX checks `PREFIX.db.lg`, then mines it at the saved
+// support; --support is ignored.
 //
 // Observability (DESIGN.md section 13):
 //  - --trace=PATH records Chrome trace-event spans (request lifecycle +
@@ -203,7 +206,7 @@ int Main(int argc, char** argv) {
 
   Status status;
   if (!restore.empty()) {
-    status = session.InitFromSnapshot(restore + ".db.lg", restore + ".state");
+    status = session.InitFromSnapshot(restore + ".db.lg");
   } else {
     GraphDatabase db;
     status = ReadGraphDatabaseFile(input, &db);

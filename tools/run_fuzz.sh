@@ -84,7 +84,7 @@ if [ -x "$TOOLS_DIR/partminerd" ] && [ -x "$TOOLS_DIR/partminer" ]; then
     printf '%s\n' "$OUT" | sed -n 4p | grep -q '"ok":true' || {
       echo "daemon stopped serving after $spec" >&2; exit 1; }
   done
-  # A clean snapshot pair now exists at $GRID_TMP/snap (written by the
+  # A clean snapshot now exists at $GRID_TMP/snap.db.lg (written by the
   # read-fault round, whose write path was fault-free).
   if "$TOOLS_DIR/partminerd" --restore="$GRID_TMP/snap" --stdio \
        --fault-read=once:0 </dev/null >/dev/null 2>&1; then
