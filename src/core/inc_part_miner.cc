@@ -19,14 +19,23 @@ double IncPartMinerResult::AggregateSeconds() const {
 
 namespace {
 
+/// Per cached pattern, by its position in the set: the support it had
+/// before the round if Pass 1 stripped it, else kUntouched; kReached once
+/// the sweep has rewritten it.
+constexpr int kUntouched = -1;
+constexpr int kReached = -2;
+
 /// The delta-mining sweep of IncMergeJoin: a gSpan recursion over the
 /// *updated graphs only*. Every encountered extension group resolves its
-/// pre-update TID list from the cached pattern set (frequent patterns) or
-/// the frontier (everything else ever enumerated; absent means zero
-/// pre-update occurrences), so post-update supports come from set
-/// arithmetic alone — no subgraph-isomorphism counting. Patterns that newly
-/// cross the threshold are completed by a full-projection subtree grow
-/// (rare) and written to `became_frequent` (IF) as they are emitted.
+/// pre-update TID list from the pattern set (frequent patterns, already
+/// stripped of the updated graphs by Pass 1) or the frontier (everything
+/// else ever enumerated; absent means zero pre-update occurrences), so
+/// post-update supports come from set arithmetic alone — no
+/// subgraph-isomorphism counting. The sweep writes into the pattern set in
+/// place: patterns that newly cross the threshold are completed by a
+/// full-projection subtree grow (rare) and written to `became_frequent`
+/// (IF) as they are emitted; a cached pattern whose support moved is
+/// written to `changed`.
 ///
 /// The sweep reaches every code through its prefix chain, so it carries the
 /// newest cut over a code's proper prefixes down the recursion and each
@@ -34,19 +43,19 @@ namespace {
 class DeltaSweep {
  public:
   DeltaSweep(const GraphDatabase& db, const GraphDatabase& upd_db,
-             const PatternSet& cached, Frontier& frontier,
-             const TidSet& updated_set, int min_support, int max_edges,
-             PatternSet* out, PatternSet* became_frequent,
+             PatternSet& patterns, std::vector<int>& before,
+             Frontier& frontier, int min_support, int max_edges,
+             PatternSet* became_frequent, std::vector<DfsCode>* changed,
              MergeJoinStats* stats)
       : db_(db),
         upd_db_(upd_db),
-        cached_(cached),
+        patterns_(patterns),
+        before_(before),
         frontier_(frontier),
-        updated_set_(updated_set),
         min_support_(min_support),
         max_edges_(max_edges),
-        out_(out),
         became_frequent_(became_frequent),
+        changed_(changed),
         stats_(stats) {}
 
   void Run() {
@@ -63,66 +72,66 @@ class DeltaSweep {
   /// Processes one extension group reached through the updated graphs;
   /// `prefix_cut` is the frontier's PrefixCutEpoch(*code). Its exact post-
   /// update TIDs are (old \ updated) ∪ hits-in-updated, where the pre-update
-  /// set comes from the cache (stripped here) or the frontier (stripped
-  /// lazily by its lookup); absent or dead means zero pre-update occurrences.
+  /// set comes from the pattern set (stripped by Pass 1) or the frontier
+  /// (stripped lazily by its lookup); absent or dead means zero pre-update
+  /// occurrences.
   void Handle(DfsCode* code, const engine::Projected& projected,
               Frontier::Epoch prefix_cut) {
     ++stats_->candidates_generated;
     TidSet tids;
-    const PatternInfo* cached = cached_.Find(*code);
-    if (cached != nullptr) {
-      tids = cached->tids;
-      tids -= updated_set_;
+    const int at = patterns_.IndexOf(*code);
+    if (at >= 0) {
+      tids = patterns_.patterns()[at].tids;
     } else {
       frontier_.Lookup(*code, prefix_cut, &tids);
     }
-    // Known verdicts, no test: a cached code is minimal. A code outside the
-    // cache that meets the threshold outside the updated graphs alone was
-    // frequent before the round, yet the exact cache lacks it: it is not
-    // minimal.
-    const bool known_non_minimal =
-        cached == nullptr && tids.Count() >= min_support_;
+    // Known verdicts, no test: a cached code is minimal, parked or not. A
+    // code outside the cache that meets the threshold outside the updated
+    // graphs alone was frequent before the round, yet the exact cache lacks
+    // it: it is not minimal.
+    const bool known = at >= 0;
+    const bool known_non_minimal = !known && tids.Count() >= min_support_;
     tids |= engine::TidSetOf(projected);
     const int support = tids.Count();
 
     if (support < min_support_) {
-      // A cached pattern landing here was parked by Pass 1 and is cut
+      // Of the cached patterns only a parked one lands here; it is cut
       // after the sweep.
       frontier_.Put(*code, std::move(tids));
       return;  // Apriori: nothing frequent extends an infrequent pattern.
     }
-    if (known_non_minimal ||
-        (cached == nullptr && !IsMinimalDfsCode(*code))) {
+    if (known_non_minimal || (!known && !IsMinimalDfsCode(*code))) {
       // Frequent under a non-minimal code: keep the TIDs for future rounds;
       // the minimal twin carries the pattern.
       frontier_.Put(*code, std::move(tids));
       return;
     }
-    if (cached == nullptr) {
+    if (!known) {
       // Newly frequent (IF direction): its subtree was never enumerated
       // before, so recover it with a full projection over the database
       // (exact TIDs are in hand). Everything the grow emits is newly
       // frequent too: it extends a code that was infrequent.
       ++stats_->spanning_found;
       ++stats_->candidates_counted;
-      const int first = out_->size();
+      const int first = patterns_.size();
       FullGrow(code, tids.ToVector());
-      for (int i = first; i < out_->size(); ++i) {
-        became_frequent_->Upsert(out_->patterns()[i]);
+      for (int i = first; i < patterns_.size(); ++i) {
+        became_frequent_->Upsert(patterns_.patterns()[i]);
       }
       return;
     }
 
     // Still-frequent cached pattern: exact info by arithmetic; keep sweeping
-    // its extensions inside the updated graphs. Pass 1 may have parked it in
-    // the frontier (its stripped support fell short); it is frequent again.
+    // its extensions inside the updated graphs. Pass 1 may have parked it
+    // (its stripped support fell short); it is frequent again.
     ++stats_->candidates_skipped_known;
     frontier_.Erase(*code);
-    PatternInfo info;
-    info.code = *code;
-    info.support = support;
-    info.tids = std::move(tids);
-    out_->Upsert(std::move(info));
+    PatternInfo& pattern = patterns_.mutable_pattern(at);
+    const int old = before_[at] == kUntouched ? pattern.support : before_[at];
+    before_[at] = kReached;
+    if (support != old) changed_->push_back(*code);
+    pattern.support = support;
+    pattern.tids = std::move(tids);
 
     if (static_cast<int>(code->size()) >= max_edges_) return;
     const Frontier::Epoch child_cut =
@@ -137,8 +146,8 @@ class DeltaSweep {
   }
 
   /// Standard full-projection grow for a newly frequent pattern: emits its
-  /// whole frequent subtree with exact info and records the subtree's
-  /// frontier at the current epoch.
+  /// whole frequent subtree with exact info into the pattern set and
+  /// records the subtree's frontier at the current epoch.
   void FullGrow(DfsCode* code, const std::vector<int>& tids) {
     std::deque<engine::Embedding> arena;
     const engine::Projected projected =
@@ -147,50 +156,52 @@ class DeltaSweep {
     mo.min_support = min_support_;
     mo.max_edges = max_edges_;
     mo.capture_frontier = &frontier_;
-    engine::GrowSubtree(db_, mo, code, projected, out_);
+    engine::GrowSubtree(db_, mo, code, projected, &patterns_);
   }
 
   const GraphDatabase& db_;
   const GraphDatabase& upd_db_;
-  const PatternSet& cached_;
+  PatternSet& patterns_;
+  std::vector<int>& before_;
   Frontier& frontier_;
-  const TidSet& updated_set_;
   const int min_support_;
   const int max_edges_;
-  PatternSet* out_;
   PatternSet* became_frequent_;
+  std::vector<DfsCode>* changed_;
   MergeJoinStats* stats_;
 };
 
 }  // namespace
 
-IncPartMinerResult IncPartMiner::Update(PartMiner* state,
-                                        const GraphDatabase& new_db,
-                                        const UpdateLog& log) {
+IncPartMinerResult IncPartMiner::ApplyRound(PartMiner* state,
+                                            const GraphDatabase& new_db,
+                                            const UpdateLog& log) {
   PM_CHECK(state->mined()) << "IncPartMiner requires a completed Mine()";
   PM_TRACE_SPAN("inc_part_miner.update",
                 {{"graphs", new_db.size()},
                  {"updated_graphs", log.updated_graphs.size()}});
   PM_METRIC_COUNTER("partminer.update_runs")->Increment();
   IncPartMinerResult result;
-  const PatternSet& cached = state->patterns();
+  PatternSet& patterns = state->mutable_patterns();
   NodeFrontier& frontier = state->mutable_root_frontier();
   const int min_support = state->root_support();
   const int max_edges = state->options().max_edges;
   MergeJoinStats* s = &result.merge_stats;
-  s->cached_patterns += cached.size();
+  s->cached_patterns += patterns.size();
 
   std::vector<int> updated = log.updated_graphs;
   std::sort(updated.begin(), updated.end());
   updated.erase(std::unique(updated.begin(), updated.end()), updated.end());
 
   // The incremental merge at the root (IncMergeJoin, Figure 12 lines
-  // 11-12), over the root's own cached set and frontier. The root's
-  // recombined database is the database itself. Each path writes IF (with
-  // the new info) and FI (with the old) where it finds them.
+  // 11-12), over the root's own cached set and frontier, both edited in
+  // place. The root's recombined database is the database itself. Each
+  // path writes IF (with the new info), FI (with the old) and the changed
+  // supports where it finds them. A round that updates no graph changes
+  // nothing.
   Stopwatch merge_watch;
-  {
-    PM_TRACE_SPAN("inc_merge_root", {{"candidates", cached.size()}});
+  if (!updated.empty()) {
+    PM_TRACE_SPAN("inc_merge_root", {{"candidates", patterns.size()}});
     // Cost-model switch: when a large share of the database changed (or the
     // frontier cache is invalid), the exact re-sweep beats the delta
     // machinery. Both are exact. The capture cost is paid only when a future
@@ -203,23 +214,26 @@ IncPartMinerResult IncPartMiner::Update(PartMiner* state,
                  state->options().inc_delta_sweep_max_fraction;
     };
     const bool small_update = small_share(updated.size());
-    if (updated.empty()) {
-      // Nothing changed: the cached set is already exact.
-      result.patterns = cached;
-    } else if (!small_update || !frontier.valid) {
+    if (!small_update || !frontier.valid) {
       frontier.map.Clear();
       frontier.valid = small_update;
-      result.patterns =
+      PatternSet swept =
           RootSweep(new_db, min_support, max_edges,
-                    small_update ? &frontier.map : nullptr, &cached, s);
+                    small_update ? &frontier.map : nullptr, &patterns, s);
       // Transitions by set difference: the sweep already paid O(result).
-      for (const PatternInfo& p : result.patterns.patterns()) {
-        if (!cached.Contains(p.code)) result.if_.Upsert(p);
+      for (const PatternInfo& p : swept.patterns()) {
+        const PatternInfo* old = patterns.Find(p.code);
+        if (old == nullptr) {
+          result.if_.Upsert(p);
+        } else if (old->support != p.support) {
+          result.changed.push_back(p.code);
+        }
       }
-      for (const PatternInfo& p : cached.patterns()) {
-        if (!result.patterns.Contains(p.code)) result.fi.Upsert(p);
+      for (const PatternInfo& p : patterns.patterns()) {
+        if (!swept.Contains(p.code)) result.fi.Upsert(p);
       }
       s->spanning_found += result.if_.size();
+      patterns = std::move(swept);
     } else {
       // Open this round's frontier epoch. Strips are lazy; once the graphs
       // updated since the last compaction pass the same share that sends a
@@ -237,34 +251,30 @@ IncPartMinerResult IncPartMiner::Update(PartMiner* state,
             ->Observe(compact_watch.ElapsedMillis());
       }
 
-      // Pass 1 — pure set arithmetic for every cached pattern: containment in
-      // non-updated graphs is unchanged, so (old tids \ updated) is a
-      // certified lower bound; patterns the sweep reaches below are
-      // overwritten with their full post-update info (which can only add
-      // updated-graph hits). A pattern whose stripped support falls short is
-      // parked in the frontier: the sweep never reaches it if it lost every
-      // occurrence in the updated graphs (only a relabel can do that), and a
-      // later round must still find its TIDs. Only parked patterns can end up
-      // frequent -> infrequent.
+      // Pass 1 — pure set arithmetic, in place: containment in non-updated
+      // graphs is unchanged, so (old tids \ updated) is a certified lower
+      // bound, and a pattern whose TIDs miss the updated graphs keeps its
+      // info unless the sweep below adds hits. A pattern whose stripped
+      // support falls short is parked: its stripped TIDs also go to the
+      // frontier and its pre-round info is kept aside. The sweep never
+      // reaches it if it lost every occurrence in the updated graphs (only
+      // a relabel can do that), and a later round must still find its TIDs.
+      // Only parked patterns can end up frequent -> infrequent.
       const TidSet updated_set = TidSet::FromVector(updated);
-      std::vector<const PatternInfo*> parked;
-      for (const PatternInfo& p : cached.patterns()) {
-        if (static_cast<int>(p.code.size()) > max_edges) {
-          result.fi.Upsert(p);
-          continue;
-        }
+      const int cached_count = patterns.size();
+      std::vector<int> before(cached_count, kUntouched);
+      PatternSet parked;
+      for (int i = 0; i < cached_count; ++i) {
+        PatternInfo& p = patterns.mutable_pattern(i);
         ++s->delta_recounts;
-        PatternInfo q;
-        q.code = p.code;
-        q.tids = p.tids;
-        q.tids -= updated_set;
-        q.support = q.tids.Count();
-        if (q.support >= min_support) {
-          result.patterns.Upsert(std::move(q));
-        } else {
-          f.Put(q.code, std::move(q.tids));
-          parked.push_back(&p);
-        }
+        const int lost = p.tids.CountCommon(updated_set);
+        if (lost == 0) continue;
+        const int support = p.support - lost;  // A support is its TID count.
+        if (support < min_support) parked.Upsert(p);
+        before[i] = p.support;
+        p.support = support;
+        p.tids -= updated_set;
+        if (support < min_support) f.Put(p.code, p.tids);
       }
 
       // Pass 2 — the frontier-backed delta sweep over the updated graphs. It
@@ -280,20 +290,30 @@ IncPartMinerResult IncPartMiner::Update(PartMiner* state,
           upd_db.Add(Graph(), new_db.gid(i));
         }
       }
-      DeltaSweep(new_db, upd_db, cached, f, updated_set, min_support,
-                 max_edges, &result.patterns, &result.if_, s)
+      DeltaSweep(new_db, upd_db, patterns, before, f, min_support, max_edges,
+                 &result.if_, &result.changed, s)
           .Run();
 
+      // Stripped patterns the sweep did not reach hold their stripped info,
+      // which lost at least one TID.
+      for (int i = 0; i < cached_count; ++i) {
+        const PatternInfo& p = patterns.patterns()[i];
+        if (before[i] >= 0 && p.support >= min_support) {
+          result.changed.push_back(p.code);
+        }
+      }
       // Parked patterns the sweep did not make frequent again are the FI
-      // transitions. Each cuts its frontier subtree: those entries were
-      // derived through occurrences of a pattern that dropped out, and the
-      // subtree grow re-derives them if it becomes frequent again. Cutting
-      // every FI pattern, reached or not, keeps every live entry under a
-      // chain of current patterns, where the sweep keeps it exact.
-      for (const PatternInfo* p : parked) {
-        if (result.patterns.Contains(p->code)) continue;
-        f.Cut(p->code);
-        result.fi.Upsert(*p);
+      // transitions: they leave the set. Each cuts its frontier subtree:
+      // those entries were derived through occurrences of a pattern that
+      // dropped out, and the subtree grow re-derives them if it becomes
+      // frequent again. Cutting every FI pattern, reached or not, keeps
+      // every live entry under a chain of current patterns, where the sweep
+      // keeps it exact.
+      for (const PatternInfo& p : parked.patterns()) {
+        if (patterns.Find(p.code)->support >= min_support) continue;
+        patterns.Erase(p.code);
+        f.Cut(p.code);
+        result.fi.Upsert(p);
       }
     }
   }
@@ -302,8 +322,15 @@ IncPartMinerResult IncPartMiner::Update(PartMiner* state,
       ->Observe(result.merge_seconds * 1e3);
   result.merge_stats.PublishToRegistry();
 
-  result.uf = result.patterns.size() - result.if_.size();
-  state->mutable_patterns() = result.patterns;
+  result.uf = patterns.size() - result.if_.size();
+  return result;
+}
+
+IncPartMinerResult IncPartMiner::Update(PartMiner* state,
+                                        const GraphDatabase& new_db,
+                                        const UpdateLog& log) {
+  IncPartMinerResult result = ApplyRound(state, new_db, log);
+  result.patterns = state->patterns();
   return result;
 }
 

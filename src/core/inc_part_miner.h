@@ -1,6 +1,8 @@
 #ifndef PARTMINER_CORE_INC_PART_MINER_H_
 #define PARTMINER_CORE_INC_PART_MINER_H_
 
+#include <vector>
+
 #include "common/setword.h"
 #include "core/part_miner.h"
 #include "datagen/update_generator.h"
@@ -9,16 +11,23 @@
 
 namespace partminer {
 
-/// Outcome of one incremental round: the new exact pattern set of the
-/// updated database plus the paper's three classification sets
-/// (Section 4.5): UF (frequent before and after), FI (frequent ->
-/// infrequent), IF (infrequent -> frequent). UF is every pattern of
-/// `patterns` not in IF, so only its size is kept.
+/// Outcome of one incremental round: the paper's classification sets
+/// (Section 4.5) — UF (frequent before and after), FI (frequent ->
+/// infrequent), IF (infrequent -> frequent) — and, of UF, the codes whose
+/// support changed. Together with the miner's own pattern set, which the
+/// round edits in place, they are the whole change: a reader that keeps a
+/// copy of the set patches it from `if_`, `fi` and `changed` alone. UF is
+/// every pattern of the new set not in IF, so only its size is kept.
 struct IncPartMinerResult {
-  PatternSet patterns;  // P(D'), exact.
+  /// P(D'), exact: a copy of the miner's set after the round, for the
+  /// readers that still take the result by value. Filled by Update only.
+  PatternSet patterns;
   int uf = 0;
   PatternSet fi;   // With their pre-update info.
   PatternSet if_;  // With their post-update info.
+  /// Codes frequent before and after whose support differs; their new
+  /// info is in the miner's set. Each code appears once.
+  std::vector<DfsCode> changed;
 
   /// Always empty: Update routes nothing to units.
   SetWord remined_units;
@@ -45,10 +54,12 @@ struct IncPartMinerResult {
 /// selects leaves whose results the root never reads, so no partition is
 /// kept and nothing is routed.
 ///
-///  1. Pass 1: every cached pattern is delta-recounted — only the updated
-///     graphs are re-examined; containment elsewhere cannot have changed.
-///     Patterns falling below threshold move to the frontier and, unless
-///     the sweep re-frequents them, drop out (the paper's FI direction).
+///  1. Pass 1: every cached pattern whose TIDs meet the updated graphs is
+///     stripped of them in place — containment elsewhere cannot have
+///     changed. Patterns falling below threshold are parked (their TIDs
+///     also go to the frontier) and, unless the sweep re-frequents them,
+///     leave the set after it (the paper's FI direction). The other
+///     patterns are not touched.
 ///  2. Pass 2: new patterns are discovered by sweeping rightmost extensions
 ///     of verified patterns *projected onto the updated graphs only*: a
 ///     pattern that became frequent must have gained an occurrence, so it
@@ -88,7 +99,13 @@ class IncPartMiner {
   /// `new_db` is the updated database (same graph count, vertices only
   /// added, per the paper's update model); `log` is the update log from
   /// ApplyUpdates. The state's root pattern set and root frontier are
-  /// updated so further rounds can follow.
+  /// edited in place so further rounds can follow; a round that updates no
+  /// graph leaves both as they are. Returns the change only: `patterns`
+  /// stays empty, and the new set is `state->patterns()`.
+  IncPartMinerResult ApplyRound(PartMiner* state, const GraphDatabase& new_db,
+                                const UpdateLog& log);
+
+  /// ApplyRound, plus a copy of the new set in the result's `patterns`.
   IncPartMinerResult Update(PartMiner* state, const GraphDatabase& new_db,
                             const UpdateLog& log);
 };

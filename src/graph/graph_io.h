@@ -3,6 +3,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 #include "graph/graph.h"
@@ -17,7 +18,10 @@ namespace partminer {
 ///
 /// Vertex ids within a graph must be dense starting from 0. Lines beginning
 /// with '#' (other than the `t # gid` header) and blank lines are ignored.
+/// The input is read whole and tokenized in place.
 Status ReadGraphDatabase(std::istream& in, GraphDatabase* db);
+/// The same over text already in memory.
+Status ReadGraphDatabase(std::string_view text, GraphDatabase* db);
 
 /// Convenience overload reading from a file path.
 Status ReadGraphDatabaseFile(const std::string& path, GraphDatabase* db);

@@ -203,6 +203,21 @@ bool TidSet::Includes(const TidSet& other) const {
   return true;
 }
 
+int TidSet::CountCommon(const TidSet& other) const {
+  if (other.nwords_ == 0) {
+    int common = 0;
+    for (int i = 0; i < other.size_; ++i) common += Contains(other.small_[i]);
+    return common;
+  }
+  if (nwords_ == 0) return other.CountCommon(*this);
+  int common = 0;
+  const int n = std::min(nwords_, other.nwords_);
+  for (int w = 0; w < n; ++w) {
+    common += __builtin_popcountll(words_[w] & other.words_[w]);
+  }
+  return common;
+}
+
 bool operator==(const TidSet& a, const TidSet& b) {
   // Canonical form: an inline set never equals a dense one, and dense sets
   // of equal contents have equally many words.

@@ -62,6 +62,8 @@ class TidSet {
 
   /// True when `other` is a subset of this set.
   bool Includes(const TidSet& other) const;
+  /// Size of the intersection with `other`, without building it.
+  int CountCommon(const TidSet& other) const;
 
   /// Calls `fn(tid)` for every member in ascending order.
   template <typename Fn>

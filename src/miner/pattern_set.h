@@ -217,6 +217,12 @@ class PatternSet {
     auto it = index_.find(code);
     return it == index_.end() ? nullptr : &patterns_[it->second];
   }
+  /// Position of `code` in patterns(), or -1. Positions hold until an
+  /// Erase.
+  int IndexOf(const DfsCode& code) const {
+    auto it = index_.find(code);
+    return it == index_.end() ? -1 : it->second;
+  }
 
   /// Removes a pattern if present; returns true when something was removed.
   bool Erase(const DfsCode& code) {
@@ -237,6 +243,9 @@ class PatternSet {
   bool empty() const { return patterns_.empty(); }
 
   const std::vector<PatternInfo>& patterns() const { return patterns_; }
+  /// The pattern at position `i`, mutable: callers may change the support
+  /// and the TIDs, never the code.
+  PatternInfo& mutable_pattern(int i) { return patterns_[i]; }
 
   /// Patterns with exactly `k` edges (the paper's P^k).
   std::vector<const PatternInfo*> WithEdgeCount(int k) const {

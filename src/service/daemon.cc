@@ -421,15 +421,15 @@ std::string Daemon::HandleLine(const std::string& line, bool* shutdown) {
     result.Set("state", Json::Str(HealthState(*pub)));
     response = RenderResponse(id, std::move(result));
   } else if (command == "health") {
-    const std::shared_ptr<const Published> pub = session_->Current();
+    const FrontierHealth frontier = session_->FrontierCounts();
+    const Published& pub = *frontier.published;
     Json result = Json::Object();
-    result.Set("state", Json::Str(HealthState(*pub)));
-    result.Set("epoch", Json::Number(static_cast<int64_t>(pub->epoch)));
+    result.Set("state", Json::Str(HealthState(pub)));
+    result.Set("epoch", Json::Number(static_cast<int64_t>(pub.epoch)));
     result.Set("queue_depth",
                Json::Number(static_cast<int64_t>(queue_depth_edits())));
-    result.Set("frontier_entries", Json::Number(pub->frontier_entries));
-    result.Set("frontier_dead_entries",
-               Json::Number(pub->frontier_dead_entries));
+    result.Set("frontier_entries", Json::Number(frontier.entries));
+    result.Set("frontier_dead_entries", Json::Number(frontier.dead_entries));
     response = RenderResponse(id, std::move(result));
   } else if (command == "dump") {
     // Reparse for the same reason as `metrics`: the dump must splice into

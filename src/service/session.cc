@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <fstream>
 #include <mutex>
-#include <numeric>
 #include <sstream>
 
 #include "common/fnv.h"
@@ -35,29 +34,22 @@ Status RecordInjectedFault(FaultInjector::Op op, const std::string& context) {
   return FaultInjector::InjectedFault(op, context);
 }
 
-/// The (code string, support) pairs of `patterns` sorted by code string —
-/// each code stringified once — and in `order` the pattern index of each.
+/// The (code string, support) pairs of `patterns` sorted by code string.
 std::vector<std::pair<std::string, int>> SortByCode(
-    const std::vector<PatternInfo>& patterns, std::vector<int>* order) {
-  std::vector<std::string> codes(patterns.size());
-  for (size_t i = 0; i < patterns.size(); ++i) {
-    codes[i] = patterns[i].code.ToString();
-  }
-  order->resize(patterns.size());
-  std::iota(order->begin(), order->end(), 0);
-  std::sort(order->begin(), order->end(),
-            [&](int a, int b) { return codes[a] < codes[b]; });
+    const std::vector<PatternInfo>& patterns) {
   std::vector<std::pair<std::string, int>> sorted;
   sorted.reserve(patterns.size());
-  for (const int i : *order) {
-    sorted.emplace_back(std::move(codes[i]), patterns[i].support);
+  for (const PatternInfo& p : patterns) {
+    sorted.emplace_back(p.code.ToString(), p.support);
   }
+  std::sort(sorted.begin(), sorted.end());
   return sorted;
 }
 
 /// FNV-1a from kDigestSeed over (code, support) pairs already sorted by
 /// code string.
-uint64_t DigestSorted(const std::vector<std::pair<std::string, int>>& sorted) {
+template <typename Code>
+uint64_t DigestSorted(const std::vector<std::pair<Code, int>>& sorted) {
   uint64_t h = kDigestSeed;
   for (const auto& [code, support] : sorted) {
     h = Fnv1a(code.data(), code.size(), h);
@@ -137,8 +129,7 @@ Status ReadSnapshotFile(const std::string& path, GraphDatabase* db,
   if (SnapshotFooter(*support, contents, start) != line) {
     return Status::Corruption("checksum mismatch (file corrupted)");
   }
-  std::istringstream text(std::move(contents));
-  PARTMINER_RETURN_IF_ERROR(ReadGraphDatabase(text, db));
+  PARTMINER_RETURN_IF_ERROR(ReadGraphDatabase(contents, db));
   if (db->empty()) return Status::Corruption("snapshot database is empty");
   return Status::Ok();
 }
@@ -157,43 +148,160 @@ MinerSession::MinerSession(const SessionOptions& options)
 MinerSession::~MinerSession() = default;
 
 uint64_t PatternSetDigest(const PatternSet& patterns) {
-  std::vector<int> order;
-  return DigestSorted(SortByCode(patterns.patterns(), &order));
+  return DigestSorted(SortByCode(patterns.patterns()));
 }
 
-void MinerSession::PublishLocked() {
-  // Sort once by code string (the digest's order, and the containment
-  // table), then order only an index array for replies.
-  const std::vector<PatternInfo>& patterns = miner_->patterns().patterns();
-  const int n = static_cast<int>(patterns.size());
-  std::vector<int> order;
+std::string_view CodeArena::Add(std::string_view text) {
+  if (blocks_.empty() || block_used_ + text.size() > block_size_) {
+    block_size_ = std::max(kBlockBytes, text.size());
+    blocks_.push_back(std::make_unique<char[]>(block_size_));
+    block_used_ = 0;
+  }
+  char* at = blocks_.back().get() + block_used_;
+  std::copy(text.begin(), text.end(), at);
+  block_used_ += text.size();
+  bytes_ += text.size();
+  return {at, text.size()};
+}
+
+void MinerSession::PublishLocked(const Published& prev,
+                                 const PatternSet& entered,
+                                 const PatternSet& left,
+                                 const std::vector<DfsCode>& moved) {
+  PM_TRACE_SPAN("publish", {{"entered", entered.size()},
+                            {"left", left.size()},
+                            {"moved", moved.size()}});
+  const PatternSet& patterns = miner_->patterns();
+  const int kept = static_cast<int>(prev.by_code.size());
+  // The previous epoch's position of a resident code: its string sorts it
+  // among the kept entries.
+  const auto position = [&](const DfsCode& code) {
+    const auto it = code_strings_.find(code);
+    PM_CHECK(it != code_strings_.end())
+        << "unpublished code " << code.ToString();
+    const auto at = std::lower_bound(
+        prev.by_code.begin(), prev.by_code.end(), it->second,
+        [](const std::pair<std::string_view, int>& entry,
+           std::string_view key) { return entry.first < key; });
+    return static_cast<int>(at - prev.by_code.begin());
+  };
+
+  // Kept entries that leave (FI), and those that keep their place in code
+  // order but take a new support and so a new place in support order.
+  constexpr int kStays = -1;
+  constexpr int kLeaves = -2;
+  std::vector<int> new_support(kept, kStays);
+  for (const PatternInfo& p : left.patterns()) {
+    new_support[position(p.code)] = kLeaves;
+  }
+  for (const DfsCode& code : moved) {
+    new_support[position(code)] = patterns.Find(code)->support;
+  }
+  for (const PatternInfo& p : left.patterns()) {
+    const auto it = code_strings_.find(p.code);
+    live_bytes_ -= it->second.size();
+    code_strings_.erase(it);
+  }
+
+  // Entering codes (IF) are the only ones stringified. Sorted among
+  // themselves, their text goes to the arena in code order and their
+  // entries merge into the kept ones.
+  struct Entering {
+    std::string text;
+    int support;
+    const DfsCode* code;
+    std::string_view view;
+  };
+  std::vector<Entering> entering;
+  entering.reserve(entered.size());
+  for (const PatternInfo& p : entered.patterns()) {
+    entering.push_back({p.code.ToString(), p.support, &p.code, {}});
+  }
+  std::sort(entering.begin(), entering.end(),
+            [](const Entering& a, const Entering& b) {
+              return a.text < b.text;
+            });
+  for (Entering& entry : entering) {
+    entry.view = arena_->Add(entry.text);
+    live_bytes_ += entry.view.size();
+    const auto [it, inserted] = code_strings_.emplace(*entry.code, entry.view);
+    PM_CHECK(inserted) << "code published twice " << entry.text;
+    entry.code = &it->first;
+  }
+
   auto next = std::make_shared<Published>();
   next->ready = true;
   next->epoch = epoch_;
   next->resident_support = miner_->root_support();
   next->graph_count = db_.size();
-  next->by_code = SortByCode(patterns, &order);
-  next->digest = DigestSorted(next->by_code);
-  next->by_support.resize(n);
-  std::iota(next->by_support.begin(), next->by_support.end(), 0);
-  std::sort(next->by_support.begin(), next->by_support.end(),
-            [&](int a, int b) {
-              const PatternInfo& pa = patterns[order[a]];
-              const PatternInfo& pb = patterns[order[b]];
-              if (pa.support != pb.support) return pa.support > pb.support;
-              return pa.code.Compare(pb.code) < 0;
-            });
+  const int n = patterns.size();
+  std::vector<std::pair<std::string_view, int>>& by_code = next->by_code;
+  std::vector<const DfsCode*> codes;
+  by_code.reserve(n);
+  codes.reserve(n);
+  // Where each kept entry lands in the new by_code, and the new positions
+  // whose place in support order is not known yet.
+  std::vector<int> kept_at(kept, -1);
+  std::vector<int> resorted;
+  resorted.reserve(moved.size() + entering.size());
+  size_t e = 0;
+  for (int i = 0; i <= kept; ++i) {
+    while (e < entering.size() &&
+           (i == kept || entering[e].view < prev.by_code[i].first)) {
+      resorted.push_back(static_cast<int>(by_code.size()));
+      by_code.emplace_back(entering[e].view, entering[e].support);
+      codes.push_back(entering[e].code);
+      ++e;
+    }
+    if (i == kept || new_support[i] == kLeaves) continue;
+    kept_at[i] = static_cast<int>(by_code.size());
+    if (new_support[i] == kStays) {
+      by_code.push_back(prev.by_code[i]);
+    } else {
+      resorted.push_back(kept_at[i]);
+      by_code.emplace_back(prev.by_code[i].first, new_support[i]);
+    }
+    codes.push_back(by_code_codes_[i]);
+  }
+  PM_CHECK_EQ(static_cast<int>(by_code.size()), n);
+  by_code_codes_ = std::move(codes);
 
-  const Frontier& frontier = miner_->root_frontier().map;
-  next->frontier_entries = static_cast<int64_t>(frontier.size());
-  next->frontier_dead_entries = static_cast<int64_t>(frontier.CountDead());
+  // Once the text of codes that left outweighs the live text, the live
+  // text moves to a fresh arena, in code order; older epochs keep theirs.
+  if (arena_->bytes() > 2 * live_bytes_) {
+    const std::shared_ptr<const CodeArena> old = std::move(arena_);
+    arena_ = std::make_shared<CodeArena>();
+    for (int i = 0; i < n; ++i) {
+      by_code[i].first = arena_->Add(by_code[i].first);
+      code_strings_.find(*by_code_codes_[i])->second = by_code[i].first;
+    }
+  }
+  next->arena = arena_;
+
+  // Support order: the entries whose support is unchanged keep their
+  // relative order; the moved and entering ones are sorted and merged in.
+  const auto before = [&](int a, int b) {
+    if (by_code[a].second != by_code[b].second) {
+      return by_code[a].second > by_code[b].second;
+    }
+    return by_code_codes_[a]->Compare(*by_code_codes_[b]) < 0;
+  };
+  std::vector<int> still;
+  still.reserve(n);
+  for (const int i : prev.by_support) {
+    if (new_support[i] == kStays) still.push_back(kept_at[i]);
+  }
+  std::sort(resorted.begin(), resorted.end(), before);
+  next->by_support.resize(n);
+  std::merge(still.begin(), still.end(), resorted.begin(), resorted.end(),
+             next->by_support.begin(), before);
+  next->digest = DigestSorted(by_code);
 
   epoch_digests_[epoch_ % kDigestWindow] = {epoch_, next->digest};
   PM_METRIC_GAUGE("service.epoch")->Set(static_cast<int64_t>(epoch_));
   PM_METRIC_GAUGE("service.patterns")->Set(n);
-  PM_METRIC_GAUGE("partminer.frontier.entries")->Set(next->frontier_entries);
-  PM_METRIC_GAUGE("partminer.frontier.dead_entries")
-      ->Set(next->frontier_dead_entries);
+  PM_METRIC_GAUGE("partminer.frontier.entries")
+      ->Set(static_cast<int64_t>(miner_->root_frontier().map.size()));
   std::shared_ptr<const Published> previous = std::move(next);
   {
     std::lock_guard<std::mutex> lock(published_mu_);
@@ -203,15 +311,23 @@ void MinerSession::PublishLocked() {
   // reader still holds it.
 }
 
+void MinerSession::PublishMinedLocked() {
+  epoch_ = 0;
+  epoch_digests_.assign(kDigestWindow, {});
+  code_strings_.clear();
+  by_code_codes_.clear();
+  arena_ = std::make_shared<CodeArena>();
+  live_bytes_ = 0;
+  PublishLocked(Published(), miner_->patterns(), PatternSet(), {});
+}
+
 Status MinerSession::Init(GraphDatabase db) {
   if (db.empty()) return Status::InvalidArgument("empty database");
   std::unique_lock lock(mu_);
   db_ = std::move(db);
   miner_ = std::make_unique<PartMiner>(options_.miner);
   miner_->Mine(db_);
-  epoch_ = 0;
-  epoch_digests_.assign(kDigestWindow, {});
-  PublishLocked();
+  PublishMinedLocked();
   return Status::Ok();
 }
 
@@ -233,9 +349,7 @@ Status MinerSession::InitFromSnapshot(const std::string& path) {
   miner->Mine(db);
   db_ = std::move(db);
   miner_ = std::move(miner);
-  epoch_ = 0;
-  epoch_digests_.assign(kDigestWindow, {});
-  PublishLocked();
+  PublishMinedLocked();
   return Status::Ok();
 }
 
@@ -274,9 +388,12 @@ Status MinerSession::ApplyBatch(const std::vector<EditOp>& edits,
   phase_watch.Restart();
   if (outcome.applied > 0) {
     PM_TRACE_SPAN("phase_a_remine", {{"applied", outcome.applied}});
-    inc_.Update(miner_.get(), db_, log);
+    const IncPartMinerResult round = inc_.ApplyRound(miner_.get(), db_, log);
     ++epoch_;
-    PublishLocked();
+    Stopwatch publish_watch;
+    PublishLocked(*published_, round.if_, round.fi, round.changed);
+    PM_METRIC_HISTOGRAM("service.publish_ms")
+        ->Observe(publish_watch.ElapsedMillis());
   }
   result->phase_a_seconds = phase_watch.ElapsedSeconds();
   result->epoch = epoch_;
@@ -320,15 +437,16 @@ Status MinerSession::Query(const QueryRequest& request, QueryReply* reply) {
                                        : std::min(reply->count, request.limit);
     reply->patterns.reserve(take);
     for (int r = 0; r < take; ++r) {
-      reply->patterns.push_back(by_code[pub->by_support[r]]);
+      const auto& [code, code_support] = by_code[pub->by_support[r]];
+      reply->patterns.emplace_back(code, code_support);
     }
   }
 
   if (!request.pattern_text.empty()) {
     reply->has_containment = true;
-    std::istringstream in(request.pattern_text);
     GraphDatabase pattern_db;
-    PARTMINER_RETURN_IF_ERROR_CTX(ReadGraphDatabase(in, &pattern_db),
+    PARTMINER_RETURN_IF_ERROR_CTX(ReadGraphDatabase(request.pattern_text,
+                                                    &pattern_db),
                                   "parsing containment pattern");
     if (pattern_db.size() != 1) {
       return Status::InvalidArgument(
@@ -343,9 +461,8 @@ Status MinerSession::Query(const QueryRequest& request, QueryReply* reply) {
     const std::string code = MinimumDfsCode(pattern).ToString();
     const auto it = std::lower_bound(
         by_code.begin(), by_code.end(), code,
-        [](const std::pair<std::string, int>& entry, const std::string& key) {
-          return entry.first < key;
-        });
+        [](const std::pair<std::string_view, int>& entry,
+           const std::string& key) { return entry.first < key; });
     const bool found = it != by_code.end() && it->first == code;
     // Absent from the resident set means support < resident <= `support`,
     // so "not frequent at the queried support" is exact either way.
@@ -399,6 +516,20 @@ uint64_t MinerSession::DigestAt(uint64_t epoch) const {
 PatternSet MinerSession::VerifiedPatterns() const {
   std::shared_lock lock(mu_);
   return miner_ != nullptr ? miner_->patterns() : PatternSet();
+}
+
+FrontierHealth MinerSession::FrontierCounts() const {
+  std::shared_lock lock(mu_);
+  FrontierHealth health;
+  // Every write publishes before it releases the lock: the current epoch
+  // is the resident state's.
+  health.published = Current();
+  if (miner_ == nullptr) return health;
+  const Frontier& frontier = miner_->root_frontier().map;
+  health.entries = static_cast<int64_t>(frontier.size());
+  health.dead_entries = static_cast<int64_t>(frontier.CountDead());
+  PM_METRIC_GAUGE("partminer.frontier.dead_entries")->Set(health.dead_entries);
+  return health;
 }
 
 }  // namespace service

@@ -6,6 +6,8 @@
 #include <mutex>
 #include <shared_mutex>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -76,6 +78,24 @@ struct SnapshotResult {
   std::string db_path;
 };
 
+/// Append-only storage for the text of published code strings. Text once
+/// added never moves, so a view into it stays valid while the arena lives:
+/// the writer adds new codes while readers read older ones, and an epoch is
+/// built by copying views, not text.
+class CodeArena {
+ public:
+  std::string_view Add(std::string_view text);
+  /// Bytes of text added.
+  size_t bytes() const { return bytes_; }
+
+ private:
+  static constexpr size_t kBlockBytes = size_t{64} << 10;
+  std::vector<std::unique_ptr<char[]>> blocks_;
+  size_t block_used_ = 0;
+  size_t block_size_ = 0;
+  size_t bytes_ = 0;
+};
+
 /// One published epoch: everything the read verbs answer from, built once by
 /// the writer and never mutated afterwards, so readers need no lock.
 struct Published {
@@ -84,16 +104,24 @@ struct Published {
   uint64_t digest = 0;  // PatternSetDigest of the pattern set below.
   int resident_support = 0;
   int graph_count = 0;
-  /// Root frontier entries stored, and how many of them are dead (cut but
-  /// not yet compacted away).
-  int64_t frontier_entries = 0;
-  int64_t frontier_dead_entries = 0;
   /// (canonical code string, support), sorted by code string: the digest's
-  /// input, and the binary-search table for containment probes.
-  std::vector<std::pair<std::string, int>> by_code;
+  /// input, and the binary-search table for containment probes. The
+  /// strings are views into `arena`.
+  std::vector<std::pair<std::string_view, int>> by_code;
+  std::shared_ptr<const CodeArena> arena;
   /// Indices into by_code ordered by (support desc, DfsCode::Compare): the
   /// reply order of `limit` queries.
   std::vector<int> by_support;
+};
+
+/// The root frontier of the resident state, as `health` reports it.
+struct FrontierHealth {
+  /// The published epoch the counts belong to.
+  std::shared_ptr<const Published> published;
+  /// Entries stored, and how many of them are dead (cut but not yet
+  /// compacted away).
+  int64_t entries = 0;
+  int64_t dead_entries = 0;
 };
 
 /// The daemon's resident mining state: one database + the PartMiner root
@@ -186,10 +214,24 @@ class MinerSession {
   /// against a from-scratch oracle). Shared lock.
   PatternSet VerifiedPatterns() const;
 
+  /// The root frontier's counts and the epoch they belong to, read under
+  /// the session lock, shared. Counting the dead entries walks the
+  /// frontier once a cut is logged, so no publish does it: only `health`
+  /// asks, and it waits for a running apply.
+  FrontierHealth FrontierCounts() const;
+
  private:
-  /// Builds and swaps in the Published for the current resident state and
-  /// records its digest for DigestAt. Caller holds mu_ exclusively.
-  void PublishLocked();
+  /// Builds the Published of the current resident state from `prev`, the
+  /// epoch the kept code index describes, and one round's change:
+  /// `entered` (IF, or the whole set on Init), `left` (FI) and `moved`
+  /// (support changes; their new info is in the resident set). Swaps it in
+  /// and records its digest for DigestAt. Caller holds mu_ exclusively.
+  void PublishLocked(const Published& prev, const PatternSet& entered,
+                     const PatternSet& left,
+                     const std::vector<DfsCode>& moved);
+  /// Publishes a freshly mined resident state as epoch 0: an all-IF change
+  /// on an empty index. Caller holds mu_ exclusively.
+  void PublishMinedLocked();
 
   SessionOptions options_;
   FaultInjector* injector_ = nullptr;
@@ -206,6 +248,16 @@ class MinerSession {
   IncPartMiner inc_;
   /// (epoch, digest) of recent epochs, slot epoch % kDigestWindow.
   std::vector<std::pair<uint64_t, uint64_t>> epoch_digests_;
+  /// The code index kept across epochs: every resident code with its
+  /// string in `arena_`, and for by_code[i] of the current epoch the key of
+  /// its entry here (node keys do not move), which by_support's order
+  /// compares. `live_bytes_` is the text of the resident codes; the arena
+  /// also keeps the text of codes that left, until a publish copies the
+  /// live text to a fresh arena.
+  std::unordered_map<DfsCode, std::string_view, DfsCodeHash> code_strings_;
+  std::vector<const DfsCode*> by_code_codes_;
+  std::shared_ptr<CodeArena> arena_;
+  size_t live_bytes_ = 0;
 };
 
 }  // namespace service

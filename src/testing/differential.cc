@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "adi/adi_miner.h"
@@ -67,6 +68,47 @@ std::string DiffAgainstOracle(const PatternSet& oracle,
        << " " << actual.size() << "):\n"
        << out.str();
   return head.str();
+}
+
+/// Checks an incremental round's change report against the sets before and
+/// after it: IF is exactly `after` minus `before`, FI exactly `before` minus
+/// `after`, and `changed` exactly the codes of both whose support differs.
+/// Returns "" when it holds.
+std::string DiffChangeReport(const PatternSet& before, const PatternSet& after,
+                             const IncPartMinerResult& round) {
+  std::vector<std::string> want_if, want_fi, want_changed;
+  for (const PatternInfo& p : after.patterns()) {
+    const PatternInfo* old = before.Find(p.code);
+    if (old == nullptr) {
+      want_if.push_back(p.code.ToString());
+    } else if (old->support != p.support) {
+      want_changed.push_back(p.code.ToString());
+    }
+  }
+  for (const PatternInfo& p : before.patterns()) {
+    if (!after.Contains(p.code)) want_fi.push_back(p.code.ToString());
+  }
+  std::vector<std::string> got_changed;
+  for (const DfsCode& code : round.changed) {
+    got_changed.push_back(code.ToString());
+  }
+  std::sort(want_if.begin(), want_if.end());
+  std::sort(want_fi.begin(), want_fi.end());
+  std::sort(want_changed.begin(), want_changed.end());
+  std::sort(got_changed.begin(), got_changed.end());
+  const auto differs = [](const char* name, size_t got, size_t want) {
+    return std::string("change report: ") + name + " differs (" +
+           std::to_string(got) + " codes, expected " + std::to_string(want) +
+           ")";
+  };
+  const std::vector<std::string> got_if = round.if_.SortedCodeStrings();
+  if (got_if != want_if) return differs("IF", got_if.size(), want_if.size());
+  const std::vector<std::string> got_fi = round.fi.SortedCodeStrings();
+  if (got_fi != want_fi) return differs("FI", got_fi.size(), want_fi.size());
+  if (got_changed != want_changed) {
+    return differs("changed", got_changed.size(), want_changed.size());
+  }
+  return "";
 }
 
 /// Chained incremental rounds per case: enough for state carried across
@@ -288,6 +330,7 @@ DifferentialResult RunAllChecks(const GraphDatabase& db,
     IncPartMiner inc;
     for (int round = 0; round < kIncrementalRounds && result.ok(); ++round) {
       const UpdateLog log = ApplyRoundUpdates(&updated, params, round);
+      const PatternSet before = miner.patterns();
       const IncPartMinerResult inc_result = inc.Update(&miner, updated, log);
 
       // Diffed against a fresh serial mining of the updated database (gSpan
@@ -296,6 +339,9 @@ DifferentialResult RunAllChecks(const GraphDatabase& db,
       const PatternSet remined = gspan.Mine(updated, options);
       result.divergence =
           DiffAgainstOracle(remined, inc_result.patterns, "incpartminer");
+      if (result.divergence.empty()) {
+        result.divergence = DiffChangeReport(before, remined, inc_result);
+      }
       if (result.divergence.empty() && miner.root_frontier().valid) {
         const std::string problem = CheckCompactedFrontier(
             updated, inc_result.patterns, miner.root_frontier().map);

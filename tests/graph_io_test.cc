@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "common/random.h"
+#include "datagen/generator.h"
 #include "graph/canonical.h"
 #include "tests/test_util.h"
 
@@ -132,6 +133,74 @@ TEST(GraphIoTest, RoundTripPreservesIsomorphismClass) {
   for (int i = 0; i < db.size(); ++i) {
     EXPECT_EQ(reloaded.gid(i), db.gid(i));
     EXPECT_EQ(MinimumDfsCode(reloaded.graph(i)), MinimumDfsCode(db.graph(i)));
+  }
+}
+
+// The reader tokenizes as stream extraction does: a number is the longest
+// signed decimal prefix of a token, any C-locale space separates tokens,
+// and a value out of range is a parse failure.
+TEST(GraphIoTest, TokenizesLikeStreamExtraction) {
+  GraphDatabase db;
+  ASSERT_TRUE(
+      ReadGraphDatabase("t\t#  +4\r\nv 0 +1\nv\v1\f2\r\ne 0 1 007\n", &db)
+          .ok());
+  ASSERT_EQ(db.size(), 1);
+  EXPECT_EQ(db.gid(0), 4);
+  EXPECT_EQ(db.graph(0).vertex_label(0), 1);
+  EXPECT_EQ(db.graph(0).vertex_label(1), 2);
+  EXPECT_EQ(db.graph(0).EdgeLabelBetween(0, 1), 7);
+
+  struct Case {
+    const char* text;
+    const char* message;  // The whole status message.
+  };
+  const Case cases[] = {
+      {"t # 0\nv 0 12x\n",
+       "line 2 ('v 0 12x'): trailing tokens after 'v <id> <label>'"},
+      {"t # 0\nv 0 x12\n", "line 2 ('v 0 x12'): expected 'v <id> <label>'"},
+      {"t # 0\nv 0 +-1\n", "line 2 ('v 0 +-1'): expected 'v <id> <label>'"},
+      {"t # 99999999999999999999\n",
+       "line 1 ('t # 99999999999999999999'): expected 't # <gid>'"},
+      {"t #5\n", "line 1 ('t #5'): expected 't # <gid>'"},
+      {"\n\nt # 0\nw\n", "line 4 ('w'): unknown record tag 'w'"},
+  };
+  for (const Case& c : cases) {
+    GraphDatabase bad;
+    const Status status = ReadGraphDatabase(c.text, &bad);
+    EXPECT_EQ(status.code(), Status::Code::kCorruption) << c.text;
+    EXPECT_EQ(status.message(), c.message) << c.text;
+  }
+}
+
+// Write then read returns every generated database as it was written.
+TEST(GraphIoTest, GeneratedDatabasesRoundTrip) {
+  for (const uint64_t seed : {1, 2, 3}) {
+    for (const int graphs : {1, 50, 300}) {
+      GeneratorParams params;
+      params.num_graphs = graphs;
+      params.avg_edges = 12;
+      params.num_labels = 8;
+      params.num_kernels = 20;
+      params.avg_kernel_edges = 4;
+      params.seed = seed;
+      const GraphDatabase db = GenerateDatabase(params);
+      std::ostringstream out;
+      ASSERT_TRUE(WriteGraphDatabase(db, out).ok());
+      GraphDatabase reloaded;
+      ASSERT_TRUE(ReadGraphDatabase(out.str(), &reloaded).ok());
+      ASSERT_EQ(reloaded.size(), db.size());
+      for (int i = 0; i < db.size(); ++i) {
+        EXPECT_EQ(reloaded.gid(i), db.gid(i));
+        ASSERT_EQ(reloaded.graph(i).VertexCount(), db.graph(i).VertexCount());
+        for (VertexId v = 0; v < db.graph(i).VertexCount(); ++v) {
+          EXPECT_EQ(reloaded.graph(i).vertex_label(v),
+                    db.graph(i).vertex_label(v));
+        }
+      }
+      std::ostringstream again;
+      ASSERT_TRUE(WriteGraphDatabase(reloaded, again).ok());
+      EXPECT_EQ(again.str(), out.str()) << "seed " << seed << ", " << graphs;
+    }
   }
 }
 

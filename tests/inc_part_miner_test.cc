@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "common/random.h"
 #include "datagen/generator.h"
 #include "datagen/update_generator.h"
@@ -36,11 +40,27 @@ GraphDatabase MakeDatabase(uint64_t seed, int graphs = 16) {
   return db;
 }
 
-/// Classification exactness: IF carries the new info, FI the old, and UF
-/// counts the rest of the new set, all of it frequent before.
+/// Classification exactness: IF carries the new info, FI the old, UF
+/// counts the rest of the new set, all of it frequent before, and
+/// `changed` lists exactly the UF codes whose support moved.
 void ExpectExactClassification(const PatternSet& before,
                                const PatternSet& expected,
                                const IncPartMinerResult& result) {
+  std::vector<std::string> changed;
+  for (const PatternInfo& p : expected.patterns()) {
+    const PatternInfo* old = before.Find(p.code);
+    if (old != nullptr && old->support != p.support) {
+      changed.push_back(p.code.ToString());
+    }
+  }
+  std::vector<std::string> reported;
+  for (const DfsCode& code : result.changed) {
+    reported.push_back(code.ToString());
+  }
+  std::sort(changed.begin(), changed.end());
+  std::sort(reported.begin(), reported.end());
+  EXPECT_EQ(reported, changed) << "changed supports";
+
   int uf = 0;
   for (const PatternInfo& p : result.patterns.patterns()) {
     if (result.if_.Contains(p.code)) continue;
@@ -240,13 +260,81 @@ TEST(IncPartMinerTest, ChainedRelabelRoundsStayExact) {
         upd.kinds = {UpdateKind::kRelabel};
         upd.seed = seed * 1000 + round;
         const UpdateLog log = ApplyUpdates(&db, params.num_labels, upd);
+        const PatternSet before = miner.patterns();
         const IncPartMinerResult result = inc.Update(&miner, db, log);
-        ExpectSameResults(gspan.Mine(db, full), result.patterns,
+        const PatternSet expected = gspan.Mine(db, full);
+        ExpectSameResults(expected, result.patterns,
                           "k=" + std::to_string(k) + " seed " +
                               std::to_string(seed) + " round " +
                               std::to_string(round));
+        ExpectExactClassification(before, expected, result);
       }
     }
+  }
+}
+
+/// A round that updates no graph leaves the state as it was, down to the
+/// order of the set and every frontier entry, and reports no change.
+TEST(IncPartMinerTest, NoOpRoundChangesNothing) {
+  GraphDatabase db = MakeDatabase(11);
+  PartMinerOptions options;
+  options.min_support_count = 4;
+  PartMiner miner(options);
+  miner.Mine(db);
+  // One real round first, so the frontier holds epochs and cuts.
+  UpdateOptions upd;
+  upd.fraction_graphs = 0.1;
+  upd.kinds = {UpdateKind::kRelabel};
+  upd.seed = 17;
+  IncPartMiner inc;
+  inc.Update(&miner, db, ApplyUpdates(&db, 5, upd));
+
+  const std::vector<PatternInfo> before = miner.patterns().patterns();
+  const FrontierMap frontier = miner.root_frontier().map.ToMap();
+  const size_t stored = miner.root_frontier().map.size();
+  const IncPartMinerResult result = inc.Update(&miner, db, UpdateLog());
+
+  const std::vector<PatternInfo>& after = miner.patterns().patterns();
+  ASSERT_EQ(after.size(), before.size());
+  for (size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(after[i].code, before[i].code) << i;
+    EXPECT_EQ(after[i].support, before[i].support) << i;
+    EXPECT_EQ(after[i].tids, before[i].tids) << i;
+  }
+  EXPECT_EQ(miner.root_frontier().map.ToMap(), frontier);
+  EXPECT_EQ(miner.root_frontier().map.size(), stored);
+  EXPECT_TRUE(result.if_.empty());
+  EXPECT_TRUE(result.fi.empty());
+  EXPECT_TRUE(result.changed.empty());
+  EXPECT_EQ(result.uf, static_cast<int>(before.size()));
+  ExpectSameResults(miner.patterns(), result.patterns, "no-op round");
+}
+
+/// ApplyRound is Update without the copy: the same state and the same
+/// change, with `patterns` left empty.
+TEST(IncPartMinerTest, ApplyRoundReturnsTheChangeOnly) {
+  GraphDatabase db = MakeDatabase(13);
+  PartMinerOptions options;
+  options.min_support_count = 4;
+  PartMiner copied(options);
+  copied.Mine(db);
+  PartMiner in_place(options);
+  in_place.Mine(db);
+  IncPartMiner inc;
+  for (int round = 0; round < 4; ++round) {
+    UpdateOptions upd;
+    upd.fraction_graphs = 0.1;
+    upd.seed = 300 + round;
+    const UpdateLog log = ApplyUpdates(&db, 5, upd);
+    const IncPartMinerResult full = inc.Update(&copied, db, log);
+    const IncPartMinerResult change = inc.ApplyRound(&in_place, db, log);
+    const std::string what = "round " + std::to_string(round);
+    EXPECT_TRUE(change.patterns.empty()) << what;
+    ExpectSameResults(full.patterns, in_place.patterns(), what);
+    EXPECT_EQ(change.if_.SortedCodeStrings(), full.if_.SortedCodeStrings());
+    EXPECT_EQ(change.fi.SortedCodeStrings(), full.fi.SortedCodeStrings());
+    EXPECT_EQ(change.changed, full.changed) << what;
+    EXPECT_EQ(change.uf, full.uf) << what;
   }
 }
 

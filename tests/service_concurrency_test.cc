@@ -6,7 +6,9 @@
 // rejections surface as structured `overloaded` errors, not dropped work.
 // The read plane is checked directly too: queries keep answering from the
 // previous published epoch while a long batch apply runs, ping/sync replies
-// come from one epoch, and DigestAt keeps a bounded window of epochs.
+// come from one epoch, DigestAt keeps a bounded window of epochs, the
+// published index patched from each round's change equals a full rebuild,
+// and `health` counts the frontier's dead entries exactly.
 // The tests are TSan-clean: resident state is guarded by the session lock
 // and the queue mutex, and readers share only immutable published epochs,
 // whose pointer is copied and swapped under its own mutex.
@@ -20,8 +22,11 @@
 #include <thread>
 #include <vector>
 
+#include "common/fnv.h"
 #include "common/parse.h"
 #include "common/random.h"
+#include "core/inc_part_miner.h"
+#include "core/part_miner.h"
 #include "datagen/edit_stream.h"
 #include "datagen/generator.h"
 #include "graph/graph_io.h"
@@ -69,9 +74,11 @@ void DriveClient(Daemon* daemon, const std::vector<StreamItem>& items,
       }
       line += "]}";
     } else {
+      // A limit makes every reply read code text from its epoch while the
+      // batcher writes the next one's.
       line = "{\"id\":" + std::to_string(i) +
              ",\"cmd\":\"query\",\"support\":" +
-             std::to_string(item.query_support) + "}";
+             std::to_string(item.query_support) + ",\"limit\":3}";
     }
     bool shutdown = false;
     const std::string response = daemon->HandleLine(line, &shutdown);
@@ -459,6 +466,184 @@ TEST(ServiceReadPlaneTest, PublishedEpochMatchesResidentSetEveryEpoch) {
       EXPECT_EQ(hit.pattern_support, p->support);
     }
   }
+}
+
+/// A database whose relabel batches move patterns both ways across the
+/// threshold, and the session options it is mined at.
+GraphDatabase ChurnDatabase() {
+  GeneratorParams params;
+  params.num_graphs = 40;
+  params.avg_edges = 10;
+  params.num_labels = 5;
+  params.num_kernels = 20;
+  params.avg_kernel_edges = 3;
+  params.seed = 5;
+  return GenerateDatabase(params);
+}
+
+SessionOptions ChurnOptions() {
+  SessionOptions options;
+  options.miner.min_support_count = 4;
+  return options;
+}
+
+std::vector<StreamItem> ChurnBatches(const GraphDatabase& db, int batches) {
+  EditStreamOptions stream;
+  stream.seed = 77;
+  stream.requests = batches;
+  stream.update_fraction = 1.0;
+  stream.edits_per_update = 4;
+  stream.relabel_weight = 0.6;
+  stream.add_edge_weight = 0.25;
+  stream.add_vertex_weight = 0.15;
+  stream.num_labels = 5;
+  return GenerateEditStream(db, stream);
+}
+
+/// The session's resident state rebuilt beside it: the same database, the
+/// same edits and the same rounds, so its frontier is the session's.
+struct Mirror {
+  GraphDatabase db;
+  PartMiner miner;
+  IncPartMiner inc;
+
+  Mirror(GraphDatabase database, const SessionOptions& options)
+      : db(std::move(database)), miner(options.miner) {
+    miner.Mine(db);
+  }
+  /// Applies `edits` as ApplyBatch does; the round's change, or nothing
+  /// when every edit was rejected.
+  IncPartMinerResult Apply(const std::vector<EditOp>& edits) {
+    UpdateLog log;
+    if (ApplyEditBatch(&db, edits, &log).applied == 0) return {};
+    return inc.Update(&miner, db, log);
+  }
+};
+
+/// `health` answers the dead-entry count on demand, not per publish: after
+/// a relabel batch that cuts a prefix it reports exactly what the frontier
+/// counts.
+TEST(ServiceReadPlaneTest, HealthReportsTheFrontiersDeadEntriesAfterACut) {
+  const GraphDatabase db = ChurnDatabase();
+  MinerSession session(ChurnOptions());
+  ASSERT_TRUE(session.Init(db).ok());
+  Daemon daemon(&session, {});
+  Mirror mirror(db, ChurnOptions());
+
+  int cut_batches = 0;
+  for (const StreamItem& item : ChurnBatches(db, 40)) {
+    BatchResult result;
+    ASSERT_TRUE(session.ApplyBatch(item.edits, &result).ok());
+    const bool cuts = !mirror.Apply(item.edits).fi.empty();
+    const Frontier& frontier = mirror.miner.root_frontier().map;
+    bool shutdown = false;
+    Json health;
+    ASSERT_TRUE(Json::Parse(daemon.HandleLine(R"({"cmd":"health"})",
+                                              &shutdown),
+                            &health)
+                    .ok());
+    const Json* reply = health.Get("result");
+    ASSERT_NE(reply, nullptr);
+    EXPECT_EQ(reply->Get("epoch")->AsInt(),
+              static_cast<int64_t>(result.epoch));
+    EXPECT_EQ(reply->Get("frontier_entries")->AsInt(),
+              static_cast<int64_t>(frontier.size()));
+    EXPECT_EQ(reply->Get("frontier_dead_entries")->AsInt(),
+              static_cast<int64_t>(frontier.CountDead()));
+    if (cuts && frontier.CountDead() > 0) ++cut_batches;
+  }
+  EXPECT_GT(cut_batches, 0) << "no batch cut a prefix with entries under it";
+}
+
+/// The published index is patched from each round's change; it must equal
+/// a from-scratch stringify-and-sort of the resident set after every epoch,
+/// through cuts, FI and IF transitions, a re-sweep round and a batch whose
+/// edits are all rejected.
+TEST(ServiceReadPlaneTest, IncrementalPublishEqualsAFullRebuildEveryEpoch) {
+  const GraphDatabase db = ChurnDatabase();
+  const SessionOptions options = ChurnOptions();
+  MinerSession session(options);
+  ASSERT_TRUE(session.Init(db).ok());
+  Mirror mirror(db, options);
+
+  std::vector<StreamItem> batches = ChurnBatches(db, 120);
+  // A batch relabelling vertex 0 of most graphs takes the re-sweep path.
+  std::vector<EditOp> wide;
+  for (int g = 0; g < db.size(); g += 2) {
+    EditOp op;
+    op.graph = g;
+    op.label = (db.graph(g).vertex_label(0) + 1) % 5;
+    wide.push_back(op);
+  }
+  ASSERT_GT(static_cast<double>(wide.size()) / db.size(),
+            options.miner.inc_delta_sweep_max_fraction);
+  batches[20].edits = wide;
+  // A batch whose every edit is out of range is rejected whole.
+  EditOp stale;
+  stale.graph = db.size() + 3;
+  batches[30].edits = {stale, stale};
+
+  const auto expect_rebuilt = [&](const std::string& what) {
+    const std::shared_ptr<const Published> pub = session.Current();
+    const PatternSet resident = session.VerifiedPatterns();
+    std::vector<std::pair<std::string, int>> by_code;
+    for (const PatternInfo& p : resident.patterns()) {
+      by_code.emplace_back(p.code.ToString(), p.support);
+    }
+    std::sort(by_code.begin(), by_code.end());
+    std::vector<const PatternInfo*> by_support;
+    for (const PatternInfo& p : resident.patterns()) by_support.push_back(&p);
+    std::sort(by_support.begin(), by_support.end(),
+              [](const PatternInfo* a, const PatternInfo* b) {
+                if (a->support != b->support) return a->support > b->support;
+                return a->code.Compare(b->code) < 0;
+              });
+
+    ASSERT_EQ(pub->by_code.size(), by_code.size()) << what;
+    for (size_t i = 0; i < by_code.size(); ++i) {
+      ASSERT_EQ(pub->by_code[i].first, by_code[i].first) << what << " " << i;
+      ASSERT_EQ(pub->by_code[i].second, by_code[i].second) << what << " " << i;
+    }
+    ASSERT_EQ(pub->by_support.size(), by_support.size()) << what;
+    for (size_t r = 0; r < by_support.size(); ++r) {
+      const auto& [code, support] = pub->by_code[pub->by_support[r]];
+      ASSERT_EQ(code, by_support[r]->code.ToString()) << what << " " << r;
+      ASSERT_EQ(support, by_support[r]->support) << what << " " << r;
+    }
+    uint64_t digest = 1469598103934665603ull;
+    for (const auto& [code, support] : by_code) {
+      digest = Fnv1a(code.data(), code.size(), digest);
+      digest = Fnv1a(&support, sizeof(support), digest);
+    }
+    EXPECT_EQ(pub->digest, digest) << what;
+    EXPECT_EQ(pub->digest, PatternSetDigest(resident)) << what;
+    EXPECT_EQ(session.DigestAt(pub->epoch), pub->digest) << what;
+  };
+
+  expect_rebuilt("init");
+  const CodeArena* arena = session.Current()->arena.get();
+  int fi = 0, if_ = 0, changed = 0, resweeps = 0, rejected = 0, arenas = 1;
+  for (size_t b = 0; b < batches.size(); ++b) {
+    BatchResult result;
+    ASSERT_TRUE(session.ApplyBatch(batches[b].edits, &result).ok());
+    const IncPartMinerResult round = mirror.Apply(batches[b].edits);
+    fi += round.fi.size();
+    if_ += round.if_.size();
+    changed += static_cast<int>(round.changed.size());
+    resweeps += result.applied > 0 && round.merge_stats.delta_recounts == 0;
+    rejected += result.applied == 0;
+    expect_rebuilt("batch " + std::to_string(b));
+    arenas += session.Current()->arena.get() != arena;
+    arena = session.Current()->arena.get();
+  }
+  EXPECT_GT(fi, 0);
+  EXPECT_GT(if_, 0);
+  EXPECT_GT(changed, 0);
+  // The wide batch, and the next one, which re-captures the frontier.
+  EXPECT_EQ(resweeps, 2);
+  EXPECT_EQ(rejected, 1);
+  // Enough codes left for their text to move the live text to a new arena.
+  EXPECT_GT(arenas, 1);
 }
 
 // DigestAt keeps the last kDigestWindow epochs: after more batches than

@@ -140,7 +140,8 @@ TEST_F(ServiceSchemaTest, MetricsSchemaIncludesOperatorFields) {
   for (const char* name :
        {"service.request_ms", "service.queue_wait_ms",
         "service.coalesce_ms", "service.phase_a_ms", "service.phase_b_ms",
-        "service.update_pipeline_ms", "service.verb.update_ms",
+        "service.publish_ms", "service.update_pipeline_ms",
+        "service.verb.update_ms",
         "service.verb.metrics_ms"}) {
     EXPECT_NE(histograms->Get(name), nullptr)
         << "registry lost histogram '" << name << "'";

@@ -243,6 +243,15 @@ TEST(TidSetTest, BoundarySweepCoversEveryFormPairing) {
               std::includes(b.begin(), b.end(), a.begin(), a.end()))
         << "includes, round " << round;
     pairings["Includes"] |= pairing;
+    std::vector<int> common;
+    std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
+                          std::back_inserter(common));
+    EXPECT_EQ(sa.CountCommon(sb), static_cast<int>(common.size()))
+        << "count common, round " << round;
+    EXPECT_EQ(sb.CountCommon(sa), static_cast<int>(common.size()))
+        << "count common, round " << round;
+    EXPECT_EQ(sa.CountCommon(TidSet()), 0) << "count common, round " << round;
+    pairings["CountCommon"] |= pairing;
     EXPECT_EQ(sa == sb, a == b) << "equality, round " << round;
     EXPECT_EQ(sa == sa, true);
     pairings["=="] |= pairing;
@@ -301,7 +310,8 @@ TEST(TidSetTest, BoundarySweepCoversEveryFormPairing) {
     check("RemoveIf from superset", super, got, a, round);
   }
 
-  for (const std::string op : {"&=", "|=", "-=", "Includes", "=="}) {
+  for (const std::string op :
+       {"&=", "|=", "-=", "Includes", "CountCommon", "=="}) {
     EXPECT_EQ(pairings[op], 0xF) << op << " missed a form pairing";
   }
   for (const std::string op : {"-=", "&=", "Remove"}) {
