@@ -91,7 +91,7 @@ void RunDynamic(const WorkloadSpec& spec, double update_fraction,
     const UpdateLog log = ApplyUpdates(&db, spec.n, upd);
 
     IncPartMiner inc;
-    const IncPartMinerResult result = inc.Update(&miner, db, log);
+    const IncPartMinerResult result = inc.ApplyRound(&miner, db, log);
     PrintRow("fig13b", "IncPartMiner", sup * 100, result.AggregateSeconds());
 
     // ADIMINE on the same updated workload: rebuild + remine.

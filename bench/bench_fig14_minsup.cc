@@ -90,7 +90,7 @@ void RunDynamic(const WorkloadSpec& spec, int k, double update_fraction,
 
     // IncPartMiner: incremental update of the cached state.
     IncPartMiner inc;
-    const IncPartMinerResult result = inc.Update(&miner, db, log);
+    const IncPartMinerResult result = inc.ApplyRound(&miner, db, log);
     PrintRow("fig14b", "IncPartMiner", sup * 100, result.AggregateSeconds());
   }
 }

@@ -84,7 +84,7 @@ void RunDynamic(const WorkloadSpec& spec, double sup, double update_fraction,
              AdiSeconds(db, sup, io_delay_us, pool, true));
 
     IncPartMiner inc;
-    const IncPartMinerResult result = inc.Update(&miner, db, log);
+    const IncPartMinerResult result = inc.ApplyRound(&miner, db, log);
     PrintRow("fig15b", "IncPartMiner", k, result.AggregateSeconds());
   }
 }

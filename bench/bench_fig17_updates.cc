@@ -62,7 +62,7 @@ void RunSweep(const char* figure, const WorkloadSpec& spec, double sup,
     PrintRow(figure, "ADIMINE", fraction * 100, adi_watch.ElapsedSeconds());
 
     IncPartMiner inc;
-    const IncPartMinerResult result = inc.Update(&miner, db, log);
+    const IncPartMinerResult result = inc.ApplyRound(&miner, db, log);
     PrintRow(figure, "IncPartMiner", fraction * 100,
              result.AggregateSeconds());
     std::printf(

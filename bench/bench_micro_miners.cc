@@ -1,7 +1,7 @@
-// Ablation benchmarks over the mining stack: gSpan vs Gaston as unit
-// miners, the unit-support factor (DESIGN.md ablation #1: ceil(sup/2^depth)
-// vs mining units at the full support loses patterns), and the incremental
-// delta sweep vs a full re-sweep at varying update fractions.
+// Ablation benchmarks over the mining stack: gSpan vs Gaston, the
+// unit-support factor (DESIGN.md ablation #1: ceil(sup/2^depth) vs mining
+// units at the full support loses patterns), and the incremental delta
+// sweep vs a full re-sweep at varying update fractions.
 
 #include <benchmark/benchmark.h>
 
@@ -12,7 +12,6 @@
 #include "core/part_miner.h"
 #include "datagen/generator.h"
 #include "datagen/update_generator.h"
-#include "miner/apriori.h"
 #include "miner/gaston.h"
 #include "miner/gspan.h"
 
@@ -114,24 +113,6 @@ void BM_PartMinerUnitsParallel(benchmark::State& state) {
 }
 BENCHMARK(BM_PartMinerUnitsParallel)->Arg(0)->Arg(2)->Arg(4);
 
-// The classic pattern-growth vs Apriori comparison (the reason gSpan/Gaston
-// superseded AGM/FSG, Section 2 of the paper): same outputs, very different
-// candidate economics.
-void BM_AprioriFull(benchmark::State& state) {
-  const GraphDatabase db = Workload(static_cast<int>(state.range(0)));
-  MinerOptions options;
-  options.min_support = std::max(1, static_cast<int>(0.04 * db.size()));
-  AprioriMiner miner;
-  int patterns = 0;
-  for (auto _ : state) {
-    patterns = miner.Mine(db, options).size();
-  }
-  state.counters["patterns"] = patterns;
-  state.counters["cand_counted"] =
-      static_cast<double>(miner.stats().candidates_counted);
-}
-BENCHMARK(BM_AprioriFull)->Arg(250)->Arg(500);
-
 // Ablation: what the reduced unit support buys. Mining the two units of a
 // bisected database at the *root* support and unioning loses the patterns
 // whose occurrences split across units; the reduced support (Theorem 3)
@@ -177,7 +158,7 @@ void BM_UnitSupportAblation(benchmark::State& state) {
 }
 BENCHMARK(BM_UnitSupportAblation)->Iterations(1);
 
-/// One IncPartMiner::Update round at 4% support after updating
+/// One IncPartMiner::ApplyRound at 4% support after updating
 /// `state.range(0)` percent of the graphs, each from a fresh copy of one
 /// mined state. `max_fraction` is inc_delta_sweep_max_fraction: 1.0 forces
 /// the delta path and 0.0 the exact re-sweep.
@@ -202,7 +183,7 @@ void RunUpdateRound(benchmark::State& state, double max_fraction) {
     state.PauseTiming();
     miner = base;
     state.ResumeTiming();
-    IncPartMinerResult result = inc.Update(&miner, db, log);
+    IncPartMinerResult result = inc.ApplyRound(&miner, db, log);
     benchmark::DoNotOptimize(result);
     delta_recounts = result.merge_stats.delta_recounts;
   }

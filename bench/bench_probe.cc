@@ -98,11 +98,11 @@ int main(int argc, char** argv) {
 
     Stopwatch watch;
     IncPartMiner inc;
-    const IncPartMinerResult r = inc.Update(&miner, dyn, log);
+    const IncPartMinerResult r = inc.ApplyRound(&miner, dyn, log);
     std::printf(
         "IncPart:   %7.2fs  %6d patterns (merge %.3fs, %zu graphs "
         "updated)\n",
-        watch.ElapsedSeconds(), r.patterns.size(), r.merge_seconds,
+        watch.ElapsedSeconds(), miner.patterns().size(), r.merge_seconds,
         log.updated_graphs.size());
     std::printf(
         "  inc merge stats: cached %lld, delta %lld, generated %lld, "

@@ -8,6 +8,8 @@
 // Build & run:
 //   ./build/examples/dynamic_road_network
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <string>
 
@@ -48,7 +50,9 @@ int main() {
 
   double inc_total = 0, scratch_total = 0;
   IncPartMiner inc;
-  const std::string db_path = "/tmp/partminer_road_network.lg";
+  // Per-process, so concurrent runs do not share the file.
+  const std::string db_path = "/tmp/partminer_road_network." +
+                              std::to_string(::getpid()) + ".lg";
   for (int round = 1; round <= 5; ++round) {
     if (round == 4) {
       // Simulate a maintenance-process restart: persist the database, drop
@@ -77,7 +81,7 @@ int main() {
     const UpdateLog log = ApplyUpdates(&db, params.num_labels, upd);
 
     Stopwatch inc_watch;
-    const IncPartMinerResult r = inc.Update(&miner, db, log);
+    const IncPartMinerResult r = inc.ApplyRound(&miner, db, log);
     const double inc_seconds = inc_watch.ElapsedSeconds();
     inc_total += inc_seconds;
 
@@ -87,12 +91,12 @@ int main() {
     scratch_total += scratch_seconds;
 
     const bool ok =
-        expected.SortedCodeStrings() == r.patterns.SortedCodeStrings();
+        expected.SortedCodeStrings() == miner.patterns().SortedCodeStrings();
     std::printf(
         "round %d: %2zu districts updated | IncPartMiner %.3fs vs "
         "from-scratch %.3fs | motifs %d (+%d new, -%d gone) %s\n",
         round, log.updated_graphs.size(), inc_seconds, scratch_seconds,
-        r.patterns.size(), r.if_.size(), r.fi.size(),
+        miner.patterns().size(), r.if_.size(), r.fi.size(),
         ok ? "" : "MISMATCH!");
     if (!ok) return 1;
   }

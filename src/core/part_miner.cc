@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <memory>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
@@ -12,7 +11,6 @@
 #include "graph/canonical.h"
 #include "miner/engine.h"
 #include "miner/gaston.h"
-#include "miner/gspan.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -118,21 +116,6 @@ int NodeSupport(int root_support, int depth) {
   return std::max(1, support);
 }
 
-namespace {
-
-std::unique_ptr<FrequentSubgraphMiner> MakeUnitMiner(UnitMinerKind kind) {
-  switch (kind) {
-    case UnitMinerKind::kGaston:
-      return std::make_unique<GastonMiner>();
-    case UnitMinerKind::kGSpan:
-      return std::make_unique<GSpanMiner>();
-  }
-  PM_CHECK(false);
-  return nullptr;
-}
-
-}  // namespace
-
 PartMinerResult MinePaperPipeline(const GraphDatabase& db,
                                   const PartMinerOptions& options) {
   PM_TRACE_SPAN("part_miner.paper_pipeline",
@@ -175,8 +158,7 @@ PartMinerResult MinePaperPipeline(const GraphDatabase& db,
     miner_options.min_support = support;
     miner_options.max_edges = options.max_edges;
     miner_options.pool = pool;
-    unit_patterns[unit_index] =
-        MakeUnitMiner(options.unit_miner)->Mine(unit_db, miner_options);
+    unit_patterns[unit_index] = GastonMiner().Mine(unit_db, miner_options);
     unit_seconds[unit_index] = watch.ElapsedSeconds();
     PM_METRIC_HISTOGRAM("partminer.phase.unit_mine_ms")
         ->Observe(unit_seconds[unit_index] * 1e3);

@@ -13,10 +13,6 @@
 
 namespace partminer {
 
-/// Which memory-based miner runs inside each unit (Section 4.2 uses Gaston;
-/// gSpan is available for ablations).
-enum class UnitMinerKind { kGaston = 0, kGSpan = 1 };
-
 struct PartMinerOptions {
   /// Minimum support as a fraction of the database size (the paper's 1%-6%),
   /// ignored when min_support_count > 0.
@@ -30,7 +26,6 @@ struct PartMinerOptions {
   /// DBPartition settings. Only MinePaperPipeline reads them: PartMiner
   /// keeps no partition.
   PartitionOptions partition;
-  UnitMinerKind unit_miner = UnitMinerKind::kGaston;
   int max_edges = INT_MAX;
 
   /// IncPartMiner's cost-model switch: the update-proportional delta sweep
@@ -169,7 +164,7 @@ int NodeSupport(int root_support, int depth);
 /// The paper's PartMiner pipeline (Figure 11), as the figures time it.
 /// Phase 1 divides every graph into `options.partition.k` units by
 /// recursive bisection (DBPartition, Figure 6); Phase 2 mines each unit
-/// with the configured memory-based miner at its NodeSupport, on a pool of
+/// with Gaston (Section 4.2) at its NodeSupport, on a pool of
 /// `options.unit_mining_threads` workers, then recombines at the root with
 /// a RootSweep that captures no frontier. The partition and the unit sets
 /// are dropped on return: they fill only the timings and the

@@ -111,56 +111,6 @@ bool SubgraphMatcher::Matches(const Graph& host) const {
   return MatchFrom(host, 0, &assignment, &used);
 }
 
-int SubgraphMatcher::CountSupport(const GraphDatabase& db,
-                                  std::vector<int>* tids) const {
-  int support = 0;
-  for (int i = 0; i < db.size(); ++i) {
-    if (Matches(db.graph(i))) {
-      ++support;
-      if (tids != nullptr) tids->push_back(i);
-    }
-  }
-  return support;
-}
-
-int SubgraphMatcher::CountSupportAmong(const GraphDatabase& db,
-                                       const std::vector<int>& candidates,
-                                       std::vector<int>* tids) const {
-  int support = 0;
-  for (const int i : candidates) {
-    if (Matches(db.graph(i))) {
-      ++support;
-      if (tids != nullptr) tids->push_back(i);
-    }
-  }
-  return support;
-}
-
-int SubgraphMatcher::CountSupport(const GraphDatabase& db,
-                                  TidSet* tids) const {
-  int support = 0;
-  for (int i = 0; i < db.size(); ++i) {
-    if (Matches(db.graph(i))) {
-      ++support;
-      if (tids != nullptr) tids->Add(i);
-    }
-  }
-  return support;
-}
-
-int SubgraphMatcher::CountSupportAmong(const GraphDatabase& db,
-                                       const TidSet& candidates,
-                                       TidSet* tids) const {
-  int support = 0;
-  candidates.ForEach([&](int i) {
-    if (Matches(db.graph(i))) {
-      ++support;
-      if (tids != nullptr) tids->Add(i);
-    }
-  });
-  return support;
-}
-
 bool ContainsSubgraph(const Graph& host, const Graph& pattern) {
   return SubgraphMatcher(pattern).Matches(host);
 }

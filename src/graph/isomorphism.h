@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "graph/graph.h"
-#include "graph/tid_set.h"
 
 namespace partminer {
 
@@ -25,20 +24,6 @@ class SubgraphMatcher {
 
   /// True iff the pattern occurs in `host`.
   bool Matches(const Graph& host) const;
-
-  /// Number of database graphs containing the pattern. When `tids` is
-  /// non-null it receives the indices of the containing graphs.
-  int CountSupport(const GraphDatabase& db, std::vector<int>* tids) const;
-  int CountSupport(const GraphDatabase& db, TidSet* tids) const;
-
-  /// Like CountSupport but only examines `candidates` (database indices);
-  /// used with TID lists to avoid scanning graphs that cannot contain the
-  /// pattern.
-  int CountSupportAmong(const GraphDatabase& db,
-                        const std::vector<int>& candidates,
-                        std::vector<int>* tids) const;
-  int CountSupportAmong(const GraphDatabase& db, const TidSet& candidates,
-                        TidSet* tids) const;
 
  private:
   struct Constraint {

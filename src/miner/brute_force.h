@@ -1,8 +1,6 @@
 #ifndef PARTMINER_MINER_BRUTE_FORCE_H_
 #define PARTMINER_MINER_BRUTE_FORCE_H_
 
-#include <string>
-
 #include "miner/miner.h"
 
 namespace partminer {
@@ -12,13 +10,11 @@ namespace partminer {
 /// counts support exactly. Exists to provide ground truth for the property
 /// tests that validate gSpan, Gaston, PartMiner and IncPartMiner; only
 /// usable on small inputs.
-class BruteForceMiner : public FrequentSubgraphMiner {
+class BruteForceMiner {
  public:
   BruteForceMiner() = default;
 
-  PatternSet Mine(const GraphDatabase& db, const MinerOptions& options) override;
-
-  std::string name() const override { return "BruteForce"; }
+  PatternSet Mine(const GraphDatabase& db, const MinerOptions& options);
 };
 
 }  // namespace partminer

@@ -2,7 +2,6 @@
 #define PARTMINER_MINER_GASTON_H_
 
 #include <cstdint>
-#include <string>
 
 #include "miner/miner.h"
 
@@ -35,13 +34,11 @@ struct GastonStats {
 /// global canonical label (so pattern sets are directly comparable across
 /// miners) and reproduces Gaston's phase structure and its cheap path
 /// handling. Tests assert it emits exactly the same pattern set as gSpan.
-class GastonMiner : public FrequentSubgraphMiner {
+class GastonMiner {
  public:
   GastonMiner() = default;
 
-  PatternSet Mine(const GraphDatabase& db, const MinerOptions& options) override;
-
-  std::string name() const override { return "Gaston"; }
+  PatternSet Mine(const GraphDatabase& db, const MinerOptions& options);
 
   /// Statistics of the most recent Mine() call.
   const GastonStats& stats() const { return stats_; }

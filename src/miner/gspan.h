@@ -1,8 +1,6 @@
 #ifndef PARTMINER_MINER_GSPAN_H_
 #define PARTMINER_MINER_GSPAN_H_
 
-#include <string>
-
 #include "miner/miner.h"
 
 namespace partminer {
@@ -12,13 +10,11 @@ namespace partminer {
 /// Serves two roles in this repository: the ground-truth full-database miner
 /// that PartMiner's output is validated against, and the engine underlying
 /// the Gaston-style unit miner.
-class GSpanMiner : public FrequentSubgraphMiner {
+class GSpanMiner {
  public:
   GSpanMiner() = default;
 
-  PatternSet Mine(const GraphDatabase& db, const MinerOptions& options) override;
-
-  std::string name() const override { return "gSpan"; }
+  PatternSet Mine(const GraphDatabase& db, const MinerOptions& options);
 };
 
 }  // namespace partminer

@@ -2,7 +2,6 @@
 #define PARTMINER_MINER_MINER_H_
 
 #include <climits>
-#include <string>
 
 #include "graph/graph.h"
 #include "miner/pattern_set.h"
@@ -11,7 +10,10 @@ namespace partminer {
 
 class ThreadPool;
 
-/// Options shared by all frequent-subgraph miners.
+/// Options shared by the frequent-subgraph miners (GSpanMiner, GastonMiner,
+/// BruteForceMiner). Each miner's Mine(db, options) returns every frequent
+/// connected subgraph with at least one edge, by minimum DFS code with
+/// support and TID list.
 struct MinerOptions {
   /// Absolute minimum support (number of database graphs). PartMiner
   /// translates the paper's relative thresholds (e.g. "4%") into counts.
@@ -36,21 +38,6 @@ struct MinerOptions {
   /// Minimum embedding count for a first-level subtree to be worth a task
   /// of its own; smaller subtrees stay inline with their parent.
   int parallel_spawn_min_embeddings = 32;
-};
-
-/// Interface of the memory-based miners PartMiner plugs in (Section 4.2:
-/// "we can now use any existing memory-based algorithm").
-class FrequentSubgraphMiner {
- public:
-  virtual ~FrequentSubgraphMiner() = default;
-
-  /// Mines all frequent connected subgraphs with at least one edge.
-  /// Patterns are reported by minimum DFS code with support and TID list.
-  virtual PatternSet Mine(const GraphDatabase& db,
-                          const MinerOptions& options) = 0;
-
-  /// Human-readable algorithm name for reports.
-  virtual std::string name() const = 0;
 };
 
 }  // namespace partminer

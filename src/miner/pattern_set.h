@@ -247,15 +247,6 @@ class PatternSet {
   /// and the TIDs, never the code.
   PatternInfo& mutable_pattern(int i) { return patterns_[i]; }
 
-  /// Patterns with exactly `k` edges (the paper's P^k).
-  std::vector<const PatternInfo*> WithEdgeCount(int k) const {
-    std::vector<const PatternInfo*> out;
-    for (const PatternInfo& p : patterns_) {
-      if (static_cast<int>(p.code.size()) == k) out.push_back(&p);
-    }
-    return out;
-  }
-
   /// Largest pattern size present (0 when empty).
   int MaxEdgeCount() const {
     int max_edges = 0;

@@ -12,6 +12,13 @@ namespace partminer {
 
 namespace {
 
+/// Stop coarsening once the graph has at most this many vertices.
+constexpr int kCoarsenTo = 24;
+/// Boundary-refinement passes per uncoarsening level.
+constexpr int kRefinePasses = 4;
+/// Allowed deviation of a side's vertex weight from half, as a fraction.
+constexpr double kBalanceSlack = 0.1;
+
 /// Weighted working graph used during coarsening. `adjacency[v]` maps
 /// neighbor -> accumulated edge weight.
 struct WeightedGraph {
@@ -130,18 +137,17 @@ int Gain(const WeightedGraph& g, const std::vector<int>& side, int v) {
 
 /// Boundary refinement: repeatedly move the best positive-gain boundary
 /// vertex whose move keeps the sides balanced.
-void Refine(const WeightedGraph& g, std::vector<int>* side,
-            const MultilevelOptions& options) {
+void Refine(const WeightedGraph& g, std::vector<int>* side) {
   const int total = g.TotalVertexWeight();
-  const int lo = static_cast<int>(total * (0.5 - options.balance_slack));
-  const int hi = static_cast<int>(total * (0.5 + options.balance_slack)) + 1;
+  const int lo = static_cast<int>(total * (0.5 - kBalanceSlack));
+  const int hi = static_cast<int>(total * (0.5 + kBalanceSlack)) + 1;
 
   int weight0 = 0;
   for (int v = 0; v < g.size(); ++v) {
     if ((*side)[v] == 0) weight0 += g.vertex_weight[v];
   }
 
-  for (int pass = 0; pass < options.refine_passes; ++pass) {
+  for (int pass = 0; pass < kRefinePasses; ++pass) {
     bool moved = false;
     for (int v = 0; v < g.size(); ++v) {
       const int gain = Gain(g, *side, v);
@@ -170,7 +176,7 @@ std::vector<int> MultilevelBisect(const Graph& g,
   // Coarsening phase.
   std::vector<WeightedGraph> levels = {FromGraph(g)};
   std::vector<std::vector<int>> mappings;
-  while (levels.back().size() > options.coarsen_to) {
+  while (levels.back().size() > kCoarsenTo) {
     std::vector<int> coarse_of;
     WeightedGraph coarse = Coarsen(levels.back(), &rng, &coarse_of);
     if (coarse.size() >= levels.back().size()) break;  // No progress.
@@ -180,7 +186,7 @@ std::vector<int> MultilevelBisect(const Graph& g,
 
   // Initial partition on the coarsest graph.
   std::vector<int> side = InitialBisect(levels.back(), &rng);
-  Refine(levels.back(), &side, options);
+  Refine(levels.back(), &side);
 
   // Uncoarsening with refinement.
   for (int level = static_cast<int>(mappings.size()) - 1; level >= 0;
@@ -190,7 +196,7 @@ std::vector<int> MultilevelBisect(const Graph& g,
       fine_side[v] = side[mappings[level][v]];
     }
     side = std::move(fine_side);
-    Refine(levels[level], &side, options);
+    Refine(levels[level], &side);
   }
   PM_CHECK_EQ(static_cast<int>(side.size()), n);
   return side;

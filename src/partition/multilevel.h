@@ -12,12 +12,6 @@ namespace partminer {
 /// comparator in Figure 13 ("we also use the METIS approach to partition the
 /// graphs before mining").
 struct MultilevelOptions {
-  /// Stop coarsening once the graph has at most this many vertices.
-  int coarsen_to = 24;
-  /// Boundary-refinement passes per uncoarsening level.
-  int refine_passes = 4;
-  /// Allowed deviation of a side's vertex weight from half, as a fraction.
-  double balance_slack = 0.1;
   uint64_t seed = 1;
 };
 

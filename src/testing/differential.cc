@@ -263,24 +263,18 @@ DifferentialResult RunAllChecks(const GraphDatabase& db,
           "gaston(pool=" + std::to_string(threads) + ")");
   }
 
-  // The paper pipeline across unit miners and unit-mining thread counts;
-  // Theorems 1-3 say partition-mine-merge is lossless.
-  for (const UnitMinerKind kind : {UnitMinerKind::kGaston,
-                                   UnitMinerKind::kGSpan}) {
-    for (const int threads : {0, 2, 8}) {
-      if (!result.ok()) break;
-      PartMinerOptions popt;
-      popt.min_support_count = params.min_support;
-      popt.max_edges = params.max_edges;
-      popt.partition.k = params.k;
-      popt.partition.seed = params.seed + 7;
-      popt.unit_miner = kind;
-      popt.unit_mining_threads = threads;
-      check(MinePaperPipeline(db, popt).patterns,
-            std::string("partminer(") +
-                (kind == UnitMinerKind::kGaston ? "gaston" : "gspan") +
-                ",threads=" + std::to_string(threads) + ")");
-    }
+  // The paper pipeline across unit-mining thread counts; Theorems 1-3 say
+  // partition-mine-merge is lossless.
+  for (const int threads : {0, 2, 8}) {
+    if (!result.ok()) break;
+    PartMinerOptions popt;
+    popt.min_support_count = params.min_support;
+    popt.max_edges = params.max_edges;
+    popt.partition.k = params.k;
+    popt.partition.seed = params.seed + 7;
+    popt.unit_mining_threads = threads;
+    check(MinePaperPipeline(db, popt).patterns,
+          "partminer(threads=" + std::to_string(threads) + ")");
   }
 
   // Disk-resident AdiMine on a deliberately tiny pool (constant eviction)
@@ -331,20 +325,21 @@ DifferentialResult RunAllChecks(const GraphDatabase& db,
     for (int round = 0; round < kIncrementalRounds && result.ok(); ++round) {
       const UpdateLog log = ApplyRoundUpdates(&updated, params, round);
       const PatternSet before = miner.patterns();
-      const IncPartMinerResult inc_result = inc.Update(&miner, updated, log);
+      const IncPartMinerResult inc_result =
+          inc.ApplyRound(&miner, updated, log);
 
       // Diffed against a fresh serial mining of the updated database (gSpan
       // is itself validated against the oracle above).
       GSpanMiner gspan;
       const PatternSet remined = gspan.Mine(updated, options);
       result.divergence =
-          DiffAgainstOracle(remined, inc_result.patterns, "incpartminer");
+          DiffAgainstOracle(remined, miner.patterns(), "incpartminer");
       if (result.divergence.empty()) {
         result.divergence = DiffChangeReport(before, remined, inc_result);
       }
       if (result.divergence.empty() && miner.root_frontier().valid) {
         const std::string problem = CheckCompactedFrontier(
-            updated, inc_result.patterns, miner.root_frontier().map);
+            updated, miner.patterns(), miner.root_frontier().map);
         if (!problem.empty()) result.divergence = "root frontier: " + problem;
       }
       if (!result.divergence.empty()) {

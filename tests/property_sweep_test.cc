@@ -6,7 +6,6 @@
 
 #include "common/random.h"
 #include "graph/canonical.h"
-#include "miner/apriori.h"
 #include "miner/brute_force.h"
 #include "miner/gaston.h"
 #include "miner/gspan.h"
@@ -59,13 +58,11 @@ TEST_P(MinerSweep, AllMinersAgreeWithBruteForce) {
   BruteForceMiner brute;
   GSpanMiner gspan;
   GastonMiner gaston;
-  AprioriMiner apriori;
 
   const PatternSet expected = brute.Mine(db, options);
   const std::vector<std::string> want = expected.SortedCodeStrings();
   EXPECT_EQ(want, gspan.Mine(db, options).SortedCodeStrings()) << "gSpan";
   EXPECT_EQ(want, gaston.Mine(db, options).SortedCodeStrings()) << "Gaston";
-  EXPECT_EQ(want, apriori.Mine(db, options).SortedCodeStrings()) << "Apriori";
 }
 
 class CanonicalSweep : public ::testing::TestWithParam<SweepCase> {};

@@ -5,13 +5,12 @@
 //
 // For each seed a small random database is generated and mined with every
 // miner configuration (brute force, gSpan and Gaston serial/parallel, the
-// paper pipeline across unit miners and thread counts, the disk-resident
-// AdiMine, and the resident PartMiner followed by chained IncPartMiner
-// rounds with relabels); all results are diffed against the brute-force
-// oracle. Any divergence is
-// minimized by greedy graph removal and written to the corpus directory as
-// a replayable .lg repro. The run then replays every existing corpus
-// repro (fixed bugs must stay fixed) and, unless --no-faults, sweeps
+// paper pipeline at unit-mining threads 0/2/8, the disk-resident AdiMine,
+// and the resident PartMiner followed by chained IncPartMiner rounds with
+// relabels); all results are diffed against the brute-force oracle. Any
+// divergence is minimized by greedy graph removal and written to the corpus
+// directory as a replayable .lg repro. The run then replays every existing
+// corpus repro (fixed bugs must stay fixed) and, unless --no-faults, sweeps
 // storage fault injection over the ADI path, tampered snapshot files and
 // the resident daemon.
 //
