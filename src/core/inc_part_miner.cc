@@ -38,8 +38,9 @@ constexpr int kReached = -2;
 /// written to `changed`.
 ///
 /// The sweep reaches every code through its prefix chain, so it carries the
-/// newest cut over a code's proper prefixes down the recursion and each
-/// frontier lookup checks liveness with one comparison (see Frontier).
+/// code's frontier node and the newest cut over its proper prefixes down the
+/// recursion: each frontier lookup is one probe, and liveness one comparison
+/// (see Frontier).
 class DeltaSweep {
  public:
   DeltaSweep(const GraphDatabase& db, const GraphDatabase& upd_db,
@@ -63,27 +64,29 @@ class DeltaSweep {
     DfsCode code;
     for (const auto& [tuple, projected] : roots) {
       code.Append(tuple);
-      Handle(&code, projected, /*prefix_cut=*/0);
+      Handle(&code, projected, Frontier::kRoot, /*prefix_cut=*/0);
       code.PopBack();
     }
   }
 
  private:
-  /// Processes one extension group reached through the updated graphs;
-  /// `prefix_cut` is the frontier's PrefixCutEpoch(*code). Its exact post-
-  /// update TIDs are (old \ updated) ∪ hits-in-updated, where the pre-update
-  /// set comes from the pattern set (stripped by Pass 1) or the frontier
-  /// (stripped lazily by its lookup); absent or dead means zero pre-update
+  /// Processes one extension group reached through the updated graphs,
+  /// whose code's parent is frontier node `parent`; `prefix_cut` is the
+  /// newest cut over the code's proper prefixes. Its exact post-update TIDs
+  /// are (old \ updated) ∪ hits-in-updated, where the pre-update set comes
+  /// from the pattern set (stripped by Pass 1) or the frontier (stripped
+  /// lazily by its lookup); absent or dead means zero pre-update
   /// occurrences.
   void Handle(DfsCode* code, const engine::Projected& projected,
-              Frontier::Epoch prefix_cut) {
+              Frontier::NodeId parent, Frontier::Epoch prefix_cut) {
     ++stats_->candidates_generated;
     TidSet tids;
     const int at = patterns_.IndexOf(*code);
+    const Frontier::NodeId node = frontier_.Node(parent, code->back());
     if (at >= 0) {
       tids = patterns_.patterns()[at].tids;
     } else {
-      frontier_.Lookup(*code, prefix_cut, &tids);
+      frontier_.Lookup(node, prefix_cut, &tids);
     }
     // Known verdicts, no test: a cached code is minimal, parked or not. A
     // code outside the cache that meets the threshold outside the updated
@@ -97,13 +100,13 @@ class DeltaSweep {
     if (support < min_support_) {
       // Of the cached patterns only a parked one lands here; it is cut
       // after the sweep.
-      frontier_.Put(*code, std::move(tids));
+      frontier_.Put(node, std::move(tids));
       return;  // Apriori: nothing frequent extends an infrequent pattern.
     }
     if (known_non_minimal || (!known && !IsMinimalDfsCode(*code))) {
       // Frequent under a non-minimal code: keep the TIDs for future rounds;
       // the minimal twin carries the pattern.
-      frontier_.Put(*code, std::move(tids));
+      frontier_.Put(node, std::move(tids));
       return;
     }
     if (!known) {
@@ -114,7 +117,7 @@ class DeltaSweep {
       ++stats_->spanning_found;
       ++stats_->candidates_counted;
       const int first = patterns_.size();
-      FullGrow(code, tids.ToVector());
+      FullGrow(code, node, tids.ToVector());
       for (int i = first; i < patterns_.size(); ++i) {
         became_frequent_->Upsert(patterns_.patterns()[i]);
       }
@@ -125,7 +128,7 @@ class DeltaSweep {
     // its extensions inside the updated graphs. Pass 1 may have parked it
     // (its stripped support fell short); it is frequent again.
     ++stats_->candidates_skipped_known;
-    frontier_.Erase(*code);
+    frontier_.Erase(node);
     PatternInfo& pattern = patterns_.mutable_pattern(at);
     const int old = before_[at] == kUntouched ? pattern.support : before_[at];
     before_[at] = kReached;
@@ -135,20 +138,21 @@ class DeltaSweep {
 
     if (static_cast<int>(code->size()) >= max_edges_) return;
     const Frontier::Epoch child_cut =
-        std::max(prefix_cut, frontier_.CutEpoch(*code));
+        std::max(prefix_cut, frontier_.CutEpoch(node));
     engine::ExtensionMap extensions = engine::CollectExtensions(
         upd_db_, *code, projected, /*enable_order_pruning=*/true);
     for (const auto& [tuple, child_projected] : extensions) {
       code->Append(tuple);
-      Handle(code, child_projected, child_cut);
+      Handle(code, child_projected, node, child_cut);
       code->PopBack();
     }
   }
 
-  /// Standard full-projection grow for a newly frequent pattern: emits its
-  /// whole frequent subtree with exact info into the pattern set and
-  /// records the subtree's frontier at the current epoch.
-  void FullGrow(DfsCode* code, const std::vector<int>& tids) {
+  /// Standard full-projection grow for a newly frequent pattern at frontier
+  /// node `node`: emits its whole frequent subtree with exact info into the
+  /// pattern set and records the subtree's frontier at the current epoch.
+  void FullGrow(DfsCode* code, Frontier::NodeId node,
+                const std::vector<int>& tids) {
     std::deque<engine::Embedding> arena;
     const engine::Projected projected =
         engine::ProjectCode(*code, db_, tids, &arena);
@@ -156,7 +160,7 @@ class DeltaSweep {
     mo.min_support = min_support_;
     mo.max_edges = max_edges_;
     mo.capture_frontier = &frontier_;
-    engine::GrowSubtree(db_, mo, code, projected, &patterns_);
+    engine::GrowSubtree(db_, mo, code, projected, node, &patterns_);
   }
 
   const GraphDatabase& db_;
@@ -219,7 +223,8 @@ IncPartMinerResult IncPartMiner::ApplyRound(PartMiner* state,
       frontier.valid = small_update;
       PatternSet swept =
           RootSweep(new_db, min_support, max_edges,
-                    small_update ? &frontier.map : nullptr, &patterns, s);
+                    small_update ? &frontier.map : nullptr, &patterns,
+                    /*pool=*/nullptr, s);
       // Transitions by set difference: the sweep already paid O(result).
       for (const PatternInfo& p : swept.patterns()) {
         const PatternInfo* old = patterns.Find(p.code);
@@ -264,6 +269,7 @@ IncPartMinerResult IncPartMiner::ApplyRound(PartMiner* state,
       const int cached_count = patterns.size();
       std::vector<int> before(cached_count, kUntouched);
       PatternSet parked;
+      std::vector<Frontier::NodeId> parked_nodes;
       for (int i = 0; i < cached_count; ++i) {
         PatternInfo& p = patterns.mutable_pattern(i);
         ++s->delta_recounts;
@@ -274,7 +280,9 @@ IncPartMinerResult IncPartMiner::ApplyRound(PartMiner* state,
         before[i] = p.support;
         p.support = support;
         p.tids -= updated_set;
-        if (support < min_support) f.Put(p.code, p.tids);
+        if (support < min_support) {
+          parked_nodes.push_back(f.Put(p.code, p.tids));
+        }
       }
 
       // Pass 2 — the frontier-backed delta sweep over the updated graphs. It
@@ -309,10 +317,11 @@ IncPartMinerResult IncPartMiner::ApplyRound(PartMiner* state,
       // frequent again. Cutting every FI pattern, reached or not, keeps
       // every live entry under a chain of current patterns, where the sweep
       // keeps it exact.
-      for (const PatternInfo& p : parked.patterns()) {
+      for (int i = 0; i < parked.size(); ++i) {
+        const PatternInfo& p = parked.patterns()[i];
         if (patterns.Find(p.code)->support >= min_support) continue;
         patterns.Erase(p.code);
-        f.Cut(p.code);
+        f.Cut(parked_nodes[i]);
         result.fi.Upsert(p);
       }
     }

@@ -79,7 +79,7 @@ struct IncPartMinerResult {
 /// live entry whose lazily stripped TIDs are exact or has no occurrence at
 /// all. A delta round opens a frontier epoch instead of stripping every
 /// entry, and a pattern that falls frequent -> infrequent cuts its subtree
-/// by logging its code (Frontier::Cut), not by scanning the frontier. The
+/// by stamping its node (Frontier::Cut), not by scanning the frontier. The
 /// whole-frontier pass (Frontier::Compact) runs only once the graphs
 /// updated since the last one exceed `inc_delta_sweep_max_fraction` of the
 /// database. A round updating more than that share, or finding the

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
@@ -56,11 +57,12 @@ void MergeJoinStats::PublishToRegistry() const {
 
 PatternSet RootSweep(const GraphDatabase& db, int min_support, int max_edges,
                      Frontier* capture, const PatternSet* known,
-                     MergeJoinStats* stats) {
+                     ThreadPool* pool, MergeJoinStats* stats) {
   MinerOptions mo;
   mo.min_support = min_support;
   mo.max_edges = max_edges;
   mo.capture_frontier = capture;
+  mo.pool = pool;
   engine::MinimalityCheck is_minimal;
   if (known != nullptr) {
     is_minimal = [known](const DfsCode& code, int /*rank*/) {
@@ -96,7 +98,7 @@ PartMinerResult PartMiner::Mine(const GraphDatabase& db) {
     root_frontier_.valid = true;
     patterns_ = RootSweep(db, root_support_, options_.max_edges,
                           &root_frontier_.map, /*known=*/nullptr,
-                          &result.merge_stats);
+                          /*pool=*/nullptr, &result.merge_stats);
   }
   result.merge_seconds = merge_watch.ElapsedSeconds();
   PM_METRIC_HISTOGRAM("partminer.phase.merge_ms")
@@ -148,7 +150,13 @@ PartMinerResult MinePaperPipeline(const GraphDatabase& db,
   for (size_t node = 0; node < tree.size(); ++node) {
     if (tree[node].left == -1) leaf_nodes.push_back(static_cast<int>(node));
   }
-  auto mine_unit = [&](int node, ThreadPool* pool) {
+  // With unit_mining_threads > 0 the units and the root sweep share one
+  // pool of exactly that width.
+  std::unique_ptr<ThreadPool> pool;
+  if (options.unit_mining_threads > 0) {
+    pool = std::make_unique<ThreadPool>(options.unit_mining_threads);
+  }
+  auto mine_unit = [&](int node) {
     const int unit_index = tree[node].lo;
     const int support = NodeSupport(root_support, tree[node].depth);
     PM_TRACE_SPAN("unit_mine", {{"unit", unit_index}, {"support", support}});
@@ -157,7 +165,7 @@ PartMinerResult MinePaperPipeline(const GraphDatabase& db,
     MinerOptions miner_options;
     miner_options.min_support = support;
     miner_options.max_edges = options.max_edges;
-    miner_options.pool = pool;
+    miner_options.pool = pool.get();
     unit_patterns[unit_index] = GastonMiner().Mine(unit_db, miner_options);
     unit_seconds[unit_index] = watch.ElapsedSeconds();
     PM_METRIC_HISTOGRAM("partminer.phase.unit_mine_ms")
@@ -165,11 +173,11 @@ PartMinerResult MinePaperPipeline(const GraphDatabase& db,
   };
   {
     PM_TRACE_SPAN("unit_mining", {{"units", leaf_nodes.size()}});
-    if (options.unit_mining_threads > 0) {
-      // Pool width is exactly unit_mining_threads. Units and their mining
-      // subtrees share the pool: a unit that finishes early frees workers
-      // to steal extension subtrees of a still-running heavy unit, which is
-      // what keeps the makespan near max-unit instead of sum-of-stragglers.
+    if (pool != nullptr) {
+      // Units and their mining subtrees share the pool: a unit that
+      // finishes early frees workers to steal extension subtrees of a
+      // still-running heavy unit, which is what keeps the makespan near
+      // max-unit instead of sum-of-stragglers.
       //
       // Longest-unit-first: units are claimed in descending assigned-vertex
       // order through a shared counter, so whichever task body runs first
@@ -183,18 +191,17 @@ PartMinerResult MinePaperPipeline(const GraphDatabase& db,
       std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
         return unit_vertices[tree[a].lo] > unit_vertices[tree[b].lo];
       });
-      ThreadPool pool(options.unit_mining_threads);
       std::atomic<size_t> next{0};
-      TaskGroup group(&pool);
+      TaskGroup group(pool.get());
       for (size_t t = 0; t < order.size(); ++t) {
         group.Spawn([&]() {
           const size_t i = next.fetch_add(1, std::memory_order_relaxed);
-          mine_unit(order[i], &pool);
+          mine_unit(order[i]);
         });
       }
       group.Wait();
     } else {
-      for (const int node : leaf_nodes) mine_unit(node, nullptr);
+      for (const int node : leaf_nodes) mine_unit(node);
     }
   }
 
@@ -202,14 +209,15 @@ PartMinerResult MinePaperPipeline(const GraphDatabase& db,
 
   // Phase 2b: the root merge-join (Figure 11 lines 9-17), the sweep
   // PartMiner::Mine runs, without its frontier capture: nothing reads a
-  // frontier here. The unit sets only feed the merge counters: a pattern in
-  // no unit is genuinely cross-partition.
+  // frontier here, so the sweep grows on the units' pool. The unit sets
+  // only feed the merge counters: a pattern in no unit is genuinely
+  // cross-partition.
   Stopwatch merge_watch;
   {
     PM_TRACE_SPAN("merge_node", {{"node", 0}, {"depth", 0}});
     result.patterns = RootSweep(db, root_support, options.max_edges,
                                 /*capture=*/nullptr, /*known=*/nullptr,
-                                &result.merge_stats);
+                                pool.get(), &result.merge_stats);
   }
   result.merge_seconds = merge_watch.ElapsedSeconds();
   PM_METRIC_HISTOGRAM("partminer.phase.merge_ms")

@@ -13,6 +13,8 @@
 
 namespace partminer {
 
+class ThreadPool;
+
 struct PartMinerOptions {
   /// Minimum support as a fraction of the database size (the paper's 1%-6%),
   /// ignored when min_support_count > 0.
@@ -40,7 +42,9 @@ struct PartMinerOptions {
   /// concurrently in longest-unit-first order — "PartMiner is inherently
   /// parallel in nature" (Section 1) — and fan the unit miners' extension
   /// subtrees onto the same pool, so idle workers steal work from a
-  /// straggling unit instead of waiting for it. The root sweep is serial.
+  /// straggling unit instead of waiting for it. The pipeline's root sweep,
+  /// which captures no frontier, grows on the same pool. PartMiner::Mine
+  /// does not read this field: its sweep is serial.
   int unit_mining_threads = 0;
 };
 
@@ -106,10 +110,12 @@ struct PartMinerResult {
 /// receives the sweep's frontier (see Frontier). `known`, when non-null, is
 /// an exact pattern set of the database before an update: the codes it
 /// holds skip the minimality test, since such a set holds only minimal
-/// codes. Every emitted pattern counts as a counted candidate in `stats`.
+/// codes. `pool`, when non-null, grows the sweep's subtrees on it (see
+/// MinerOptions::pool); the result is the serial one. Every emitted pattern
+/// counts as a counted candidate in `stats`.
 PatternSet RootSweep(const GraphDatabase& db, int min_support, int max_edges,
                      Frontier* capture, const PatternSet* known,
-                     MergeJoinStats* stats);
+                     ThreadPool* pool, MergeJoinStats* stats);
 
 /// The resident miner: the root of the paper's merge tree (Figure 11) and
 /// the state IncPartMiner updates in place. Mine() is one exact
@@ -166,7 +172,7 @@ int NodeSupport(int root_support, int depth);
 /// recursive bisection (DBPartition, Figure 6); Phase 2 mines each unit
 /// with Gaston (Section 4.2) at its NodeSupport, on a pool of
 /// `options.unit_mining_threads` workers, then recombines at the root with
-/// a RootSweep that captures no frontier. The partition and the unit sets
+/// a RootSweep on the same pool that captures no frontier. The partition and the unit sets
 /// are dropped on return: they fill only the timings and the
 /// `inherited_patterns` and `spanning_found` merge counters. The patterns
 /// are those of PartMiner::Mine.

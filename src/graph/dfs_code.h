@@ -48,6 +48,7 @@ class DfsCode {
   size_t size() const { return edges_.size(); }
   bool empty() const { return edges_.empty(); }
   const DfsEdge& operator[](size_t i) const { return edges_[i]; }
+  const DfsEdge& back() const { return edges_.back(); }
   const std::vector<DfsEdge>& edges() const { return edges_; }
 
   /// Number of vertices of the encoded graph (max DFS index + 1).

@@ -1,6 +1,7 @@
 #ifndef PARTMINER_GRAPH_TID_SET_H_
 #define PARTMINER_GRAPH_TID_SET_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <vector>
@@ -51,6 +52,9 @@ class TidSet {
   int Count() const;
   bool Empty() const { return size_ == 0 && nwords_ == 0; }
   void Clear() { *this = TidSet(); }
+
+  /// Bytes of the heap block of a dense set (0 inline).
+  size_t HeapBytes() const { return nwords_ * sizeof(uint64_t); }
 
   /// Ascending list of the TIDs present.
   std::vector<int> ToVector() const;

@@ -361,41 +361,47 @@ struct Grower {
   ChildRank rank;
   const MinimalityCheck& is_minimal;
 
-  /// Emits `code` (frequent, minimal), then grows its children.
+  /// Emits `code` (frequent, minimal), then grows its children. `node` is
+  /// the code's node in `frontier`, when there is one.
   void Visit(DfsCode* code, const Projected& projected, int depth,
-             PatternSet* out, Frontier* frontier) const {
+             PatternSet* out, Frontier* frontier,
+             Frontier::NodeId node) const {
     PatternInfo info;
     info.code = *code;
     info.support = SupportOf(projected);
     info.tids = TidSetOf(projected);
-    if (frontier != nullptr) frontier->Erase(*code);
+    if (frontier != nullptr) frontier->Erase(node);
     out->Upsert(std::move(info));
 
     if (static_cast<int>(code->size()) >= options.max_edges) return;
     const ExtensionMap children =
         CollectExtensions(db, *code, projected, /*enable_order_pruning=*/true);
     Expand(code, children, static_cast<int64_t>(projected.size()), depth, out,
-           frontier);
+           frontier, node);
   }
 
-  /// Visits one frequent child, or parks it on the frontier when its code
-  /// is not minimal: the minimal twin carries the pattern, and the TIDs
-  /// must survive for the incremental lookups.
+  /// Visits one frequent child below node `parent`, or parks it on the
+  /// frontier when its code is not minimal: the minimal twin carries the
+  /// pattern, and the TIDs must survive for the incremental lookups.
   void VisitChild(DfsCode* code, const Projected& projected, int child_rank,
                   int depth, bool check_minimal, PatternSet* out,
-                  Frontier* frontier) const {
+                  Frontier* frontier, Frontier::NodeId parent) const {
+    const Frontier::NodeId node = frontier != nullptr
+                                      ? frontier->Node(parent, code->back())
+                                      : Frontier::kNone;
     if (check_minimal && !(is_minimal ? is_minimal(*code, child_rank)
                                       : IsMinimalDfsCode(*code))) {
-      if (frontier != nullptr) frontier->Put(*code, TidSetOf(projected));
+      if (frontier != nullptr) frontier->Put(node, TidSetOf(projected));
       return;
     }
-    Visit(code, projected, depth, out, frontier);
+    Visit(code, projected, depth, out, frontier, node);
   }
 
-  /// Grows the children of `code` (depth `depth`; the empty code is -1).
+  /// Grows the children of `code` (depth `depth`; the empty code is -1),
+  /// whose node in `frontier` is `node`.
   void Expand(DfsCode* code, const ExtensionMap& children,
               int64_t parent_embeddings, int depth, PatternSet* out,
-              Frontier* frontier) const {
+              Frontier* frontier, Frontier::NodeId node) const {
     struct Child {
       const DfsEdge* tuple;
       const Projected* projected;
@@ -403,14 +409,17 @@ struct Grower {
     };
     std::vector<Child> frequent;  // Most nodes have none: no allocation.
     for (const auto& [tuple, projected] : children) {
-      code->Append(tuple);
       if (SupportOf(projected) < options.min_support) {
-        if (frontier != nullptr) frontier->Put(*code, TidSetOf(projected));
+        if (frontier != nullptr) {
+          frontier->Put(frontier->Node(node, tuple), TidSetOf(projected));
+        }
+      } else if (rank == nullptr) {
+        frequent.push_back(Child{&tuple, &projected, 0});
       } else {
-        frequent.push_back(
-            Child{&tuple, &projected, rank != nullptr ? rank(*code) : 0});
+        code->Append(tuple);
+        frequent.push_back(Child{&tuple, &projected, rank(*code)});
+        code->PopBack();
       }
-      code->PopBack();
     }
     if (rank != nullptr) {
       std::stable_sort(
@@ -424,14 +433,15 @@ struct Grower {
       for (const Child& child : frequent) {
         code->Append(*child.tuple);
         VisitChild(code, *child.projected, child.rank, depth + 1,
-                   check_minimal, out, frontier);
+                   check_minimal, out, frontier, node);
         code->PopBack();
       }
       return;
     }
 
     // One task per frequent child, each with its own code copy and sinks;
-    // the minimality test is part of the task's work.
+    // the minimality test is part of the task's work. A task's frontier is
+    // a fork whose root stands for `node`.
     struct Job {
       DfsCode code;
       const Projected* projected;
@@ -454,16 +464,17 @@ struct Grower {
         group.Spawn([this, &job, depth, check_minimal, want_frontier]() {
           VisitChild(&job.code, *job.projected, job.rank, depth + 1,
                      check_minimal, &job.patterns,
-                     want_frontier ? &job.frontier : nullptr);
+                     want_frontier ? &job.frontier : nullptr, Frontier::kRoot);
         });
       }
     }  // Waits; `children` and the jobs outlive every task.
 
-    // Sibling subtrees have disjoint keys (each carries its own child
-    // tuple), so merging in visit order reproduces the serial sinks.
+    // Splicing the task sinks in visit order reproduces the serial sinks:
+    // the same patterns in the same order, and the same nodes under the
+    // same ids.
     for (Job& job : jobs) {
       out->AppendFrom(std::move(job.patterns));
-      if (frontier != nullptr) frontier->MergeFrom(std::move(job.frontier));
+      if (frontier != nullptr) frontier->Splice(std::move(job.frontier), node);
     }
   }
 };
@@ -477,15 +488,17 @@ PatternSet GrowFromRoots(const GraphDatabase& db, const MinerOptions& options,
   PatternSet out;
   DfsCode code;
   grower.Expand(&code, roots, INT64_MAX, /*depth=*/-1, &out,
-                options.capture_frontier);
+                options.capture_frontier, Frontier::kRoot);
   return out;
 }
 
 void GrowSubtree(const GraphDatabase& db, const MinerOptions& options,
-                 DfsCode* code, const Projected& projected, PatternSet* out) {
+                 DfsCode* code, const Projected& projected,
+                 Frontier::NodeId node, PatternSet* out) {
   const MinimalityCheck generic;
   const Grower grower{db, options, nullptr, generic};
-  grower.Visit(code, projected, /*depth=*/0, out, options.capture_frontier);
+  grower.Visit(code, projected, /*depth=*/0, out, options.capture_frontier,
+               node);
 }
 
 int SupportOf(const Projected& projected) {

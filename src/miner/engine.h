@@ -162,26 +162,31 @@ using MinimalityCheck = std::function<bool(const DfsCode& child, int rank)>;
 ///
 /// The frontier contract (see Frontier), enforced here and nowhere
 /// else: with `options.capture_frontier` set, every enumerated group that
-/// is infrequent, or frequent under a non-minimal code, is written as
-/// `frontier.Put(code, tids)`, and every emitted pattern is erased from it.
+/// is infrequent, or frequent under a non-minimal code, is written as an
+/// entry on its node (parent's node, tuple), every emitted pattern is a
+/// path node with no entry, and a node is appended after its parent.
 ///
 /// With `options.pool`, the children of the empty code, and the children
 /// of a root with at least `options.parallel_spawn_min_embeddings`
-/// embeddings, are grown as pool tasks into task-local sinks that are
-/// merged back in visit order, so the result and the frontier equal the
-/// serial run's; task frontiers are merged by key, so a pooled run expects
-/// a frontier holding no key of the grown tree (a fresh capture map).
-/// Without a pool the recursion writes straight into the caller's sinks.
+/// embeddings, are grown as pool tasks into task-local sinks: a pattern set
+/// and a Frontier::Fork. The sinks are spliced back in visit order, so the
+/// result and the frontier equal the serial run's, node ids included; a
+/// pooled run expects a frontier holding no node of the grown tree (a
+/// fresh capture). Without a pool the recursion writes straight into the
+/// caller's sinks.
 PatternSet GrowFromRoots(const GraphDatabase& db, const MinerOptions& options,
                          ChildRank rank = nullptr,
                          const MinimalityCheck& is_minimal = {});
 
 /// The same growth started at one frequent minimal `code` whose embeddings
-/// into `db` are `projected`: emits `code` and its whole frequent subtree
-/// into `out`, under the same frontier contract and visit order
-/// (tuple order, generic minimality test).
+/// into `db` are `projected` and whose node in `options.capture_frontier`
+/// (if set) is `node`: emits `code` and its whole frequent subtree into
+/// `out`, under the same frontier contract and visit order (tuple order,
+/// generic minimality test). Nodes of the subtree already in the frontier
+/// are rewritten in place.
 void GrowSubtree(const GraphDatabase& db, const MinerOptions& options,
-                 DfsCode* code, const Projected& projected, PatternSet* out);
+                 DfsCode* code, const Projected& projected,
+                 Frontier::NodeId node, PatternSet* out);
 
 /// Support of an embedding list: the number of distinct database graphs.
 /// Embeddings are grouped by graph in database order by construction.

@@ -38,97 +38,138 @@ struct PatternInfo {
 /// state files and the compacted Frontier agree on.
 using FrontierMap = std::unordered_map<DfsCode, TidSet, DfsCodeHash>;
 
-/// The frontier as the incremental merge keeps it across rounds, with its
-/// two whole-map maintenance steps made lazy so that a round costs in
+/// The frontier as the growth loop writes it and the incremental merge keeps
+/// it across rounds.
+///
+/// *Layout.* Every key the growth loop writes is one extension tuple past a
+/// code it visited, so the frontier is a tree of codes stored as a flat
+/// arena of node records {parent node, tuple, epoch, cut epoch, TIDs}, with
+/// the root (the empty code) at kRoot and every parent before its children.
+/// One open-addressing index maps (parent, tuple) to a node. A node whose
+/// epoch is 0 is a path node with no entry (a visited pattern); any other
+/// node is an entry. A walk that descends the tree carries its node id, so
+/// a capture is an append and a lookup is one probe; the DfsCode-keyed
+/// Put and Lookup walk the code's path from the root.
+///
+/// Two whole-frontier maintenance steps are lazy, so that a round costs in
 /// proportion to the update rather than to the frontier:
 ///
 ///  - *Lazy strip.* Every entry carries the epoch of its last write, and
 ///    every graph the epoch it was last updated in (BeginRound opens one
 ///    epoch per round). An entry's TIDs are exact as of its epoch, so its
 ///    current value is the stored set minus the graphs updated after it.
-///  - *Lazy cut.* Cut(prefix) logs the prefix with the current epoch. An
-///    entry is *dead* — reads as absent — when some proper prefix of its
-///    code was cut at or after the entry's epoch: it was derived through
-///    occurrences of a pattern that has since dropped out.
+///  - *Lazy cut.* Cut(node) stamps the node with the current epoch. An
+///    entry is *dead* — reads as absent — when a proper ancestor was cut at
+///    or after the entry's epoch: it was derived through occurrences of a
+///    pattern that has since dropped out. A walk inherits the newest cut
+///    over the ancestors down the tree: max(parent's value, CutEpoch(parent)).
 ///
-/// Compact() applies both to every entry, drops dead and empty ones and
-/// clears the logs, so a read returns the same before and after it. The
-/// incremental merge cuts every pattern that drops out, which keeps every
-/// live entry's current TIDs exact (DESIGN.md §2).
+/// Compact() applies both to every entry, drops dead and empty entries and
+/// the path nodes no entry hangs below, and clears the cuts, so a read
+/// returns the same before and after it. The incremental merge cuts every
+/// pattern that drops out, which keeps every live entry's current TIDs
+/// exact (DESIGN.md §2).
 class Frontier {
  public:
   /// Round counter. Writes are stamped with epochs >= 1; 0 means "never".
-  using Epoch = uint64_t;
-  using CutLog = std::unordered_map<DfsCode, Epoch, DfsCodeHash>;
+  using Epoch = uint32_t;
+  /// Position of a node record in the arena.
+  using NodeId = int32_t;
+  static constexpr NodeId kRoot = 0;
+  static constexpr NodeId kNone = -1;
+  /// Cut codes with the epoch of their newest cut.
+  using CutMap = std::unordered_map<DfsCode, Epoch, DfsCodeHash>;
 
-  /// Stores `tids` as the exact TIDs of `code` as of the current epoch.
-  void Put(const DfsCode& code, TidSet tids) {
-    Entry& entry = entries_[code];
-    entry.tids = std::move(tids);
-    entry.epoch = epoch_;
+  Frontier() { Append(Record()); }
+
+  /// The node (parent, tuple), appended as a path node when absent.
+  NodeId Node(NodeId parent, const DfsEdge& tuple);
+  /// Stores `tids` as the exact TIDs of `node` as of the current epoch.
+  void Put(NodeId node, TidSet tids) {
+    Record& r = At(node);
+    dense_bytes_ = dense_bytes_ - r.tids.HeapBytes() + tids.HeapBytes();
+    if (r.epoch == 0) ++entries_;
+    r.tids = std::move(tids);
+    r.epoch = epoch_;
   }
-  void Erase(const DfsCode& code) { entries_.erase(code); }
-  /// Drops every entry and both logs.
+  /// Put on the node of `code`, appending its path as needed.
+  NodeId Put(const DfsCode& code, TidSet tids);
+  /// Drops the entry of `node`, if any; the node stays.
+  void Erase(NodeId node) {
+    Record& r = At(node);
+    if (r.epoch == 0) return;
+    dense_bytes_ -= r.tids.HeapBytes();
+    --entries_;
+    r.tids.Clear();
+    r.epoch = 0;
+  }
+  /// Drops every node and the epoch state.
   void Clear() { *this = Frontier(); }
 
   /// Opens the next epoch; `updated` are the graphs changed since the
   /// previous one.
   void BeginRound(const std::vector<int>& updated);
-  /// Kills every entry strictly extending `prefix` written so far.
-  void Cut(const DfsCode& prefix);
-  /// Newest cut of exactly `code` (0 when never cut).
-  Epoch CutEpoch(const DfsCode& code) const {
-    if (cuts_.empty()) return 0;
-    const auto it = cuts_.find(code);
-    return it == cuts_.end() ? 0 : it->second;
+  /// Kills every entry below `node` written so far.
+  void Cut(NodeId node) {
+    At(node).cut = epoch_;
+    newest_cut_ = epoch_;
   }
-  /// Newest cut over the proper prefixes of `code`, from the cut log. A
-  /// walk that reaches codes through their prefix chain can carry this
-  /// down instead: max(parent's value, CutEpoch(parent)).
-  Epoch PrefixCutEpoch(const DfsCode& code) const;
+  /// Newest cut of exactly `node` (0 when never cut).
+  Epoch CutEpoch(NodeId node) const { return At(node).cut; }
 
-  /// Current TIDs of `code` into `tids`; false (and `tids` untouched) when
-  /// the code has no entry or its entry is dead. `prefix_cut` must be
-  /// PrefixCutEpoch(code).
-  bool Lookup(const DfsCode& code, Epoch prefix_cut, TidSet* tids) const {
-    const auto it = entries_.find(code);
-    if (it == entries_.end() || it->second.epoch <= prefix_cut) return false;
-    *tids = it->second.tids;
-    Strip(it->second.epoch, tids);
+  /// Current TIDs of `node` into `tids`; false (and `tids` untouched) when
+  /// the node is kNone, holds no entry, or its entry is dead. `prefix_cut`
+  /// must be the newest cut over the node's proper ancestors.
+  bool Lookup(NodeId node, Epoch prefix_cut, TidSet* tids) const {
+    if (node == kNone) return false;
+    const Record& r = At(node);
+    if (r.epoch == 0 || r.epoch <= prefix_cut) return false;
+    *tids = r.tids;
+    Strip(r.epoch, tids);
     return true;
   }
-  bool Lookup(const DfsCode& code, TidSet* tids) const {
-    return Lookup(code, PrefixCutEpoch(code), tids);
-  }
+  /// Lookup by code: walks the code's path from the root.
+  bool Lookup(const DfsCode& code, TidSet* tids) const;
 
-  /// The current epoch: what Put stamps and Cut logs.
+  /// The current epoch: what Put stamps and Cut records.
   Epoch epoch() const { return epoch_; }
   /// Distinct graphs updated since the last compaction (or Clear).
   int PendingGraphs() const { return pending_.Count(); }
-  /// Strips every entry, drops dead and empty ones, clears both logs.
+  /// Strips every entry, drops dead and empty entries and the path nodes
+  /// with no entry below them, clears the cuts.
   void Compact();
 
   /// Stored entries, dead ones included.
-  size_t size() const { return entries_.size(); }
-  /// Stored entries that are dead. Free while no cut is logged; otherwise
-  /// a walk over the entries.
+  size_t size() const { return entries_; }
+  /// Nodes besides the root: entries and path nodes.
+  size_t node_count() const { return count_ - 1; }
+  /// Heap bytes the frontier holds: the arena's records, the index, the
+  /// words of dense TID sets and the per-graph epochs.
+  size_t Bytes() const;
+  /// Stored entries that are dead. Free while nothing is cut; otherwise a
+  /// forward pass over the nodes.
   size_t CountDead() const;
-  const CutLog& cuts() const { return cuts_; }
+  /// Every code cut since the last compaction, by a walk over the nodes.
+  CutMap Cuts() const;
 
   /// Calls `fn(code)` for every stored key, dead ones included.
   template <typename Fn>
   void ForEachKey(Fn&& fn) const {
-    for (const auto& [code, entry] : entries_) fn(code);
+    for (NodeId i = 1; i < count_; ++i) {
+      if (At(i).epoch != 0) fn(CodeOf(i));
+    }
   }
   /// Calls `fn(code, tids)` for every live entry with non-empty current
-  /// TIDs: the compacted frontier, without compacting.
+  /// TIDs, in node order: the compacted frontier, without compacting.
   template <typename Fn>
   void ForEachLive(Fn&& fn) const {
-    for (const auto& [code, entry] : entries_) {
-      if (Dead(code, entry.epoch)) continue;
-      TidSet tids = entry.tids;
-      Strip(entry.epoch, &tids);
-      if (!tids.Empty()) fn(code, tids);
+    const std::vector<Epoch> prefix_cuts = PrefixCuts();
+    for (NodeId i = 1; i < count_; ++i) {
+      const Record& r = At(i);
+      if (r.epoch == 0 || r.epoch <= prefix_cuts[i]) continue;
+      TidSet tids = r.tids;
+      Strip(r.epoch, &tids);
+      if (!tids.Empty()) fn(CodeOf(i), tids);
     }
   }
   FrontierMap ToMap() const {
@@ -140,14 +181,16 @@ class Frontier {
   }
 
   /// An empty frontier stamping writes with this one's epoch: the
-  /// task-local sink of a pooled growth run.
+  /// task-local sink of a pooled growth run. Its root stands for the node
+  /// the task grows below.
   Frontier Fork() const {
     Frontier fork;
     fork.epoch_ = epoch_;
     return fork;
   }
-  /// Moves in the entries of `other` whose codes have no entry here.
-  void MergeFrom(Frontier&& other) { entries_.merge(other.entries_); }
+  /// Appends the nodes of `fork`, in its order, below `anchor`, the node
+  /// its root stands for. None of them may have a node here yet.
+  void Splice(Frontier&& fork, NodeId anchor);
 
   /// Equal compacted views.
   friend bool operator==(const Frontier& a, const Frontier& b) {
@@ -155,18 +198,55 @@ class Frontier {
   }
 
  private:
-  struct Entry {
-    TidSet tids;
+  struct Record {
+    NodeId parent = kNone;
+    DfsEdge tuple;
+    /// Epoch of the entry's last write; 0 for a path node.
     Epoch epoch = 0;
+    /// Epoch of the node's newest cut since the last compaction; 0: none.
+    Epoch cut = 0;
+    TidSet tids;
   };
 
+  /// Nodes per arena block. Blocks after the first are allocated whole, so
+  /// the arena grows without moving a record; the first grows from small,
+  /// so a task's fork costs what it holds.
+  static constexpr int kBlockShift = 12;
+  static constexpr NodeId kBlockSize = NodeId{1} << kBlockShift;
+
+  Record& At(NodeId node) {
+    return blocks_[node >> kBlockShift][node & (kBlockSize - 1)];
+  }
+  const Record& At(NodeId node) const {
+    return blocks_[node >> kBlockShift][node & (kBlockSize - 1)];
+  }
+  /// The node (parent, tuple), or kNone.
+  NodeId Find(NodeId parent, const DfsEdge& tuple) const {
+    return slots_.empty() ? kNone : slots_[Probe(parent, tuple)];
+  }
+  /// Slot of (parent, tuple) in slots_, or the empty slot where it would
+  /// go. slots_ must be non-empty.
+  size_t Probe(NodeId parent, const DfsEdge& tuple) const;
+  /// Rebuilds the index with `slots` slots over every node.
+  void Rehash(size_t slots);
+  /// Appends `record` and, unless it is the root, indexes it; returns its
+  /// id.
+  NodeId Append(Record&& record);
+  /// The code of `node`: the tuples on its path from the root.
+  DfsCode CodeOf(NodeId node) const;
+  /// Per node, the newest cut over its proper ancestors: one forward pass.
+  std::vector<Epoch> PrefixCuts() const;
   /// Removes from `tids` the graphs updated after epoch `since`.
   void Strip(Epoch since, TidSet* tids) const;
-  bool Dead(const DfsCode& code, Epoch epoch) const {
-    return epoch <= newest_cut_ && epoch <= PrefixCutEpoch(code);
-  }
 
-  std::unordered_map<DfsCode, Entry, DfsCodeHash> entries_;
+  /// The arena: node i is At(i); node kRoot is the empty code.
+  std::vector<std::vector<Record>> blocks_;
+  NodeId count_ = 0;
+  /// Open addressing: slot -> node id, kNone empty; at most half full.
+  std::vector<NodeId> slots_;
+  size_t entries_ = 0;
+  /// Words of the dense TID sets stored, in bytes.
+  size_t dense_bytes_ = 0;
   Epoch epoch_ = 1;
   /// Per graph, the epoch of its last update since the last compaction
   /// (0: none); `pending_` holds those graphs.
@@ -175,11 +255,8 @@ class Frontier {
   /// Smallest graph_epoch_ over `pending_`: an entry older than it loses
   /// every pending graph.
   Epoch oldest_pending_ = 0;
-  CutLog cuts_;
+  /// Newest cut since the last compaction (0: none).
   Epoch newest_cut_ = 0;
-  /// First tuples of the cut prefixes: most codes share no root with any
-  /// cut, which PrefixCutEpoch answers at once.
-  std::vector<DfsEdge> cut_roots_;
 };
 
 /// A node's frontier cache with a validity flag: large-update rounds take

@@ -430,6 +430,7 @@ std::string Daemon::HandleLine(const std::string& line, bool* shutdown) {
                Json::Number(static_cast<int64_t>(queue_depth_edits())));
     result.Set("frontier_entries", Json::Number(frontier.entries));
     result.Set("frontier_dead_entries", Json::Number(frontier.dead_entries));
+    result.Set("frontier_bytes", Json::Number(frontier.bytes));
     response = RenderResponse(id, std::move(result));
   } else if (command == "dump") {
     // Reparse for the same reason as `metrics`: the dump must splice into

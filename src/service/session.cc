@@ -300,8 +300,11 @@ void MinerSession::PublishLocked(const Published& prev,
   epoch_digests_[epoch_ % kDigestWindow] = {epoch_, next->digest};
   PM_METRIC_GAUGE("service.epoch")->Set(static_cast<int64_t>(epoch_));
   PM_METRIC_GAUGE("service.patterns")->Set(n);
+  const Frontier& frontier = miner_->root_frontier().map;
   PM_METRIC_GAUGE("partminer.frontier.entries")
-      ->Set(static_cast<int64_t>(miner_->root_frontier().map.size()));
+      ->Set(static_cast<int64_t>(frontier.size()));
+  PM_METRIC_GAUGE("partminer.frontier.bytes")
+      ->Set(static_cast<int64_t>(frontier.Bytes()));
   std::shared_ptr<const Published> previous = std::move(next);
   {
     std::lock_guard<std::mutex> lock(published_mu_);
@@ -527,6 +530,7 @@ FrontierHealth MinerSession::FrontierCounts() const {
   if (miner_ == nullptr) return health;
   const Frontier& frontier = miner_->root_frontier().map;
   health.entries = static_cast<int64_t>(frontier.size());
+  health.bytes = static_cast<int64_t>(frontier.Bytes());
   health.dead_entries = static_cast<int64_t>(frontier.CountDead());
   PM_METRIC_GAUGE("partminer.frontier.dead_entries")->Set(health.dead_entries);
   return health;

@@ -122,6 +122,8 @@ struct FrontierHealth {
   /// compacted away).
   int64_t entries = 0;
   int64_t dead_entries = 0;
+  /// Heap bytes of the frontier (Frontier::Bytes).
+  int64_t bytes = 0;
 };
 
 /// The daemon's resident mining state: one database + the PartMiner root
@@ -214,9 +216,9 @@ class MinerSession {
   /// against a from-scratch oracle). Shared lock.
   PatternSet VerifiedPatterns() const;
 
-  /// The root frontier's counts and the epoch they belong to, read under
-  /// the session lock, shared. Counting the dead entries walks the
-  /// frontier once a cut is logged, so no publish does it: only `health`
+  /// The root frontier's counts and bytes and the epoch they belong to,
+  /// read under the session lock, shared. Counting the dead entries walks
+  /// the frontier once a node is cut, so no publish does it: only `health`
   /// asks, and it waits for a running apply.
   FrontierHealth FrontierCounts() const;
 

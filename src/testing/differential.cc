@@ -306,7 +306,10 @@ DifferentialResult RunAllChecks(const GraphDatabase& db,
   // Updates of at most half the graphs take the frontier-backed delta path;
   // larger ones take the exact re-sweep, which drops the frontier until a
   // smaller round re-captures it. The small rounds at the end stay on the
-  // delta path with lazy frontier state carried between them.
+  // delta path with lazy frontier state carried between them. The second
+  // half of the rounds runs on a copy of the state, as a caller that copies
+  // a mined state before updating it does, so every later round reads the
+  // copied frontier arena and its index.
   if (result.ok()) {
     GraphDatabase updated = db;
     AssignUpdateHotspots(&updated, 0.3, params.seed + 11);
@@ -323,6 +326,7 @@ DifferentialResult RunAllChecks(const GraphDatabase& db,
     ++result.configurations;
     IncPartMiner inc;
     for (int round = 0; round < kIncrementalRounds && result.ok(); ++round) {
+      if (round == kIncrementalRounds / 2) miner = PartMiner(miner);
       const UpdateLog log = ApplyRoundUpdates(&updated, params, round);
       const PatternSet before = miner.patterns();
       const IncPartMinerResult inc_result =

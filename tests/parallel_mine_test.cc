@@ -255,6 +255,56 @@ TEST(ParallelMineTest, FrontierContractSameAcrossMinersAndPools) {
   }
 }
 
+/// Captures into a fresh frontier with `miner`, a GSpanMiner or
+/// GastonMiner (pool optional, fan-out forced).
+template <typename Miner>
+Frontier CaptureArena(const GraphDatabase& db, int support, ThreadPool* pool) {
+  Miner miner;
+  MinerOptions options;
+  options.min_support = support;
+  options.pool = pool;
+  options.parallel_spawn_min_embeddings = 1;
+  Frontier frontier;
+  options.capture_frontier = &frontier;
+  miner.Mine(db, options);
+  return frontier;
+}
+
+TEST(ParallelMineTest, PooledCaptureSplicesTheSerialArena) {
+  // A pooled capture splices its task forks in visit order, so it holds the
+  // serial run's entries and exactly as many nodes.
+  ThreadPool pool1(1);
+  ThreadPool pool2(2);
+  ThreadPool pool8(8);
+  Rng rng(5150);
+  size_t nodes = 0;
+  for (int seed = 0; seed < 30; ++seed) {
+    const GraphDatabase db = testutil::RandomDatabase(&rng, 12, 8, 3, 3, 2);
+    for (const int support : {2, 4}) {
+      const Frontier gspan = CaptureArena<GSpanMiner>(db, support, nullptr);
+      const Frontier gaston = CaptureArena<GastonMiner>(db, support, nullptr);
+      const FrontierMap serial = gspan.ToMap();
+      EXPECT_EQ(gaston.ToMap(), serial);
+      EXPECT_EQ(gaston.size(), gspan.size());
+      EXPECT_EQ(gaston.node_count(), gspan.node_count());
+      nodes += gspan.node_count();
+      for (ThreadPool* pool : {&pool1, &pool2, &pool8}) {
+        const std::string what = "seed " + std::to_string(seed) +
+                                 " support " + std::to_string(support) +
+                                 " pool " + std::to_string(pool->width());
+        for (const Frontier& pooled :
+             {CaptureArena<GSpanMiner>(db, support, pool),
+              CaptureArena<GastonMiner>(db, support, pool)}) {
+          EXPECT_EQ(pooled.ToMap(), serial) << what;
+          EXPECT_EQ(pooled.size(), gspan.size()) << what;
+          EXPECT_EQ(pooled.node_count(), gspan.node_count()) << what;
+        }
+      }
+    }
+  }
+  EXPECT_GT(nodes, 0u);
+}
+
 TEST(ParallelMineTest, FrontierContractKeysAreExactCompleteNonPatterns) {
   Rng rng(4048);
   size_t keys = 0;
@@ -449,7 +499,7 @@ TEST(ParallelMineTest, LazyFrontierExactAcrossChainedDeltaRounds) {
       g.AddEdge(anchor, added, static_cast<Label>(rng.Uniform(2)));
       updated.push_back(gi);
 
-      const Frontier::CutLog cut_before = frontier.map.cuts();
+      const Frontier::CutMap cut_before = frontier.map.Cuts();
       UpdateLog log;
       log.updated_graphs = updated;
       const IncPartMinerResult update = inc.Update(&state, db, log);
@@ -466,7 +516,7 @@ TEST(ParallelMineTest, LazyFrontierExactAcrossChainedDeltaRounds) {
 
       // Keys under a prefix cut this round read as absent.
       std::vector<DfsCode> cut_now;
-      for (const auto& [code, epoch] : frontier.map.cuts()) {
+      for (const auto& [code, epoch] : frontier.map.Cuts()) {
         if (epoch == frontier.map.epoch()) cut_now.push_back(code);
       }
       if (!cut_now.empty()) ++cut_rounds;
@@ -501,6 +551,60 @@ TEST(ParallelMineTest, LazyFrontierExactAcrossChainedDeltaRounds) {
   EXPECT_GT(cut_rounds, 0);
   EXPECT_GT(regrown_cut_prefixes, 0);
   EXPECT_GT(dead_keys_seen, 0);
+}
+
+TEST(ParallelMineTest, CopiedStateAnswersEveryLookupAsTheOriginal) {
+  // A copy carries the arena and its index: after delta rounds that leave
+  // pending strips and cuts, every stored key reads the same from both,
+  // and both answer the next round alike.
+  Rng rng(9001);
+  int keys = 0;
+  int cut_states = 0;
+  for (int seed = 0; seed < 15; ++seed) {
+    GraphDatabase db = testutil::RandomDatabase(&rng, 16, 7, 3, 3, 2);
+    PartMinerOptions part_options;
+    part_options.min_support_count = 3;
+    part_options.inc_delta_sweep_max_fraction = 1.0;  // Never compacted.
+    PartMiner state(part_options);
+    state.Mine(db);
+    IncPartMiner inc;
+    auto relabel = [&](int round) {
+      UpdateOptions upd;
+      upd.fraction_graphs = 0.2;
+      upd.kinds = {UpdateKind::kRelabel};
+      upd.seed = 100 * static_cast<uint64_t>(seed) + round;
+      return ApplyUpdates(&db, 3, upd);
+    };
+    for (int round = 0; round < 3; ++round) {
+      inc.ApplyRound(&state, db, relabel(round));
+    }
+
+    PartMiner copy = state;
+    const Frontier& original = state.root_frontier().map;
+    const Frontier& copied = copy.root_frontier().map;
+    const std::string what = "seed " + std::to_string(seed);
+    ASSERT_EQ(copied.size(), original.size()) << what;
+    ASSERT_EQ(copied.node_count(), original.node_count()) << what;
+    if (!original.Cuts().empty()) ++cut_states;
+    original.ForEachKey([&](const DfsCode& key) {
+      TidSet from_original;
+      TidSet from_copy;
+      EXPECT_EQ(original.Lookup(key, &from_original),
+                copied.Lookup(key, &from_copy))
+          << what << ": " << key.ToString();
+      EXPECT_EQ(from_original, from_copy) << what << ": " << key.ToString();
+      ++keys;
+    });
+    ExpectLazyFrontierExact(db, copy.patterns(), copied, what);
+
+    const UpdateLog log = relabel(3);
+    inc.ApplyRound(&state, db, log);
+    inc.ApplyRound(&copy, db, log);
+    ExpectBitIdentical(state.patterns(), copy.patterns(), what);
+    EXPECT_TRUE(original.ToMap() == copied.ToMap()) << what;
+  }
+  EXPECT_GT(keys, 0);
+  EXPECT_GT(cut_states, 0);
 }
 
 }  // namespace

@@ -169,7 +169,8 @@ TEST_F(ServiceProtoTest, GoldenTable) {
       // the health state is `serving` and the flight recorder is empty.
       {R"({"id":21,"cmd":"health"})",
        R"({"id":21,"ok":true,"result":{"state":"serving","epoch":0,)"
-       R"("queue_depth":0,"frontier_entries":3,"frontier_dead_entries":0}})"},
+       R"("queue_depth":0,"frontier_entries":3,"frontier_dead_entries":0,)"
+       R"("frontier_bytes":728}})"},
       {R"({"id":22,"cmd":"dump"})",
        R"({"id":22,"ok":true,"result":{"events":[],"dropped":0}})"},
   };

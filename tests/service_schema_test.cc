@@ -98,6 +98,7 @@ TEST_F(ServiceSchemaTest, HealthSchema) {
   ExpectInt(result, "queue_depth");
   ExpectInt(result, "frontier_entries");
   ExpectInt(result, "frontier_dead_entries");
+  ExpectInt(result, "frontier_bytes");
 }
 
 TEST_F(ServiceSchemaTest, MetricsSchemaIncludesOperatorFields) {

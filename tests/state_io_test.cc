@@ -181,14 +181,14 @@ TEST(StateIoTest, LazyFrontierSavesCompactedAndResumesExactly) {
   for (int r = 0; r < 3; ++r) round(r);
   const Frontier& lazy = miner.root_frontier().map;
   ASSERT_TRUE(miner.root_frontier().valid);
-  ASSERT_FALSE(lazy.cuts().empty());
+  ASSERT_FALSE(lazy.Cuts().empty());
   ASSERT_GT(lazy.PendingGraphs(), 0);
 
   std::stringstream buffer;
   ASSERT_TRUE(SaveMinerState(miner, buffer).ok());
   PartMiner compacted = miner;
   compacted.mutable_root_frontier().map.Compact();
-  ASSERT_TRUE(compacted.root_frontier().map.cuts().empty());
+  ASSERT_TRUE(compacted.root_frontier().map.Cuts().empty());
   std::stringstream compacted_buffer;
   ASSERT_TRUE(SaveMinerState(compacted, compacted_buffer).ok());
   EXPECT_EQ(buffer.str(), compacted_buffer.str());

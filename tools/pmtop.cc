@@ -5,10 +5,10 @@
 // Polls the daemon's `health` and `metrics` verbs on a refresh loop and
 // renders a terminal dashboard: health state, uptime, epoch, throughput
 // (requests/s from counter deltas), queue occupancy against its cap and
-// high water, per-verb p50/p99 latency (bucket-estimated, DESIGN.md
-// section 13), and cache hit rates. When stdout is a tty the screen is
-// redrawn in place (ANSI home+clear); otherwise frames append, which keeps
-// the output pipeable. --iterations=N exits after N frames (0 = forever).
+// high water, the root frontier's entries and bytes, per-verb p50/p99
+// latency (bucket-estimated, DESIGN.md section 13), and cache hit rates.
+// When stdout is a tty the screen is redrawn in place (ANSI home+clear);
+// otherwise frames append, which keeps the output pipeable. --iterations=N exits after N frames (0 = forever).
 
 #include <unistd.h>
 
@@ -138,6 +138,13 @@ void Render(const Frame& frame, const Frame& previous, double interval_s,
       static_cast<long long>(Counter(frame, "service.edits_applied")),
       static_cast<long long>(Counter(frame, "service.batches_applied")),
       static_cast<long long>(Counter(frame, "service.batches_coalesced")));
+
+  // The dead-entry gauge is set by the `health` call of this same poll.
+  std::printf(
+      "frontier entries=%lld (dead %lld)  bytes=%lld\n",
+      static_cast<long long>(Gauge(frame, "partminer.frontier.entries")),
+      static_cast<long long>(Gauge(frame, "partminer.frontier.dead_entries")),
+      static_cast<long long>(Gauge(frame, "partminer.frontier.bytes")));
 
   std::printf("per-verb latency (bucket-estimated ms):\n");
   static constexpr struct {
