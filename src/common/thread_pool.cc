@@ -1,5 +1,9 @@
 #include "common/thread_pool.h"
 
+#include <pthread.h>
+#include <sched.h>
+#include <unistd.h>
+
 #include <chrono>
 #include <utility>
 
@@ -16,6 +20,18 @@ namespace {
 thread_local ThreadPool* tls_pool = nullptr;
 thread_local int tls_worker_index = -1;
 
+/// The CPUs the process may run on, ascending; empty when unknown.
+std::vector<int> AllowedCpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  std::vector<int> cpus;
+  if (sched_getaffinity(getpid(), sizeof(set), &set) != 0) return cpus;
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &set)) cpus.push_back(cpu);
+  }
+  return cpus;
+}
+
 }  // namespace
 
 ThreadPool* ThreadPool::Current() { return tls_pool; }
@@ -26,9 +42,12 @@ ThreadPool::ThreadPool(int threads) {
   for (int i = 0; i < threads; ++i) {
     queues_.push_back(std::make_unique<WorkerQueue>());
   }
+  const std::vector<int> cpus = AllowedCpus();
+  const bool pin = static_cast<size_t>(threads) <= cpus.size();
   workers_.reserve(threads);
   for (int i = 0; i < threads; ++i) {
-    workers_.emplace_back([this, i]() { WorkerLoop(i); });
+    const int cpu = pin ? cpus[i] : -1;
+    workers_.emplace_back([this, i, cpu]() { WorkerLoop(i, cpu); });
   }
   PM_METRIC_GAUGE("pool.width")->Set(threads);
 }
@@ -135,7 +154,13 @@ bool ThreadPool::TryRunOneTask() {
   return true;
 }
 
-void ThreadPool::WorkerLoop(int index) {
+void ThreadPool::WorkerLoop(int index, int cpu) {
+  if (cpu >= 0) {
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    CPU_SET(cpu, &set);
+    pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
+  }
   tls_pool = this;
   tls_worker_index = index;
   std::function<void()> task;

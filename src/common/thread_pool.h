@@ -31,6 +31,11 @@ namespace partminer {
 ///    never idles a core.
 ///  - Shutdown drains: the destructor completes every task already
 ///    submitted (including tasks those tasks spawn) before joining.
+///  - Pinned when it fits: worker i runs only on the i-th CPU of the
+///    process's allowed set whenever the pool is no wider than that set. A
+///    guest scheduler can otherwise stack runnable workers on one vCPU,
+///    which turns a pool into pure overhead (DESIGN.md §9). A wider pool is
+///    left to the scheduler.
 ///
 /// Counters are published through the obs registry: pool.tasks_submitted,
 /// pool.tasks_executed, pool.steals, pool.steal_moved_tasks.
@@ -74,7 +79,8 @@ class ThreadPool {
     std::deque<std::function<void()>> tasks;
   };
 
-  void WorkerLoop(int index);
+  /// Runs worker `index`, pinned to `cpu` unless it is -1.
+  void WorkerLoop(int index, int cpu);
   /// Dequeues one task: own back, else steal-half from another queue.
   /// `self` is the caller's worker index, or -1 for external threads.
   bool Dequeue(int self, std::function<void()>* out);

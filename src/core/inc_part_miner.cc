@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <deque>
+#include <memory>
 #include <utility>
 
 #include "common/logging.h"
+#include "common/thread_pool.h"
 #include "common/timing.h"
 #include "graph/canonical.h"
 #include "miner/engine.h"
@@ -219,12 +221,18 @@ IncPartMinerResult IncPartMiner::ApplyRound(PartMiner* state,
     };
     const bool small_update = small_share(updated.size());
     if (!small_update || !frontier.valid) {
+      // The re-sweep grows on the pool PartMiner::Mine would use.
+      std::unique_ptr<ThreadPool> pool;
+      if (state->options().unit_mining_threads > 0) {
+        pool = std::make_unique<ThreadPool>(
+            state->options().unit_mining_threads);
+      }
       frontier.map.Clear();
       frontier.valid = small_update;
       PatternSet swept =
           RootSweep(new_db, min_support, max_edges,
                     small_update ? &frontier.map : nullptr, &patterns,
-                    /*pool=*/nullptr, s);
+                    pool.get(), s);
       // Transitions by set difference: the sweep already paid O(result).
       for (const PatternInfo& p : swept.patterns()) {
         const PatternInfo* old = patterns.Find(p.code);

@@ -84,7 +84,8 @@ struct IncPartMinerResult {
 /// updated since the last one exceed `inc_delta_sweep_max_fraction` of the
 /// database. A round updating more than that share, or finding the
 /// frontier invalid, takes the exact re-sweep (RootSweep) instead, which
-/// replaces the frontier wholesale.
+/// replaces the frontier wholesale and grows on a pool of the state's
+/// `unit_mining_threads` workers when that is positive.
 ///
 /// The paper's prune set (unit patterns that vanished from a re-mined unit)
 /// only marks candidates for its final check; with the root merge exact,

@@ -90,18 +90,23 @@ PartMinerResult PartMiner::Mine(const GraphDatabase& db) {
   result.min_support_count = root_support_;
 
   // The root merge (Figure 11 lines 9-17) over the whole database, which is
-  // the recombination of every unit, capturing the frontier Update reads.
+  // the recombination of every unit, capturing the frontier Update reads,
+  // on a pool of unit_mining_threads workers when that is positive.
   Stopwatch merge_watch;
   {
     PM_TRACE_SPAN("merge_node", {{"node", 0}, {"depth", 0}});
+    std::unique_ptr<ThreadPool> pool;
+    if (options_.unit_mining_threads > 0) {
+      pool = std::make_unique<ThreadPool>(options_.unit_mining_threads);
+    }
     root_frontier_.map.Clear();
     root_frontier_.valid = true;
     patterns_ = RootSweep(db, root_support_, options_.max_edges,
-                          &root_frontier_.map, /*known=*/nullptr,
-                          /*pool=*/nullptr, &result.merge_stats);
+                          &root_frontier_.map, /*known=*/nullptr, pool.get(),
+                          &result.merge_stats);
   }
   result.merge_seconds = merge_watch.ElapsedSeconds();
-  PM_METRIC_HISTOGRAM("partminer.phase.merge_ms")
+  PM_METRIC_HISTOGRAM("partminer.mine.sweep_ms")
       ->Observe(result.merge_seconds * 1e3);
   result.merge_stats.PublishToRegistry();
 
@@ -220,7 +225,7 @@ PartMinerResult MinePaperPipeline(const GraphDatabase& db,
                                 pool.get(), &result.merge_stats);
   }
   result.merge_seconds = merge_watch.ElapsedSeconds();
-  PM_METRIC_HISTOGRAM("partminer.phase.merge_ms")
+  PM_METRIC_HISTOGRAM("partminer.pipeline.merge_ms")
       ->Observe(result.merge_seconds * 1e3);
   for (const PatternSet& unit : unit_patterns) {
     result.merge_stats.inherited_patterns += unit.size();

@@ -36,15 +36,17 @@ struct PartMinerOptions {
   /// this only picks the cheaper one.
   double inc_delta_sweep_max_fraction = 0.15;
 
-  /// MinePaperPipeline only: the width of the work-stealing pool the units
-  /// are mined on (see common/thread_pool.h). 0 mines units serially (the
-  /// *parallel time* metric is still reported). Positive values run units
-  /// concurrently in longest-unit-first order — "PartMiner is inherently
-  /// parallel in nature" (Section 1) — and fan the unit miners' extension
-  /// subtrees onto the same pool, so idle workers steal work from a
-  /// straggling unit instead of waiting for it. The pipeline's root sweep,
-  /// which captures no frontier, grows on the same pool. PartMiner::Mine
-  /// does not read this field: its sweep is serial.
+  /// The width of the work-stealing pool (see common/thread_pool.h) that
+  /// the root sweep grows on: PartMiner::Mine's captured sweep, the
+  /// re-sweep of IncPartMiner::ApplyRound and the paper pipeline's merge.
+  /// 0 runs serially; the output is the serial one at every width,
+  /// patterns in order and the frontier's node ids included. In
+  /// MinePaperPipeline positive values also run the units concurrently in
+  /// longest-unit-first order — "PartMiner is inherently parallel in
+  /// nature" (Section 1) — and fan the unit miners' extension subtrees onto
+  /// the same pool, so idle workers steal work from a straggling unit
+  /// instead of waiting for it; at 0 the *parallel time* metric is still
+  /// reported.
   int unit_mining_threads = 0;
 };
 
@@ -120,8 +122,9 @@ PatternSet RootSweep(const GraphDatabase& db, int min_support, int max_edges,
 /// The resident miner: the root of the paper's merge tree (Figure 11) and
 /// the state IncPartMiner updates in place. Mine() is one exact
 /// frontier-capturing RootSweep of the whole database at the requested
-/// support; the object keeps only the root pattern set (the result) and the
-/// root frontier. The paper's Phase 1 and Phase 2 feed nothing the root
+/// support, on a pool of `unit_mining_threads` workers when that is
+/// positive; the object keeps only the root pattern set (the result) and
+/// the root frontier. The paper's Phase 1 and Phase 2 feed nothing the root
 /// reads, so they live in MinePaperPipeline, which the figure harnesses
 /// time.
 class PartMiner {
@@ -129,7 +132,8 @@ class PartMiner {
   explicit PartMiner(const PartMinerOptions& options);
 
   /// Mines `db`: resolves the support and runs the root sweep with frontier
-  /// capture. No partition is computed and no unit is mined.
+  /// capture, pooled when `unit_mining_threads` is positive. No partition
+  /// is computed and no unit is mined.
   PartMinerResult Mine(const GraphDatabase& db);
 
   const PartMinerOptions& options() const { return options_; }

@@ -75,14 +75,6 @@ History& ThreadLocalHistory() {
 
 }  // namespace
 
-ExtensionMap::ExtensionMap(size_t embedding_hint) {
-  // A group typically collects a fraction of the parent's embeddings;
-  // reserve a conservative slice, capped so databases with many distinct
-  // tuples don't over-allocate per group.
-  group_reserve_ =
-      std::min<size_t>(std::max<size_t>(embedding_hint / 8, 4), 256);
-}
-
 size_t ExtensionMap::Probe(const DfsEdge& tuple) const {
   const size_t mask = slots_.size() - 1;
   size_t i = HashTuple(tuple) & mask;
@@ -111,7 +103,6 @@ Projected& ExtensionMap::operator[](const DfsEdge& tuple) {
   sorted_ = false;
   slots_[i] = static_cast<int32_t>(entries_.size());
   entries_.emplace_back(tuple, Projected());
-  if (group_reserve_ > 0) entries_.back().second.reserve(group_reserve_);
   return entries_.back().second;
 }
 
@@ -165,7 +156,7 @@ ExtensionMap CollectRootExtensions(const GraphDatabase& db) {
 ExtensionMap CollectExtensions(const GraphDatabase& db, const DfsCode& code,
                                const Projected& projected,
                                bool enable_order_pruning) {
-  ExtensionMap extensions(projected.size());
+  ExtensionMap extensions;
   const std::vector<int> rmpath = BuildRightmostPathPositions(code);
   PM_CHECK(!rmpath.empty());
   const int maxtoc = code[rmpath[0]].to;  // Rightmost vertex (DFS index).
@@ -374,10 +365,10 @@ struct Grower {
     out->Upsert(std::move(info));
 
     if (static_cast<int>(code->size()) >= options.max_edges) return;
-    const ExtensionMap children =
+    ExtensionMap children =
         CollectExtensions(db, *code, projected, /*enable_order_pruning=*/true);
-    Expand(code, children, static_cast<int64_t>(projected.size()), depth, out,
-           frontier, node);
+    Expand(code, &children, static_cast<int64_t>(projected.size()), depth,
+           out, frontier, node);
   }
 
   /// Visits one frequent child below node `parent`, or parks it on the
@@ -398,21 +389,25 @@ struct Grower {
   }
 
   /// Grows the children of `code` (depth `depth`; the empty code is -1),
-  /// whose node in `frontier` is `node`.
-  void Expand(DfsCode* code, const ExtensionMap& children,
-              int64_t parent_embeddings, int depth, PatternSet* out,
-              Frontier* frontier, Frontier::NodeId node) const {
+  /// whose node in `frontier` is `node`. A group's embeddings are freed as
+  /// soon as nothing can extend them: an infrequent group's once its TIDs
+  /// are on the frontier, a serially visited child's once its subtree
+  /// returns.
+  void Expand(DfsCode* code, ExtensionMap* children, int64_t parent_embeddings,
+              int depth, PatternSet* out, Frontier* frontier,
+              Frontier::NodeId node) const {
     struct Child {
       const DfsEdge* tuple;
-      const Projected* projected;
+      Projected* projected;
       int rank;
     };
     std::vector<Child> frequent;  // Most nodes have none: no allocation.
-    for (const auto& [tuple, projected] : children) {
+    for (auto& [tuple, projected] : *children) {
       if (SupportOf(projected) < options.min_support) {
         if (frontier != nullptr) {
           frontier->Put(frontier->Node(node, tuple), TidSetOf(projected));
         }
+        Projected().swap(projected);
       } else if (rank == nullptr) {
         frequent.push_back(Child{&tuple, &projected, 0});
       } else {
@@ -435,6 +430,7 @@ struct Grower {
         VisitChild(code, *child.projected, child.rank, depth + 1,
                    check_minimal, out, frontier, node);
         code->PopBack();
+        Projected().swap(*child.projected);
       }
       return;
     }
@@ -471,7 +467,7 @@ struct Grower {
 
     // Splicing the task sinks in visit order reproduces the serial sinks:
     // the same patterns in the same order, and the same nodes under the
-    // same ids.
+    // same ids. Each fork is freed as it is spliced.
     for (Job& job : jobs) {
       out->AppendFrom(std::move(job.patterns));
       if (frontier != nullptr) frontier->Splice(std::move(job.frontier), node);
@@ -484,11 +480,14 @@ struct Grower {
 PatternSet GrowFromRoots(const GraphDatabase& db, const MinerOptions& options,
                          ChildRank rank, const MinimalityCheck& is_minimal) {
   const Grower grower{db, options, rank, is_minimal};
-  const ExtensionMap roots = CollectRootExtensions(db);
+  Frontier* frontier = options.capture_frontier;
+  if (frontier != nullptr) frontier->BeginCapture();
+  ExtensionMap roots = CollectRootExtensions(db);
   PatternSet out;
   DfsCode code;
-  grower.Expand(&code, roots, INT64_MAX, /*depth=*/-1, &out,
-                options.capture_frontier, Frontier::kRoot);
+  grower.Expand(&code, &roots, INT64_MAX, /*depth=*/-1, &out, frontier,
+                Frontier::kRoot);
+  if (frontier != nullptr) frontier->EndCapture();
   return out;
 }
 

@@ -79,12 +79,8 @@ struct DfsEdgeLess {
 class ExtensionMap {
  public:
   using Entry = std::pair<DfsEdge, Projected>;
+  using iterator = std::vector<Entry>::iterator;
   using const_iterator = std::vector<Entry>::const_iterator;
-
-  ExtensionMap() = default;
-  /// `embedding_hint` is the parent projection's embedding count; new
-  /// groups reserve from it so the append loop rarely reallocates.
-  explicit ExtensionMap(size_t embedding_hint);
 
   /// Embedding list of `tuple`, created empty on first access.
   Projected& operator[](const DfsEdge& tuple);
@@ -100,6 +96,13 @@ class ExtensionMap {
     return entries_.begin();
   }
   const_iterator end() const { return entries_.end(); }
+  /// The same order, mutable: a caller may release a group's embeddings,
+  /// never change its tuple.
+  iterator begin() {
+    EnsureSorted();
+    return entries_.begin();
+  }
+  iterator end() { return entries_.end(); }
 
  private:
   void EnsureSorted() const;
@@ -113,7 +116,6 @@ class ExtensionMap {
   mutable std::vector<int32_t> slots_;
   mutable bool sorted_ = false;
   mutable bool index_valid_ = false;
-  size_t group_reserve_ = 0;
 };
 
 /// Groups every single-edge pattern of the database with its embeddings.
@@ -170,10 +172,10 @@ using MinimalityCheck = std::function<bool(const DfsCode& child, int rank)>;
 /// of a root with at least `options.parallel_spawn_min_embeddings`
 /// embeddings, are grown as pool tasks into task-local sinks: a pattern set
 /// and a Frontier::Fork. The sinks are spliced back in visit order, so the
-/// result and the frontier equal the serial run's, node ids included; a
-/// pooled run expects a frontier holding no node of the grown tree (a
-/// fresh capture). Without a pool the recursion writes straight into the
-/// caller's sinks.
+/// result and the frontier equal the serial run's, node ids included.
+/// Without a pool the recursion writes straight into the caller's sinks.
+/// The capture frontier must hold only its root (a fresh capture, see
+/// Frontier::BeginCapture); its index is built once the growth returns.
 PatternSet GrowFromRoots(const GraphDatabase& db, const MinerOptions& options,
                          ChildRank rank = nullptr,
                          const MinimalityCheck& is_minimal = {});

@@ -1,12 +1,68 @@
 #include "miner/pattern_set.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <mutex>
 #include <utility>
 
 #include "common/fnv.h"
 #include "common/logging.h"
 
 namespace partminer {
+
+namespace {
+
+/// Freed blocks with at most kCachedTouchedBytes of records, kept for the
+/// next block a frontier maps. A pooled sweep frees a fork per task, and
+/// mapping and unmapping each one costs every worker: an unmap takes the
+/// process's memory-map lock, which page faults wait for, and interrupts
+/// the other CPUs to flush their TLBs. The cache keeps at most
+/// kCachedBlocks blocks, so at most 256 KB of touched pages stay resident;
+/// larger blocks are always unmapped.
+constexpr size_t kCachedBlocks = 16;
+constexpr size_t kCachedTouchedBytes = 16 << 10;
+
+struct BlockCache {
+  std::mutex mu;
+  std::vector<void*> blocks;
+};
+
+BlockCache& Cache() {
+  // Never destroyed: frontiers may be freed during exit.
+  static BlockCache* cache = new BlockCache();
+  return *cache;
+}
+
+void* MapBlock(size_t bytes) {
+  {
+    BlockCache& cache = Cache();
+    std::lock_guard<std::mutex> lock(cache.mu);
+    if (!cache.blocks.empty()) {
+      void* block = cache.blocks.back();
+      cache.blocks.pop_back();
+      return block;
+    }
+  }
+  void* block = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  PM_CHECK(block != MAP_FAILED) << "cannot map a frontier block";
+  return block;
+}
+
+void UnmapBlock(void* block, size_t bytes, size_t touched_bytes) {
+  if (touched_bytes <= kCachedTouchedBytes) {
+    BlockCache& cache = Cache();
+    std::lock_guard<std::mutex> lock(cache.mu);
+    if (cache.blocks.size() < kCachedBlocks) {
+      cache.blocks.push_back(block);
+      return;
+    }
+  }
+  munmap(block, bytes);
+}
+
+}  // namespace
 
 size_t Frontier::Probe(NodeId parent, const DfsEdge& tuple) const {
   // One FNV-1a round per field (see FnvStep).
@@ -28,25 +84,56 @@ size_t Frontier::Probe(NodeId parent, const DfsEdge& tuple) const {
 
 void Frontier::Rehash(size_t slots) {
   slots_.assign(slots, kNone);
-  for (NodeId id = 1; id < count_; ++id) {
+  for (NodeId id = 1; id < nodes_.size(); ++id) {
     slots_[Probe(At(id).parent, At(id).tuple)] = id;
   }
 }
 
-Frontier::NodeId Frontier::Append(Record&& record) {
-  const NodeId id = count_++;
-  if ((id & (kBlockSize - 1)) == 0) {
-    blocks_.emplace_back();
-    if (id > 0) blocks_.back().reserve(kBlockSize);
+Frontier::Arena::Arena(const Arena& other) {
+  for (NodeId i = 0; i < other.size_; ++i) Append(Record(other[i]));
+}
+
+Frontier::Arena::~Arena() {
+  for (NodeId i = 0; i < size_; ++i) (*this)[i].~Record();
+  for (size_t b = 0; b < blocks_.size(); ++b) {
+    const size_t records =
+        std::min<size_t>(kBlockSize, size_ - b * kBlockSize);
+    UnmapBlock(blocks_[b], kBlockBytes, records * sizeof(Record));
   }
-  blocks_.back().push_back(std::move(record));
-  if (id == kRoot) return id;
-  if (static_cast<size_t>(count_) * 2 > slots_.size()) {
+}
+
+Frontier::NodeId Frontier::Arena::Append(Record&& record) {
+  const NodeId id = size_;
+  if ((id & (kBlockSize - 1)) == 0) {
+    blocks_.push_back(static_cast<Record*>(MapBlock(kBlockBytes)));
+  }
+  new (&(*this)[id]) Record(std::move(record));
+  ++size_;
+  return id;
+}
+
+Frontier::NodeId Frontier::Append(Record&& record) {
+  const NodeId id = nodes_.Append(std::move(record));
+  if (id == kRoot || !indexed_) return id;
+  if (static_cast<size_t>(nodes_.size()) * 2 > slots_.size()) {
     Rehash(std::max<size_t>(64, slots_.size() * 2));
   } else {
     slots_[Probe(At(id).parent, At(id).tuple)] = id;
   }
   return id;
+}
+
+void Frontier::BeginCapture() {
+  PM_CHECK_EQ(node_count(), 0u) << "a capture starts from an empty frontier";
+  indexed_ = false;
+}
+
+void Frontier::EndCapture() {
+  indexed_ = true;
+  if (nodes_.size() == 1) return;
+  size_t slots = 64;
+  while (slots < static_cast<size_t>(nodes_.size()) * 2) slots *= 2;
+  Rehash(slots);
 }
 
 Frontier::NodeId Frontier::Node(NodeId parent, const DfsEdge& tuple) {
@@ -75,9 +162,9 @@ bool Frontier::Lookup(const DfsCode& code, TidSet* tids) const {
   return Lookup(node, prefix_cut, tids);
 }
 
-void Frontier::Splice(Frontier&& fork, NodeId anchor) {
-  const NodeId offset = count_ - 1;
-  for (NodeId i = 1; i < fork.count_; ++i) {
+void Frontier::Splice(Frontier fork, NodeId anchor) {
+  const NodeId offset = nodes_.size() - 1;
+  for (NodeId i = 1; i < fork.nodes_.size(); ++i) {
     Record& r = fork.At(i);
     r.parent = r.parent == kRoot ? anchor : r.parent + offset;
     PM_DCHECK(Find(r.parent, r.tuple) == kNone);
@@ -85,7 +172,7 @@ void Frontier::Splice(Frontier&& fork, NodeId anchor) {
   }
   entries_ += fork.entries_;
   dense_bytes_ += fork.dense_bytes_;
-}
+}  // The fork's blocks are freed here.
 
 DfsCode Frontier::CodeOf(NodeId node) const {
   std::vector<DfsEdge> path;
@@ -98,9 +185,9 @@ DfsCode Frontier::CodeOf(NodeId node) const {
 std::vector<Frontier::Epoch> Frontier::PrefixCuts() const {
   // Parents precede their children, so one forward pass sees every
   // parent's value first.
-  std::vector<Epoch> prefix_cuts(count_, 0);
+  std::vector<Epoch> prefix_cuts(nodes_.size(), 0);
   if (newest_cut_ == 0) return prefix_cuts;
-  for (NodeId i = 1; i < count_; ++i) {
+  for (NodeId i = 1; i < nodes_.size(); ++i) {
     const NodeId parent = At(i).parent;
     prefix_cuts[i] = std::max(prefix_cuts[parent], At(parent).cut);
   }
@@ -146,8 +233,8 @@ void Frontier::Compact() {
   // entries left and the path nodes some entry hangs below. Children
   // follow their parents, so one backward pass marks every kept path.
   const std::vector<Epoch> prefix_cuts = PrefixCuts();
-  std::vector<bool> kept(count_, false);
-  for (NodeId i = count_ - 1; i >= 1; --i) {
+  std::vector<bool> kept(nodes_.size(), false);
+  for (NodeId i = nodes_.size() - 1; i >= 1; --i) {
     Record& r = At(i);
     if (r.epoch > prefix_cuts[i]) Strip(r.epoch, &r.tids);
     if (r.epoch != 0 && (r.epoch <= prefix_cuts[i] || r.tids.Empty())) {
@@ -162,9 +249,10 @@ void Frontier::Compact() {
   // Then move the kept nodes over in order, renumbering their parents.
   // The stored TIDs are current now: nothing is pending and nothing is
   // cut. Epochs keep counting, so later rounds stamp past every entry.
-  Frontier compacted = Fork();
-  std::vector<NodeId> moved_to(count_, kRoot);
-  for (NodeId i = 1; i < count_; ++i) {
+  Frontier compacted;
+  compacted.epoch_ = epoch_;
+  std::vector<NodeId> moved_to(nodes_.size(), kRoot);
+  for (NodeId i = 1; i < nodes_.size(); ++i) {
     if (!kept[i]) continue;
     Record& r = At(i);
     r.parent = moved_to[r.parent];
@@ -182,7 +270,7 @@ size_t Frontier::CountDead() const {
   if (newest_cut_ == 0) return 0;
   const std::vector<Epoch> prefix_cuts = PrefixCuts();
   size_t dead = 0;
-  for (NodeId i = 1; i < count_; ++i) {
+  for (NodeId i = 1; i < nodes_.size(); ++i) {
     const Epoch epoch = At(i).epoch;
     if (epoch != 0 && epoch <= prefix_cuts[i]) ++dead;
   }
@@ -191,19 +279,16 @@ size_t Frontier::CountDead() const {
 
 Frontier::CutMap Frontier::Cuts() const {
   CutMap cuts;
-  for (NodeId i = 1; i < count_; ++i) {
+  for (NodeId i = 1; i < nodes_.size(); ++i) {
     if (At(i).cut != 0) cuts.emplace(CodeOf(i), At(i).cut);
   }
   return cuts;
 }
 
 size_t Frontier::Bytes() const {
-  size_t bytes = blocks_.capacity() * sizeof(blocks_[0]);
-  for (const std::vector<Record>& block : blocks_) {
-    bytes += block.capacity() * sizeof(Record);
-  }
-  return bytes + slots_.capacity() * sizeof(NodeId) + dense_bytes_ +
-         graph_epoch_.capacity() * sizeof(Epoch) + pending_.HeapBytes();
+  return nodes_.size() * sizeof(Record) + slots_.capacity() * sizeof(NodeId) +
+         dense_bytes_ + graph_epoch_.capacity() * sizeof(Epoch) +
+         pending_.HeapBytes();
 }
 
 }  // namespace partminer

@@ -49,7 +49,9 @@ using FrontierMap = std::unordered_map<DfsCode, TidSet, DfsCodeHash>;
 /// epoch is 0 is a path node with no entry (a visited pattern); any other
 /// node is an entry. A walk that descends the tree carries its node id, so
 /// a capture is an append and a lookup is one probe; the DfsCode-keyed
-/// Put and Lookup walk the code's path from the root.
+/// Put and Lookup walk the code's path from the root. The records live in
+/// page-mapped blocks (see Arena), so a pooled task's fork gives its pages
+/// back when it is spliced, whichever thread wrote them.
 ///
 /// Two whole-frontier maintenance steps are lazy, so that a round costs in
 /// proportion to the update rather than to the frontier:
@@ -142,9 +144,10 @@ class Frontier {
   /// Stored entries, dead ones included.
   size_t size() const { return entries_; }
   /// Nodes besides the root: entries and path nodes.
-  size_t node_count() const { return count_ - 1; }
-  /// Heap bytes the frontier holds: the arena's records, the index, the
-  /// words of dense TID sets and the per-graph epochs.
+  size_t node_count() const { return nodes_.size() - 1; }
+  /// Bytes the frontier holds in use: the node records, the index, the
+  /// words of dense TID sets and the per-graph epochs. The untouched tail
+  /// of the last block's mapping is not counted.
   size_t Bytes() const;
   /// Stored entries that are dead. Free while nothing is cut; otherwise a
   /// forward pass over the nodes.
@@ -155,7 +158,7 @@ class Frontier {
   /// Calls `fn(code)` for every stored key, dead ones included.
   template <typename Fn>
   void ForEachKey(Fn&& fn) const {
-    for (NodeId i = 1; i < count_; ++i) {
+    for (NodeId i = 1; i < nodes_.size(); ++i) {
       if (At(i).epoch != 0) fn(CodeOf(i));
     }
   }
@@ -164,7 +167,7 @@ class Frontier {
   template <typename Fn>
   void ForEachLive(Fn&& fn) const {
     const std::vector<Epoch> prefix_cuts = PrefixCuts();
-    for (NodeId i = 1; i < count_; ++i) {
+    for (NodeId i = 1; i < nodes_.size(); ++i) {
       const Record& r = At(i);
       if (r.epoch == 0 || r.epoch <= prefix_cuts[i]) continue;
       TidSet tids = r.tids;
@@ -180,17 +183,27 @@ class Frontier {
     return map;
   }
 
+  /// Starts a fresh capture into a frontier that holds only the root. A
+  /// fresh capture never finds an existing node, so until EndCapture the
+  /// (parent, tuple) index is not kept and Node always appends.
+  void BeginCapture();
+  /// Builds the index over every node, once.
+  void EndCapture();
+
   /// An empty frontier stamping writes with this one's epoch: the
   /// task-local sink of a pooled growth run. Its root stands for the node
-  /// the task grows below.
+  /// the task grows below. A fork is a fresh capture that is spliced, not
+  /// ended, so it never keeps an index.
   Frontier Fork() const {
     Frontier fork;
     fork.epoch_ = epoch_;
+    fork.indexed_ = false;
     return fork;
   }
   /// Appends the nodes of `fork`, in its order, below `anchor`, the node
-  /// its root stands for. None of them may have a node here yet.
-  void Splice(Frontier&& fork, NodeId anchor);
+  /// its root stands for, and frees the fork. None of them may have a node
+  /// here yet.
+  void Splice(Frontier fork, NodeId anchor);
 
   /// Equal compacted views.
   friend bool operator==(const Frontier& a, const Frontier& b) {
@@ -208,18 +221,48 @@ class Frontier {
     TidSet tids;
   };
 
-  /// Nodes per arena block. Blocks after the first are allocated whole, so
-  /// the arena grows without moving a record; the first grows from small,
-  /// so a task's fork costs what it holds.
+  /// Nodes per arena block.
   static constexpr int kBlockShift = 12;
   static constexpr NodeId kBlockSize = NodeId{1} << kBlockShift;
 
-  Record& At(NodeId node) {
-    return blocks_[node >> kBlockShift][node & (kBlockSize - 1)];
-  }
-  const Record& At(NodeId node) const {
-    return blocks_[node >> kBlockShift][node & (kBlockSize - 1)];
-  }
+  /// The node records, in blocks of kBlockSize that never move. A block is
+  /// one anonymous page mapping: its pages are touched as records are
+  /// appended and are unmapped with it (a block with few records goes to a
+  /// small process-wide cache instead), so a fork leaves nothing behind in
+  /// the malloc arena of the worker that wrote it.
+  class Arena {
+   public:
+    Arena() = default;
+    Arena(const Arena& other);
+    Arena(Arena&& other) noexcept
+        : blocks_(std::move(other.blocks_)),
+          size_(std::exchange(other.size_, 0)) {}
+    Arena& operator=(Arena other) noexcept {
+      std::swap(blocks_, other.blocks_);
+      std::swap(size_, other.size_);
+      return *this;
+    }
+    ~Arena();
+
+    Record& operator[](NodeId id) {
+      return blocks_[id >> kBlockShift][id & (kBlockSize - 1)];
+    }
+    const Record& operator[](NodeId id) const {
+      return blocks_[id >> kBlockShift][id & (kBlockSize - 1)];
+    }
+    NodeId size() const { return size_; }
+    /// Appends `record`, mapping a block when the last one is full; returns
+    /// its id.
+    NodeId Append(Record&& record);
+
+   private:
+    static constexpr size_t kBlockBytes = kBlockSize * sizeof(Record);
+    std::vector<Record*> blocks_;
+    NodeId size_ = 0;
+  };
+
+  Record& At(NodeId node) { return nodes_[node]; }
+  const Record& At(NodeId node) const { return nodes_[node]; }
   /// The node (parent, tuple), or kNone.
   NodeId Find(NodeId parent, const DfsEdge& tuple) const {
     return slots_.empty() ? kNone : slots_[Probe(parent, tuple)];
@@ -229,8 +272,8 @@ class Frontier {
   size_t Probe(NodeId parent, const DfsEdge& tuple) const;
   /// Rebuilds the index with `slots` slots over every node.
   void Rehash(size_t slots);
-  /// Appends `record` and, unless it is the root, indexes it; returns its
-  /// id.
+  /// Appends `record` and, unless it is the root or the index is not kept
+  /// (a capture or a fork), indexes it; returns its id.
   NodeId Append(Record&& record);
   /// The code of `node`: the tuples on its path from the root.
   DfsCode CodeOf(NodeId node) const;
@@ -239,11 +282,12 @@ class Frontier {
   /// Removes from `tids` the graphs updated after epoch `since`.
   void Strip(Epoch since, TidSet* tids) const;
 
-  /// The arena: node i is At(i); node kRoot is the empty code.
-  std::vector<std::vector<Record>> blocks_;
-  NodeId count_ = 0;
+  /// Node i is At(i); node kRoot is the empty code.
+  Arena nodes_;
   /// Open addressing: slot -> node id, kNone empty; at most half full.
+  /// Empty, and not kept, during a capture and in a fork.
   std::vector<NodeId> slots_;
+  bool indexed_ = true;
   size_t entries_ = 0;
   /// Words of the dense TID sets stored, in bytes.
   size_t dense_bytes_ = 0;

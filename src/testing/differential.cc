@@ -309,7 +309,9 @@ DifferentialResult RunAllChecks(const GraphDatabase& db,
   // delta path with lazy frontier state carried between them. The second
   // half of the rounds runs on a copy of the state, as a caller that copies
   // a mined state before updating it does, so every later round reads the
-  // copied frontier arena and its index.
+  // copied frontier arena and its index. Odd seeds mine on a 2-wide pool,
+  // so their delta rounds read a pooled capture and their re-sweeps grow
+  // pooled too.
   if (result.ok()) {
     GraphDatabase updated = db;
     AssignUpdateHotspots(&updated, 0.3, params.seed + 11);
@@ -318,10 +320,12 @@ DifferentialResult RunAllChecks(const GraphDatabase& db,
     popt.min_support_count = params.min_support;
     popt.max_edges = params.max_edges;
     popt.inc_delta_sweep_max_fraction = 0.5;
+    popt.unit_mining_threads = params.seed % 2 == 1 ? 2 : 0;
     PartMiner miner(popt);
     // Hotspots set update frequencies only, so the oracle still applies.
-    result.divergence =
-        DiffAgainstOracle(oracle, miner.Mine(updated).patterns, "partminer");
+    result.divergence = DiffAgainstOracle(
+        oracle, miner.Mine(updated).patterns,
+        "partminer(threads=" + std::to_string(popt.unit_mining_threads) + ")");
 
     ++result.configurations;
     IncPartMiner inc;

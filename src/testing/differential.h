@@ -43,8 +43,9 @@ struct DifferentialResult {
 /// gSpan and Gaston (serial, and on work-stealing pools of 2 and 8
 /// threads), the paper pipeline (MinePaperPipeline at unit-mining threads
 /// 0/2/8), the disk-resident AdiMine on a deliberately tiny buffer pool,
-/// and one PartMiner::Mine followed by chained IncPartMiner rounds (seeded
-/// updates with relabels, each round's result vs from-scratch re-mining)
+/// and one PartMiner::Mine (on a 2-wide pool for odd seeds) followed by
+/// chained IncPartMiner rounds (seeded updates with relabels, each round's
+/// result vs from-scratch re-mining)
 /// — 12 configurations in all — and diffs every result
 /// (codes, supports, exact TID sets) against the oracle. Theorems 1–3 of
 /// the paper say all of these must be identical; any difference is a bug

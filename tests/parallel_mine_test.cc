@@ -607,5 +607,92 @@ TEST(ParallelMineTest, CopiedStateAnswersEveryLookupAsTheOriginal) {
   EXPECT_GT(cut_states, 0);
 }
 
+/// Every stored key of `frontier` in node order. Equal sequences with
+/// equal node counts put every entry under the same node id.
+std::vector<std::string> KeysInNodeOrder(const Frontier& frontier) {
+  std::vector<std::string> keys;
+  frontier.ForEachKey(
+      [&keys](const DfsCode& code) { keys.push_back(code.ToString()); });
+  return keys;
+}
+
+/// Same patterns in the same order, and the same frontier: compacted view,
+/// entry and node counts, node order of the entries.
+void ExpectSameState(const PartMiner& serial, const PartMiner& pooled,
+                     const std::string& what) {
+  ExpectBitIdentical(serial.patterns(), pooled.patterns(), what);
+  const Frontier& a = serial.root_frontier().map;
+  const Frontier& b = pooled.root_frontier().map;
+  EXPECT_EQ(serial.root_frontier().valid, pooled.root_frontier().valid)
+      << what;
+  EXPECT_EQ(a.ToMap(), b.ToMap()) << what;
+  EXPECT_EQ(a.size(), b.size()) << what;
+  EXPECT_EQ(a.node_count(), b.node_count()) << what;
+  EXPECT_EQ(KeysInNodeOrder(a), KeysInNodeOrder(b)) << what;
+}
+
+TEST(ParallelMineTest, PooledMineMatchesSerialMine) {
+  // PartMiner::Mine grows its captured sweep on unit_mining_threads
+  // workers; the state must be the serial one, node ids included. Then six
+  // chained rounds with relabels, through a compaction, a re-sweep without
+  // capture and a pooled re-capture, keep every width identical.
+  obs::Counter* compactions = obs::MetricRegistry::Global().GetCounter(
+      "partminer.update.frontier_compactions");
+  obs::Counter* tasks =
+      obs::MetricRegistry::Global().GetCounter("pool.tasks_executed");
+  const int64_t compactions_before = compactions->value();
+  const int64_t tasks_before = tasks->value();
+  const std::vector<int> widths = {0, 1, 2, 8};
+  // Graphs updated per round, of 20: two delta rounds (the second usually
+  // pushes the pending graphs past the 15% share and compacts), a re-sweep
+  // that drops the frontier, a small round that re-captures it by a
+  // re-sweep, and two delta rounds on the re-captured frontier.
+  const std::vector<double> fractions = {0.1, 0.1, 0.5, 0.1, 0.1, 0.05};
+  Rng rng(31337);
+  int recaptures = 0;
+  for (int seed = 0; seed < 8; ++seed) {
+    GraphDatabase db = testutil::RandomDatabase(&rng, 20, 9, 4, 3, 2);
+    std::vector<PartMiner> states;
+    for (const int threads : widths) {
+      PartMinerOptions options;
+      options.min_support_count = 3;
+      options.unit_mining_threads = threads;
+      states.emplace_back(options);
+      states.back().Mine(db);
+    }
+    const std::string what = "seed " + std::to_string(seed);
+    ASSERT_GT(states[0].patterns().size(), 0) << what;
+    for (size_t w = 1; w < widths.size(); ++w) {
+      ExpectSameState(states[0], states[w],
+                      what + " threads " + std::to_string(widths[w]));
+    }
+
+    IncPartMiner inc;
+    GSpanMiner gspan;
+    MinerOptions oracle;
+    oracle.min_support = 3;
+    for (size_t round = 0; round < fractions.size(); ++round) {
+      UpdateOptions upd;
+      upd.fraction_graphs = fractions[round];
+      upd.seed = 1000 * static_cast<uint64_t>(seed) + round;
+      const UpdateLog log = ApplyUpdates(&db, 3, upd);
+      for (PartMiner& state : states) inc.ApplyRound(&state, db, log);
+      const std::string at = what + " round " + std::to_string(round);
+      ASSERT_EQ(gspan.Mine(db, oracle).SortedCodeStrings(),
+                states[0].patterns().SortedCodeStrings())
+          << at;
+      if (round == 2) EXPECT_FALSE(states[0].root_frontier().valid) << at;
+      if (round == 3 && states[0].root_frontier().valid) ++recaptures;
+      for (size_t w = 1; w < widths.size(); ++w) {
+        ExpectSameState(states[0], states[w],
+                        at + " threads " + std::to_string(widths[w]));
+      }
+    }
+  }
+  EXPECT_GT(compactions->value(), compactions_before);
+  EXPECT_GT(tasks->value(), tasks_before);
+  EXPECT_GT(recaptures, 0);
+}
+
 }  // namespace
 }  // namespace partminer

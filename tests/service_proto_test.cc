@@ -170,7 +170,7 @@ TEST_F(ServiceProtoTest, GoldenTable) {
       {R"({"id":21,"cmd":"health"})",
        R"({"id":21,"ok":true,"result":{"state":"serving","epoch":0,)"
        R"("queue_depth":0,"frontier_entries":3,"frontier_dead_entries":0,)"
-       R"("frontier_bytes":728}})"},
+       R"("frontier_bytes":648}})"},
       {R"({"id":22,"cmd":"dump"})",
        R"({"id":22,"ok":true,"result":{"events":[],"dropped":0}})"},
   };

@@ -1,9 +1,15 @@
 #include "common/thread_pool.h"
 
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <sched.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <mutex>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -172,6 +178,70 @@ TEST(ThreadPoolTest, StatsCountSubmissions) {
   group.Wait();
   EXPECT_EQ(pool.stats().submitted.load(), 25);
   EXPECT_EQ(pool.stats().executed.load(), 25);
+}
+
+cpu_set_t AllowedSet() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  EXPECT_EQ(sched_getaffinity(getpid(), sizeof(set), &set), 0);
+  return set;
+}
+
+/// Runs `width` tasks on `pool` that each hold their worker until all have
+/// started, so every worker runs exactly one, and returns each worker's
+/// affinity mask.
+std::vector<cpu_set_t> WorkerMasks(ThreadPool* pool, int width) {
+  std::atomic<int> started{0};
+  std::mutex mu;
+  std::vector<cpu_set_t> masks;
+  TaskGroup group(pool);
+  for (int i = 0; i < width; ++i) {
+    group.Spawn([&]() {
+      started.fetch_add(1);
+      while (started.load() < width) std::this_thread::yield();
+      cpu_set_t mask;
+      CPU_ZERO(&mask);
+      pthread_getaffinity_np(pthread_self(), sizeof(mask), &mask);
+      std::lock_guard<std::mutex> lock(mu);
+      masks.push_back(mask);
+    });
+  }
+  group.Wait();
+  return masks;
+}
+
+TEST(ThreadPoolTest, PinsWorkersToDistinctAllowedCpus) {
+  cpu_set_t allowed = AllowedSet();
+  const int width = std::min(CPU_COUNT(&allowed), 4);
+  ThreadPool pool(width);
+  std::set<int> cpus;
+  for (cpu_set_t& mask : WorkerMasks(&pool, width)) {
+    ASSERT_EQ(CPU_COUNT(&mask), 1);
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+      if (!CPU_ISSET(cpu, &mask)) continue;
+      EXPECT_TRUE(CPU_ISSET(cpu, &allowed)) << "cpu " << cpu;
+      cpus.insert(cpu);
+    }
+  }
+  EXPECT_EQ(cpus.size(), static_cast<size_t>(width));
+}
+
+TEST(ThreadPoolTest, PoolWiderThanTheCpusRunsUnpinnedAndDrains) {
+  cpu_set_t allowed = AllowedSet();
+  const int cpus = CPU_COUNT(&allowed);
+  if (cpus > 60) GTEST_SKIP() << "keeps the pool small: " << cpus << " cpus";
+  const int width = std::max(8, cpus + 1);
+  std::atomic<int> ran{0};
+  {
+    ThreadPool pool(width);
+    for (cpu_set_t& mask : WorkerMasks(&pool, width)) {
+      EXPECT_TRUE(CPU_EQUAL(&mask, &allowed));
+    }
+    for (int i = 0; i < 500; ++i) {
+      pool.Submit([&]() { ran.fetch_add(1); });
+    }
+  }  // Drains.
+  EXPECT_EQ(ran.load(), 500);
 }
 
 }  // namespace
