@@ -27,17 +27,18 @@ namespace {
 constexpr int kUntouched = -1;
 constexpr int kReached = -2;
 
-/// The delta-mining sweep of IncMergeJoin: a gSpan recursion over the
-/// *updated graphs only*. Every encountered extension group resolves its
-/// pre-update TID list from the pattern set (frequent patterns, already
-/// stripped of the updated graphs by Pass 1) or the frontier (everything
-/// else ever enumerated; absent means zero pre-update occurrences), so
-/// post-update supports come from set arithmetic alone — no
-/// subgraph-isomorphism counting. The sweep writes into the pattern set in
-/// place: patterns that newly cross the threshold are completed by a
-/// full-projection subtree grow (rare) and written to `became_frequent`
-/// (IF) as they are emitted; a cached pattern whose support moved is
-/// written to `changed`.
+/// The delta-mining sweep of IncMergeJoin: a gSpan recursion over the live
+/// database whose root scan lists the *updated graphs only*, so every
+/// embedding it extends lies in an updated graph. Every encountered
+/// extension group resolves its pre-update TID list from the pattern set
+/// (frequent patterns, already stripped of the updated graphs by Pass 1) or
+/// the frontier (everything else ever enumerated; absent means zero
+/// pre-update occurrences), so post-update supports come from set
+/// arithmetic alone — no subgraph-isomorphism counting. The sweep writes
+/// into the pattern set in place: patterns that newly cross the threshold
+/// are completed by a full-projection subtree grow (rare) and written to
+/// `became_frequent` (IF) as they are emitted; a cached pattern whose
+/// support moved is written to `changed`.
 ///
 /// The sweep reaches every code through its prefix chain, so it carries the
 /// code's frontier node and the newest cut over its proper prefixes down the
@@ -45,13 +46,11 @@ constexpr int kReached = -2;
 /// (see Frontier).
 class DeltaSweep {
  public:
-  DeltaSweep(const GraphDatabase& db, const GraphDatabase& upd_db,
-             PatternSet& patterns, std::vector<int>& before,
-             Frontier& frontier, int min_support, int max_edges,
-             PatternSet* became_frequent, std::vector<DfsCode>* changed,
-             MergeJoinStats* stats)
+  DeltaSweep(const GraphDatabase& db, PatternSet& patterns,
+             std::vector<int>& before, Frontier& frontier, int min_support,
+             int max_edges, PatternSet* became_frequent,
+             std::vector<DfsCode>* changed, MergeJoinStats* stats)
       : db_(db),
-        upd_db_(upd_db),
         patterns_(patterns),
         before_(before),
         frontier_(frontier),
@@ -61,8 +60,10 @@ class DeltaSweep {
         changed_(changed),
         stats_(stats) {}
 
-  void Run() {
-    engine::ExtensionMap roots = engine::CollectRootExtensions(upd_db_);
+  /// Sweeps from the roots found in the graphs listed (ascending) in
+  /// `updated`.
+  void Run(const std::vector<int>& updated) {
+    engine::ExtensionMap roots = engine::CollectRootExtensions(db_, updated);
     DfsCode code;
     for (const auto& [tuple, projected] : roots) {
       code.Append(tuple);
@@ -142,7 +143,7 @@ class DeltaSweep {
     const Frontier::Epoch child_cut =
         std::max(prefix_cut, frontier_.CutEpoch(node));
     engine::ExtensionMap extensions = engine::CollectExtensions(
-        upd_db_, *code, projected, /*enable_order_pruning=*/true);
+        db_, *code, projected, /*enable_order_pruning=*/true);
     for (const auto& [tuple, child_projected] : extensions) {
       code->Append(tuple);
       Handle(code, child_projected, node, child_cut);
@@ -166,7 +167,6 @@ class DeltaSweep {
   }
 
   const GraphDatabase& db_;
-  const GraphDatabase& upd_db_;
   PatternSet& patterns_;
   std::vector<int>& before_;
   Frontier& frontier_;
@@ -276,39 +276,30 @@ IncPartMinerResult IncPartMiner::ApplyRound(PartMiner* state,
       const TidSet updated_set = TidSet::FromVector(updated);
       const int cached_count = patterns.size();
       std::vector<int> before(cached_count, kUntouched);
-      PatternSet parked;
-      std::vector<Frontier::NodeId> parked_nodes;
+      struct Parked {
+        PatternInfo before;  // The pattern's pre-round info.
+        Frontier::NodeId node;
+      };
+      std::vector<Parked> parked;
       for (int i = 0; i < cached_count; ++i) {
         PatternInfo& p = patterns.mutable_pattern(i);
         ++s->delta_recounts;
         const int lost = p.tids.CountCommon(updated_set);
         if (lost == 0) continue;
         const int support = p.support - lost;  // A support is its TID count.
-        if (support < min_support) parked.Upsert(p);
+        if (support < min_support) parked.push_back({p, Frontier::kNone});
         before[i] = p.support;
         p.support = support;
         p.tids -= updated_set;
-        if (support < min_support) {
-          parked_nodes.push_back(f.Put(p.code, p.tids));
-        }
+        if (support < min_support) parked.back().node = f.Put(p.code, p.tids);
       }
 
-      // Pass 2 — the frontier-backed delta sweep over the updated graphs. It
-      // refreshes the frontier entries it reaches and re-frequents the parked
-      // patterns it reaches.
-      GraphDatabase upd_db;
-      size_t u = 0;
-      for (int i = 0; i < new_db.size(); ++i) {
-        if (u < updated.size() && updated[u] == i) {
-          upd_db.Add(new_db.graph(i), new_db.gid(i));
-          ++u;
-        } else {
-          upd_db.Add(Graph(), new_db.gid(i));
-        }
-      }
-      DeltaSweep(new_db, upd_db, patterns, before, f, min_support, max_edges,
+      // Pass 2 — the frontier-backed delta sweep over the live database,
+      // rooted in the updated graphs. It refreshes the frontier entries it
+      // reaches and re-frequents the parked patterns it reaches.
+      DeltaSweep(new_db, patterns, before, f, min_support, max_edges,
                  &result.if_, &result.changed, s)
-          .Run();
+          .Run(updated);
 
       // Stripped patterns the sweep did not reach hold their stripped info,
       // which lost at least one TID.
@@ -325,12 +316,11 @@ IncPartMinerResult IncPartMiner::ApplyRound(PartMiner* state,
       // frequent again. Cutting every FI pattern, reached or not, keeps
       // every live entry under a chain of current patterns, where the sweep
       // keeps it exact.
-      for (int i = 0; i < parked.size(); ++i) {
-        const PatternInfo& p = parked.patterns()[i];
-        if (patterns.Find(p.code)->support >= min_support) continue;
-        patterns.Erase(p.code);
-        f.Cut(parked_nodes[i]);
-        result.fi.Upsert(p);
+      for (Parked& p : parked) {
+        if (patterns.Find(p.before.code)->support >= min_support) continue;
+        patterns.Erase(p.before.code);
+        f.Cut(p.node);
+        result.fi.Upsert(std::move(p.before));
       }
     }
   }

@@ -61,11 +61,13 @@ struct IncPartMinerResult {
 ///     leave the set after it (the paper's FI direction). The other
 ///     patterns are not touched.
 ///  2. Pass 2: new patterns are discovered by sweeping rightmost extensions
-///     of verified patterns *projected onto the updated graphs only*: a
-///     pattern that became frequent must have gained an occurrence, so it
-///     occurs in an updated graph, and so does every prefix of its minimal
-///     code (per-graph Apriori). Support outside the updated graphs is
-///     read off the cached set or the frontier by set arithmetic.
+///     of verified patterns over the live database, from the single-edge
+///     roots of the *updated graphs only*, so every embedding swept lies in
+///     an updated graph: a pattern that became frequent must have gained an
+///     occurrence, so it occurs in an updated graph, and so does every
+///     prefix of its minimal code (per-graph Apriori). Support outside the
+///     updated graphs is read off the cached set or the frontier by set
+///     arithmetic. The round builds no second database.
 ///
 /// This is the precise sense in which "IncPartMiner makes use of the pruned
 /// results of the pre-updated database to eliminate the generation of

@@ -112,35 +112,7 @@ EditBatchOutcome ApplyEditBatch(GraphDatabase* db,
       }
       continue;
     }
-    Graph& g = db->mutable_graph(op.graph);
-    const auto touch = [&](VertexId v) {
-      g.BumpUpdateFreq(v);
-      log->touched_vertices.emplace_back(op.graph, v);
-    };
-    switch (op.kind) {
-      case UpdateKind::kRelabel:
-        if (op.edge_target) {
-          g.SetEdgeLabel(op.u, op.v, op.label);
-          touch(op.u);
-          touch(op.v);
-        } else {
-          g.set_vertex_label(op.u, op.label);
-          touch(op.u);
-        }
-        break;
-      case UpdateKind::kAddEdge:
-        g.AddEdge(op.u, op.v, op.label);
-        touch(op.u);
-        touch(op.v);
-        break;
-      case UpdateKind::kAddVertex: {
-        const VertexId added = g.AddVertex(op.label);
-        g.AddEdge(op.u, added, op.edge_label);
-        touch(op.u);
-        touch(added);
-        break;
-      }
-    }
+    ApplyEdit(db, op, log);
     ++outcome.applied;
     if (std::find(log->updated_graphs.begin(), log->updated_graphs.end(),
                   op.graph) == log->updated_graphs.end()) {

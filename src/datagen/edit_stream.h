@@ -11,24 +11,6 @@
 
 namespace partminer {
 
-/// One explicit graph edit — the request-level form of the three update
-/// kinds of Section 5 that the service protocol and the load generator
-/// speak. ApplyUpdates draws random edits internally; EditOp spells one out
-/// so a client can ship it over the wire and a session can validate it
-/// against the live database before mutating anything.
-struct EditOp {
-  UpdateKind kind = UpdateKind::kRelabel;
-  /// True for kRelabel targeting the edge {u, v} instead of vertex u.
-  bool edge_target = false;
-  int graph = 0;  // Database index.
-  VertexId u = 0;
-  VertexId v = 0;        // kAddEdge / edge relabel second endpoint.
-  Label label = 0;       // New vertex/edge label; vertex label for kAddVertex.
-  Label edge_label = 0;  // Attaching-edge label for kAddVertex (u = attach).
-
-  std::string ToString() const;
-};
-
 /// Validates `op` against the current shape of `db` without mutating it.
 /// Rejections (vertex out of range, duplicate edge, self-loop, negative
 /// label) come back as InvalidArgument naming the offending field.
@@ -45,9 +27,10 @@ struct EditBatchOutcome {
   std::string first_rejection;  // Empty when rejected == 0.
 };
 
-/// Applies `edits` in order with per-edit validation. Touched vertices get
-/// their update frequency bumped and are recorded in `log` exactly like
-/// ApplyUpdates, so IncPartMiner sees the same shape of evidence.
+/// Applies `edits` in order, each validated and then applied through
+/// ApplyEdit, as ApplyUpdates applies its random ones, so IncPartMiner sees
+/// the same shape of evidence. Each edit's graph is added to
+/// `log->updated_graphs` once.
 EditBatchOutcome ApplyEditBatch(GraphDatabase* db,
                                 const std::vector<EditOp>& edits,
                                 UpdateLog* log);

@@ -42,7 +42,98 @@ Label PickLabel(Rng* rng, int num_labels, double new_label_probability) {
   return static_cast<Label>(rng->Uniform(num_labels));
 }
 
+/// Draws one update of database graph `gi`, `g`: its kind, then its
+/// targets and labels, the random calls in a fixed order. False when an
+/// added edge finds no free vertex pair.
+bool DrawEdit(Rng* rng, const Graph& g, int gi, int num_labels,
+              const UpdateOptions& options, EditOp* op) {
+  const auto vertex = [&] {
+    return PickVertex(rng, g, options.hotspot_locality);
+  };
+  const auto label = [&] {
+    return PickLabel(rng, num_labels, options.new_label_probability);
+  };
+  op->kind = options.kinds[rng->Uniform(options.kinds.size())];
+  op->graph = gi;
+  switch (op->kind) {
+    case UpdateKind::kRelabel: {
+      op->u = vertex();
+      if (rng->Bernoulli(0.5) || g.Degree(op->u) == 0) {
+        op->label = label();  // Relabel the vertex itself.
+        return true;
+      }
+      // Relabel an incident edge, preferring one staying inside the hot
+      // region.
+      const auto& adj = g.adjacency(op->u);
+      std::vector<const EdgeEntry*> hot_edges;
+      for (const EdgeEntry& candidate : adj) {
+        if (g.update_freq(candidate.to) > 0) hot_edges.push_back(&candidate);
+      }
+      const EdgeEntry& e =
+          !hot_edges.empty() && rng->Bernoulli(options.hotspot_locality)
+              ? *hot_edges[rng->Uniform(hot_edges.size())]
+              : adj[rng->Uniform(adj.size())];
+      op->edge_target = true;
+      op->u = e.from;
+      op->v = e.to;
+      op->label = label();
+      return true;
+    }
+    case UpdateKind::kAddEdge:
+      if (g.VertexCount() < 2) return false;
+      op->u = vertex();
+      for (int attempt = 0; attempt < 8; ++attempt) {
+        // The second endpoint is also locality-biased: new edges appear
+        // inside the frequently-updated region, which is what the
+        // isolation criterion of Section 4.1 banks on.
+        op->v = vertex();
+        if (op->v == op->u || g.HasEdge(op->u, op->v)) continue;
+        op->label = label();
+        return true;
+      }
+      return false;
+    case UpdateKind::kAddVertex:
+      op->u = vertex();  // The attach point.
+      op->label = label();
+      op->edge_label = label();
+      return true;
+  }
+  return false;
+}
+
 }  // namespace
+
+void ApplyEdit(GraphDatabase* db, const EditOp& op, UpdateLog* log) {
+  Graph& g = db->mutable_graph(op.graph);
+  const auto touch = [&](VertexId v) {
+    g.BumpUpdateFreq(v);
+    log->touched_vertices.emplace_back(op.graph, v);
+  };
+  switch (op.kind) {
+    case UpdateKind::kRelabel:
+      if (op.edge_target) {
+        g.SetEdgeLabel(op.u, op.v, op.label);
+        touch(op.u);
+        touch(op.v);
+      } else {
+        g.set_vertex_label(op.u, op.label);
+        touch(op.u);
+      }
+      break;
+    case UpdateKind::kAddEdge:
+      g.AddEdge(op.u, op.v, op.label);
+      touch(op.u);
+      touch(op.v);
+      break;
+    case UpdateKind::kAddVertex: {
+      const VertexId added = g.AddVertex(op.label);
+      g.AddEdge(op.u, added, op.edge_label);
+      touch(op.u);
+      touch(added);
+      break;
+    }
+  }
+}
 
 UpdateLog ApplyUpdates(GraphDatabase* db, int num_labels,
                        const UpdateOptions& options) {
@@ -52,79 +143,14 @@ UpdateLog ApplyUpdates(GraphDatabase* db, int num_labels,
 
   for (int gi = 0; gi < db->size(); ++gi) {
     if (!rng.Bernoulli(options.fraction_graphs)) continue;
-    Graph& g = db->mutable_graph(gi);
+    const Graph& g = db->graph(gi);
     if (g.VertexCount() == 0) continue;
     log.updated_graphs.push_back(gi);
 
     for (int step = 0; step < options.updates_per_graph; ++step) {
-      const UpdateKind kind = options.kinds[rng.Uniform(options.kinds.size())];
-      switch (kind) {
-        case UpdateKind::kRelabel: {
-          const VertexId v = PickVertex(&rng, g, options.hotspot_locality);
-          if (rng.Bernoulli(0.5) || g.Degree(v) == 0) {
-            // Relabel the vertex itself.
-            g.set_vertex_label(
-                v, PickLabel(&rng, num_labels, options.new_label_probability));
-            g.BumpUpdateFreq(v);
-            log.touched_vertices.emplace_back(gi, v);
-          } else {
-            // Relabel an incident edge, preferring one staying inside the
-            // hot region; both endpoints are touched.
-            const auto& adj = g.adjacency(v);
-            std::vector<const EdgeEntry*> hot_edges;
-            for (const EdgeEntry& candidate : adj) {
-              if (g.update_freq(candidate.to) > 0) {
-                hot_edges.push_back(&candidate);
-              }
-            }
-            const EdgeEntry e =
-                !hot_edges.empty() && rng.Bernoulli(options.hotspot_locality)
-                    ? *hot_edges[rng.Uniform(hot_edges.size())]
-                    : adj[rng.Uniform(adj.size())];
-            g.SetEdgeLabel(
-                e.from, e.to,
-                PickLabel(&rng, num_labels, options.new_label_probability));
-            g.BumpUpdateFreq(e.from);
-            g.BumpUpdateFreq(e.to);
-            log.touched_vertices.emplace_back(gi, e.from);
-            log.touched_vertices.emplace_back(gi, e.to);
-          }
-          break;
-        }
-        case UpdateKind::kAddEdge: {
-          if (g.VertexCount() < 2) break;
-          const VertexId u = PickVertex(&rng, g, options.hotspot_locality);
-          bool added = false;
-          for (int attempt = 0; attempt < 8 && !added; ++attempt) {
-            // The second endpoint is also locality-biased: new edges appear
-            // inside the frequently-updated region, which is what the
-            // isolation criterion of Section 4.1 banks on.
-            const VertexId v = PickVertex(&rng, g, options.hotspot_locality);
-            if (v == u || g.HasEdge(u, v)) continue;
-            g.AddEdge(u, v,
-                      PickLabel(&rng, num_labels,
-                                options.new_label_probability));
-            g.BumpUpdateFreq(u);
-            g.BumpUpdateFreq(v);
-            log.touched_vertices.emplace_back(gi, u);
-            log.touched_vertices.emplace_back(gi, v);
-            added = true;
-          }
-          break;
-        }
-        case UpdateKind::kAddVertex: {
-          const VertexId attach = PickVertex(&rng, g, options.hotspot_locality);
-          const VertexId v = g.AddVertex(
-              PickLabel(&rng, num_labels, options.new_label_probability));
-          g.AddEdge(attach, v,
-                    PickLabel(&rng, num_labels,
-                              options.new_label_probability));
-          g.BumpUpdateFreq(attach);
-          g.BumpUpdateFreq(v);
-          log.touched_vertices.emplace_back(gi, attach);
-          log.touched_vertices.emplace_back(gi, v);
-          break;
-        }
+      EditOp op;
+      if (DrawEdit(&rng, g, gi, num_labels, options, &op)) {
+        ApplyEdit(db, op, &log);
       }
     }
   }

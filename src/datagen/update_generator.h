@@ -2,6 +2,7 @@
 #define PARTMINER_DATAGEN_UPDATE_GENERATOR_H_
 
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -16,6 +17,24 @@ enum class UpdateKind {
   kRelabel = 0,
   kAddEdge = 1,
   kAddVertex = 2,
+};
+
+/// One explicit graph edit of one of the three kinds. ApplyUpdates draws
+/// its random updates in this form; the service protocol and the load
+/// generator speak it, so a client can ship an edit over the wire and a
+/// session can validate it (ValidateEdit) against the live database before
+/// mutating anything.
+struct EditOp {
+  UpdateKind kind = UpdateKind::kRelabel;
+  /// True for kRelabel targeting the edge {u, v} instead of vertex u.
+  bool edge_target = false;
+  int graph = 0;  // Database index.
+  VertexId u = 0;
+  VertexId v = 0;        // kAddEdge / edge relabel second endpoint.
+  Label label = 0;       // New vertex/edge label; vertex label for kAddVertex.
+  Label edge_label = 0;  // Attaching-edge label for kAddVertex (u = attach).
+
+  std::string ToString() const;
 };
 
 struct UpdateOptions {
@@ -49,8 +68,18 @@ struct UpdateLog {
   std::vector<std::pair<int, VertexId>> touched_vertices;
 };
 
-/// Applies random updates to `db` in place. Every touched vertex gets its
-/// update frequency bumped. `num_labels` is the generator's N parameter.
+/// Applies one valid edit to graph `op.graph` of `db`, the only code that
+/// turns an EditOp into a graph change: a relabel sets one label, an added
+/// edge joins u and v, an added vertex gets label `label` and an edge
+/// labeled `edge_label` to u. Every vertex the edit touches (both endpoints
+/// of an edge, the new vertex after u) gets its update frequency bumped
+/// and is appended to `log->touched_vertices`; `log->updated_graphs` is the
+/// caller's. The caller has checked the edit (ValidateEdit).
+void ApplyEdit(GraphDatabase* db, const EditOp& op, UpdateLog* log);
+
+/// Applies random updates to `db` in place: each one is drawn as an EditOp
+/// and applied through ApplyEdit, so every touched vertex gets its update
+/// frequency bumped. `num_labels` is the generator's N parameter.
 UpdateLog ApplyUpdates(GraphDatabase* db, int num_labels,
                        const UpdateOptions& options);
 

@@ -1,6 +1,7 @@
 #include "miner/engine.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/fnv.h"
 #include "common/logging.h"
@@ -84,7 +85,7 @@ size_t ExtensionMap::Probe(const DfsEdge& tuple) const {
   return i;
 }
 
-void ExtensionMap::Rehash(size_t buckets) const {
+void ExtensionMap::Rehash(size_t buckets) {
   slots_.assign(buckets, -1);
   for (size_t e = 0; e < entries_.size(); ++e) {
     slots_[Probe(entries_[e].first)] = static_cast<int32_t>(e);
@@ -106,20 +107,6 @@ Projected& ExtensionMap::operator[](const DfsEdge& tuple) {
   return entries_.back().second;
 }
 
-size_t ExtensionMap::count(const DfsEdge& tuple) const {
-  if (entries_.empty()) return 0;
-  if (sorted_) {
-    const auto it = std::lower_bound(
-        entries_.begin(), entries_.end(), tuple,
-        [](const Entry& e, const DfsEdge& t) {
-          return CompareDfsEdge(e.first, t) < 0;
-        });
-    return it != entries_.end() && it->first == tuple ? 1 : 0;
-  }
-  if (!index_valid_) Rehash(NextPow2(std::max<size_t>(16, entries_.size() * 2)));
-  return slots_[Probe(tuple)] != -1 ? 1 : 0;
-}
-
 void ExtensionMap::EnsureSorted() const {
   if (sorted_) return;
   std::sort(entries_.begin(), entries_.end(),
@@ -130,9 +117,10 @@ void ExtensionMap::EnsureSorted() const {
   index_valid_ = false;  // The sort permuted the entry indices.
 }
 
-ExtensionMap CollectRootExtensions(const GraphDatabase& db) {
+ExtensionMap CollectRootExtensions(const GraphDatabase& db,
+                                   const std::vector<int>& graph_indices) {
   ExtensionMap roots;
-  for (int i = 0; i < db.size(); ++i) {
+  for (const int i : graph_indices) {
     const Graph& g = db.graph(i);
     for (VertexId u = 0; u < g.VertexCount(); ++u) {
       for (const EdgeEntry& e : g.adjacency(u)) {
@@ -482,7 +470,9 @@ PatternSet GrowFromRoots(const GraphDatabase& db, const MinerOptions& options,
   const Grower grower{db, options, rank, is_minimal};
   Frontier* frontier = options.capture_frontier;
   if (frontier != nullptr) frontier->BeginCapture();
-  ExtensionMap roots = CollectRootExtensions(db);
+  std::vector<int> all(db.size());
+  std::iota(all.begin(), all.end(), 0);
+  ExtensionMap roots = CollectRootExtensions(db, all);
   PatternSet out;
   DfsCode code;
   grower.Expand(&code, &roots, INT64_MAX, /*depth=*/-1, &out, frontier,
@@ -510,21 +500,6 @@ int SupportOf(const Projected& projected) {
     }
   }
   return support;
-}
-
-std::vector<int> TidsOf(const Projected& projected) {
-  std::vector<int> tids;
-  int last = -1;
-  for (const Embedding& e : projected) {
-    if (e.graph_index != last) {
-      // Embeddings are grouped by graph in ascending database order; the
-      // delta-merge set arithmetic and TidSet construction both rely on it.
-      PM_DCHECK(e.graph_index > last);
-      tids.push_back(e.graph_index);
-      last = e.graph_index;
-    }
-  }
-  return tids;
 }
 
 TidSet TidSetOf(const Projected& projected) {

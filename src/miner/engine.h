@@ -74,7 +74,7 @@ struct DfsEdgeLess {
 /// contiguous vector and located through a small open-addressing index, so
 /// the collection hot loop pays one hash probe per embedding instead of a
 /// red-black tree walk plus node allocation. Iteration sorts the entries by
-/// gSpan tuple order on first access (begin/count), which preserves the
+/// gSpan tuple order on first access (begin), which preserves the
 /// deterministic smallest-first traversal the miners rely on.
 class ExtensionMap {
  public:
@@ -87,8 +87,6 @@ class ExtensionMap {
 
   size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
-  /// 1 when `tuple` has a group, else 0 (std::map-compatible spelling).
-  size_t count(const DfsEdge& tuple) const;
 
   /// Iteration is in ascending CompareDfsEdge order.
   const_iterator begin() const {
@@ -106,22 +104,26 @@ class ExtensionMap {
 
  private:
   void EnsureSorted() const;
-  void Rehash(size_t buckets) const;
+  void Rehash(size_t buckets);
   /// Slot of `tuple` in slots_, or the empty slot where it would insert.
   size_t Probe(const DfsEdge& tuple) const;
 
   mutable std::vector<Entry> entries_;
   /// Open addressing: slot -> entry index, -1 empty. Rebuilt lazily after a
   /// sort invalidates it (sorting permutes entry indices).
-  mutable std::vector<int32_t> slots_;
+  std::vector<int32_t> slots_;
   mutable bool sorted_ = false;
   mutable bool index_valid_ = false;
 };
 
-/// Groups every single-edge pattern of the database with its embeddings.
-/// Tuples with from_label > to_label are omitted (their mirror is the
-/// canonical representative).
-ExtensionMap CollectRootExtensions(const GraphDatabase& db);
+/// Groups every single-edge pattern of the graphs of `db` whose indices are
+/// listed (ascending) in `graph_indices` with its embeddings there, in
+/// database order. Tuples with from_label > to_label are omitted (their
+/// mirror is the canonical representative). The growth loop lists every
+/// graph; the delta sweep lists a round's updated graphs, and so gets
+/// exactly the full scan's groups restricted to them.
+ExtensionMap CollectRootExtensions(const GraphDatabase& db,
+                                   const std::vector<int>& graph_indices);
 
 /// Collects all rightmost extensions of `code` over its embeddings.
 /// When `enable_order_pruning` is set, extensions that provably produce
@@ -194,12 +196,9 @@ void GrowSubtree(const GraphDatabase& db, const MinerOptions& options,
 /// Embeddings are grouped by graph in database order by construction.
 int SupportOf(const Projected& projected);
 
-/// Distinct database indices of an embedding list, ascending.
-std::vector<int> TidsOf(const Projected& projected);
-
-/// TidsOf as a TidSet — the form PatternInfo and the frontier store. A set
-/// past TidSet::kInline TIDs allocates its bitset once, sized by the last
-/// embedding.
+/// Distinct database indices of an embedding list, as a TidSet — the form
+/// PatternInfo and the frontier store. A set past TidSet::kInline TIDs
+/// allocates its bitset once, sized by the last embedding.
 TidSet TidSetOf(const Projected& projected);
 
 }  // namespace engine

@@ -24,12 +24,7 @@
 namespace partminer {
 namespace testing {
 
-namespace {
-
-/// Diffs `actual` against the oracle result: same canonical codes, same
-/// supports and the same TID sets.
-/// Returns "" on agreement, else a description capped at a few examples.
-std::string DiffAgainstOracle(const PatternSet& oracle,
+std::string DiffAgainstOracle(const PatternSet& expected,
                               const PatternSet& actual,
                               const std::string& name) {
   std::ostringstream out;
@@ -39,7 +34,7 @@ std::string DiffAgainstOracle(const PatternSet& oracle,
     ++issues;
   };
 
-  for (const PatternInfo& p : oracle.patterns()) {
+  for (const PatternInfo& p : expected.patterns()) {
     const PatternInfo* q = actual.Find(p.code);
     if (q == nullptr) {
       note("missing pattern " + p.code.ToString() + " (support " +
@@ -47,7 +42,7 @@ std::string DiffAgainstOracle(const PatternSet& oracle,
       continue;
     }
     if (q->support != p.support) {
-      note("support mismatch for " + p.code.ToString() + ": oracle " +
+      note("support mismatch for " + p.code.ToString() + ": expected " +
            std::to_string(p.support) + ", " + name + " " +
            std::to_string(q->support));
     }
@@ -56,19 +51,21 @@ std::string DiffAgainstOracle(const PatternSet& oracle,
     }
   }
   for (const PatternInfo& q : actual.patterns()) {
-    if (oracle.Find(q.code) == nullptr) {
+    if (expected.Find(q.code) == nullptr) {
       note("extra pattern " + q.code.ToString() + " (support " +
            std::to_string(q.support) + ")");
     }
   }
   if (issues == 0) return "";
   std::ostringstream head;
-  head << name << " disagrees with the brute-force oracle (" << issues
-       << " differences; oracle " << oracle.size() << " patterns, " << name
-       << " " << actual.size() << "):\n"
+  head << name << " disagrees with the expected result (" << issues
+       << " differences; expected " << expected.size() << " patterns, "
+       << name << " " << actual.size() << "):\n"
        << out.str();
   return head.str();
 }
+
+namespace {
 
 /// Checks an incremental round's change report against the sets before and
 /// after it: IF is exactly `after` minus `before`, FI exactly `before` minus

@@ -7,6 +7,7 @@
 #include "common/status.h"
 #include "datagen/generator.h"
 #include "graph/graph.h"
+#include "miner/pattern_set.h"
 
 namespace partminer {
 namespace testing {
@@ -38,6 +39,13 @@ struct DifferentialResult {
 
   bool ok() const { return divergence.empty(); }
 };
+
+/// Diffs `actual` against `expected`: the same codes, supports and TID
+/// sets. Returns "" on agreement, else a description naming `actual` as
+/// `name`, capped at five differences.
+std::string DiffAgainstOracle(const PatternSet& expected,
+                              const PatternSet& actual,
+                              const std::string& name);
 
 /// Mines `db` with every miner configuration — brute force (the oracle),
 /// gSpan and Gaston (serial, and on work-stealing pools of 2 and 8

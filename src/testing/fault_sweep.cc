@@ -16,6 +16,7 @@
 #include "service/json.h"
 #include "service/session.h"
 #include "storage/fault_injector.h"
+#include "testing/differential.h"
 
 namespace partminer {
 namespace testing {
@@ -33,22 +34,6 @@ GeneratorParams SweepDatabaseParams(uint64_t seed) {
   gen.num_kernels = 5;
   gen.seed = seed * 0x9e3779b97f4a7c15ull + 17;
   return gen;
-}
-
-/// "" when `actual` is exactly `expected` (codes, supports, TID sets).
-std::string DiffExact(const PatternSet& expected, const PatternSet& actual) {
-  if (expected.SortedCodeStrings() != actual.SortedCodeStrings()) {
-    return "pattern sets differ (" + std::to_string(expected.size()) +
-           " vs " + std::to_string(actual.size()) + " patterns)";
-  }
-  for (const PatternInfo& p : expected.patterns()) {
-    const PatternInfo* q = actual.Find(p.code);
-    if (q == nullptr) return "missing " + p.code.ToString();
-    if (q->support != p.support || !(q->tids == p.tids)) {
-      return "support/tids differ for " + p.code.ToString();
-    }
-  }
-  return "";
 }
 
 /// A fresh directory under $TMPDIR (default /tmp), removed with everything
@@ -98,7 +83,7 @@ void RunInjectedAdiRound(const GraphDatabase& db, const PatternSet& expected,
       out->violations.push_back(label + ": failure with empty message");
     }
   } else {
-    const std::string diff = DiffExact(expected, patterns);
+    const std::string diff = DiffAgainstOracle(expected, patterns, "adi");
     if (diff.empty()) {
       ++out->successes;
     } else {
@@ -123,7 +108,7 @@ void RunInjectedAdiRound(const GraphDatabase& db, const PatternSet& expected,
                               remined.ToString());
     return;
   }
-  const std::string diff = DiffExact(expected, recovered);
+  const std::string diff = DiffAgainstOracle(expected, recovered, "adi");
   if (!diff.empty()) {
     out->violations.push_back(label + ": wrong result after recovery: " +
                               diff);
@@ -222,8 +207,8 @@ FaultSweepOutcome RunSnapshotTamperSweep(uint64_t seed) {
     }
     // A restore that succeeds despite tampering must have restored exactly
     // the saved state (only possible for no-op corruptions).
-    const std::string diff =
-        DiffExact(saved.VerifiedPatterns(), restored.VerifiedPatterns());
+    const std::string diff = DiffAgainstOracle(
+        saved.VerifiedPatterns(), restored.VerifiedPatterns(), "restore");
     if (diff.empty() && restored.digest() == saved.digest()) {
       ++out.successes;
     } else {

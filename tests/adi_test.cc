@@ -11,16 +11,7 @@
 namespace partminer {
 namespace {
 
-void ExpectSameResults(const PatternSet& expected, const PatternSet& actual,
-                       const std::string& what) {
-  EXPECT_EQ(expected.SortedCodeStrings(), actual.SortedCodeStrings()) << what;
-  for (const PatternInfo& p : expected.patterns()) {
-    const PatternInfo* q = actual.Find(p.code);
-    ASSERT_NE(q, nullptr) << what;
-    EXPECT_EQ(p.support, q->support) << what << " " << p.code.ToString();
-    EXPECT_EQ(p.tids, q->tids) << what << " " << p.code.ToString();
-  }
-}
+using testutil::ExpectSamePatterns;
 
 TEST(AdiIndexTest, RoundTripsGraphsThroughPages) {
   Rng rng(12);
@@ -71,8 +62,8 @@ TEST(AdiMineTest, MatchesGSpan) {
     MinerOptions options;
     options.min_support = 3;
     GSpanMiner gspan;
-    ExpectSameResults(gspan.Mine(db, options), adi.Mine(options),
-                      "trial " + std::to_string(trial));
+    ExpectSamePatterns(gspan.Mine(db, options), adi.Mine(options),
+                       "trial " + std::to_string(trial));
   }
 }
 
@@ -98,7 +89,7 @@ TEST(AdiMineTest, RebuildReflectsUpdates) {
   const PatternSet after = adi.Mine(options);
 
   GSpanMiner gspan;
-  ExpectSameResults(gspan.Mine(db, options), after, "post-rebuild");
+  ExpectSamePatterns(gspan.Mine(db, options), after, "post-rebuild");
   // A rebuild really rewrote the file.
   EXPECT_GT(adi.io_stats().page_writes, 0);
   (void)before;
@@ -125,7 +116,7 @@ TEST(AdiMineTest, MatchesGSpanOnDatabaseLargerThanPool) {
   EXPECT_GT(adi.io_stats().evictions, 0);
 
   GSpanMiner gspan;
-  ExpectSameResults(gspan.Mine(db, options), patterns, "8 frames");
+  ExpectSamePatterns(gspan.Mine(db, options), patterns, "8 frames");
 }
 
 // When the database fits, the scan reads only pool-resident pages after the
@@ -142,7 +133,7 @@ TEST(AdiMineTest, MatchesGSpanOnResidentDatabase) {
   ASSERT_TRUE(adi.BuildIndex(db).ok());
   EXPECT_LE(adi.index().pages_used(), adi_options.pool.frames);
   GSpanMiner gspan;
-  ExpectSameResults(gspan.Mine(db, options), adi.Mine(options), "resident");
+  ExpectSamePatterns(gspan.Mine(db, options), adi.Mine(options), "resident");
   EXPECT_EQ(adi.io_stats().evictions, 0);
   EXPECT_EQ(adi.io_stats().page_reads, 0);
 }

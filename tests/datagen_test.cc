@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <sstream>
+
+#include "common/fnv.h"
 #include "datagen/generator.h"
 #include "datagen/update_generator.h"
 #include "graph/canonical.h"
+#include "graph/graph_io.h"
 #include "miner/gspan.h"
 
 namespace partminer {
@@ -153,6 +157,56 @@ TEST(UpdateGeneratorTest, TouchedVerticesGetFrequencyBumps) {
   for (const auto& [gi, v] : log.touched_vertices) {
     EXPECT_GT(db.graph(gi).update_freq(v), 0u);
   }
+}
+
+/// Two chained ApplyUpdates rounds (the second sees the first's hotspots)
+/// over a generated database, digested: the written database text, every
+/// vertex's update frequency and both UpdateLogs.
+uint64_t UpdateRoundsDigest(UpdateOptions options) {
+  GeneratorParams params = SmallParams(12);
+  params.num_graphs = 120;
+  GraphDatabase db = GenerateDatabase(params);
+  uint64_t hash = kFnvOffsetBasis;
+  for (int round = 0; round < 2; ++round, ++options.seed) {
+    const UpdateLog log = ApplyUpdates(&db, params.num_labels, options);
+    EXPECT_FALSE(log.updated_graphs.empty());
+    for (const int gi : log.updated_graphs) hash = FnvStep(hash, gi);
+    for (const auto& [gi, v] : log.touched_vertices) {
+      hash = FnvStep(FnvStep(hash, gi), v);
+    }
+  }
+  std::ostringstream text;
+  EXPECT_TRUE(WriteGraphDatabase(db, text).ok());
+  const std::string written = text.str();
+  hash = Fnv1a(written.data(), written.size(), hash);
+  for (int gi = 0; gi < db.size(); ++gi) {
+    for (VertexId v = 0; v < db.graph(gi).VertexCount(); ++v) {
+      hash = FnvStep(hash, db.graph(gi).update_freq(v));
+    }
+  }
+  return hash;
+}
+
+// Pins the exact databases and logs ApplyUpdates writes: the fuzzer,
+// update_rounds and fig. 17 replay them, so any change to the order of the
+// random draws or to how an edit applies shows up here.
+TEST(UpdateGeneratorTest, GoldenDigestsOfChainedRounds) {
+  UpdateOptions all_kinds;
+  all_kinds.fraction_graphs = 0.02;
+  all_kinds.seed = 31;
+  EXPECT_EQ(UpdateRoundsDigest(all_kinds), 236641059310098361ull);
+
+  UpdateOptions relabel_only;
+  relabel_only.fraction_graphs = 0.2;
+  relabel_only.kinds = {UpdateKind::kRelabel};
+  relabel_only.seed = 32;
+  EXPECT_EQ(UpdateRoundsDigest(relabel_only), 11568643906582611200ull);
+
+  UpdateOptions local;
+  local.fraction_graphs = 0.4;
+  local.hotspot_locality = 1.0;
+  local.seed = 33;
+  EXPECT_EQ(UpdateRoundsDigest(local), 14275750149181616569ull);
 }
 
 }  // namespace

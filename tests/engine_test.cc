@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 
 #include "common/random.h"
@@ -32,7 +33,7 @@ TEST(EngineTest, RootExtensionsCanonicalOrientation) {
   g.AddVertex(1);
   g.AddEdge(0, 1, 5);
   db.Add(g);
-  engine::ExtensionMap roots = engine::CollectRootExtensions(db);
+  engine::ExtensionMap roots = engine::CollectRootExtensions(db, {0});
   ASSERT_EQ(roots.size(), 1u);
   const DfsEdge& tuple = roots.begin()->first;
   EXPECT_EQ(tuple.from_label, 1);  // Smaller label first.
@@ -47,9 +48,55 @@ TEST(EngineTest, RootExtensionsSymmetricLabelsBothOrientations) {
   g.AddVertex(3);
   g.AddEdge(0, 1, 0);
   db.Add(g);
-  engine::ExtensionMap roots = engine::CollectRootExtensions(db);
+  engine::ExtensionMap roots = engine::CollectRootExtensions(db, {0});
   ASSERT_EQ(roots.size(), 1u);
   EXPECT_EQ(roots.begin()->second.size(), 2u);  // Both half-edges.
+}
+
+TEST(EngineTest, RootExtensionsOverListedGraphsRestrictTheFullScan) {
+  // The delta sweep's root scan: the groups over a list of graphs are the
+  // full scan's groups with only the embeddings in those graphs, in the
+  // same order, which is database order; a tuple found nowhere in them has
+  // no group.
+  Rng rng(303);
+  for (int trial = 0; trial < 5; ++trial) {
+    const GraphDatabase db = testutil::RandomDatabase(&rng, 10, 6, 3, 3, 2);
+    std::vector<int> listed;
+    for (int i = 0; i < db.size(); ++i) {
+      if (rng.Bernoulli(0.3)) listed.push_back(i);
+    }
+    std::vector<engine::ExtensionMap::Entry> expected;
+    for (const auto& [tuple, projected] :
+         engine::CollectRootExtensions(db, testutil::AllGraphs(db))) {
+      engine::Projected kept;
+      for (const engine::Embedding& e : projected) {
+        if (std::binary_search(listed.begin(), listed.end(), e.graph_index)) {
+          kept.push_back(e);
+        }
+      }
+      if (!kept.empty()) expected.emplace_back(tuple, std::move(kept));
+    }
+    const engine::ExtensionMap roots =
+        engine::CollectRootExtensions(db, listed);
+    ASSERT_EQ(roots.size(), expected.size());
+    size_t g = 0;
+    for (const auto& [tuple, projected] : roots) {
+      EXPECT_EQ(tuple, expected[g].first);
+      ASSERT_EQ(projected.size(), expected[g].second.size());
+      for (size_t e = 0; e < projected.size(); ++e) {
+        EXPECT_EQ(projected[e].graph_index,
+                  expected[g].second[e].graph_index);
+        EXPECT_EQ(projected[e].edge, expected[g].second[e].edge);
+        EXPECT_EQ(projected[e].prev, nullptr);
+        if (e > 0) {
+          EXPECT_LE(projected[e - 1].graph_index, projected[e].graph_index);
+        }
+      }
+      ++g;
+    }
+  }
+  const GraphDatabase db = testutil::RandomDatabase(&rng, 4, 5, 2, 2, 2);
+  EXPECT_TRUE(engine::CollectRootExtensions(db, {}).empty());
 }
 
 TEST(EngineTest, SupportAndTidsDedupPerGraph) {
@@ -59,7 +106,8 @@ TEST(EngineTest, SupportAndTidsDedupPerGraph) {
   projected.push_back({0, &dummy, nullptr});
   projected.push_back({2, &dummy, nullptr});
   EXPECT_EQ(engine::SupportOf(projected), 2);
-  EXPECT_EQ(engine::TidsOf(projected), (std::vector<int>{0, 2}));
+  EXPECT_EQ(engine::TidSetOf(projected).ToVector(),
+            (std::vector<int>{0, 2}));
 }
 
 TEST(EngineTest, ExtensionsMatchFreshProjection) {
@@ -69,10 +117,8 @@ TEST(EngineTest, ExtensionsMatchFreshProjection) {
   Rng rng(404);
   for (int trial = 0; trial < 5; ++trial) {
     const GraphDatabase db = testutil::RandomDatabase(&rng, 8, 7, 3, 3, 2);
-    std::vector<int> all;
-    for (int i = 0; i < db.size(); ++i) all.push_back(i);
-
-    engine::ExtensionMap roots = engine::CollectRootExtensions(db);
+    const std::vector<int> all = testutil::AllGraphs(db);
+    engine::ExtensionMap roots = engine::CollectRootExtensions(db, all);
     for (const auto& [tuple, projected] : roots) {
       DfsCode code;
       code.Append(tuple);
@@ -87,7 +133,8 @@ TEST(EngineTest, ExtensionsMatchFreshProjection) {
         EXPECT_EQ(engine::SupportOf(child_projected),
                   engine::SupportOf(fresh))
             << extended.ToString();
-        EXPECT_EQ(engine::TidsOf(child_projected), engine::TidsOf(fresh))
+        EXPECT_EQ(engine::TidSetOf(child_projected).ToVector(),
+                  engine::TidSetOf(fresh).ToVector())
             << extended.ToString();
       }
     }
@@ -100,17 +147,19 @@ TEST(EngineTest, OrderPruningOnlyDropsNonMinimalExtensions) {
   Rng rng(505);
   for (int trial = 0; trial < 5; ++trial) {
     const GraphDatabase db = testutil::RandomDatabase(&rng, 6, 6, 3, 2, 2);
-    engine::ExtensionMap roots = engine::CollectRootExtensions(db);
+    engine::ExtensionMap roots =
+        engine::CollectRootExtensions(db, testutil::AllGraphs(db));
     for (const auto& [tuple, projected] : roots) {
       DfsCode code;
       code.Append(tuple);
-      engine::ExtensionMap pruned =
-          engine::CollectExtensions(db, code, projected, true);
-      engine::ExtensionMap full =
-          engine::CollectExtensions(db, code, projected, false);
-      for (const auto& [ext, child_projected] : full) {
-        (void)child_projected;
-        if (pruned.count(ext) > 0) continue;
+      std::vector<DfsEdge> kept;
+      for (const auto& [ext, child_projected] :
+           engine::CollectExtensions(db, code, projected, true)) {
+        kept.push_back(ext);
+      }
+      for (const auto& [ext, child_projected] :
+           engine::CollectExtensions(db, code, projected, false)) {
+        if (std::find(kept.begin(), kept.end(), ext) != kept.end()) continue;
         DfsCode extended = code;
         extended.Append(ext);
         EXPECT_FALSE(IsMinimalDfsCode(extended))
@@ -163,7 +212,8 @@ TEST(ProjectCodeTest, RespectsGraphRestriction) {
   std::deque<engine::Embedding> arena;
   const engine::Projected projected =
       engine::ProjectCode(edge, db, {0, 2}, &arena);
-  EXPECT_EQ(engine::TidsOf(projected), (std::vector<int>{0, 2}));
+  EXPECT_EQ(engine::TidSetOf(projected).ToVector(),
+            (std::vector<int>{0, 2}));
 }
 
 }  // namespace

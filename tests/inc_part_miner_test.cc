@@ -16,16 +16,7 @@
 namespace partminer {
 namespace {
 
-void ExpectSameResults(const PatternSet& expected, const PatternSet& actual,
-                       const std::string& what) {
-  EXPECT_EQ(expected.SortedCodeStrings(), actual.SortedCodeStrings()) << what;
-  for (const PatternInfo& p : expected.patterns()) {
-    const PatternInfo* q = actual.Find(p.code);
-    ASSERT_NE(q, nullptr) << what << ": missing " << p.code.ToString();
-    EXPECT_EQ(p.support, q->support) << what << ": " << p.code.ToString();
-    EXPECT_EQ(p.tids, q->tids) << what << ": " << p.code.ToString();
-  }
-}
+using testutil::ExpectSamePatterns;
 
 GraphDatabase MakeDatabase(uint64_t seed, int graphs = 16) {
   GeneratorParams params;
@@ -117,7 +108,7 @@ TEST_P(IncPartMinerEquivalence, MatchesFromScratch) {
   MinerOptions full;
   full.min_support = 4;
   const PatternSet expected = gspan.Mine(db, full);
-  ExpectSameResults(expected, result.patterns, "incremental vs scratch");
+  ExpectSamePatterns(expected, result.patterns, "incremental vs scratch");
 
   ExpectExactClassification(before.patterns, expected, result);
 }
@@ -167,8 +158,8 @@ TEST(IncPartMinerTest, ForcedDeltaPathStaysExactAcrossRounds) {
     const PatternSet before = miner.patterns();
     const IncPartMinerResult result = inc.Update(&miner, db, log);
     const PatternSet expected = gspan.Mine(db, full);
-    ExpectSameResults(expected, result.patterns,
-                      "forced-delta round " + std::to_string(round));
+    ExpectSamePatterns(expected, result.patterns,
+                       "forced-delta round " + std::to_string(round));
     ExpectExactClassification(before, expected, result);
   }
 }
@@ -192,8 +183,8 @@ TEST(IncPartMinerTest, MultipleRoundsStayExact) {
     upd.seed = 1000 + round;
     const UpdateLog log = ApplyUpdates(&db, 5, upd);
     const IncPartMinerResult result = inc.Update(&miner, db, log);
-    ExpectSameResults(gspan.Mine(db, full), result.patterns,
-                      "round " + std::to_string(round));
+    ExpectSamePatterns(gspan.Mine(db, full), result.patterns,
+                       "round " + std::to_string(round));
   }
 }
 
@@ -263,10 +254,10 @@ TEST(IncPartMinerTest, ChainedRelabelRoundsStayExact) {
         const PatternSet before = miner.patterns();
         const IncPartMinerResult result = inc.Update(&miner, db, log);
         const PatternSet expected = gspan.Mine(db, full);
-        ExpectSameResults(expected, result.patterns,
-                          "k=" + std::to_string(k) + " seed " +
-                              std::to_string(seed) + " round " +
-                              std::to_string(round));
+        ExpectSamePatterns(expected, result.patterns,
+                           "k=" + std::to_string(k) + " seed " +
+                               std::to_string(seed) + " round " +
+                               std::to_string(round));
         ExpectExactClassification(before, expected, result);
       }
     }
@@ -307,7 +298,7 @@ TEST(IncPartMinerTest, NoOpRoundChangesNothing) {
   EXPECT_TRUE(result.fi.empty());
   EXPECT_TRUE(result.changed.empty());
   EXPECT_EQ(result.uf, static_cast<int>(before.size()));
-  ExpectSameResults(miner.patterns(), result.patterns, "no-op round");
+  ExpectSamePatterns(miner.patterns(), result.patterns, "no-op round");
 }
 
 /// ApplyRound is Update without the copy: the same state and the same
@@ -330,7 +321,7 @@ TEST(IncPartMinerTest, ApplyRoundReturnsTheChangeOnly) {
     const IncPartMinerResult change = inc.ApplyRound(&in_place, db, log);
     const std::string what = "round " + std::to_string(round);
     EXPECT_TRUE(change.patterns.empty()) << what;
-    ExpectSameResults(full.patterns, in_place.patterns(), what);
+    ExpectSamePatterns(full.patterns, in_place.patterns(), what);
     EXPECT_EQ(change.if_.SortedCodeStrings(), full.if_.SortedCodeStrings());
     EXPECT_EQ(change.fi.SortedCodeStrings(), full.fi.SortedCodeStrings());
     EXPECT_EQ(change.changed, full.changed) << what;

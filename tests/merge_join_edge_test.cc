@@ -11,22 +11,13 @@
 namespace partminer {
 namespace {
 
+using testutil::ExpectSamePatterns;
+
 /// The exact root merge of `db` at `min_support`, through PartMiner::Mine.
 PatternSet MineRoot(const GraphDatabase& db, int min_support) {
   PartMinerOptions options;
   options.min_support_count = min_support;
   return PartMiner(options).Mine(db).patterns;
-}
-
-void ExpectSamePatterns(const PatternSet& expected, const PatternSet& actual,
-                        const std::string& what) {
-  EXPECT_EQ(expected.SortedCodeStrings(), actual.SortedCodeStrings()) << what;
-  for (const PatternInfo& p : expected.patterns()) {
-    const PatternInfo* q = actual.Find(p.code);
-    ASSERT_NE(q, nullptr) << what;
-    EXPECT_EQ(p.support, q->support) << what;
-    EXPECT_EQ(p.tids, q->tids) << what;
-  }
 }
 
 /// A path graph a-b-a with fixed labels, present in every test database so

@@ -10,18 +10,7 @@
 namespace partminer {
 namespace {
 
-/// Asserts two pattern sets contain exactly the same codes with the same
-/// supports.
-void ExpectSamePatterns(const PatternSet& a, const PatternSet& b,
-                        const std::string& what) {
-  EXPECT_EQ(a.SortedCodeStrings(), b.SortedCodeStrings()) << what;
-  for (const PatternInfo& p : a.patterns()) {
-    const PatternInfo* q = b.Find(p.code);
-    ASSERT_NE(q, nullptr) << what << ": missing " << p.code.ToString();
-    EXPECT_EQ(p.support, q->support) << what << ": " << p.code.ToString();
-    EXPECT_EQ(p.tids, q->tids) << what << ": " << p.code.ToString();
-  }
-}
+using testutil::ExpectSamePatterns;
 
 GraphDatabase TinyDatabase() {
   // Three small graphs sharing a frequent a-x-b edge and a triangle motif.

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <deque>
-#include <numeric>
 #include <string>
 #include <vector>
 
@@ -187,8 +186,7 @@ FrontierMap CaptureFrontier(Miner* miner, const GraphDatabase& db,
 /// equal a from-scratch projection of its code over `db`.
 void ExpectExactFrontier(const GraphDatabase& db, const PatternSet& patterns,
                          const FrontierMap& frontier, const std::string& what) {
-  std::vector<int> all(db.size());
-  std::iota(all.begin(), all.end(), 0);
+  const std::vector<int> all = testutil::AllGraphs(db);
   for (const auto& [code, tids] : frontier) {
     EXPECT_FALSE(patterns.Contains(code))
         << what << ": frontier key is a pattern " << code.ToString();
@@ -208,13 +206,13 @@ void ExpectCompleteFrontier(const GraphDatabase& db, const PatternSet& patterns,
     EXPECT_TRUE(patterns.Contains(code) || frontier.count(code) > 0)
         << what << ": enumerated group missing " << code.ToString();
   };
-  for (const auto& [tuple, projected] : engine::CollectRootExtensions(db)) {
+  const std::vector<int> all = testutil::AllGraphs(db);
+  for (const auto& [tuple, projected] :
+       engine::CollectRootExtensions(db, all)) {
     DfsCode root;
     root.Append(tuple);
     accounted(root);
   }
-  std::vector<int> all(db.size());
-  std::iota(all.begin(), all.end(), 0);
   for (const PatternInfo& p : patterns.patterns()) {
     std::deque<engine::Embedding> arena;
     const engine::Projected projected =
@@ -376,8 +374,7 @@ TEST(ParallelMineTest, FrontierContractHoldsAfterIncrementalGrow) {
 
 /// Recount of `code` over every graph of `db`.
 TidSet Recount(const GraphDatabase& db, const DfsCode& code) {
-  std::vector<int> all(db.size());
-  std::iota(all.begin(), all.end(), 0);
+  const std::vector<int> all = testutil::AllGraphs(db);
   std::deque<engine::Embedding> arena;
   return engine::TidSetOf(engine::ProjectCode(code, db, all, &arena));
 }
@@ -402,13 +399,13 @@ void ExpectLazyFrontierExact(const GraphDatabase& db,
     EXPECT_EQ(LookupOrEmpty(frontier, code), Recount(db, code))
         << what << ": reachable " << code.ToString();
   };
-  for (const auto& [tuple, projected] : engine::CollectRootExtensions(db)) {
+  const std::vector<int> all = testutil::AllGraphs(db);
+  for (const auto& [tuple, projected] :
+       engine::CollectRootExtensions(db, all)) {
     DfsCode root;
     root.Append(tuple);
     reachable(root);
   }
-  std::vector<int> all(db.size());
-  std::iota(all.begin(), all.end(), 0);
   for (const PatternInfo& p : patterns.patterns()) {
     std::deque<engine::Embedding> arena;
     const engine::Projected projected =

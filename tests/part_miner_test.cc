@@ -16,16 +16,7 @@
 namespace partminer {
 namespace {
 
-void ExpectSameResults(const PatternSet& expected, const PatternSet& actual,
-                       const std::string& what) {
-  EXPECT_EQ(expected.SortedCodeStrings(), actual.SortedCodeStrings()) << what;
-  for (const PatternInfo& p : expected.patterns()) {
-    const PatternInfo* q = actual.Find(p.code);
-    ASSERT_NE(q, nullptr) << what << ": missing " << p.code.ToString();
-    EXPECT_EQ(p.support, q->support) << what << ": " << p.code.ToString();
-    EXPECT_EQ(p.tids, q->tids) << what << ": " << p.code.ToString();
-  }
-}
+using testutil::ExpectSamePatterns;
 
 /// The headline property (Theorems 1-3): the paper pipeline's output is
 /// exactly the gSpan result on the unpartitioned database — same patterns,
@@ -54,9 +45,9 @@ TEST_P(PartMinerEquivalence, MatchesGSpan) {
   options.partition.criteria = c.criteria;
   const PartMinerResult result = MinePaperPipeline(db, options);
 
-  ExpectSameResults(expected, result.patterns,
-                    "k=" + std::to_string(c.k) +
-                        " criteria=" + PartitionCriteriaName(c.criteria));
+  ExpectSamePatterns(expected, result.patterns,
+                     "k=" + std::to_string(c.k) +
+                         " criteria=" + PartitionCriteriaName(c.criteria));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -154,9 +145,9 @@ TEST(PartMinerTest, ParallelUnitMiningMatchesSerial) {
   serial.partition.k = parallel.partition.k = 4;
   serial.unit_mining_threads = 0;
   parallel.unit_mining_threads = 4;
-  ExpectSameResults(MinePaperPipeline(db, serial).patterns,
-                    MinePaperPipeline(db, parallel).patterns,
-                    "parallel unit mining");
+  ExpectSamePatterns(MinePaperPipeline(db, serial).patterns,
+                     MinePaperPipeline(db, parallel).patterns,
+                     "parallel unit mining");
 }
 
 /// The paper pipeline's root merge is PartMiner::Mine's sweep without the
@@ -207,7 +198,7 @@ TEST(PartMinerTest, MaxEdgesRespected) {
   MinerOptions full;
   full.min_support = 2;
   full.max_edges = 3;
-  ExpectSameResults(gspan.Mine(db, full), r.patterns, "max_edges=3");
+  ExpectSamePatterns(gspan.Mine(db, full), r.patterns, "max_edges=3");
 }
 
 }  // namespace

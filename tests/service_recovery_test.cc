@@ -26,6 +26,8 @@ namespace partminer {
 namespace service {
 namespace {
 
+using testutil::ExpectSamePatterns;
+
 SessionOptions MakeOptions() {
   SessionOptions options;
   options.miner.min_support_count = 3;
@@ -40,18 +42,6 @@ std::string TempPrefix(const char* tag) {
 
 void RemoveSnapshot(const std::string& prefix) {
   std::remove((prefix + ".db.lg").c_str());
-}
-
-/// Exact pattern-set equality: codes, supports, and TID sets.
-void ExpectSamePatterns(const PatternSet& expected, const PatternSet& actual,
-                        const char* what) {
-  ASSERT_EQ(expected.size(), actual.size()) << what;
-  for (const PatternInfo& p : expected.patterns()) {
-    const PatternInfo* q = actual.Find(p.code);
-    ASSERT_NE(q, nullptr) << what << ": missing " << p.code.ToString();
-    EXPECT_EQ(q->support, p.support) << what << ": " << p.code.ToString();
-    EXPECT_TRUE(q->tids == p.tids) << what << ": " << p.code.ToString();
-  }
 }
 
 class ServiceRecoveryTest : public ::testing::Test {

@@ -22,24 +22,16 @@
 #include "graph/graph_io.h"
 #include "miner/gspan.h"
 #include "service/session.h"
+#include "tests/test_util.h"
 
 namespace partminer {
 namespace {
 
+using testutil::ExpectSamePatterns;
+
 using service::MinerSession;
 using service::SessionOptions;
 using service::SnapshotResult;
-
-void ExpectSameResults(const PatternSet& expected, const PatternSet& actual,
-                       const std::string& what) {
-  EXPECT_EQ(expected.SortedCodeStrings(), actual.SortedCodeStrings()) << what;
-  for (const PatternInfo& p : expected.patterns()) {
-    const PatternInfo* q = actual.Find(p.code);
-    ASSERT_NE(q, nullptr) << what;
-    EXPECT_EQ(p.support, q->support) << what;
-    EXPECT_EQ(p.tids, q->tids) << what;
-  }
-}
 
 GraphDatabase MakeDatabase(uint64_t seed) {
   GeneratorParams params;
@@ -112,8 +104,8 @@ TEST(StateIoTest, RoundTripPreservesVerifiedResult) {
   EXPECT_TRUE(restored.ready());
   EXPECT_EQ(restored.resident_support(), 4);
   EXPECT_EQ(restored.digest(), session.digest());
-  ExpectSameResults(session.VerifiedPatterns(), restored.VerifiedPatterns(),
-                    "round trip");
+  ExpectSamePatterns(session.VerifiedPatterns(), restored.VerifiedPatterns(),
+                     "round trip");
   ::unlink(snapshot.db_path.c_str());
 }
 
@@ -145,8 +137,8 @@ TEST(StateIoTest, RestoredMinerContinuesIncrementally) {
     ASSERT_TRUE(restored.ApplyBatch(item.edits, &result).ok());
     UpdateLog log;
     ApplyEditBatch(&replayed, item.edits, &log);
-    ExpectSameResults(gspan.Mine(replayed, full), restored.VerifiedPatterns(),
-                      "incremental after restore");
+    ExpectSamePatterns(gspan.Mine(replayed, full), restored.VerifiedPatterns(),
+                       "incremental after restore");
   }
   ::unlink(snapshot.db_path.c_str());
 }
@@ -175,8 +167,8 @@ TEST(StateIoTest, LazyFrontierSavesCompactedAndResumesExactly) {
     upd.seed = 700 + r;
     const UpdateLog log = ApplyUpdates(&db, 5, upd);
     const IncPartMinerResult result = inc.Update(&miner, db, log);
-    ExpectSameResults(gspan.Mine(db, full), result.patterns,
-                      "round " + std::to_string(r));
+    ExpectSamePatterns(gspan.Mine(db, full), result.patterns,
+                       "round " + std::to_string(r));
   };
   for (int r = 0; r < 3; ++r) round(r);
   const Frontier& lazy = miner.root_frontier().map;

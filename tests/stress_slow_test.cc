@@ -11,19 +11,12 @@
 #include "datagen/update_generator.h"
 #include "miner/gspan.h"
 #include "partition/db_partition.h"
+#include "tests/test_util.h"
 
 namespace partminer {
 namespace {
 
-void ExpectSamePatterns(const PatternSet& expected, const PatternSet& actual,
-                        const std::string& what) {
-  EXPECT_EQ(expected.SortedCodeStrings(), actual.SortedCodeStrings()) << what;
-  for (const PatternInfo& p : expected.patterns()) {
-    const PatternInfo* q = actual.Find(p.code);
-    ASSERT_NE(q, nullptr) << what;
-    EXPECT_EQ(p.support, q->support) << what << " " << p.code.ToString();
-  }
-}
+using testutil::ExpectSamePatterns;
 
 TEST(StressSlowTest, ManyIncrementalRoundsMixedKinds) {
   // Ten rounds alternating update kinds and fractions, including new labels;

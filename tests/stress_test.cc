@@ -15,15 +15,7 @@
 namespace partminer {
 namespace {
 
-void ExpectSamePatterns(const PatternSet& expected, const PatternSet& actual,
-                        const std::string& what) {
-  EXPECT_EQ(expected.SortedCodeStrings(), actual.SortedCodeStrings()) << what;
-  for (const PatternInfo& p : expected.patterns()) {
-    const PatternInfo* q = actual.Find(p.code);
-    ASSERT_NE(q, nullptr) << what;
-    EXPECT_EQ(p.support, q->support) << what << " " << p.code.ToString();
-  }
-}
+using testutil::ExpectSamePatterns;
 
 TEST(StressTest, MoreUnitsThanVertices) {
   // Tiny graphs with k=6 units: most units end up empty; everything must

@@ -11,9 +11,12 @@
 #include "core/part_miner.h"
 #include "datagen/generator.h"
 #include "datagen/update_generator.h"
+#include "tests/test_util.h"
 
 namespace partminer {
 namespace {
+
+using testutil::ExpectSamePatterns;
 
 GraphDatabase MakeDatabase(uint64_t seed) {
   GeneratorParams params;
@@ -26,17 +29,6 @@ GraphDatabase MakeDatabase(uint64_t seed) {
   GraphDatabase db = GenerateDatabase(params);
   AssignUpdateHotspots(&db, 0.2, seed + 1);
   return db;
-}
-
-void ExpectIdentical(const PatternSet& expected, const PatternSet& actual,
-                     const std::string& what) {
-  EXPECT_EQ(expected.SortedCodeStrings(), actual.SortedCodeStrings()) << what;
-  for (const PatternInfo& p : expected.patterns()) {
-    const PatternInfo* q = actual.Find(p.code);
-    ASSERT_NE(q, nullptr) << what << ": missing " << p.code.ToString();
-    EXPECT_EQ(p.support, q->support) << what << ": " << p.code.ToString();
-    EXPECT_EQ(p.tids, q->tids) << what << ": " << p.code.ToString();
-  }
 }
 
 class FastPathIncremental : public ::testing::TestWithParam<int> {};
@@ -66,9 +58,9 @@ TEST_P(FastPathIncremental, UpdateBitIdentical) {
 
     const PatternSet incremental = inc.Update(&miner, db, log).patterns;
     ASSERT_GT(incremental.size(), 0);
-    ExpectIdentical(MinePaperPipeline(db, options).patterns, incremental,
-                    "fraction " + std::to_string(fraction) + " threads=" +
-                        std::to_string(threads));
+    ExpectSamePatterns(MinePaperPipeline(db, options).patterns, incremental,
+                       "fraction " + std::to_string(fraction) + " threads=" +
+                           std::to_string(threads));
   }
 }
 

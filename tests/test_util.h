@@ -1,10 +1,15 @@
 #ifndef PARTMINER_TESTS_TEST_UTIL_H_
 #define PARTMINER_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+
+#include <numeric>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
 #include "graph/graph.h"
+#include "miner/pattern_set.h"
 
 namespace partminer {
 namespace testutil {
@@ -31,6 +36,13 @@ inline Graph RandomConnectedGraph(Rng* rng, int vertices, int extra_edges,
   return g;
 }
 
+/// Every database index of `db`, ascending: the graph list of a full scan.
+inline std::vector<int> AllGraphs(const GraphDatabase& db) {
+  std::vector<int> all(db.size());
+  std::iota(all.begin(), all.end(), 0);
+  return all;
+}
+
 /// Random database of connected graphs.
 inline GraphDatabase RandomDatabase(Rng* rng, int graphs, int vertices,
                                     int extra_edges, int vertex_labels,
@@ -42,6 +54,20 @@ inline GraphDatabase RandomDatabase(Rng* rng, int graphs, int vertices,
     db.Add(RandomConnectedGraph(rng, n, chords, vertex_labels, edge_labels));
   }
   return db;
+}
+
+/// Exact pattern-set equality: the same codes, each with the same support
+/// and TIDs. Order is not compared.
+inline void ExpectSamePatterns(const PatternSet& expected,
+                               const PatternSet& actual,
+                               const std::string& what) {
+  EXPECT_EQ(expected.SortedCodeStrings(), actual.SortedCodeStrings()) << what;
+  for (const PatternInfo& p : expected.patterns()) {
+    const PatternInfo* q = actual.Find(p.code);
+    ASSERT_NE(q, nullptr) << what << ": missing " << p.code.ToString();
+    EXPECT_EQ(p.support, q->support) << what << ": " << p.code.ToString();
+    EXPECT_EQ(p.tids, q->tids) << what << ": " << p.code.ToString();
+  }
 }
 
 /// Applies a random vertex permutation, producing an isomorphic copy.
