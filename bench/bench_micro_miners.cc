@@ -1,7 +1,7 @@
 // Ablation benchmarks over the mining stack: gSpan vs Gaston, the
 // unit-support factor (DESIGN.md ablation #1: ceil(sup/2^depth) vs mining
-// units at the full support loses patterns), and the incremental delta
-// sweep vs a full re-sweep at varying update fractions.
+// units at the full support loses patterns), and the incremental round at
+// varying update fractions.
 
 #include <benchmark/benchmark.h>
 
@@ -160,14 +160,13 @@ BENCHMARK(BM_UnitSupportAblation)->Iterations(1);
 
 /// One IncPartMiner::ApplyRound at 4% support after updating
 /// `state.range(0)` percent of the graphs, each from a fresh copy of one
-/// mined state. `max_fraction` is inc_delta_sweep_max_fraction: 1.0 forces
-/// the delta path and 0.0 the exact re-sweep.
-void RunUpdateRound(benchmark::State& state, double max_fraction) {
+/// mined state. Rounds over half the database compact the frontier first,
+/// so the large shares keep the cost of that pass measurable.
+void BM_IncMergeJoin(benchmark::State& state) {
   GraphDatabase db = Workload(400);
   PartMinerOptions options;
   options.min_support_count =
       std::max(1, static_cast<int>(0.04 * db.size()));
-  options.inc_delta_sweep_max_fraction = max_fraction;
   PartMiner base(options);
   base.Mine(db);
 
@@ -178,27 +177,20 @@ void RunUpdateRound(benchmark::State& state, double max_fraction) {
 
   IncPartMiner inc;
   PartMiner miner(options);
-  int64_t delta_recounts = 0;
+  int64_t candidates = 0;
   for (auto _ : state) {
     state.PauseTiming();
     miner = base;
     state.ResumeTiming();
     IncPartMinerResult result = inc.ApplyRound(&miner, db, log);
     benchmark::DoNotOptimize(result);
-    delta_recounts = result.merge_stats.delta_recounts;
+    candidates = result.merge_stats.candidates_generated;
   }
-  state.counters["delta_recounts"] = static_cast<double>(delta_recounts);
+  state.counters["updated_graphs"] =
+      static_cast<double>(log.updated_graphs.size());
+  state.counters["candidates"] = static_cast<double>(candidates);
 }
-
-void BM_IncMergeJoinDelta(benchmark::State& state) {
-  RunUpdateRound(state, 1.0);
-}
-BENCHMARK(BM_IncMergeJoinDelta)->Arg(2)->Arg(10)->Arg(40);
-
-void BM_IncMergeJoinResweep(benchmark::State& state) {
-  RunUpdateRound(state, 0.0);
-}
-BENCHMARK(BM_IncMergeJoinResweep)->Arg(2)->Arg(10)->Arg(40);
+BENCHMARK(BM_IncMergeJoin)->Arg(2)->Arg(10)->Arg(40)->Arg(80)->Arg(100);
 
 }  // namespace
 }  // namespace partminer

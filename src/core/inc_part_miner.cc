@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <deque>
-#include <memory>
 #include <utility>
 
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "common/timing.h"
 #include "graph/canonical.h"
 #include "miner/engine.h"
@@ -26,6 +24,11 @@ namespace {
 /// the sweep has rewritten it.
 constexpr int kUntouched = -1;
 constexpr int kReached = -2;
+
+/// A round compacts the frontier once the graphs updated since the last
+/// compaction exceed this share of the database: each whole-frontier pass
+/// then pays for at least half a database of lazy strips.
+constexpr double kCompactPendingShare = 0.5;
 
 /// The delta-mining sweep of IncMergeJoin: a gSpan recursion over the live
 /// database whose root scan lists the *updated graphs only*, so every
@@ -189,7 +192,7 @@ IncPartMinerResult IncPartMiner::ApplyRound(PartMiner* state,
   PM_METRIC_COUNTER("partminer.update_runs")->Increment();
   IncPartMinerResult result;
   PatternSet& patterns = state->mutable_patterns();
-  NodeFrontier& frontier = state->mutable_root_frontier();
+  Frontier& f = state->mutable_root_frontier().map;
   const int min_support = state->root_support();
   const int max_edges = state->options().max_edges;
   MergeJoinStats* s = &result.merge_stats;
@@ -201,127 +204,85 @@ IncPartMinerResult IncPartMiner::ApplyRound(PartMiner* state,
 
   // The incremental merge at the root (IncMergeJoin, Figure 12 lines
   // 11-12), over the root's own cached set and frontier, both edited in
-  // place. The root's recombined database is the database itself. Each
-  // path writes IF (with the new info), FI (with the old) and the changed
+  // place. The root's recombined database is the database itself. The
+  // round writes IF (with the new info), FI (with the old) and the changed
   // supports where it finds them. A round that updates no graph changes
   // nothing.
   Stopwatch merge_watch;
   if (!updated.empty()) {
     PM_TRACE_SPAN("inc_merge_root", {{"candidates", patterns.size()}});
-    // Cost-model switch: when a large share of the database changed (or the
-    // frontier cache is invalid), the exact re-sweep beats the delta
-    // machinery. Both are exact. The capture cost is paid only when a future
-    // small-update round could use the cache: a small-update round with an
-    // invalid cache re-captures; a large-update round skips the capture and
-    // invalidates.
-    const auto small_share = [&](size_t graphs) {
-      return new_db.size() == 0 ||
-             static_cast<double>(graphs) / new_db.size() <=
-                 state->options().inc_delta_sweep_max_fraction;
+    // Open this round's frontier epoch. Strips are lazy; once the graphs
+    // updated since the last compaction exceed kCompactPendingShare of the
+    // database, one compaction pays the whole-frontier cost.
+    f.BeginRound(updated);
+    if (f.PendingGraphs() > kCompactPendingShare * new_db.size()) {
+      PM_TRACE_SPAN("frontier_compact",
+                    {{"entries", f.size()},
+                     {"pending_graphs", f.PendingGraphs()}});
+      Stopwatch compact_watch;
+      f.Compact();
+      PM_METRIC_COUNTER("partminer.update.frontier_compactions")->Increment();
+      PM_METRIC_HISTOGRAM("partminer.update.frontier_compact_ms")
+          ->Observe(compact_watch.ElapsedMillis());
+    }
+
+    // Pass 1 — pure set arithmetic, in place: containment in non-updated
+    // graphs is unchanged, so (old tids \ updated) is a certified lower
+    // bound, and a pattern whose TIDs miss the updated graphs keeps its
+    // info unless the sweep below adds hits. A pattern whose stripped
+    // support falls short is parked: its stripped TIDs also go to the
+    // frontier and its pre-round info is kept aside. The sweep never
+    // reaches it if it lost every occurrence in the updated graphs (only
+    // a relabel can do that), and a later round must still find its TIDs.
+    // Only parked patterns can end up frequent -> infrequent.
+    const TidSet updated_set = TidSet::FromVector(updated);
+    const int cached_count = patterns.size();
+    std::vector<int> before(cached_count, kUntouched);
+    struct Parked {
+      PatternInfo before;  // The pattern's pre-round info.
+      Frontier::NodeId node;
     };
-    const bool small_update = small_share(updated.size());
-    if (!small_update || !frontier.valid) {
-      // The re-sweep grows on the pool PartMiner::Mine would use.
-      std::unique_ptr<ThreadPool> pool;
-      if (state->options().unit_mining_threads > 0) {
-        pool = std::make_unique<ThreadPool>(
-            state->options().unit_mining_threads);
-      }
-      frontier.map.Clear();
-      frontier.valid = small_update;
-      PatternSet swept =
-          RootSweep(new_db, min_support, max_edges,
-                    small_update ? &frontier.map : nullptr, &patterns,
-                    pool.get(), s);
-      // Transitions by set difference: the sweep already paid O(result).
-      for (const PatternInfo& p : swept.patterns()) {
-        const PatternInfo* old = patterns.Find(p.code);
-        if (old == nullptr) {
-          result.if_.Upsert(p);
-        } else if (old->support != p.support) {
-          result.changed.push_back(p.code);
-        }
-      }
-      for (const PatternInfo& p : patterns.patterns()) {
-        if (!swept.Contains(p.code)) result.fi.Upsert(p);
-      }
-      s->spanning_found += result.if_.size();
-      patterns = std::move(swept);
-    } else {
-      // Open this round's frontier epoch. Strips are lazy; once the graphs
-      // updated since the last compaction pass the same share that sends a
-      // round to the re-sweep, one compaction pays the whole-frontier cost.
-      Frontier& f = frontier.map;
-      f.BeginRound(updated);
-      if (!small_share(f.PendingGraphs())) {
-        PM_TRACE_SPAN("frontier_compact",
-                      {{"entries", f.size()},
-                       {"pending_graphs", f.PendingGraphs()}});
-        Stopwatch compact_watch;
-        f.Compact();
-        PM_METRIC_COUNTER("partminer.update.frontier_compactions")->Increment();
-        PM_METRIC_HISTOGRAM("partminer.update.frontier_compact_ms")
-            ->Observe(compact_watch.ElapsedMillis());
-      }
+    std::vector<Parked> parked;
+    for (int i = 0; i < cached_count; ++i) {
+      PatternInfo& p = patterns.mutable_pattern(i);
+      ++s->delta_recounts;
+      const int lost = p.tids.CountCommon(updated_set);
+      if (lost == 0) continue;
+      const int support = p.support - lost;  // A support is its TID count.
+      if (support < min_support) parked.push_back({p, Frontier::kNone});
+      before[i] = p.support;
+      p.support = support;
+      p.tids -= updated_set;
+      if (support < min_support) parked.back().node = f.Put(p.code, p.tids);
+    }
 
-      // Pass 1 — pure set arithmetic, in place: containment in non-updated
-      // graphs is unchanged, so (old tids \ updated) is a certified lower
-      // bound, and a pattern whose TIDs miss the updated graphs keeps its
-      // info unless the sweep below adds hits. A pattern whose stripped
-      // support falls short is parked: its stripped TIDs also go to the
-      // frontier and its pre-round info is kept aside. The sweep never
-      // reaches it if it lost every occurrence in the updated graphs (only
-      // a relabel can do that), and a later round must still find its TIDs.
-      // Only parked patterns can end up frequent -> infrequent.
-      const TidSet updated_set = TidSet::FromVector(updated);
-      const int cached_count = patterns.size();
-      std::vector<int> before(cached_count, kUntouched);
-      struct Parked {
-        PatternInfo before;  // The pattern's pre-round info.
-        Frontier::NodeId node;
-      };
-      std::vector<Parked> parked;
-      for (int i = 0; i < cached_count; ++i) {
-        PatternInfo& p = patterns.mutable_pattern(i);
-        ++s->delta_recounts;
-        const int lost = p.tids.CountCommon(updated_set);
-        if (lost == 0) continue;
-        const int support = p.support - lost;  // A support is its TID count.
-        if (support < min_support) parked.push_back({p, Frontier::kNone});
-        before[i] = p.support;
-        p.support = support;
-        p.tids -= updated_set;
-        if (support < min_support) parked.back().node = f.Put(p.code, p.tids);
-      }
+    // Pass 2 — the frontier-backed delta sweep over the live database,
+    // rooted in the updated graphs. It refreshes the frontier entries it
+    // reaches and re-frequents the parked patterns it reaches.
+    DeltaSweep(new_db, patterns, before, f, min_support, max_edges,
+               &result.if_, &result.changed, s)
+        .Run(updated);
 
-      // Pass 2 — the frontier-backed delta sweep over the live database,
-      // rooted in the updated graphs. It refreshes the frontier entries it
-      // reaches and re-frequents the parked patterns it reaches.
-      DeltaSweep(new_db, patterns, before, f, min_support, max_edges,
-                 &result.if_, &result.changed, s)
-          .Run(updated);
-
-      // Stripped patterns the sweep did not reach hold their stripped info,
-      // which lost at least one TID.
-      for (int i = 0; i < cached_count; ++i) {
-        const PatternInfo& p = patterns.patterns()[i];
-        if (before[i] >= 0 && p.support >= min_support) {
-          result.changed.push_back(p.code);
-        }
+    // Stripped patterns the sweep did not reach hold their stripped info,
+    // which lost at least one TID.
+    for (int i = 0; i < cached_count; ++i) {
+      const PatternInfo& p = patterns.patterns()[i];
+      if (before[i] >= 0 && p.support >= min_support) {
+        result.changed.push_back(p.code);
       }
-      // Parked patterns the sweep did not make frequent again are the FI
-      // transitions: they leave the set. Each cuts its frontier subtree:
-      // those entries were derived through occurrences of a pattern that
-      // dropped out, and the subtree grow re-derives them if it becomes
-      // frequent again. Cutting every FI pattern, reached or not, keeps
-      // every live entry under a chain of current patterns, where the sweep
-      // keeps it exact.
-      for (Parked& p : parked) {
-        if (patterns.Find(p.before.code)->support >= min_support) continue;
-        patterns.Erase(p.before.code);
-        f.Cut(p.node);
-        result.fi.Upsert(std::move(p.before));
-      }
+    }
+    // Parked patterns the sweep did not make frequent again are the FI
+    // transitions: they leave the set. Each cuts its frontier subtree:
+    // those entries were derived through occurrences of a pattern that
+    // dropped out, and the subtree grow re-derives them if it becomes
+    // frequent again. Cutting every FI pattern, reached or not, keeps
+    // every live entry under a chain of current patterns, where the sweep
+    // keeps it exact.
+    for (Parked& p : parked) {
+      if (patterns.Find(p.before.code)->support >= min_support) continue;
+      patterns.Erase(p.before.code);
+      f.Cut(p.node);
+      result.fi.Upsert(std::move(p.before));
     }
   }
   result.merge_seconds = merge_watch.ElapsedSeconds();

@@ -73,8 +73,8 @@ struct IncPartMinerResult {
 /// results of the pre-updated database to eliminate the generation of
 /// unchanged candidate graphs" (Section 1): unchanged candidates are never
 /// re-generated or re-counted outside the updated graphs. The cached set is
-/// exact, so its codes are the minimal ones, which lets both paths skip the
-/// minimality test for codes whose verdict they already know (DESIGN §10).
+/// exact, so its codes are the minimal ones, which lets the sweep skip the
+/// minimality test for codes whose verdict it already knows (DESIGN §10).
 ///
 /// The frontier's invariant: every code the sweep can reach (all DFS-code
 /// prefixes frequent and minimal) that is not a cached pattern either has a
@@ -83,11 +83,9 @@ struct IncPartMinerResult {
 /// entry, and a pattern that falls frequent -> infrequent cuts its subtree
 /// by stamping its node (Frontier::Cut), not by scanning the frontier. The
 /// whole-frontier pass (Frontier::Compact) runs only once the graphs
-/// updated since the last one exceed `inc_delta_sweep_max_fraction` of the
-/// database. A round updating more than that share, or finding the
-/// frontier invalid, takes the exact re-sweep (RootSweep) instead, which
-/// replaces the frontier wholesale and grows on a pool of the state's
-/// `unit_mining_threads` workers when that is positive.
+/// updated since the last one exceed half the database. Every round that
+/// updates a graph takes these two passes, whatever share it updates, and
+/// runs on the calling thread.
 ///
 /// The paper's prune set (unit patterns that vanished from a re-mined unit)
 /// only marks candidates for its final check; with the root merge exact,

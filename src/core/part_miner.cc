@@ -9,7 +9,6 @@
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "common/timing.h"
-#include "graph/canonical.h"
 #include "miner/engine.h"
 #include "miner/gaston.h"
 #include "obs/metrics.h"
@@ -56,21 +55,14 @@ void MergeJoinStats::PublishToRegistry() const {
 }
 
 PatternSet RootSweep(const GraphDatabase& db, int min_support, int max_edges,
-                     Frontier* capture, const PatternSet* known,
-                     ThreadPool* pool, MergeJoinStats* stats) {
+                     Frontier* capture, ThreadPool* pool,
+                     MergeJoinStats* stats) {
   MinerOptions mo;
   mo.min_support = min_support;
   mo.max_edges = max_edges;
   mo.capture_frontier = capture;
   mo.pool = pool;
-  engine::MinimalityCheck is_minimal;
-  if (known != nullptr) {
-    is_minimal = [known](const DfsCode& code, int /*rank*/) {
-      return known->Contains(code) || IsMinimalDfsCode(code);
-    };
-  }
-  PatternSet out =
-      engine::GrowFromRoots(db, mo, /*rank=*/nullptr, is_minimal);
+  PatternSet out = engine::GrowFromRoots(db, mo);
   stats->candidates_counted += out.size();
   return out;
 }
@@ -100,9 +92,8 @@ PartMinerResult PartMiner::Mine(const GraphDatabase& db) {
       pool = std::make_unique<ThreadPool>(options_.unit_mining_threads);
     }
     root_frontier_.map.Clear();
-    root_frontier_.valid = true;
     patterns_ = RootSweep(db, root_support_, options_.max_edges,
-                          &root_frontier_.map, /*known=*/nullptr, pool.get(),
+                          &root_frontier_.map, pool.get(),
                           &result.merge_stats);
   }
   result.merge_seconds = merge_watch.ElapsedSeconds();
@@ -221,8 +212,8 @@ PartMinerResult MinePaperPipeline(const GraphDatabase& db,
   {
     PM_TRACE_SPAN("merge_node", {{"node", 0}, {"depth", 0}});
     result.patterns = RootSweep(db, root_support, options.max_edges,
-                                /*capture=*/nullptr, /*known=*/nullptr,
-                                pool.get(), &result.merge_stats);
+                                /*capture=*/nullptr, pool.get(),
+                                &result.merge_stats);
   }
   result.merge_seconds = merge_watch.ElapsedSeconds();
   PM_METRIC_HISTOGRAM("partminer.pipeline.merge_ms")

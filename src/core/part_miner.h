@@ -30,15 +30,9 @@ struct PartMinerOptions {
   PartitionOptions partition;
   int max_edges = INT_MAX;
 
-  /// IncPartMiner's cost-model switch: the update-proportional delta sweep
-  /// wins while the updated graphs are a minority of the database; beyond
-  /// this share a plain exact re-sweep is cheaper. Both paths are exact;
-  /// this only picks the cheaper one.
-  double inc_delta_sweep_max_fraction = 0.15;
-
   /// The width of the work-stealing pool (see common/thread_pool.h) that
-  /// the root sweep grows on: PartMiner::Mine's captured sweep, the
-  /// re-sweep of IncPartMiner::ApplyRound and the paper pipeline's merge.
+  /// the root sweep grows on: PartMiner::Mine's captured sweep and the
+  /// paper pipeline's merge. IncPartMiner's rounds run serially.
   /// 0 runs serially; the output is the serial one at every width,
   /// patterns in order and the frontier's node ids included. In
   /// MinePaperPipeline positive values also run the units concurrently in
@@ -109,15 +103,13 @@ struct PartMinerResult {
 /// (IncPartMiner), which is where the paper's evaluation exercises it.
 ///
 /// Every pattern carries exact support and TIDs. `capture`, when non-null,
-/// receives the sweep's frontier (see Frontier). `known`, when non-null, is
-/// an exact pattern set of the database before an update: the codes it
-/// holds skip the minimality test, since such a set holds only minimal
-/// codes. `pool`, when non-null, grows the sweep's subtrees on it (see
-/// MinerOptions::pool); the result is the serial one. Every emitted pattern
-/// counts as a counted candidate in `stats`.
+/// receives the sweep's frontier (see Frontier). `pool`, when non-null,
+/// grows the sweep's subtrees on it (see MinerOptions::pool); the result is
+/// the serial one. Every emitted pattern counts as a counted candidate in
+/// `stats`.
 PatternSet RootSweep(const GraphDatabase& db, int min_support, int max_edges,
-                     Frontier* capture, const PatternSet* known,
-                     ThreadPool* pool, MergeJoinStats* stats);
+                     Frontier* capture, ThreadPool* pool,
+                     MergeJoinStats* stats);
 
 /// The resident miner: the root of the paper's merge tree (Figure 11) and
 /// the state IncPartMiner updates in place. Mine() is one exact

@@ -10,7 +10,7 @@ namespace {
 // The first line names the layout. Nothing parses it; it stays so that the
 // output's length, the one thing measured, stays comparable.
 constexpr const char* kMagic = "partminer-state";
-constexpr int kVersion = 4;
+constexpr int kVersion = 5;
 
 void WriteCode(const DfsCode& code, std::ostream& out) {
   out << code.size();
@@ -43,7 +43,7 @@ void WritePatternSet(const PatternSet& set, std::ostream& out) {
 void WriteFrontier(const NodeFrontier& frontier, std::ostream& out) {
   size_t live = 0;
   frontier.map.ForEachLive([&live](const DfsCode&, const TidSet&) { ++live; });
-  out << "frontier " << (frontier.valid ? 1 : 0) << ' ' << live << '\n';
+  out << "frontier " << live << '\n';
   frontier.map.ForEachLive([&out](const DfsCode& code, const TidSet& tids) {
     WriteCode(code, out);
     out << ' ';

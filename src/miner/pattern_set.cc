@@ -93,13 +93,16 @@ Frontier::Arena::Arena(const Arena& other) {
   for (NodeId i = 0; i < other.size_; ++i) Append(Record(other[i]));
 }
 
-Frontier::Arena::~Arena() {
-  for (NodeId i = 0; i < size_; ++i) (*this)[i].~Record();
-  for (size_t b = 0; b < blocks_.size(); ++b) {
+void Frontier::Arena::Truncate(NodeId size) {
+  for (NodeId i = size; i < size_; ++i) (*this)[i].~Record();
+  const size_t kept_blocks = (size + kBlockSize - 1) / kBlockSize;
+  for (size_t b = kept_blocks; b < blocks_.size(); ++b) {
     const size_t records =
         std::min<size_t>(kBlockSize, size_ - b * kBlockSize);
     UnmapBlock(blocks_[b], kBlockBytes, records * sizeof(Record));
   }
+  blocks_.resize(kept_blocks);
+  size_ = size;
 }
 
 Frontier::NodeId Frontier::Arena::Append(Record&& record) {
@@ -130,6 +133,11 @@ void Frontier::BeginCapture() {
 
 void Frontier::EndCapture() {
   indexed_ = true;
+  IndexAll();
+}
+
+void Frontier::IndexAll() {
+  slots_ = std::vector<NodeId>();
   if (nodes_.size() == 1) return;
   size_t slots = 64;
   while (slots < static_cast<size_t>(nodes_.size()) * 2) slots *= 2;
@@ -246,24 +254,33 @@ void Frontier::Compact() {
       kept[r.parent] = true;
     }
   }
-  // Then move the kept nodes over in order, renumbering their parents.
-  // The stored TIDs are current now: nothing is pending and nothing is
-  // cut. Epochs keep counting, so later rounds stamp past every entry.
-  Frontier compacted;
-  compacted.epoch_ = epoch_;
+  // Then move the kept nodes down in order, renumbering their parents. A
+  // kept node's new id is never above its old one, and its parent's is
+  // already final. The stored TIDs are current now: nothing is pending and
+  // nothing is cut. Epochs keep counting, so later rounds stamp past every
+  // entry.
   std::vector<NodeId> moved_to(nodes_.size(), kRoot);
+  NodeId next = 1;
+  entries_ = 0;
+  dense_bytes_ = 0;
   for (NodeId i = 1; i < nodes_.size(); ++i) {
     if (!kept[i]) continue;
     Record& r = At(i);
     r.parent = moved_to[r.parent];
     r.cut = 0;
     if (r.epoch != 0) {
-      ++compacted.entries_;
-      compacted.dense_bytes_ += r.tids.HeapBytes();
+      ++entries_;
+      dense_bytes_ += r.tids.HeapBytes();
     }
-    moved_to[i] = compacted.Append(std::move(r));
+    if (next != i) At(next) = std::move(r);
+    moved_to[i] = next++;
   }
-  *this = std::move(compacted);
+  nodes_.Truncate(next);
+  graph_epoch_ = std::vector<Epoch>();
+  pending_ = TidSet();
+  oldest_pending_ = 0;
+  newest_cut_ = 0;
+  IndexAll();
 }
 
 size_t Frontier::CountDead() const {

@@ -138,7 +138,9 @@ class Frontier {
   /// Distinct graphs updated since the last compaction (or Clear).
   int PendingGraphs() const { return pending_.Count(); }
   /// Strips every entry, drops dead and empty entries and the path nodes
-  /// with no entry below them, clears the cuts.
+  /// with no entry below them, clears the cuts. Works in place: the kept
+  /// nodes keep their order and move down, and the blocks past the last
+  /// one are freed.
   void Compact();
 
   /// Stored entries, dead ones included.
@@ -242,7 +244,7 @@ class Frontier {
       std::swap(size_, other.size_);
       return *this;
     }
-    ~Arena();
+    ~Arena() { Truncate(0); }
 
     Record& operator[](NodeId id) {
       return blocks_[id >> kBlockShift][id & (kBlockSize - 1)];
@@ -254,6 +256,9 @@ class Frontier {
     /// Appends `record`, mapping a block when the last one is full; returns
     /// its id.
     NodeId Append(Record&& record);
+    /// Destroys the records from `size` on and frees the blocks that no
+    /// longer hold one.
+    void Truncate(NodeId size);
 
    private:
     static constexpr size_t kBlockBytes = kBlockSize * sizeof(Record);
@@ -272,6 +277,9 @@ class Frontier {
   size_t Probe(NodeId parent, const DfsEdge& tuple) const;
   /// Rebuilds the index with `slots` slots over every node.
   void Rehash(size_t slots);
+  /// Frees the index and builds it once over every node, at most half
+  /// full.
+  void IndexAll();
   /// Appends `record` and, unless it is the root or the index is not kept
   /// (a capture or a fork), indexes it; returns its id.
   NodeId Append(Record&& record);
@@ -303,12 +311,9 @@ class Frontier {
   Epoch newest_cut_ = 0;
 };
 
-/// A node's frontier cache with a validity flag: large-update rounds take
-/// the exact re-sweep and skip the capture cost, invalidating the cache;
-/// the next small-update round re-captures once and delta rounds resume.
+/// A node's frontier cache: captured by Mine, kept by every update round.
 struct NodeFrontier {
   Frontier map;
-  bool valid = false;
 };
 
 /// A set of frequent subgraphs keyed by canonical code; the P(U) / P(D)

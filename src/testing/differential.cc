@@ -299,16 +299,14 @@ DifferentialResult RunAllChecks(const GraphDatabase& db,
   // path) is diffed against the oracle, then every round applies seeded
   // updates, updates incrementally, and is compared against a from-scratch
   // re-mining of the updated database and the root frontier against its
-  // contract.
-  // Updates of at most half the graphs take the frontier-backed delta path;
-  // larger ones take the exact re-sweep, which drops the frontier until a
-  // smaller round re-captures it. The small rounds at the end stay on the
-  // delta path with lazy frontier state carried between them. The second
-  // half of the rounds runs on a copy of the state, as a caller that copies
-  // a mined state before updating it does, so every later round reads the
-  // copied frontier arena and its index. Odd seeds mine on a 2-wide pool,
-  // so their delta rounds read a pooled capture and their re-sweeps grow
-  // pooled too.
+  // contract. Every round takes the frontier-backed delta path; the large
+  // early rounds (20-65% of the graphs) push the graphs pending since the
+  // last compaction past half the database, so rounds compact, and the
+  // small rounds at the end carry lazy frontier state between them. The
+  // second half of the rounds runs on a copy of the state, as a caller
+  // that copies a mined state before updating it does, so every later
+  // round reads the copied frontier arena and its index. Odd seeds mine on
+  // a 2-wide pool, so their rounds read a pooled capture.
   if (result.ok()) {
     GraphDatabase updated = db;
     AssignUpdateHotspots(&updated, 0.3, params.seed + 11);
@@ -316,7 +314,6 @@ DifferentialResult RunAllChecks(const GraphDatabase& db,
     PartMinerOptions popt;
     popt.min_support_count = params.min_support;
     popt.max_edges = params.max_edges;
-    popt.inc_delta_sweep_max_fraction = 0.5;
     popt.unit_mining_threads = params.seed % 2 == 1 ? 2 : 0;
     PartMiner miner(popt);
     // Hotspots set update frequencies only, so the oracle still applies.
@@ -342,9 +339,15 @@ DifferentialResult RunAllChecks(const GraphDatabase& db,
       if (result.divergence.empty()) {
         result.divergence = DiffChangeReport(before, remined, inc_result);
       }
-      if (result.divergence.empty() && miner.root_frontier().valid) {
-        const std::string problem = CheckCompactedFrontier(
-            updated, miner.patterns(), miner.root_frontier().map);
+      // Only a compaction empties the pending graphs of a round that
+      // updated one.
+      const Frontier& frontier = miner.root_frontier().map;
+      if (!log.updated_graphs.empty() && frontier.PendingGraphs() == 0) {
+        ++result.compacted_rounds;
+      }
+      if (result.divergence.empty()) {
+        const std::string problem =
+            CheckCompactedFrontier(updated, miner.patterns(), frontier);
         if (!problem.empty()) result.divergence = "root frontier: " + problem;
       }
       if (!result.divergence.empty()) {

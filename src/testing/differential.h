@@ -32,6 +32,8 @@ FuzzCaseParams MakeFuzzCase(uint64_t seed, bool smoke);
 struct DifferentialResult {
   /// Miner configurations whose results were compared against the oracle.
   int configurations = 0;
+  /// Chained incremental rounds that compacted the root frontier.
+  int compacted_rounds = 0;
   /// Empty when every configuration agreed; otherwise a human-readable
   /// description of the first divergence (which configurations, and how the
   /// pattern sets differ).

@@ -18,12 +18,16 @@ namespace partminer {
 namespace {
 
 TEST(FuzzSmokeTest, SmallSeedSweepHasNoDivergence) {
+  int compacted_rounds = 0;
   for (uint64_t seed = 0; seed < 6; ++seed) {
     const testing::DifferentialResult result =
         testing::RunDifferentialSeed(seed, /*smoke=*/true);
     EXPECT_TRUE(result.ok()) << "seed " << seed << ":\n" << result.divergence;
     EXPECT_EQ(result.configurations, 12) << "matrix lost configurations";
+    compacted_rounds += result.compacted_rounds;
   }
+  // The chained rounds must keep reaching the frontier compaction.
+  EXPECT_GT(compacted_rounds, 0);
 }
 
 TEST(FuzzSmokeTest, CaseParamsAreDeterministic) {

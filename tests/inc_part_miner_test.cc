@@ -132,14 +132,13 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(IncPartMinerTest, ForcedDeltaPathStaysExactAcrossRounds) {
-  // Force the frontier-backed delta sweep at every node for every round —
-  // the path whose correctness depends on multi-round frontier maintenance
-  // (stripping, refresh, promotion, subtree cuts).
+  // Six chained rounds of the frontier-backed delta sweep, whose
+  // correctness depends on multi-round frontier maintenance (stripping,
+  // refresh, promotion, subtree cuts, compaction).
   GraphDatabase db = MakeDatabase(99);
   PartMinerOptions options;
   options.min_support_count = 4;
   options.partition.k = 3;
-  options.inc_delta_sweep_max_fraction = 1.0;
   PartMiner miner(options);
   miner.Mine(db);
 
@@ -185,6 +184,44 @@ TEST(IncPartMinerTest, MultipleRoundsStayExact) {
     const IncPartMinerResult result = inc.Update(&miner, db, log);
     ExpectSamePatterns(gspan.Mine(db, full), result.patterns,
                        "round " + std::to_string(round));
+  }
+}
+
+/// A round that updates every graph takes the delta path like any other:
+/// it compacts the frontier first (every graph is pending), and its result
+/// equals a from-scratch gSpan mine in codes, supports and TIDs.
+TEST(IncPartMinerTest, EveryGraphUpdatedRoundMatchesGSpanAndCompacts) {
+  obs::Counter* compactions = obs::MetricRegistry::Global().GetCounter(
+      "partminer.update.frontier_compactions");
+  Rng rng(4242);
+  for (int trial = 0; trial < 6; ++trial) {
+    GraphDatabase db = testutil::RandomDatabase(&rng, 14, 7, 3, 3, 2);
+    PartMinerOptions options;
+    options.min_support_count = 3;
+    PartMiner miner(options);
+    miner.Mine(db);
+
+    UpdateOptions upd;
+    upd.fraction_graphs = 1.0;
+    upd.updates_per_graph = 2;
+    upd.seed = 90 + trial;
+    const UpdateLog log = ApplyUpdates(&db, 3, upd);
+    const std::string what = "trial " + std::to_string(trial);
+    ASSERT_EQ(static_cast<int>(log.updated_graphs.size()), db.size()) << what;
+
+    const PatternSet before = miner.patterns();
+    const int64_t compactions_before = compactions->value();
+    const IncPartMinerResult result = IncPartMiner().Update(&miner, db, log);
+    EXPECT_EQ(compactions->value(), compactions_before + 1) << what;
+    EXPECT_EQ(miner.root_frontier().map.PendingGraphs(), 0) << what;
+    EXPECT_EQ(result.merge_stats.delta_recounts, before.size()) << what;
+
+    GSpanMiner gspan;
+    MinerOptions full;
+    full.min_support = 3;
+    const PatternSet expected = gspan.Mine(db, full);
+    ExpectSamePatterns(expected, result.patterns, what);
+    ExpectExactClassification(before, expected, result);
   }
 }
 

@@ -44,8 +44,7 @@ TEST(MergeJoinTest, LosslessRecoveryAgainstGSpan) {
 }
 
 /// IncMergeJoin recovers the exact post-update pattern set from the cached
-/// pre-update set on both paths, and the delta path delta-recounts every
-/// cached pattern while the re-sweep recounts none.
+/// pre-update set, delta-recounting every cached pattern.
 TEST(IncMergeJoinTest, DeltaRecoveryAgainstGSpan) {
   Rng rng(99);
   for (int trial = 0; trial < 5; ++trial) {
@@ -66,33 +65,24 @@ TEST(IncMergeJoinTest, DeltaRecoveryAgainstGSpan) {
     MinerOptions options;
     options.min_support = sup;
     const PatternSet expected = miner.Mine(updated_db, options);
-    for (const double delta_threshold : {1.0, 0.0}) {
-      // 1.0 forces the update-proportional delta sweep; 0.0 forces the
-      // exact re-sweep. Both must produce identical exact results.
-      PartMinerOptions part_options;
-      part_options.min_support_count = sup;
-      part_options.inc_delta_sweep_max_fraction = delta_threshold;
-      PartMiner state(part_options);
-      const int cached = state.Mine(db).patterns.size();
-      const IncPartMinerResult result =
-          IncPartMiner().Update(&state, updated_db, log);
-      const PatternSet& incremental = result.patterns;
+    PartMinerOptions part_options;
+    part_options.min_support_count = sup;
+    PartMiner state(part_options);
+    const int cached = state.Mine(db).patterns.size();
+    const IncPartMinerResult result =
+        IncPartMiner().Update(&state, updated_db, log);
+    const PatternSet& incremental = result.patterns;
 
-      EXPECT_EQ(expected.SortedCodeStrings(), incremental.SortedCodeStrings())
-          << "trial " << trial << " threshold " << delta_threshold;
-      for (const PatternInfo& p : expected.patterns()) {
-        const PatternInfo* q = incremental.Find(p.code);
-        ASSERT_NE(q, nullptr);
-        EXPECT_EQ(p.support, q->support) << p.code.ToString();
-        EXPECT_EQ(p.tids, q->tids) << p.code.ToString();
-      }
-      if (delta_threshold == 1.0) {
-        EXPECT_GT(result.merge_stats.delta_recounts, 0);
-        EXPECT_EQ(result.merge_stats.delta_recounts, cached);
-      } else {
-        EXPECT_EQ(result.merge_stats.delta_recounts, 0);
-      }
+    EXPECT_EQ(expected.SortedCodeStrings(), incremental.SortedCodeStrings())
+        << "trial " << trial;
+    for (const PatternInfo& p : expected.patterns()) {
+      const PatternInfo* q = incremental.Find(p.code);
+      ASSERT_NE(q, nullptr);
+      EXPECT_EQ(p.support, q->support) << p.code.ToString();
+      EXPECT_EQ(p.tids, q->tids) << p.code.ToString();
     }
+    EXPECT_GT(result.merge_stats.delta_recounts, 0);
+    EXPECT_EQ(result.merge_stats.delta_recounts, cached);
   }
 }
 
@@ -117,7 +107,6 @@ TEST(IncMergeJoinTest, NoUpdatesIsCheapIdentity) {
 struct KnownVerdictCase {
   GraphDatabase db;
   PartMiner state{Options()};
-  int cached_multi_edge = 0;
   UpdateLog log;
 
   static PartMinerOptions Options() {
@@ -136,9 +125,6 @@ struct KnownVerdictCase {
     params.seed = 41;
     db = GenerateDatabase(params);
     state.Mine(db);
-    for (const PatternInfo& p : state.patterns().patterns()) {
-      if (p.code.size() > 1) ++cached_multi_edge;
-    }
 
     UpdateOptions upd;
     upd.fraction_graphs = fraction_graphs;
@@ -168,26 +154,18 @@ struct KnownVerdictCase {
 
 /// A delta round knows every cached code is minimal, and that a frontier
 /// code already frequent outside the updated graphs is not: it tests far
-/// fewer codes than the still-frequent cached patterns it re-reaches.
+/// fewer codes than the still-frequent cached patterns it re-reaches, at a
+/// small share of updated graphs and at a large one.
 TEST(IncMergeJoinTest, DeltaRoundTestsOnlyUnknownVerdicts) {
-  KnownVerdictCase c(/*fraction_graphs=*/0.05);
-  ASSERT_LE(c.log.updated_graphs.size(), 0.15 * c.db.size());
-  MergeJoinStats stats;
-  const int64_t calls = c.RunCountingChecks(&stats);
-  EXPECT_GT(stats.delta_recounts, 0);  // The delta path ran.
-  ASSERT_GT(stats.candidates_skipped_known, 0);
-  EXPECT_LT(calls, stats.candidates_skipped_known);
-}
-
-/// A re-sweep knows the cached codes are minimal: it tests fewer codes than
-/// the cached multi-edge patterns it re-emits.
-TEST(IncMergeJoinTest, ResweepTestsOnlyUnknownVerdicts) {
-  KnownVerdictCase c(/*fraction_graphs=*/0.4);
-  ASSERT_GT(c.log.updated_graphs.size(), 0.15 * c.db.size());
-  ASSERT_GT(c.cached_multi_edge, 0);
-  MergeJoinStats stats;
-  EXPECT_LT(c.RunCountingChecks(&stats), c.cached_multi_edge);
-  EXPECT_EQ(stats.delta_recounts, 0);  // The re-sweep path ran.
+  for (const double fraction : {0.05, 0.4}) {
+    KnownVerdictCase c(fraction);
+    ASSERT_GT(c.log.updated_graphs.size(), fraction / 2 * c.db.size());
+    MergeJoinStats stats;
+    const int64_t calls = c.RunCountingChecks(&stats);
+    EXPECT_GT(stats.delta_recounts, 0) << fraction;
+    ASSERT_GT(stats.candidates_skipped_known, 0) << fraction;
+    EXPECT_LT(calls, stats.candidates_skipped_known) << fraction;
+  }
 }
 
 }  // namespace

@@ -334,7 +334,6 @@ TEST(ParallelMineTest, FrontierContractHoldsAfterIncrementalGrow) {
     GraphDatabase db = testutil::RandomDatabase(&rng, 14, 7, 3, 3, 2);
     PartMinerOptions part_options;
     part_options.min_support_count = 4;
-    part_options.inc_delta_sweep_max_fraction = 1.0;  // Always the delta sweep.
     PartMiner state(part_options);
     const PatternSet cached = state.Mine(db).patterns;
 
@@ -436,12 +435,14 @@ bool StrictlyExtends(const DfsCode& code, const DfsCode& prefix) {
 }
 
 TEST(ParallelMineTest, LazyFrontierExactAcrossChainedDeltaRounds) {
-  // Ten chained delta rounds per database with no compaction in between.
-  // Each round relabels vertices in two graphs and attaches a new vertex in
-  // a third; the next round reverts the relabels. A relabel that removes a
-  // pattern's occurrence while another updated graph still reaches it cuts
-  // its subtree (FI); the revert makes it frequent again, and the subtree
-  // grow re-derives the cut prefix's frontier.
+  // Ten chained delta rounds per database with no compaction in between:
+  // every update lands in the first half of the graphs, so the graphs
+  // pending never exceed half the database. Each round relabels vertices
+  // in two graphs and attaches a new vertex in a third; the next round
+  // reverts the relabels. A relabel that removes a pattern's occurrence
+  // while another updated graph still reaches it cuts its subtree (FI); the
+  // revert makes it frequent again, and the subtree grow re-derives the cut
+  // prefix's frontier.
   obs::Counter* compactions = obs::MetricRegistry::Global().GetCounter(
       "partminer.update.frontier_compactions");
   const int64_t compactions_before = compactions->value();
@@ -454,8 +455,6 @@ TEST(ParallelMineTest, LazyFrontierExactAcrossChainedDeltaRounds) {
     const int support = 3;
     PartMinerOptions part_options;
     part_options.min_support_count = support;
-    // The delta path, never compacted.
-    part_options.inc_delta_sweep_max_fraction = 1.0;
     PartMiner state(part_options);
     state.Mine(db);
     const NodeFrontier& frontier = state.root_frontier();
@@ -480,7 +479,7 @@ TEST(ParallelMineTest, LazyFrontierExactAcrossChainedDeltaRounds) {
         undo.clear();
       } else {
         for (int i = 0; i < 2; ++i) {
-          const int gi = static_cast<int>(rng.Uniform(db.size()));
+          const int gi = static_cast<int>(rng.Uniform(db.size() / 2));
           Graph& g = db.mutable_graph(gi);
           const VertexId v = static_cast<VertexId>(rng.Uniform(g.VertexCount()));
           undo.push_back(Relabel{gi, v, g.vertex_label(v)});
@@ -488,7 +487,7 @@ TEST(ParallelMineTest, LazyFrontierExactAcrossChainedDeltaRounds) {
           updated.push_back(gi);
         }
       }
-      const int gi = static_cast<int>(rng.Uniform(db.size()));
+      const int gi = static_cast<int>(rng.Uniform(db.size() / 2));
       Graph& g = db.mutable_graph(gi);
       const VertexId anchor =
           static_cast<VertexId>(rng.Uniform(g.VertexCount()));
@@ -507,7 +506,6 @@ TEST(ParallelMineTest, LazyFrontierExactAcrossChainedDeltaRounds) {
       const PatternSet expected = gspan.Mine(db, options);
       ASSERT_EQ(expected.SortedCodeStrings(), cached.SortedCodeStrings())
           << what;
-      ASSERT_TRUE(frontier.valid) << what;
 
       ExpectLazyFrontierExact(db, cached, frontier.map, what);
 
@@ -561,7 +559,6 @@ TEST(ParallelMineTest, CopiedStateAnswersEveryLookupAsTheOriginal) {
     GraphDatabase db = testutil::RandomDatabase(&rng, 16, 7, 3, 3, 2);
     PartMinerOptions part_options;
     part_options.min_support_count = 3;
-    part_options.inc_delta_sweep_max_fraction = 1.0;  // Never compacted.
     PartMiner state(part_options);
     state.Mine(db);
     IncPartMiner inc;
@@ -620,8 +617,6 @@ void ExpectSameState(const PartMiner& serial, const PartMiner& pooled,
   ExpectBitIdentical(serial.patterns(), pooled.patterns(), what);
   const Frontier& a = serial.root_frontier().map;
   const Frontier& b = pooled.root_frontier().map;
-  EXPECT_EQ(serial.root_frontier().valid, pooled.root_frontier().valid)
-      << what;
   EXPECT_EQ(a.ToMap(), b.ToMap()) << what;
   EXPECT_EQ(a.size(), b.size()) << what;
   EXPECT_EQ(a.node_count(), b.node_count()) << what;
@@ -631,8 +626,8 @@ void ExpectSameState(const PartMiner& serial, const PartMiner& pooled,
 TEST(ParallelMineTest, PooledMineMatchesSerialMine) {
   // PartMiner::Mine grows its captured sweep on unit_mining_threads
   // workers; the state must be the serial one, node ids included. Then six
-  // chained rounds with relabels, through a compaction, a re-sweep without
-  // capture and a pooled re-capture, keep every width identical.
+  // chained rounds with relabels, through a compaction, keep every width
+  // identical.
   obs::Counter* compactions = obs::MetricRegistry::Global().GetCounter(
       "partminer.update.frontier_compactions");
   obs::Counter* tasks =
@@ -640,13 +635,11 @@ TEST(ParallelMineTest, PooledMineMatchesSerialMine) {
   const int64_t compactions_before = compactions->value();
   const int64_t tasks_before = tasks->value();
   const std::vector<int> widths = {0, 1, 2, 8};
-  // Graphs updated per round, of 20: two delta rounds (the second usually
-  // pushes the pending graphs past the 15% share and compacts), a re-sweep
-  // that drops the frontier, a small round that re-captures it by a
-  // re-sweep, and two delta rounds on the re-captured frontier.
+  // Graphs updated per round, of 20: two small rounds, a half-database
+  // round that pushes the pending graphs past half and compacts, and three
+  // small rounds on the compacted frontier.
   const std::vector<double> fractions = {0.1, 0.1, 0.5, 0.1, 0.1, 0.05};
   Rng rng(31337);
-  int recaptures = 0;
   for (int seed = 0; seed < 8; ++seed) {
     GraphDatabase db = testutil::RandomDatabase(&rng, 20, 9, 4, 3, 2);
     std::vector<PartMiner> states;
@@ -678,8 +671,6 @@ TEST(ParallelMineTest, PooledMineMatchesSerialMine) {
       ASSERT_EQ(gspan.Mine(db, oracle).SortedCodeStrings(),
                 states[0].patterns().SortedCodeStrings())
           << at;
-      if (round == 2) EXPECT_FALSE(states[0].root_frontier().valid) << at;
-      if (round == 3 && states[0].root_frontier().valid) ++recaptures;
       for (size_t w = 1; w < widths.size(); ++w) {
         ExpectSameState(states[0], states[w],
                         at + " threads " + std::to_string(widths[w]));
@@ -688,7 +679,6 @@ TEST(ParallelMineTest, PooledMineMatchesSerialMine) {
   }
   EXPECT_GT(compactions->value(), compactions_before);
   EXPECT_GT(tasks->value(), tasks_before);
-  EXPECT_GT(recaptures, 0);
 }
 
 }  // namespace

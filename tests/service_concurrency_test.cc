@@ -31,6 +31,7 @@
 #include "datagen/generator.h"
 #include "graph/graph_io.h"
 #include "gtest/gtest.h"
+#include "obs/metrics.h"
 #include "service/daemon.h"
 #include "service/json.h"
 #include "service/session.h"
@@ -557,8 +558,8 @@ TEST(ServiceReadPlaneTest, HealthReportsTheFrontiersDeadEntriesAfterACut) {
 
 /// The published index is patched from each round's change; it must equal
 /// a from-scratch stringify-and-sort of the resident set after every epoch,
-/// through cuts, FI and IF transitions, a re-sweep round and a batch whose
-/// edits are all rejected.
+/// through cuts, FI and IF transitions, a round that compacts the frontier
+/// and a batch whose edits are all rejected.
 TEST(ServiceReadPlaneTest, IncrementalPublishEqualsAFullRebuildEveryEpoch) {
   const GraphDatabase db = ChurnDatabase();
   const SessionOptions options = ChurnOptions();
@@ -567,17 +568,20 @@ TEST(ServiceReadPlaneTest, IncrementalPublishEqualsAFullRebuildEveryEpoch) {
   Mirror mirror(db, options);
 
   std::vector<StreamItem> batches = ChurnBatches(db, 120);
-  // A batch relabelling vertex 0 of most graphs takes the re-sweep path.
+  // A batch relabelling vertex 0 of most graphs leaves more than half the
+  // database pending, so its round compacts the frontier.
   std::vector<EditOp> wide;
-  for (int g = 0; g < db.size(); g += 2) {
+  for (int g = 0; g < db.size(); ++g) {
+    if (g % 4 == 3) continue;
     EditOp op;
     op.graph = g;
     op.label = (db.graph(g).vertex_label(0) + 1) % 5;
     wide.push_back(op);
   }
-  ASSERT_GT(static_cast<double>(wide.size()) / db.size(),
-            options.miner.inc_delta_sweep_max_fraction);
+  ASSERT_GT(2 * wide.size(), static_cast<size_t>(db.size()));
   batches[20].edits = wide;
+  obs::Counter* compactions = obs::MetricRegistry::Global().GetCounter(
+      "partminer.update.frontier_compactions");
   // A batch whose every edit is out of range is rejected whole.
   EditOp stale;
   stale.graph = db.size() + 3;
@@ -622,15 +626,16 @@ TEST(ServiceReadPlaneTest, IncrementalPublishEqualsAFullRebuildEveryEpoch) {
 
   expect_rebuilt("init");
   const CodeArena* arena = session.Current()->arena.get();
-  int fi = 0, if_ = 0, changed = 0, resweeps = 0, rejected = 0, arenas = 1;
+  int fi = 0, if_ = 0, changed = 0, rejected = 0, arenas = 1;
   for (size_t b = 0; b < batches.size(); ++b) {
+    const int64_t compactions_before = compactions->value();
     BatchResult result;
     ASSERT_TRUE(session.ApplyBatch(batches[b].edits, &result).ok());
     const IncPartMinerResult round = mirror.Apply(batches[b].edits);
     fi += round.fi.size();
     if_ += round.if_.size();
     changed += static_cast<int>(round.changed.size());
-    resweeps += result.applied > 0 && round.merge_stats.delta_recounts == 0;
+    if (b == 20) EXPECT_GT(compactions->value(), compactions_before);
     rejected += result.applied == 0;
     expect_rebuilt("batch " + std::to_string(b));
     arenas += session.Current()->arena.get() != arena;
@@ -639,8 +644,6 @@ TEST(ServiceReadPlaneTest, IncrementalPublishEqualsAFullRebuildEveryEpoch) {
   EXPECT_GT(fi, 0);
   EXPECT_GT(if_, 0);
   EXPECT_GT(changed, 0);
-  // The wide batch, and the next one, which re-captures the frontier.
-  EXPECT_EQ(resweeps, 2);
   EXPECT_EQ(rejected, 1);
   // Enough codes left for their text to move the live text to a new arena.
   EXPECT_GT(arenas, 1);

@@ -1,7 +1,8 @@
 // Known minimality verdicts are pure accelerators: an update round skips
 // the minimality test for the codes the resident exact set already decides
-// (DESIGN.md §10). Incremental rounds that skip them, on the delta path and
-// on the re-sweep path, must match a from-scratch mine bit for bit.
+// (DESIGN.md §10). Incremental rounds that skip them, at a small and a
+// large share of updated graphs, must match a from-scratch mine bit for
+// bit.
 
 #include <string>
 
@@ -33,9 +34,8 @@ GraphDatabase MakeDatabase(uint64_t seed) {
 
 class FastPathIncremental : public ::testing::TestWithParam<int> {};
 
-/// A small round takes IncMergeJoin's delta path and a 40% round its
-/// re-sweep; both skip the minimality test wherever the verdict is known.
-/// Each round must match the paper pipeline re-mining the updated database
+/// A 10% round and a 40% round both take IncMergeJoin's delta path and skip
+/// the minimality test wherever the verdict is known. Each round must match the paper pipeline re-mining the updated database
 /// from scratch on `threads` unit-mining threads.
 TEST_P(FastPathIncremental, UpdateBitIdentical) {
   const int threads = GetParam();

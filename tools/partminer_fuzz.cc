@@ -50,10 +50,12 @@ int Run(int argc, char** argv) {
       flags::Get(flag_map, "corpus", "data/corpus/divergence");
 
   int divergences = 0;
+  int compacted_rounds = 0;
   for (uint64_t seed = start; seed < start + seeds; ++seed) {
     const FuzzCaseParams params = testing::MakeFuzzCase(seed, smoke);
     const GraphDatabase db = GenerateDatabase(params.gen);
     const DifferentialResult result = testing::RunAllChecks(db, params);
+    compacted_rounds += result.compacted_rounds;
     if (result.ok()) {
       if (seed % 50 == 0 || seed + 1 == start + seeds) {
         std::printf("seed %llu ok (%d configurations)\n",
@@ -81,8 +83,9 @@ int Run(int argc, char** argv) {
                    written.ToString().c_str());
     }
   }
-  std::printf("differential: %llu seeds, %d divergences\n",
-              static_cast<unsigned long long>(seeds), divergences);
+  std::printf(
+      "differential: %llu seeds, %d divergences, %d compacted rounds\n",
+      static_cast<unsigned long long>(seeds), divergences, compacted_rounds);
 
   // Replay the checked-in corpus: previously found (and since fixed)
   // divergences must stay fixed.
