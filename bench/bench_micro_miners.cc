@@ -6,12 +6,15 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <memory>
+#include <vector>
 
 #include "common/thread_pool.h"
 #include "core/inc_part_miner.h"
 #include "core/part_miner.h"
 #include "datagen/generator.h"
 #include "datagen/update_generator.h"
+#include "miner/engine.h"
 #include "miner/gaston.h"
 #include "miner/gspan.h"
 
@@ -191,6 +194,58 @@ void BM_IncMergeJoin(benchmark::State& state) {
   state.counters["candidates"] = static_cast<double>(candidates);
 }
 BENCHMARK(BM_IncMergeJoin)->Arg(2)->Arg(10)->Arg(40)->Arg(80)->Arg(100);
+
+/// The database of the resident miner's measurements: D2000 T20 N20 L200
+/// I5, generator seed 1.
+const GraphDatabase& ResidentWorkload() {
+  static const GraphDatabase* db = [] {
+    GeneratorParams params;
+    params.num_graphs = 2000;
+    params.avg_edges = 20;
+    params.num_labels = 20;
+    params.num_kernels = 200;
+    params.avg_kernel_edges = 5;
+    params.seed = 1;
+    return new GraphDatabase(GenerateDatabase(params));
+  }();
+  return *db;
+}
+
+/// The root scan of a capturing sweep over every graph, serially (Arg 0) or
+/// on a pool of state.range(0) workers.
+void BM_CollectRootExtensions(benchmark::State& state) {
+  const GraphDatabase& db = ResidentWorkload();
+  std::unique_ptr<ThreadPool> pool;
+  if (state.range(0) > 0) {
+    pool = std::make_unique<ThreadPool>(static_cast<int>(state.range(0)));
+  }
+  std::vector<int> all(db.size());
+  for (int i = 0; i < db.size(); ++i) all[i] = i;
+  size_t groups = 0;
+  for (auto _ : state) {
+    groups = engine::CollectRootExtensions(db, all, pool.get()).size();
+  }
+  state.counters["groups"] = static_cast<double>(groups);
+}
+BENCHMARK(BM_CollectRootExtensions)->Arg(0)->Arg(4)->Unit(
+    benchmark::kMillisecond);
+
+/// PartMiner::Mine at 4%: the captured root sweep, serially (Arg 0) or on
+/// state.range(0) unit-mining threads.
+void BM_CapturedMine(benchmark::State& state) {
+  const GraphDatabase& db = ResidentWorkload();
+  PartMinerOptions options;
+  options.min_support_fraction = 0.04;
+  options.unit_mining_threads = static_cast<int>(state.range(0));
+  size_t nodes = 0;
+  for (auto _ : state) {
+    PartMiner miner(options);
+    miner.Mine(db);
+    nodes = miner.root_frontier().map.node_count();
+  }
+  state.counters["frontier_nodes"] = static_cast<double>(nodes);
+}
+BENCHMARK(BM_CapturedMine)->Arg(0)->Arg(4)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace partminer

@@ -4,6 +4,7 @@
 #include <cstdint>
 
 #include "common/logging.h"
+#include "common/popcount.h"
 
 namespace partminer {
 
@@ -41,7 +42,7 @@ class SetWord {
 
   bool Empty() const { return bits_ == 0; }
 
-  int Count() const { return __builtin_popcountll(bits_); }
+  int Count() const { return PopCount64(bits_); }
 
   uint64_t bits() const { return bits_; }
 

@@ -56,13 +56,13 @@ void MergeJoinStats::PublishToRegistry() const {
 
 PatternSet RootSweep(const GraphDatabase& db, int min_support, int max_edges,
                      Frontier* capture, ThreadPool* pool,
-                     MergeJoinStats* stats) {
+                     MergeJoinStats* stats, engine::GrowPhases* phases) {
   MinerOptions mo;
   mo.min_support = min_support;
   mo.max_edges = max_edges;
   mo.capture_frontier = capture;
   mo.pool = pool;
-  PatternSet out = engine::GrowFromRoots(db, mo);
+  PatternSet out = engine::GrowFromRoots(db, mo, nullptr, {}, phases);
   stats->candidates_counted += out.size();
   return out;
 }
@@ -85,6 +85,7 @@ PartMinerResult PartMiner::Mine(const GraphDatabase& db) {
   // the recombination of every unit, capturing the frontier Update reads,
   // on a pool of unit_mining_threads workers when that is positive.
   Stopwatch merge_watch;
+  engine::GrowPhases phases;
   {
     PM_TRACE_SPAN("merge_node", {{"node", 0}, {"depth", 0}});
     std::unique_ptr<ThreadPool> pool;
@@ -94,11 +95,18 @@ PartMinerResult PartMiner::Mine(const GraphDatabase& db) {
     root_frontier_.map.Clear();
     patterns_ = RootSweep(db, root_support_, options_.max_edges,
                           &root_frontier_.map, pool.get(),
-                          &result.merge_stats);
+                          &result.merge_stats, &phases);
   }
   result.merge_seconds = merge_watch.ElapsedSeconds();
   PM_METRIC_HISTOGRAM("partminer.mine.sweep_ms")
       ->Observe(result.merge_seconds * 1e3);
+  PM_METRIC_HISTOGRAM("partminer.mine.root_scan_ms")
+      ->Observe(phases.root_scan_ms);
+  PM_METRIC_HISTOGRAM("partminer.mine.root_puts_ms")
+      ->Observe(phases.root_puts_ms);
+  PM_METRIC_HISTOGRAM("partminer.mine.tasks_ms")->Observe(phases.tasks_ms);
+  PM_METRIC_HISTOGRAM("partminer.mine.splice_ms")->Observe(phases.splice_ms);
+  PM_METRIC_HISTOGRAM("partminer.mine.index_ms")->Observe(phases.index_ms);
   result.merge_stats.PublishToRegistry();
 
   result.patterns = patterns_;

@@ -14,6 +14,9 @@
 namespace partminer {
 
 class ThreadPool;
+namespace engine {
+struct GrowPhases;
+}  // namespace engine
 
 struct PartMinerOptions {
   /// Minimum support as a fraction of the database size (the paper's 1%-6%),
@@ -106,10 +109,11 @@ struct PartMinerResult {
 /// receives the sweep's frontier (see Frontier). `pool`, when non-null,
 /// grows the sweep's subtrees on it (see MinerOptions::pool); the result is
 /// the serial one. Every emitted pattern counts as a counted candidate in
-/// `stats`.
+/// `stats`. `phases`, when set, receives the sweep's phase times.
 PatternSet RootSweep(const GraphDatabase& db, int min_support, int max_edges,
                      Frontier* capture, ThreadPool* pool,
-                     MergeJoinStats* stats);
+                     MergeJoinStats* stats,
+                     engine::GrowPhases* phases = nullptr);
 
 /// The resident miner: the root of the paper's merge tree (Figure 11) and
 /// the state IncPartMiner updates in place. Mine() is one exact

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "common/popcount.h"
 
 namespace partminer {
 
@@ -110,7 +111,7 @@ bool TidSet::Contains(int tid) const {
 
 int TidSet::Count() const {
   int count = size_;
-  for (int w = 0; w < nwords_; ++w) count += __builtin_popcountll(words_[w]);
+  for (int w = 0; w < nwords_; ++w) count += PopCount64(words_[w]);
   return count;
 }
 
@@ -213,7 +214,7 @@ int TidSet::CountCommon(const TidSet& other) const {
   int common = 0;
   const int n = std::min(nwords_, other.nwords_);
   for (int w = 0; w < n; ++w) {
-    common += __builtin_popcountll(words_[w] & other.words_[w]);
+    common += PopCount64(words_[w] & other.words_[w]);
   }
   return common;
 }
@@ -258,7 +259,7 @@ void TidSet::Normalize() {
   while (nwords_ > 0 && words_[nwords_ - 1] == 0) --nwords_;
   int count = 0;
   for (int w = 0; w < nwords_; ++w) {
-    count += __builtin_popcountll(words_[w]);
+    count += PopCount64(words_[w]);
     if (count > kInline) return;
   }
   // At most kInline members: back to the inline form. The words block is

@@ -1,11 +1,16 @@
 #include "miner/engine.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <numeric>
+#include <optional>
+#include <tuple>
 
 #include "common/fnv.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
+#include "common/timing.h"
 #include "graph/canonical.h"
 #include "obs/metrics.h"
 
@@ -117,28 +122,241 @@ void ExtensionMap::EnsureSorted() const {
   index_valid_ = false;  // The sort permuted the entry indices.
 }
 
-ExtensionMap CollectRootExtensions(const GraphDatabase& db,
-                                   const std::vector<int>& graph_indices) {
-  ExtensionMap roots;
-  for (const int i : graph_indices) {
-    const Graph& g = db.graph(i);
+namespace {
+
+/// A root tuple's labels and its count in one range of the root scan.
+/// After the merge, `group` is the tuple's group position and `next` the
+/// range's next write position there. Trivial, so an array of them is left
+/// unwritten until used.
+struct RootCount {
+  Label from_label;
+  Label edge_label;
+  Label to_label;
+  int32_t count;
+  int32_t group;
+  int32_t next;
+
+  /// The labels in tuple order.
+  auto Key() const { return std::tie(from_label, edge_label, to_label); }
+  bool operator<(const RootCount& o) const { return Key() < o.Key(); }
+  DfsEdge Tuple() const {
+    return DfsEdge{0, 1, from_label, edge_label, to_label};
+  }
+};
+
+/// Arrays of a root scan range up to this size come from the heap, so a
+/// small scan (a delta round lists a few graphs) pays no mapping calls.
+constexpr size_t kHeapRangeBytes = 64 << 10;
+
+/// One range of listed graphs of the root scan, its tuples counted in an
+/// open-addressing table. The caller allocates its arrays, sized from the
+/// range's half-edges (each adds at most one tuple), in one block; a large
+/// block is an anonymous page mapping of its own: the table grows in place
+/// as tuples appear, the untouched rest costs no memory, and unmapping it
+/// leaves no state in any malloc arena. Freeing a block that large to
+/// malloc would raise its mmap threshold, and later large allocations would
+/// stay in the heap: perfbench `update_rounds` peak RSS grows by about 10%
+/// that way.
+struct RootRange {
+  RootRange() = default;
+  RootRange(const RootRange&) = delete;
+  RootRange& operator=(const RootRange&) = delete;
+  ~RootRange() {
+    if (bytes > kHeapRangeBytes) munmap(block, bytes);
+    else delete[] static_cast<char*>(block);
+  }
+  /// Allocates the arrays for `half_edges` half-edges.
+  void Allocate(size_t half_edges) {
+    const size_t bound = std::max<size_t>(8, half_edges);
+    const size_t slot_bytes = NextPow2(2 * bound) * sizeof(int32_t);
+    const size_t tuple_bytes = bound * sizeof(RootCount);
+    bytes = slot_bytes + tuple_bytes + 2 * bound * sizeof(int32_t);
+    if (bytes <= kHeapRangeBytes) {
+      block = new char[bytes];
+    } else {
+      block = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+      PM_CHECK(block != MAP_FAILED) << "cannot map a root scan table";
+    }
+    char* at = static_cast<char*>(block);
+    slots = reinterpret_cast<int32_t*>(at);
+    tuples = reinterpret_cast<RootCount*>(at + slot_bytes);
+    sorted_at = reinterpret_cast<int32_t*>(at + slot_bytes + tuple_bytes);
+    tuple_of = sorted_at + bound;
+  }
+
+  /// [begin, end) of the listed graphs.
+  size_t begin = 0;
+  size_t end = 0;
+  void* block = nullptr;
+  size_t bytes = 0;
+  int32_t* slots = nullptr;  // -1 empty, else a position in tuples.
+  size_t slot_count = 0;     // A power of two.
+  RootCount* tuples = nullptr;
+  int32_t size = 0;
+  /// Per tuple, by first appearance, its position in the sorted tuples.
+  int32_t* sorted_at = nullptr;
+  /// Per canonical half-edge, in scan order, its tuple's first appearance.
+  int32_t* tuple_of = nullptr;
+
+  /// Slot of `t`'s tuple, or the empty slot where it goes.
+  size_t Probe(const RootCount& t) const {
+    const size_t mask = slot_count - 1;
+    size_t i = HashTuple(t.Tuple()) & mask;
+    while (slots[i] != -1 && tuples[slots[i]].Key() != t.Key()) {
+      i = (i + 1) & mask;
+    }
+    return i;
+  }
+  void Rehash(size_t count) {
+    slot_count = count;
+    std::fill_n(slots, slot_count, -1);
+    for (int32_t t = 0; t < size; ++t) slots[Probe(tuples[t])] = t;
+  }
+};
+
+/// Calls `fn(graph_index, half_edge, key)` for every half-edge of the
+/// range in canonical orientation, in database order; `key` carries the
+/// half-edge's root tuple.
+template <typename Fn>
+void ForEachRootEdge(const GraphDatabase& db, const std::vector<int>& graphs,
+                     const RootRange& range, Fn&& fn) {
+  RootCount key{};
+  for (size_t k = range.begin; k < range.end; ++k) {
+    const Graph& g = db.graph(graphs[k]);
     for (VertexId u = 0; u < g.VertexCount(); ++u) {
+      key.from_label = g.vertex_label(u);
       for (const EdgeEntry& e : g.adjacency(u)) {
-        const Label lu = g.vertex_label(u);
-        const Label lv = g.vertex_label(e.to);
-        if (lu > lv) continue;  // Mirror orientation is canonical.
-        const DfsEdge tuple{0, 1, lu, e.label, lv};
-        roots[tuple].push_back(Embedding{i, &e, nullptr});
+        key.to_label = g.vertex_label(e.to);
+        if (key.from_label > key.to_label) continue;  // Mirror is canonical.
+        key.edge_label = e.label;
+        fn(graphs[k], e, key);
       }
     }
   }
-  int64_t embeddings = 0;
-  for (const auto& [tuple, projected] : roots) {
-    embeddings += static_cast<int64_t>(projected.size());
+}
+
+/// Counts the range's tuples, noting each half-edge's, then sorts them:
+/// the range's sorted run.
+void CountRoots(const GraphDatabase& db, const std::vector<int>& graphs,
+                RootRange* range) {
+  range->Rehash(16);
+  int32_t* tuple_of = range->tuple_of;
+  ForEachRootEdge(
+      db, graphs, *range,
+      [range, &tuple_of](int, const EdgeEntry&, const RootCount& key) {
+        size_t slot = range->Probe(key);
+        if (range->slots[slot] == -1) {
+          if ((range->size + 1) * size_t{2} > range->slot_count) {
+            range->Rehash(range->slot_count * 2);
+            slot = range->Probe(key);
+          }
+          range->slots[slot] = range->size;
+          range->tuples[range->size++] = key;
+        }
+        ++range->tuples[range->slots[slot]].count;
+        *tuple_of++ = range->slots[slot];
+      });
+  for (int32_t t = 0; t < range->size; ++t) range->tuples[t].group = t;
+  std::sort(range->tuples, range->tuples + range->size);
+  for (int32_t t = 0; t < range->size; ++t) {
+    range->sorted_at[range->tuples[t].group] = t;
   }
-  PM_METRIC_COUNTER("miner.root_extension_groups")->Add(roots.size());
+}
+
+/// Writes the range's embeddings into its share of every group.
+void FillRoots(const GraphDatabase& db, const std::vector<int>& graphs,
+               const RootRange& range,
+               std::vector<ExtensionMap::Entry>* groups) {
+  const int32_t* tuple_of = range.tuple_of;
+  ForEachRootEdge(db, graphs, range,
+                  [&range, &tuple_of, groups](int graph, const EdgeEntry& e,
+                                              const RootCount&) {
+                    RootCount& t = range.tuples[range.sorted_at[*tuple_of++]];
+                    (*groups)[t.group].second[t.next++] =
+                        Embedding{graph, &e, nullptr};
+                  });
+}
+
+}  // namespace
+
+ExtensionMap CollectRootExtensions(const GraphDatabase& db,
+                                   const std::vector<int>& graph_indices,
+                                   ThreadPool* pool) {
+  if (graph_indices.empty()) return ExtensionMap();
+  // One range per worker, cut at equal shares of the half-edges.
+  std::vector<size_t> half_edges(graph_indices.size() + 1, 0);
+  for (size_t k = 0; k < graph_indices.size(); ++k) {
+    half_edges[k + 1] =
+        half_edges[k] + 2 * static_cast<size_t>(
+                                db.graph(graph_indices[k]).EdgeCount());
+  }
+  const size_t width = pool != nullptr ? pool->width() : 1;
+  std::vector<RootRange> ranges(std::min(width, graph_indices.size()));
+  for (size_t r = 0, k = 0; r < ranges.size(); ++r) {
+    RootRange& range = ranges[r];
+    const size_t share = half_edges.back() * (r + 1) / ranges.size();
+    range.begin = k;
+    while (k < graph_indices.size() &&
+           (half_edges[k] < share || r + 1 == ranges.size())) {
+      ++k;
+    }
+    range.end = k;
+    range.Allocate(half_edges[range.end] - half_edges[range.begin]);
+  }
+  {
+    TaskGroup group(pool);
+    for (RootRange& range : ranges) {
+      group.Spawn([&db, &graph_indices, &range] {
+        CountRoots(db, graph_indices, &range);
+      });
+    }
+  }
+
+  // Merge the sorted runs: a tuple's group holds the ranges' shares in
+  // range order, which is database order.
+  std::vector<ExtensionMap::Entry> groups;
+  std::vector<int32_t> head(ranges.size(), 0);
+  for (const RootRange& range : ranges) {
+    groups.reserve(std::max<size_t>(groups.capacity(), range.size));
+  }
+  int64_t embeddings = 0;
+  for (;;) {
+    const RootCount* least = nullptr;
+    for (size_t r = 0; r < ranges.size(); ++r) {
+      const RootRange& range = ranges[r];
+      if (head[r] < range.size &&
+          (least == nullptr || range.tuples[head[r]] < *least)) {
+        least = &range.tuples[head[r]];
+      }
+    }
+    if (least == nullptr) break;
+    const RootCount key = *least;
+    int32_t size = 0;
+    for (size_t r = 0; r < ranges.size(); ++r) {
+      RootRange& range = ranges[r];
+      if (head[r] == range.size) continue;
+      RootCount& t = range.tuples[head[r]];
+      if (t.Key() != key.Key()) continue;
+      t.group = static_cast<int32_t>(groups.size());
+      t.next = size;
+      size += t.count;
+      ++head[r];
+    }
+    groups.emplace_back(key.Tuple(), Projected(size));
+    embeddings += size;
+  }
+  {
+    TaskGroup group(pool);
+    for (RootRange& range : ranges) {
+      group.Spawn([&db, &graph_indices, &range, &groups] {
+        FillRoots(db, graph_indices, range, &groups);
+      });
+    }
+  }
+  PM_METRIC_COUNTER("miner.root_extension_groups")->Add(groups.size());
   PM_METRIC_COUNTER("miner.root_extension_embeddings")->Add(embeddings);
-  return roots;
+  return ExtensionMap(std::move(groups));
 }
 
 ExtensionMap CollectExtensions(const GraphDatabase& db, const DfsCode& code,
@@ -331,6 +549,29 @@ Projected ProjectCode(const DfsCode& code, const GraphDatabase& db,
 
 namespace {
 
+/// Laps the phases of one GrowFromRoots call.
+class PhaseClock {
+ public:
+  explicit PhaseClock(GrowPhases* phases) : phases_(phases) {}
+  /// Adds the time since the previous lap to `phase`.
+  void Lap(double GrowPhases::*phase) {
+    phases_->*phase += watch_.ElapsedMillis();
+    watch_.Restart();
+  }
+
+ private:
+  GrowPhases* phases_;
+  Stopwatch watch_;
+};
+
+/// Laps `clock`, when the phases are timed.
+void Lap(PhaseClock* clock, double GrowPhases::*phase) {
+  if (clock != nullptr) clock->Lap(phase);
+}
+
+/// Infrequent children per put task of a pooled node.
+constexpr size_t kPutChunk = 512;
+
 /// Read-only state of one growth run, shared by every frame and task. The
 /// output sinks travel as parameters so that sibling subtrees can grow as
 /// pool tasks into task-local sinks.
@@ -356,7 +597,7 @@ struct Grower {
     ExtensionMap children =
         CollectExtensions(db, *code, projected, /*enable_order_pruning=*/true);
     Expand(code, &children, static_cast<int64_t>(projected.size()), depth,
-           out, frontier, node);
+           out, frontier, node, /*clock=*/nullptr);
   }
 
   /// Visits one frequent child below node `parent`, or parks it on the
@@ -380,18 +621,27 @@ struct Grower {
   /// whose node in `frontier` is `node`. A group's embeddings are freed as
   /// soon as nothing can extend them: an infrequent group's once its TIDs
   /// are on the frontier, a serially visited child's once its subtree
-  /// returns.
+  /// returns. `clock`, set only for the empty code, laps the phases.
   void Expand(DfsCode* code, ExtensionMap* children, int64_t parent_embeddings,
               int depth, PatternSet* out, Frontier* frontier,
-              Frontier::NodeId node) const {
+              Frontier::NodeId node, PhaseClock* clock) const {
+    const bool pooled =
+        options.pool != nullptr && depth < 1 &&
+        parent_embeddings >= options.parallel_spawn_min_embeddings;
     struct Child {
       const DfsEdge* tuple;
       Projected* projected;
       int rank;
     };
     std::vector<Child> frequent;  // Most nodes have none: no allocation.
-    for (auto& [tuple, projected] : *children) {
+    std::vector<ExtensionMap::Entry*> infrequent;  // Pooled runs only.
+    for (ExtensionMap::Entry& entry : *children) {
+      auto& [tuple, projected] = entry;
       if (SupportOf(projected) < options.min_support) {
+        if (frontier != nullptr && pooled) {
+          infrequent.push_back(&entry);
+          continue;
+        }
         if (frontier != nullptr) {
           frontier->Put(frontier->Node(node, tuple), TidSetOf(projected));
         }
@@ -410,9 +660,9 @@ struct Grower {
           [](const Child& a, const Child& b) { return a.rank < b.rank; });
     }
     const bool check_minimal = !code->empty();  // Roots are minimal.
+    Lap(clock, &GrowPhases::root_puts_ms);
 
-    if (options.pool == nullptr || depth >= 1 ||
-        parent_embeddings < options.parallel_spawn_min_embeddings) {
+    if (!pooled) {
       for (const Child& child : frequent) {
         code->Append(*child.tuple);
         VisitChild(code, *child.projected, child.rank, depth + 1,
@@ -420,64 +670,103 @@ struct Grower {
         code->PopBack();
         Projected().swap(*child.projected);
       }
+      Lap(clock, &GrowPhases::tasks_ms);
       return;
     }
 
-    // One task per frequent child, each with its own code copy and sinks;
-    // the minimality test is part of the task's work. A task's frontier is
-    // a fork whose root stands for `node`.
-    struct Job {
-      DfsCode code;
-      const Projected* projected;
-      int rank;
-      PatternSet patterns;
-      Frontier frontier;
-    };
-    std::vector<Job> jobs(frequent.size());
-    for (size_t i = 0; i < frequent.size(); ++i) {
-      jobs[i].code = *code;
-      jobs[i].code.Append(*frequent[i].tuple);
-      jobs[i].projected = frequent[i].projected;
-      jobs[i].rank = frequent[i].rank;
-      if (frontier != nullptr) jobs[i].frontier = frontier->Fork();
-    }
-    const bool want_frontier = frontier != nullptr;
+    // Tasks write task-local sinks, each fork's root standing for `node`:
+    // a fork per chunk of infrequent children, which puts them in order,
+    // and a pattern set and a fork per frequent child, which grows it with
+    // its own code copy; the minimality test is part of its work. The
+    // serial run appends a node's infrequent children before it visits the
+    // frequent ones, so the forks in this order hold the serial nodes.
+    const size_t chunks = (infrequent.size() + kPutChunk - 1) / kPutChunk;
+    std::vector<std::optional<Frontier>> forks(
+        frontier != nullptr ? chunks + frequent.size() : 0);
+    std::vector<PatternSet> patterns(frequent.size());
     {
       TaskGroup group(options.pool);
-      for (Job& job : jobs) {
-        group.Spawn([this, &job, depth, check_minimal, want_frontier]() {
-          VisitChild(&job.code, *job.projected, job.rank, depth + 1,
-                     check_minimal, &job.patterns,
-                     want_frontier ? &job.frontier : nullptr, Frontier::kRoot);
+      for (size_t c = 0; c < chunks; ++c) {
+        group.Spawn([&infrequent, &forks, frontier, c] {
+          Frontier& fork = forks[c].emplace(frontier->Fork());
+          const size_t end =
+              std::min(infrequent.size(), (c + 1) * kPutChunk);
+          for (size_t i = c * kPutChunk; i < end; ++i) {
+            auto& [tuple, projected] = *infrequent[i];
+            fork.Put(fork.Node(Frontier::kRoot, tuple), TidSetOf(projected));
+            Projected().swap(projected);
+          }
         });
       }
-    }  // Waits; `children` and the jobs outlive every task.
+      for (size_t i = 0; i < frequent.size(); ++i) {
+        group.Spawn([this, code, &frequent, &forks, &patterns, frontier,
+                     chunks, i, depth, check_minimal] {
+          DfsCode child = *code;
+          child.Append(*frequent[i].tuple);
+          Frontier* fork = frontier != nullptr
+                               ? &forks[chunks + i].emplace(frontier->Fork())
+                               : nullptr;
+          VisitChild(&child, *frequent[i].projected, frequent[i].rank,
+                     depth + 1, check_minimal, &patterns[i], fork,
+                     Frontier::kRoot);
+        });
+      }
+    }  // Waits; `children` and the sinks outlive every task.
+    Lap(clock, &GrowPhases::tasks_ms);
 
-    // Splicing the task sinks in visit order reproduces the serial sinks:
-    // the same patterns in the same order, and the same nodes under the
-    // same ids. Each fork is freed as it is spliced.
-    for (Job& job : jobs) {
-      out->AppendFrom(std::move(job.patterns));
-      if (frontier != nullptr) frontier->Splice(std::move(job.frontier), node);
+    // Each fork goes to the ids the serial run gives its nodes, by a task of
+    // its own, while the patterns are appended in visit order.
+    std::vector<Frontier::NodeId> first(forks.size());
+    Frontier::NodeId grown = 0;
+    for (size_t i = 0; i < forks.size(); ++i) {
+      first[i] = grown;
+      grown += static_cast<Frontier::NodeId>(forks[i]->node_count());
     }
+    const Frontier::NodeId base =
+        frontier != nullptr ? frontier->Grow(grown) : 0;
+    Lap(clock, &GrowPhases::index_ms);
+    {
+      TaskGroup group(options.pool);
+      for (size_t i = 0; i < forks.size(); ++i) {
+        group.Spawn([&forks, &first, frontier, node, base, i] {
+          frontier->PlaceFork(std::move(*forks[i]), node, base + first[i]);
+        });
+      }
+      for (PatternSet& p : patterns) out->AppendFrom(std::move(p));
+    }
+    Lap(clock, &GrowPhases::splice_ms);
   }
 };
 
 }  // namespace
 
 PatternSet GrowFromRoots(const GraphDatabase& db, const MinerOptions& options,
-                         ChildRank rank, const MinimalityCheck& is_minimal) {
+                         ChildRank rank, const MinimalityCheck& is_minimal,
+                         GrowPhases* phases) {
+  std::optional<PhaseClock> clock;
+  if (phases != nullptr) clock.emplace(phases);
+  PhaseClock* timed = clock ? &*clock : nullptr;
   const Grower grower{db, options, rank, is_minimal};
+  // A serial capture appends unindexed and indexes once at the end; a
+  // pooled one places its forks and their index entries at once.
   Frontier* frontier = options.capture_frontier;
-  if (frontier != nullptr) frontier->BeginCapture();
+  if (frontier != nullptr) {
+    PM_CHECK_EQ(frontier->node_count(), 0u)
+        << "a capture starts from an empty frontier";
+    if (options.pool == nullptr) frontier->BeginCapture();
+  }
   std::vector<int> all(db.size());
   std::iota(all.begin(), all.end(), 0);
-  ExtensionMap roots = CollectRootExtensions(db, all);
   PatternSet out;
-  DfsCode code;
-  grower.Expand(&code, &roots, INT64_MAX, /*depth=*/-1, &out, frontier,
-                Frontier::kRoot);
-  if (frontier != nullptr) frontier->EndCapture();
+  {
+    ExtensionMap roots = CollectRootExtensions(db, all, options.pool);
+    Lap(timed, &GrowPhases::root_scan_ms);
+    DfsCode code;
+    grower.Expand(&code, &roots, INT64_MAX, /*depth=*/-1, &out, frontier,
+                  Frontier::kRoot, timed);
+  }
+  if (frontier != nullptr && options.pool == nullptr) frontier->EndCapture();
+  Lap(timed, &GrowPhases::index_ms);
   return out;
 }
 

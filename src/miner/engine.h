@@ -82,6 +82,11 @@ class ExtensionMap {
   using iterator = std::vector<Entry>::iterator;
   using const_iterator = std::vector<Entry>::const_iterator;
 
+  ExtensionMap() = default;
+  /// The map of `entries`, whose tuples are distinct and ascending.
+  explicit ExtensionMap(std::vector<Entry> entries)
+      : entries_(std::move(entries)), sorted_(true) {}
+
   /// Embedding list of `tuple`, created empty on first access.
   Projected& operator[](const DfsEdge& tuple);
 
@@ -122,8 +127,15 @@ class ExtensionMap {
 /// mirror is the canonical representative). The growth loop lists every
 /// graph; the delta sweep lists a round's updated graphs, and so gets
 /// exactly the full scan's groups restricted to them.
+///
+/// The scan splits the listed graphs into one range per worker of `pool`
+/// (one range without a pool; the same code runs inline). Each range
+/// counts its tuples, the caller merges the ranges' sorted counts into the
+/// groups, sized exactly, and each range then fills its share of every
+/// group. The result does not depend on the pool.
 ExtensionMap CollectRootExtensions(const GraphDatabase& db,
-                                   const std::vector<int>& graph_indices);
+                                   const std::vector<int>& graph_indices,
+                                   ThreadPool* pool = nullptr);
 
 /// Collects all rightmost extensions of `code` over its embeddings.
 /// When `enable_order_pruning` is set, extensions that provably produce
@@ -146,6 +158,25 @@ ExtensionMap CollectExtensions(const GraphDatabase& db, const DfsCode& code,
 Projected ProjectCode(const DfsCode& code, const GraphDatabase& db,
                       const std::vector<int>& graph_indices,
                       std::deque<Embedding>* arena);
+
+/// Wall time, in milliseconds, of the phases of one GrowFromRoots call on
+/// the calling thread; together they cover the call.
+struct GrowPhases {
+  /// CollectRootExtensions over every graph.
+  double root_scan_ms = 0;
+  /// Classifying the root groups. Serially this writes the infrequent
+  /// ones to the frontier; pooled it hands them to tasks.
+  double root_puts_ms = 0;
+  /// Growing the frequent roots' subtrees: serially the whole visit;
+  /// pooled the tasks, the infrequent roots' chunks included.
+  double tasks_ms = 0;
+  /// Placing the forks and their index entries, and appending the
+  /// patterns: pooled only.
+  double splice_ms = 0;
+  /// Serially, building the index; pooled, growing the arena and sizing
+  /// the index the placement fills.
+  double index_ms = 0;
+};
 
 /// Child visit order of the growth loop: the frequent children of one
 /// node are visited in stable ascending rank of their full code. Null keeps
@@ -170,17 +201,23 @@ using MinimalityCheck = std::function<bool(const DfsCode& child, int rank)>;
 /// entry on its node (parent's node, tuple), every emitted pattern is a
 /// path node with no entry, and a node is appended after its parent.
 ///
-/// With `options.pool`, the children of the empty code, and the children
-/// of a root with at least `options.parallel_spawn_min_embeddings`
-/// embeddings, are grown as pool tasks into task-local sinks: a pattern set
-/// and a Frontier::Fork. The sinks are spliced back in visit order, so the
-/// result and the frontier equal the serial run's, node ids included.
-/// Without a pool the recursion writes straight into the caller's sinks.
-/// The capture frontier must hold only its root (a fresh capture, see
-/// Frontier::BeginCapture); its index is built once the growth returns.
+/// With `options.pool`, the root scan runs on the pool, and the children
+/// of the empty code, and of a root with at least
+/// `options.parallel_spawn_min_embeddings` embeddings, are grown as pool
+/// tasks into task-local sinks: a pattern set and a Frontier::Fork per
+/// frequent child, and a fork per chunk of infrequent children. Each fork
+/// is then placed, by a task of its own, at the node ids the serial run
+/// gives its nodes (a prefix sum over the fork sizes), and indexed there,
+/// so the result and the frontier equal the serial run's, node ids
+/// included. Without a pool the recursion writes straight into the
+/// caller's sinks, and the index is built once the growth returns. The
+/// capture frontier must hold only its root (a fresh capture).
+///
+/// `phases`, when set, receives the wall time of each phase (GrowPhases).
 PatternSet GrowFromRoots(const GraphDatabase& db, const MinerOptions& options,
                          ChildRank rank = nullptr,
-                         const MinimalityCheck& is_minimal = {});
+                         const MinimalityCheck& is_minimal = {},
+                         GrowPhases* phases = nullptr);
 
 /// The same growth started at one frequent minimal `code` whose embeddings
 /// into `db` are `projected` and whose node in `options.capture_frontier`

@@ -3,6 +3,7 @@
 #include <sys/mman.h>
 
 #include <algorithm>
+#include <atomic>
 #include <mutex>
 #include <utility>
 
@@ -62,18 +63,29 @@ void UnmapBlock(void* block, size_t bytes, size_t touched_bytes) {
   munmap(block, bytes);
 }
 
-}  // namespace
-
-size_t Frontier::Probe(NodeId parent, const DfsEdge& tuple) const {
+uint64_t HashKey(Frontier::NodeId parent, const DfsEdge& tuple) {
   // One FNV-1a round per field (see FnvStep).
   uint64_t h = FnvStep(kFnvOffsetBasis, static_cast<uint32_t>(parent));
   h = FnvStep(h, static_cast<uint32_t>(tuple.from));
   h = FnvStep(h, static_cast<uint32_t>(tuple.to));
   h = FnvStep(h, static_cast<uint32_t>(tuple.from_label));
   h = FnvStep(h, static_cast<uint32_t>(tuple.edge_label));
-  h = FnvStep(h, static_cast<uint32_t>(tuple.to_label));
+  return FnvStep(h, static_cast<uint32_t>(tuple.to_label));
+}
+
+/// Index slots for `nodes` nodes: a power of two, at least 64, keeping the
+/// index at most half full.
+size_t IndexSlots(size_t nodes) {
+  size_t slots = 64;
+  while (slots < nodes * 2) slots *= 2;
+  return slots;
+}
+
+}  // namespace
+
+size_t Frontier::Probe(NodeId parent, const DfsEdge& tuple) const {
   const size_t mask = slots_.size() - 1;
-  size_t i = h & mask;
+  size_t i = HashKey(parent, tuple) & mask;
   while (slots_[i] != kNone) {
     const Record& r = At(slots_[i]);
     if (r.parent == parent && r.tuple == tuple) break;
@@ -86,6 +98,19 @@ void Frontier::Rehash(size_t slots) {
   slots_.assign(slots, kNone);
   for (NodeId id = 1; id < nodes_.size(); ++id) {
     slots_[Probe(At(id).parent, At(id).tuple)] = id;
+  }
+}
+
+void Frontier::Insert(NodeId id) {
+  const Record& r = At(id);
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = HashKey(r.parent, r.tuple) & mask;; i = (i + 1) & mask) {
+    std::atomic_ref<NodeId> slot(slots_[i]);
+    NodeId empty = kNone;
+    if (slot.load(std::memory_order_relaxed) == kNone &&
+        slot.compare_exchange_strong(empty, id, std::memory_order_relaxed)) {
+      return;
+    }
   }
 }
 
@@ -115,6 +140,15 @@ Frontier::NodeId Frontier::Arena::Append(Record&& record) {
   return id;
 }
 
+Frontier::NodeId Frontier::Arena::Grow(NodeId n) {
+  const NodeId first = size_;
+  size_ += n;
+  while (static_cast<NodeId>(blocks_.size()) * kBlockSize < size_) {
+    blocks_.push_back(static_cast<Record*>(MapBlock(kBlockBytes)));
+  }
+  return first;
+}
+
 Frontier::NodeId Frontier::Append(Record&& record) {
   const NodeId id = nodes_.Append(std::move(record));
   if (id == kRoot || !indexed_) return id;
@@ -127,7 +161,6 @@ Frontier::NodeId Frontier::Append(Record&& record) {
 }
 
 void Frontier::BeginCapture() {
-  PM_CHECK_EQ(node_count(), 0u) << "a capture starts from an empty frontier";
   indexed_ = false;
 }
 
@@ -139,9 +172,7 @@ void Frontier::EndCapture() {
 void Frontier::IndexAll() {
   slots_ = std::vector<NodeId>();
   if (nodes_.size() == 1) return;
-  size_t slots = 64;
-  while (slots < static_cast<size_t>(nodes_.size()) * 2) slots *= 2;
-  Rehash(slots);
+  Rehash(IndexSlots(nodes_.size()));
 }
 
 Frontier::NodeId Frontier::Node(NodeId parent, const DfsEdge& tuple) {
@@ -170,17 +201,33 @@ bool Frontier::Lookup(const DfsCode& code, TidSet* tids) const {
   return Lookup(node, prefix_cut, tids);
 }
 
-void Frontier::Splice(Frontier fork, NodeId anchor) {
-  const NodeId offset = nodes_.size() - 1;
-  for (NodeId i = 1; i < fork.nodes_.size(); ++i) {
-    Record& r = fork.At(i);
-    r.parent = r.parent == kRoot ? anchor : r.parent + offset;
-    PM_DCHECK(Find(r.parent, r.tuple) == kNone);
-    Append(std::move(r));
+Frontier::NodeId Frontier::Grow(NodeId n) {
+  const size_t nodes = static_cast<size_t>(nodes_.size()) + n;
+  // The index is sized before the arena grows: a rehash reads only the
+  // nodes already written.
+  if (indexed_ && n > 0 && nodes * 2 > slots_.size()) {
+    Rehash(IndexSlots(nodes));
   }
-  entries_ += fork.entries_;
-  dense_bytes_ += fork.dense_bytes_;
-}  // The fork's blocks are freed here.
+  return nodes_.Grow(n);
+}
+
+void Frontier::PlaceFork(Frontier fork, NodeId anchor, NodeId first) {
+  // Backward, so that each of the fork's blocks is freed as soon as its
+  // records have moved, with all of them counted: that tells the block
+  // cache how much of it was touched.
+  const NodeId shift = first - 1;
+  for (NodeId i = fork.nodes_.size() - 1; i >= 1; --i) {
+    Record& r = fork.At(i);
+    r.parent = r.parent == kRoot ? anchor : r.parent + shift;
+    new (&At(i + shift)) Record(std::move(r));
+    if (indexed_) Insert(i + shift);
+    if ((i & (kBlockSize - 1)) == 0) fork.nodes_.Truncate(i);
+  }
+  std::atomic_ref<size_t>(entries_).fetch_add(fork.entries_,
+                                              std::memory_order_relaxed);
+  std::atomic_ref<size_t>(dense_bytes_)
+      .fetch_add(fork.dense_bytes_, std::memory_order_relaxed);
+}
 
 DfsCode Frontier::CodeOf(NodeId node) const {
   std::vector<DfsEdge> path;

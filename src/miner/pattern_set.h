@@ -51,7 +51,7 @@ using FrontierMap = std::unordered_map<DfsCode, TidSet, DfsCodeHash>;
 /// a capture is an append and a lookup is one probe; the DfsCode-keyed
 /// Put and Lookup walk the code's path from the root. The records live in
 /// page-mapped blocks (see Arena), so a pooled task's fork gives its pages
-/// back when it is spliced, whichever thread wrote them.
+/// back as it is placed, whichever thread wrote them.
 ///
 /// Two whole-frontier maintenance steps are lazy, so that a round costs in
 /// proportion to the update rather than to the frontier:
@@ -194,7 +194,7 @@ class Frontier {
 
   /// An empty frontier stamping writes with this one's epoch: the
   /// task-local sink of a pooled growth run. Its root stands for the node
-  /// the task grows below. A fork is a fresh capture that is spliced, not
+  /// the task grows below. A fork is a fresh capture that is placed, not
   /// ended, so it never keeps an index.
   Frontier Fork() const {
     Frontier fork;
@@ -202,10 +202,18 @@ class Frontier {
     fork.indexed_ = false;
     return fork;
   }
-  /// Appends the nodes of `fork`, in its order, below `anchor`, the node
-  /// its root stands for, and frees the fork. None of them may have a node
-  /// here yet.
-  void Splice(Frontier fork, NodeId anchor);
+  /// Appends `n` unwritten nodes, ids [first, first + n), and returns
+  /// first. PlaceFork must write every one of them before anything else
+  /// reads or grows the frontier. When the frontier keeps an index, Grow
+  /// sizes it for every node, so that PlaceFork can fill it.
+  NodeId Grow(NodeId n);
+  /// Moves the nodes of `fork`, in its order, to the grown ids from `first`
+  /// on, below `anchor`, the node the fork's root stands for: a parent that
+  /// is the fork's root becomes `anchor`, any other shifts by first - 1.
+  /// None of them may have a node here yet. Indexes them when the frontier
+  /// keeps an index, and frees the fork's blocks as it consumes them. Calls
+  /// over disjoint id ranges may run at once.
+  void PlaceFork(Frontier fork, NodeId anchor, NodeId first);
 
   /// Equal compacted views.
   friend bool operator==(const Frontier& a, const Frontier& b) {
@@ -256,6 +264,9 @@ class Frontier {
     /// Appends `record`, mapping a block when the last one is full; returns
     /// its id.
     NodeId Append(Record&& record);
+    /// Appends `n` unconstructed records, mapping the blocks they need;
+    /// returns the first id. The caller constructs every one of them.
+    NodeId Grow(NodeId n);
     /// Destroys the records from `size` on and frees the blocks that no
     /// longer hold one.
     void Truncate(NodeId size);
@@ -280,6 +291,10 @@ class Frontier {
   /// Frees the index and builds it once over every node, at most half
   /// full.
   void IndexAll();
+  /// Indexes node `id`, whose key no other node has, by a compare-and-swap
+  /// into the first empty slot of its probe sequence: safe beside other
+  /// Insert calls while nothing reads the index.
+  void Insert(NodeId id);
   /// Appends `record` and, unless it is the root or the index is not kept
   /// (a capture or a fork), indexes it; returns its id.
   NodeId Append(Record&& record);

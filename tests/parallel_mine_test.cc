@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <string>
 #include <vector>
@@ -601,6 +602,166 @@ TEST(ParallelMineTest, CopiedStateAnswersEveryLookupAsTheOriginal) {
   EXPECT_GT(cut_states, 0);
 }
 
+/// The root groups of the graphs `listed` in `db`, by a direct scan: a
+/// tuple's embeddings in database order, the tuples in CompareDfsEdge order.
+std::vector<engine::ExtensionMap::Entry> ReferenceRootScan(
+    const GraphDatabase& db, const std::vector<int>& listed) {
+  std::vector<engine::ExtensionMap::Entry> groups;
+  for (const int i : listed) {
+    const Graph& g = db.graph(i);
+    for (VertexId u = 0; u < g.VertexCount(); ++u) {
+      for (const EdgeEntry& e : g.adjacency(u)) {
+        if (g.vertex_label(u) > g.vertex_label(e.to)) continue;
+        const DfsEdge tuple{0, 1, g.vertex_label(u), e.label,
+                            g.vertex_label(e.to)};
+        auto it = std::find_if(groups.begin(), groups.end(),
+                               [&](const engine::ExtensionMap::Entry& group) {
+                                 return group.first == tuple;
+                               });
+        if (it == groups.end()) it = groups.insert(groups.end(), {tuple, {}});
+        it->second.push_back(engine::Embedding{i, &e, nullptr});
+      }
+    }
+  }
+  std::stable_sort(groups.begin(), groups.end(),
+                   [](const auto& a, const auto& b) {
+                     return CompareDfsEdge(a.first, b.first) < 0;
+                   });
+  return groups;
+}
+
+/// The same groups, in the same order, with the same embeddings in the same
+/// order.
+void ExpectSameRootGroups(
+    const std::vector<engine::ExtensionMap::Entry>& expected,
+    const engine::ExtensionMap& got, const std::string& what) {
+  ASSERT_EQ(got.size(), expected.size()) << what;
+  size_t g = 0;
+  for (const auto& [tuple, projected] : got) {
+    const auto& [want_tuple, want] = expected[g++];
+    EXPECT_EQ(tuple, want_tuple) << what << ": group " << g - 1;
+    ASSERT_EQ(projected.size(), want.size()) << what << ": group " << g - 1;
+    for (size_t e = 0; e < want.size(); ++e) {
+      EXPECT_EQ(projected[e].graph_index, want[e].graph_index) << what;
+      EXPECT_EQ(projected[e].edge, want[e].edge) << what;
+      EXPECT_EQ(projected[e].prev, nullptr) << what;
+    }
+  }
+}
+
+TEST(ParallelMineTest, PooledRootScanEqualsTheSerialScan) {
+  // The root scan counts graph ranges on the pool, merges their sorted
+  // counts and fills each range's share: at every width its groups, their
+  // order and their embeddings are the serial scan's, which is a direct
+  // scan's.
+  ThreadPool pool1(1);
+  ThreadPool pool2(2);
+  ThreadPool pool8(8);
+  Rng rng(8128);
+  std::vector<GraphDatabase> databases;
+  for (int seed = 0; seed < 12; ++seed) {
+    databases.push_back(testutil::RandomDatabase(&rng, 1 + seed * 3, 8, 4,
+                                                 1 + seed % 3, 2));
+  }
+  // Equal labels at both ends: every such edge is a root embedding in both
+  // orientations, and one graph is heavier than the others put together.
+  GraphDatabase same_labels;
+  Graph heavy;
+  for (int v = 0; v < 40; ++v) heavy.AddVertex(7);
+  for (int v = 1; v < 40; ++v) heavy.AddEdge(v - 1, v, v % 2);
+  same_labels.Add(heavy);
+  Graph light;
+  light.AddVertex(7);
+  light.AddVertex(7);
+  light.AddVertex(3);
+  light.AddEdge(0, 1, 0);
+  light.AddEdge(1, 2, 1);
+  same_labels.Add(light);
+  same_labels.Add(light);
+  databases.push_back(std::move(same_labels));
+
+  int groups = 0;
+  for (size_t d = 0; d < databases.size(); ++d) {
+    const GraphDatabase& db = databases[d];
+    std::vector<int> subset;
+    for (int i = 0; i < db.size(); ++i) {
+      if (rng.Bernoulli(0.4)) subset.push_back(i);
+    }
+    const std::vector<std::vector<int>> lists = {
+        testutil::AllGraphs(db), subset, {db.size() - 1}, {}};
+    for (size_t l = 0; l < lists.size(); ++l) {
+      const std::string what =
+          "database " + std::to_string(d) + " list " + std::to_string(l);
+      const auto expected = ReferenceRootScan(db, lists[l]);
+      groups += static_cast<int>(expected.size());
+      ExpectSameRootGroups(expected,
+                           engine::CollectRootExtensions(db, lists[l]),
+                           what + " serial");
+      for (ThreadPool* pool : {&pool1, &pool2, &pool8}) {
+        ExpectSameRootGroups(
+            expected, engine::CollectRootExtensions(db, lists[l], pool),
+            what + " pool " + std::to_string(pool->width()));
+      }
+    }
+  }
+  EXPECT_GT(groups, 0);
+}
+
+TEST(ParallelMineTest, PooledIndexFindsEveryNodeAsSerial) {
+  // A pooled capture fills its (parent, tuple) index by concurrent inserts,
+  // so its slots may differ from the serial build's; every node must still
+  // be found under the serial id, and every key read the serial TIDs.
+  ThreadPool pool2(2);
+  ThreadPool pool8(8);
+  Rng rng(6174);
+  size_t walked = 0;
+  for (int seed = 0; seed < 20; ++seed) {
+    const GraphDatabase db = testutil::RandomDatabase(&rng, 14, 8, 3, 3, 2);
+    auto capture = [&](ThreadPool* pool, Frontier* frontier) {
+      MinerOptions options;
+      options.min_support = 3;
+      options.pool = pool;
+      options.parallel_spawn_min_embeddings = 1;
+      options.capture_frontier = frontier;
+      return GSpanMiner().Mine(db, options);
+    };
+    Frontier serial;
+    const PatternSet patterns = capture(nullptr, &serial);
+    std::vector<DfsCode> codes;
+    serial.ForEachKey([&codes](const DfsCode& key) { codes.push_back(key); });
+    for (const PatternInfo& p : patterns.patterns()) codes.push_back(p.code);
+    const size_t nodes = serial.node_count();
+
+    for (ThreadPool* pool : {&pool2, &pool8}) {
+      const std::string what = "seed " + std::to_string(seed) + " pool " +
+                               std::to_string(pool->width());
+      Frontier pooled;
+      capture(pool, &pooled);
+      ASSERT_EQ(pooled.node_count(), serial.node_count()) << what;
+      // Node() finds an indexed node; it would append a missing one.
+      for (const DfsCode& code : codes) {
+        Frontier::NodeId a = Frontier::kRoot;
+        Frontier::NodeId b = Frontier::kRoot;
+        for (size_t i = 0; i < code.size(); ++i) {
+          a = serial.Node(a, code[i]);
+          b = pooled.Node(b, code[i]);
+          ASSERT_EQ(a, b) << what << ": " << code.ToString();
+          ++walked;
+        }
+        TidSet from_serial;
+        TidSet from_pooled;
+        EXPECT_EQ(serial.Lookup(code, &from_serial),
+                  pooled.Lookup(code, &from_pooled))
+            << what << ": " << code.ToString();
+        EXPECT_EQ(from_serial, from_pooled) << what << ": " << code.ToString();
+      }
+      EXPECT_EQ(pooled.node_count(), nodes) << what;
+    }
+    EXPECT_EQ(serial.node_count(), nodes);
+  }
+  EXPECT_GT(walked, 0u);
+}
+
 /// Every stored key of `frontier` in node order. Equal sequences with
 /// equal node counts put every entry under the same node id.
 std::vector<std::string> KeysInNodeOrder(const Frontier& frontier) {
@@ -679,6 +840,32 @@ TEST(ParallelMineTest, PooledMineMatchesSerialMine) {
   }
   EXPECT_GT(compactions->value(), compactions_before);
   EXPECT_GT(tasks->value(), tasks_before);
+}
+
+TEST(ParallelMineTest, PooledMineSplitsManyInfrequentRootsInOrder) {
+  // A pooled root puts its infrequent children in chunk forks of 512 and
+  // places them at the ids the serial run gives: with 60 vertex labels more
+  // than 1,024 root tuples are infrequent, so several chunks must land in
+  // tuple order ahead of the frequent children's forks.
+  Rng rng(4099);
+  const GraphDatabase db = testutil::RandomDatabase(&rng, 120, 30, 10, 60, 3);
+  std::vector<PartMiner> states;
+  for (const int threads : {0, 2, 8}) {
+    PartMinerOptions options;
+    options.min_support_count = 2;
+    options.unit_mining_threads = threads;
+    states.emplace_back(options);
+    states.back().Mine(db);
+  }
+  size_t infrequent_roots = 0;
+  states[0].root_frontier().map.ForEachKey(
+      [&infrequent_roots](const DfsCode& key) {
+        if (key.size() == 1) ++infrequent_roots;
+      });
+  ASSERT_GT(infrequent_roots, 2u * 512);
+  ASSERT_GT(states[0].patterns().size(), 0);
+  ExpectSameState(states[0], states[1], "threads 2");
+  ExpectSameState(states[0], states[2], "threads 8");
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 # (kept separate from the regular build; TSan is ABI-incompatible with it)
 # and runs the ctest suite under TSAN_OPTIONS that fail on any report.
 # Extra arguments go to ctest; two slow-labelled ctest targets use them:
-#   run_tsan_mining   tools/run_tsan.sh -R "ParallelMine|ThreadPool"
+#   run_tsan_mining   tools/run_tsan.sh -R "ParallelMine|ThreadPool|EngineTest"
 #   run_tsan_storage  tools/run_tsan.sh -R "BufferPool"
 #
 # Usage: tools/run_tsan.sh [extra ctest args...]
