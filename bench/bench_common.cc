@@ -3,59 +3,31 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "common/parse.h"
 #include "obs/metrics.h"
 
 namespace partminer {
 namespace bench {
 
-Flags::Flags(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) continue;
-    arg = arg.substr(2);
-    const size_t eq = arg.find('=');
-    if (eq == std::string::npos) {
-      values_[arg] = "1";
-    } else {
-      values_[arg.substr(0, eq)] = arg.substr(eq + 1);
-    }
-  }
-}
-
 double Flags::GetDouble(const std::string& key, double fallback) const {
   consumed_.insert(key);
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
   double value = 0;
-  if (!ParseDouble(it->second, &value)) {
-    // A garbage numeric flag silently benchmarking the default would
-    // poison the measurement; refuse to run instead.
-    std::fprintf(stderr, "error: --%s=%s is not a number\n", key.c_str(),
-                 it->second.c_str());
-    std::exit(2);
-  }
+  // A garbage numeric flag silently benchmarking the default would poison
+  // the measurement; refuse to run instead.
+  if (!flags::DoubleFlag(values_, key, fallback, &value)) std::exit(2);
   return value;
 }
 
 int Flags::GetInt(const std::string& key, int fallback) const {
   consumed_.insert(key);
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
   int value = 0;
-  if (!ParseInt32(it->second, &value)) {
-    std::fprintf(stderr, "error: --%s=%s is not an integer\n", key.c_str(),
-                 it->second.c_str());
-    std::exit(2);
-  }
+  if (!flags::IntFlag(values_, key, fallback, &value)) std::exit(2);
   return value;
 }
 
 std::string Flags::GetString(const std::string& key,
                              const std::string& fallback) const {
   consumed_.insert(key);
-  const auto it = values_.find(key);
-  return it == values_.end() ? fallback : it->second;
+  return flags::Get(values_, key, fallback);
 }
 
 void Flags::WarnUnconsumed() const {

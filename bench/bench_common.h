@@ -1,10 +1,10 @@
 #ifndef PARTMINER_BENCH_BENCH_COMMON_H_
 #define PARTMINER_BENCH_BENCH_COMMON_H_
 
-#include <map>
 #include <set>
 #include <string>
 
+#include "common/flags.h"
 #include "datagen/generator.h"
 #include "graph/graph.h"
 #include "storage/buffer_pool.h"
@@ -12,15 +12,17 @@
 namespace partminer {
 namespace bench {
 
-/// Tiny --key=value flag parser shared by the per-figure harnesses.
+/// The tools' --key=value flags (common/flags.h), as the per-figure
+/// harnesses read them.
 ///
 /// Every Get*/Has call marks its key as recognized; keys that were passed on
 /// the command line but never consumed are reported by WarnUnconsumed(),
 /// which the destructor also runs — so a typo like --suport=0.05 produces a
-/// warning instead of silently benchmarking the default.
+/// warning instead of silently benchmarking the default. A numeric flag
+/// that does not parse exits 2.
 class Flags {
  public:
-  Flags(int argc, char** argv);
+  Flags(int argc, char** argv) : values_(flags::Parse(argc, argv)) {}
   ~Flags() { WarnUnconsumed(); }
 
   Flags(const Flags&) = delete;
@@ -40,7 +42,7 @@ class Flags {
   void WarnUnconsumed() const;
 
  private:
-  std::map<std::string, std::string> values_;
+  flags::FlagMap values_;
   mutable std::set<std::string> consumed_;
   mutable std::set<std::string> warned_;
 };

@@ -10,9 +10,9 @@ namespace flags {
 
 /// Shared `--key=value` flag handling for the tools (partminer, which
 /// parses past its subcommand, partminerd, loadgen, pmtop, partminer_fuzz).
-/// The bench harnesses keep their richer Flags struct; this is the one
-/// place the tools' parse-then-warn behavior lives, so a typo'd flag is
-/// never silently ignored by any of them.
+/// The bench harnesses' Flags class wraps these and warns on the keys no
+/// harness read; this is the one place the parse-then-warn behavior lives,
+/// so a typo'd flag is never silently ignored by any of them.
 using FlagMap = std::map<std::string, std::string>;
 
 /// Parses `--key=value` / bare `--key` (value "1") pairs. Non-flag

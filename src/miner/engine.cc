@@ -569,12 +569,16 @@ void Lap(PhaseClock* clock, double GrowPhases::*phase) {
   if (clock != nullptr) clock->Lap(phase);
 }
 
-/// Infrequent children per put task of a pooled node.
-constexpr size_t kPutChunk = 512;
+/// A frequent child group of a node, with its rank (0 without a ChildRank).
+struct Child {
+  const DfsEdge* tuple;
+  Projected* projected;
+  int rank;
+};
 
 /// Read-only state of one growth run, shared by every frame and task. The
-/// output sinks travel as parameters so that sibling subtrees can grow as
-/// pool tasks into task-local sinks.
+/// output sinks travel as parameters so that the roots' subtrees can grow
+/// as pool tasks into task-local sinks.
 struct Grower {
   const GraphDatabase& db;
   const MinerOptions& options;
@@ -583,9 +587,8 @@ struct Grower {
 
   /// Emits `code` (frequent, minimal), then grows its children. `node` is
   /// the code's node in `frontier`, when there is one.
-  void Visit(DfsCode* code, const Projected& projected, int depth,
-             PatternSet* out, Frontier* frontier,
-             Frontier::NodeId node) const {
+  void Visit(DfsCode* code, const Projected& projected, PatternSet* out,
+             Frontier* frontier, Frontier::NodeId node) const {
     PatternInfo info;
     info.code = *code;
     info.support = SupportOf(projected);
@@ -596,52 +599,35 @@ struct Grower {
     if (static_cast<int>(code->size()) >= options.max_edges) return;
     ExtensionMap children =
         CollectExtensions(db, *code, projected, /*enable_order_pruning=*/true);
-    Expand(code, &children, static_cast<int64_t>(projected.size()), depth,
-           out, frontier, node, /*clock=*/nullptr);
+    Expand(code, Classify(code, &children, frontier, node), out, frontier,
+           node);
   }
 
   /// Visits one frequent child below node `parent`, or parks it on the
   /// frontier when its code is not minimal: the minimal twin carries the
-  /// pattern, and the TIDs must survive for the incremental lookups.
-  void VisitChild(DfsCode* code, const Projected& projected, int child_rank,
-                  int depth, bool check_minimal, PatternSet* out,
+  /// pattern, and the TIDs must survive for the incremental lookups. Roots
+  /// are minimal and skip the test.
+  void VisitChild(DfsCode* code, const Child& child, PatternSet* out,
                   Frontier* frontier, Frontier::NodeId parent) const {
     const Frontier::NodeId node = frontier != nullptr
                                       ? frontier->Node(parent, code->back())
                                       : Frontier::kNone;
-    if (check_minimal && !(is_minimal ? is_minimal(*code, child_rank)
-                                      : IsMinimalDfsCode(*code))) {
-      if (frontier != nullptr) frontier->Put(node, TidSetOf(projected));
+    if (code->size() > 1 && !(is_minimal ? is_minimal(*code, child.rank)
+                                         : IsMinimalDfsCode(*code))) {
+      if (frontier != nullptr) frontier->Put(node, TidSetOf(*child.projected));
       return;
     }
-    Visit(code, projected, depth, out, frontier, node);
+    Visit(code, *child.projected, out, frontier, node);
   }
 
-  /// Grows the children of `code` (depth `depth`; the empty code is -1),
-  /// whose node in `frontier` is `node`. A group's embeddings are freed as
-  /// soon as nothing can extend them: an infrequent group's once its TIDs
-  /// are on the frontier, a serially visited child's once its subtree
-  /// returns. `clock`, set only for the empty code, laps the phases.
-  void Expand(DfsCode* code, ExtensionMap* children, int64_t parent_embeddings,
-              int depth, PatternSet* out, Frontier* frontier,
-              Frontier::NodeId node, PhaseClock* clock) const {
-    const bool pooled =
-        options.pool != nullptr && depth < 1 &&
-        parent_embeddings >= options.parallel_spawn_min_embeddings;
-    struct Child {
-      const DfsEdge* tuple;
-      Projected* projected;
-      int rank;
-    };
+  /// The frequent children of `code`, in visit order. The infrequent ones
+  /// are put on `frontier` below `node`, and their embeddings freed.
+  std::vector<Child> Classify(DfsCode* code, ExtensionMap* children,
+                              Frontier* frontier,
+                              Frontier::NodeId node) const {
     std::vector<Child> frequent;  // Most nodes have none: no allocation.
-    std::vector<ExtensionMap::Entry*> infrequent;  // Pooled runs only.
-    for (ExtensionMap::Entry& entry : *children) {
-      auto& [tuple, projected] = entry;
+    for (auto& [tuple, projected] : *children) {
       if (SupportOf(projected) < options.min_support) {
-        if (frontier != nullptr && pooled) {
-          infrequent.push_back(&entry);
-          continue;
-        }
         if (frontier != nullptr) {
           frontier->Put(frontier->Node(node, tuple), TidSetOf(projected));
         }
@@ -659,82 +645,21 @@ struct Grower {
           frequent.begin(), frequent.end(),
           [](const Child& a, const Child& b) { return a.rank < b.rank; });
     }
-    const bool check_minimal = !code->empty();  // Roots are minimal.
-    Lap(clock, &GrowPhases::root_puts_ms);
+    return frequent;
+  }
 
-    if (!pooled) {
-      for (const Child& child : frequent) {
-        code->Append(*child.tuple);
-        VisitChild(code, *child.projected, child.rank, depth + 1,
-                   check_minimal, out, frontier, node);
-        code->PopBack();
-        Projected().swap(*child.projected);
-      }
-      Lap(clock, &GrowPhases::tasks_ms);
-      return;
+  /// Grows the `frequent` children of `code`, whose node in `frontier` is
+  /// `node`, one after another. A child's embeddings are freed as soon as
+  /// its subtree returns.
+  void Expand(DfsCode* code, const std::vector<Child>& frequent,
+              PatternSet* out, Frontier* frontier,
+              Frontier::NodeId node) const {
+    for (const Child& child : frequent) {
+      code->Append(*child.tuple);
+      VisitChild(code, child, out, frontier, node);
+      code->PopBack();
+      Projected().swap(*child.projected);
     }
-
-    // Tasks write task-local sinks, each fork's root standing for `node`:
-    // a fork per chunk of infrequent children, which puts them in order,
-    // and a pattern set and a fork per frequent child, which grows it with
-    // its own code copy; the minimality test is part of its work. The
-    // serial run appends a node's infrequent children before it visits the
-    // frequent ones, so the forks in this order hold the serial nodes.
-    const size_t chunks = (infrequent.size() + kPutChunk - 1) / kPutChunk;
-    std::vector<std::optional<Frontier>> forks(
-        frontier != nullptr ? chunks + frequent.size() : 0);
-    std::vector<PatternSet> patterns(frequent.size());
-    {
-      TaskGroup group(options.pool);
-      for (size_t c = 0; c < chunks; ++c) {
-        group.Spawn([&infrequent, &forks, frontier, c] {
-          Frontier& fork = forks[c].emplace(frontier->Fork());
-          const size_t end =
-              std::min(infrequent.size(), (c + 1) * kPutChunk);
-          for (size_t i = c * kPutChunk; i < end; ++i) {
-            auto& [tuple, projected] = *infrequent[i];
-            fork.Put(fork.Node(Frontier::kRoot, tuple), TidSetOf(projected));
-            Projected().swap(projected);
-          }
-        });
-      }
-      for (size_t i = 0; i < frequent.size(); ++i) {
-        group.Spawn([this, code, &frequent, &forks, &patterns, frontier,
-                     chunks, i, depth, check_minimal] {
-          DfsCode child = *code;
-          child.Append(*frequent[i].tuple);
-          Frontier* fork = frontier != nullptr
-                               ? &forks[chunks + i].emplace(frontier->Fork())
-                               : nullptr;
-          VisitChild(&child, *frequent[i].projected, frequent[i].rank,
-                     depth + 1, check_minimal, &patterns[i], fork,
-                     Frontier::kRoot);
-        });
-      }
-    }  // Waits; `children` and the sinks outlive every task.
-    Lap(clock, &GrowPhases::tasks_ms);
-
-    // Each fork goes to the ids the serial run gives its nodes, by a task of
-    // its own, while the patterns are appended in visit order.
-    std::vector<Frontier::NodeId> first(forks.size());
-    Frontier::NodeId grown = 0;
-    for (size_t i = 0; i < forks.size(); ++i) {
-      first[i] = grown;
-      grown += static_cast<Frontier::NodeId>(forks[i]->node_count());
-    }
-    const Frontier::NodeId base =
-        frontier != nullptr ? frontier->Grow(grown) : 0;
-    Lap(clock, &GrowPhases::index_ms);
-    {
-      TaskGroup group(options.pool);
-      for (size_t i = 0; i < forks.size(); ++i) {
-        group.Spawn([&forks, &first, frontier, node, base, i] {
-          frontier->PlaceFork(std::move(*forks[i]), node, base + first[i]);
-        });
-      }
-      for (PatternSet& p : patterns) out->AppendFrom(std::move(p));
-    }
-    Lap(clock, &GrowPhases::splice_ms);
   }
 };
 
@@ -747,26 +672,81 @@ PatternSet GrowFromRoots(const GraphDatabase& db, const MinerOptions& options,
   if (phases != nullptr) clock.emplace(phases);
   PhaseClock* timed = clock ? &*clock : nullptr;
   const Grower grower{db, options, rank, is_minimal};
+  ThreadPool* pool = options.pool;
   // A serial capture appends unindexed and indexes once at the end; a
   // pooled one places its forks and their index entries at once.
   Frontier* frontier = options.capture_frontier;
   if (frontier != nullptr) {
     PM_CHECK_EQ(frontier->node_count(), 0u)
         << "a capture starts from an empty frontier";
-    if (options.pool == nullptr) frontier->BeginCapture();
+    if (pool == nullptr) frontier->BeginCapture();
   }
   std::vector<int> all(db.size());
   std::iota(all.begin(), all.end(), 0);
+  ExtensionMap roots = CollectRootExtensions(db, all, pool);
+  Lap(timed, &GrowPhases::root_scan_ms);
+  DfsCode code;
+  const std::vector<Child> frequent =
+      grower.Classify(&code, &roots, frontier, Frontier::kRoot);
+  Lap(timed, &GrowPhases::root_puts_ms);
   PatternSet out;
-  {
-    ExtensionMap roots = CollectRootExtensions(db, all, options.pool);
-    Lap(timed, &GrowPhases::root_scan_ms);
-    DfsCode code;
-    grower.Expand(&code, &roots, INT64_MAX, /*depth=*/-1, &out, frontier,
-                  Frontier::kRoot, timed);
+  if (pool == nullptr) {
+    grower.Expand(&code, frequent, &out, frontier, Frontier::kRoot);
+    Lap(timed, &GrowPhases::tasks_ms);
+    if (frontier != nullptr) frontier->EndCapture();
+    Lap(timed, &GrowPhases::index_ms);
+    return out;
   }
-  if (frontier != nullptr && options.pool == nullptr) frontier->EndCapture();
+
+  // One task per frequent root, each growing its subtree with its own code
+  // into a pattern set and a fork whose root stands for the empty code,
+  // then freeing the root's embeddings. The infrequent roots are already
+  // on the frontier, ahead of the forks, as the serial run appends them.
+  std::vector<PatternSet> patterns(frequent.size());
+  std::vector<std::optional<Frontier>> forks(
+      frontier != nullptr ? frequent.size() : 0);
+  {
+    // Spawned last to first: a worker runs its newest task first, so the
+    // pool starts the roots in visit order. The early roots own the big
+    // subtrees (a pattern grows below the root of its least edge), and a
+    // big subtree started last would be the tail.
+    TaskGroup group(pool);
+    for (size_t i = frequent.size(); i-- > 0;) {
+      group.Spawn([&grower, &frequent, &patterns, &forks, frontier, i] {
+        DfsCode child;
+        child.Append(*frequent[i].tuple);
+        Frontier* fork =
+            frontier != nullptr ? &forks[i].emplace(frontier->Fork()) : nullptr;
+        grower.VisitChild(&child, frequent[i], &patterns[i], fork,
+                          Frontier::kRoot);
+        Projected().swap(*frequent[i].projected);
+      });
+    }
+  }  // Waits; `roots` and the sinks outlive every task.
+  Lap(timed, &GrowPhases::tasks_ms);
+
+  // Each fork goes to the ids the serial run gives its nodes, by a task of
+  // its own, while the patterns are appended in visit order.
+  std::vector<Frontier::NodeId> first(forks.size());
+  Frontier::NodeId grown = 0;
+  for (size_t i = 0; i < forks.size(); ++i) {
+    first[i] = grown;
+    grown += static_cast<Frontier::NodeId>(forks[i]->node_count());
+  }
+  const Frontier::NodeId base =
+      frontier != nullptr ? frontier->Grow(grown) : 0;
   Lap(timed, &GrowPhases::index_ms);
+  {
+    TaskGroup group(pool);
+    for (size_t i = 0; i < forks.size(); ++i) {
+      group.Spawn([&forks, &first, frontier, base, i] {
+        frontier->PlaceFork(std::move(*forks[i]), Frontier::kRoot,
+                            base + first[i]);
+      });
+    }
+    for (PatternSet& p : patterns) out.AppendFrom(std::move(p));
+  }
+  Lap(timed, &GrowPhases::splice_ms);
   return out;
 }
 
@@ -775,8 +755,7 @@ void GrowSubtree(const GraphDatabase& db, const MinerOptions& options,
                  Frontier::NodeId node, PatternSet* out) {
   const MinimalityCheck generic;
   const Grower grower{db, options, nullptr, generic};
-  grower.Visit(code, projected, /*depth=*/0, out, options.capture_frontier,
-               node);
+  grower.Visit(code, projected, out, options.capture_frontier, node);
 }
 
 int SupportOf(const Projected& projected) {

@@ -164,11 +164,11 @@ Projected ProjectCode(const DfsCode& code, const GraphDatabase& db,
 struct GrowPhases {
   /// CollectRootExtensions over every graph.
   double root_scan_ms = 0;
-  /// Classifying the root groups. Serially this writes the infrequent
-  /// ones to the frontier; pooled it hands them to tasks.
+  /// Classifying the root groups and putting the infrequent ones on the
+  /// frontier, on the calling thread.
   double root_puts_ms = 0;
   /// Growing the frequent roots' subtrees: serially the whole visit;
-  /// pooled the tasks, the infrequent roots' chunks included.
+  /// pooled one task per frequent root.
   double tasks_ms = 0;
   /// Placing the forks and their index entries, and appending the
   /// patterns: pooled only.
@@ -201,16 +201,15 @@ using MinimalityCheck = std::function<bool(const DfsCode& child, int rank)>;
 /// entry on its node (parent's node, tuple), every emitted pattern is a
 /// path node with no entry, and a node is appended after its parent.
 ///
-/// With `options.pool`, the root scan runs on the pool, and the children
-/// of the empty code, and of a root with at least
-/// `options.parallel_spawn_min_embeddings` embeddings, are grown as pool
-/// tasks into task-local sinks: a pattern set and a Frontier::Fork per
-/// frequent child, and a fork per chunk of infrequent children. Each fork
-/// is then placed, by a task of its own, at the node ids the serial run
-/// gives its nodes (a prefix sum over the fork sizes), and indexed there,
-/// so the result and the frontier equal the serial run's, node ids
-/// included. Without a pool the recursion writes straight into the
-/// caller's sinks, and the index is built once the growth returns. The
+/// With `options.pool`, the root scan runs on the pool, the infrequent
+/// roots are put on the frontier inline, and each frequent root's subtree
+/// grows serially in a pool task of its own, into task-local sinks: a
+/// pattern set and a Frontier::Fork. This is the one place the growth fans
+/// out. Each fork is then placed, by a task of its own, at the node ids the
+/// serial run gives its nodes (a prefix sum over the fork sizes), and
+/// indexed there, so the result and the frontier equal the serial run's,
+/// node ids included. Without a pool the recursion writes straight into
+/// the caller's sinks, and the index is built once the growth returns. The
 /// capture frontier must hold only its root (a fresh capture).
 ///
 /// `phases`, when set, receives the wall time of each phase (GrowPhases).

@@ -29,15 +29,10 @@ struct MinerOptions {
   Frontier* capture_frontier = nullptr;
 
   /// When non-null, the gSpan/Gaston search tree itself is parallelized:
-  /// sibling extension subtrees (root groups, and first-level children with
-  /// at least `parallel_spawn_min_embeddings` embeddings) run as pool tasks
-  /// with task-local outputs, merged in tuple order so the result is
-  /// bit-identical to the serial traversal. Null keeps the serial path.
+  /// each frequent root's subtree runs as one pool task with task-local
+  /// outputs, merged in visit order so the result is bit-identical to the
+  /// serial traversal. Null keeps the serial path.
   ThreadPool* pool = nullptr;
-
-  /// Minimum embedding count for a first-level subtree to be worth a task
-  /// of its own; smaller subtrees stay inline with their parent.
-  int parallel_spawn_min_embeddings = 32;
 };
 
 }  // namespace partminer

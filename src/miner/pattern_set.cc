@@ -202,16 +202,16 @@ bool Frontier::Lookup(const DfsCode& code, TidSet* tids) const {
 }
 
 Frontier::NodeId Frontier::Grow(NodeId n) {
+  PM_DCHECK(indexed_) << "forks are placed into an indexed frontier";
   const size_t nodes = static_cast<size_t>(nodes_.size()) + n;
   // The index is sized before the arena grows: a rehash reads only the
   // nodes already written.
-  if (indexed_ && n > 0 && nodes * 2 > slots_.size()) {
-    Rehash(IndexSlots(nodes));
-  }
+  if (n > 0 && nodes * 2 > slots_.size()) Rehash(IndexSlots(nodes));
   return nodes_.Grow(n);
 }
 
 void Frontier::PlaceFork(Frontier fork, NodeId anchor, NodeId first) {
+  PM_DCHECK(indexed_) << "forks are placed into an indexed frontier";
   // Backward, so that each of the fork's blocks is freed as soon as its
   // records have moved, with all of them counted: that tells the block
   // cache how much of it was touched.
@@ -220,7 +220,7 @@ void Frontier::PlaceFork(Frontier fork, NodeId anchor, NodeId first) {
     Record& r = fork.At(i);
     r.parent = r.parent == kRoot ? anchor : r.parent + shift;
     new (&At(i + shift)) Record(std::move(r));
-    if (indexed_) Insert(i + shift);
+    Insert(i + shift);
     if ((i & (kBlockSize - 1)) == 0) fork.nodes_.Truncate(i);
   }
   std::atomic_ref<size_t>(entries_).fetch_add(fork.entries_,

@@ -204,15 +204,16 @@ class Frontier {
   }
   /// Appends `n` unwritten nodes, ids [first, first + n), and returns
   /// first. PlaceFork must write every one of them before anything else
-  /// reads or grows the frontier. When the frontier keeps an index, Grow
-  /// sizes it for every node, so that PlaceFork can fill it.
+  /// reads or grows the frontier. The frontier keeps its index (it is
+  /// neither a capture nor a fork); Grow sizes it for every node, so that
+  /// PlaceFork can fill it.
   NodeId Grow(NodeId n);
   /// Moves the nodes of `fork`, in its order, to the grown ids from `first`
   /// on, below `anchor`, the node the fork's root stands for: a parent that
   /// is the fork's root becomes `anchor`, any other shifts by first - 1.
-  /// None of them may have a node here yet. Indexes them when the frontier
-  /// keeps an index, and frees the fork's blocks as it consumes them. Calls
-  /// over disjoint id ranges may run at once.
+  /// None of them may have a node here yet. Indexes them, and frees the
+  /// fork's blocks as it consumes them. Calls over disjoint id ranges may
+  /// run at once.
   void PlaceFork(Frontier fork, NodeId anchor, NodeId first);
 
   /// Equal compacted views.

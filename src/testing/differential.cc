@@ -243,15 +243,13 @@ DifferentialResult RunAllChecks(const GraphDatabase& db,
     check(gaston.Mine(db, options), "gaston");
   }
 
-  // Parallel gSpan and Gaston: the work-stealing traversal must be
-  // bit-identical to the serial one. The spawn threshold is lowered so the
-  // tiny fuzz databases actually fan out.
+  // Parallel gSpan and Gaston: the work-stealing traversal, one task per
+  // frequent root, must be bit-identical to the serial one.
   for (const int threads : {2, 8}) {
     if (!result.ok()) break;
     ThreadPool pool(threads);
     MinerOptions parallel = options;
     parallel.pool = &pool;
-    parallel.parallel_spawn_min_embeddings = 1;
     GSpanMiner gspan;
     check(gspan.Mine(db, parallel),
           "gspan(pool=" + std::to_string(threads) + ")");

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "common/timing.h"
 #include "common/thread_pool.h"
 #include "core/inc_part_miner.h"
 #include "core/part_miner.h"
@@ -57,8 +58,7 @@ TEST(ParallelMineTest, GSpanIdenticalAcrossThreadCounts) {
     ThreadPool pool(threads);
     MinerOptions parallel;
     parallel.min_support = 3;
-    parallel.pool = &pool;
-    parallel.parallel_spawn_min_embeddings = 1;  // Force subtree fan-out.
+    parallel.pool = &pool;  // One task per frequent root.
     Frontier frontier;
     parallel.capture_frontier = &frontier;
     const PatternSet got = miner.Mine(db, parallel);
@@ -87,7 +87,6 @@ TEST(ParallelMineTest, GastonIdenticalAcrossThreadCounts) {
     MinerOptions parallel;
     parallel.min_support = 3;
     parallel.pool = &pool;
-    parallel.parallel_spawn_min_embeddings = 1;
     Frontier frontier;
     parallel.capture_frontier = &frontier;
     const PatternSet got = miner.Mine(db, parallel);
@@ -165,8 +164,8 @@ TEST(ParallelMineTest, IncPartMinerIdenticalAcrossThreadCounts) {
 // engine::GrowFromRoots): every enumerated group that did not become a
 // pattern is recorded with its exact TIDs, and no pattern is recorded.
 
-/// Mines `db` with `miner`, a GSpanMiner or GastonMiner (pool optional,
-/// fan-out forced), and returns the captured frontier; `patterns` receives
+/// Mines `db` with `miner`, a GSpanMiner or GastonMiner (pool optional),
+/// and returns the captured frontier; `patterns` receives
 /// the result when non-null.
 template <typename Miner>
 FrontierMap CaptureFrontier(Miner* miner, const GraphDatabase& db,
@@ -175,7 +174,6 @@ FrontierMap CaptureFrontier(Miner* miner, const GraphDatabase& db,
   MinerOptions options;
   options.min_support = support;
   options.pool = pool;
-  options.parallel_spawn_min_embeddings = 1;
   Frontier frontier;
   options.capture_frontier = &frontier;
   PatternSet mined = miner->Mine(db, options);
@@ -255,14 +253,13 @@ TEST(ParallelMineTest, FrontierContractSameAcrossMinersAndPools) {
 }
 
 /// Captures into a fresh frontier with `miner`, a GSpanMiner or
-/// GastonMiner (pool optional, fan-out forced).
+/// GastonMiner (pool optional).
 template <typename Miner>
 Frontier CaptureArena(const GraphDatabase& db, int support, ThreadPool* pool) {
   Miner miner;
   MinerOptions options;
   options.min_support = support;
   options.pool = pool;
-  options.parallel_spawn_min_embeddings = 1;
   Frontier frontier;
   options.capture_frontier = &frontier;
   miner.Mine(db, options);
@@ -721,7 +718,6 @@ TEST(ParallelMineTest, PooledIndexFindsEveryNodeAsSerial) {
       MinerOptions options;
       options.min_support = 3;
       options.pool = pool;
-      options.parallel_spawn_min_embeddings = 1;
       options.capture_frontier = frontier;
       return GSpanMiner().Mine(db, options);
     };
@@ -843,10 +839,10 @@ TEST(ParallelMineTest, PooledMineMatchesSerialMine) {
 }
 
 TEST(ParallelMineTest, PooledMineSplitsManyInfrequentRootsInOrder) {
-  // A pooled root puts its infrequent children in chunk forks of 512 and
-  // places them at the ids the serial run gives: with 60 vertex labels more
-  // than 1,024 root tuples are infrequent, so several chunks must land in
-  // tuple order ahead of the frequent children's forks.
+  // A pooled mine puts its infrequent roots on the frontier inline, before
+  // it places the frequent roots' forks: with 60 vertex labels more than
+  // 1,024 root tuples are infrequent, and every one must land in tuple
+  // order at its serial id, ahead of the forks.
   Rng rng(4099);
   const GraphDatabase db = testutil::RandomDatabase(&rng, 120, 30, 10, 60, 3);
   std::vector<PartMiner> states;
@@ -862,10 +858,48 @@ TEST(ParallelMineTest, PooledMineSplitsManyInfrequentRootsInOrder) {
       [&infrequent_roots](const DfsCode& key) {
         if (key.size() == 1) ++infrequent_roots;
       });
-  ASSERT_GT(infrequent_roots, 2u * 512);
+  ASSERT_GT(infrequent_roots, 1024u);
   ASSERT_GT(states[0].patterns().size(), 0);
   ExpectSameState(states[0], states[1], "threads 2");
   ExpectSameState(states[0], states[2], "threads 8");
+}
+
+TEST(ParallelMineTest, GrowPhasesTileTheCall) {
+  // The five phases lap one clock from the first line of GrowFromRoots to
+  // its last, so they cover a captured call, serial or pooled, up to its
+  // argument setup and its last destructors: at least 95% of a stopwatch
+  // around it, and never more.
+  GeneratorParams params;
+  params.num_graphs = 400;
+  params.avg_edges = 20;
+  params.num_labels = 20;
+  params.num_kernels = 40;
+  params.avg_kernel_edges = 5;
+  params.seed = 1;
+  const GraphDatabase db = GenerateDatabase(params);
+  ThreadPool pool4(4);
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &pool4}) {
+    const std::string what = "pool " + std::to_string(pool ? 4 : 0);
+    MinerOptions options;
+    options.min_support = 16;  // 4%.
+    options.pool = pool;
+    Frontier frontier;
+    options.capture_frontier = &frontier;
+    engine::GrowPhases phases;
+    Stopwatch watch;
+    const PatternSet patterns =
+        engine::GrowFromRoots(db, options, nullptr, {}, &phases);
+    const double wall_ms = watch.ElapsedMillis();
+    ASSERT_GT(patterns.size(), 0) << what;
+    const double laps_ms = phases.root_scan_ms + phases.root_puts_ms +
+                           phases.tasks_ms + phases.splice_ms +
+                           phases.index_ms;
+    EXPECT_GE(laps_ms, 0.95 * wall_ms) << what << ": wall " << wall_ms;
+    EXPECT_LE(laps_ms, wall_ms) << what;
+    if (pool == nullptr) {
+      EXPECT_EQ(phases.splice_ms, 0) << what;
+    }
+  }
 }
 
 }  // namespace
